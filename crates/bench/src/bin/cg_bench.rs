@@ -51,12 +51,6 @@ fn bit_identical(a: &CgReport, b: &CgReport) -> bool {
 fn main() {
     let args = parse_args();
     let n = if args.smoke { 24 } else { 192 };
-    let tiers: [(&str, TierKind); 4] = [
-        ("eval", TierKind::Eval),
-        ("opt-bytecode", TierKind::OptBytecode),
-        ("weighted-sum", TierKind::WeightedSum),
-        ("template-jit", TierKind::TemplateJit),
-    ];
     let strategies: [(&str, Option<Vec<i64>>); 3] = [
         ("standard-slicing", None),
         ("recursive-bisection", None),
@@ -80,7 +74,8 @@ fn main() {
     let mut all_identical = true;
     let mut runs = String::new();
     let mut serial_json = String::new();
-    for (ti, &(tname, tier)) in tiers.iter().enumerate() {
+    for (ti, tier) in TierKind::ALL.into_iter().enumerate() {
+        let tname = tier.name();
         let cfg = CgConfig { threads: args.threads, tier: Some(tier), ..CgConfig::new(n) };
         let t0 = Instant::now();
         let serial = solve(&cfg).expect("serial solve");

@@ -1,20 +1,18 @@
 //! Template-JIT executor tier: monomorphized fused micro-kernels.
 //!
-//! The weighted-sum tier (see [`crate::specialize`]) strip-mines rows
-//! into 128-point tiles and evaluates the kernel *stage at a time* over a
-//! heap slot matrix — every tap and combine node makes one full pass over
-//! the tile, so even an L1-resident kernel pays a load/store round trip
-//! per stage per point. Real stencil compilers (Devito's generated C,
-//! the paper's LLVM path) instead emit **one fused loop per kernel**: all
+//! Real stencil compilers (Devito's generated C, the paper's LLVM path)
+//! emit **one fused loop per kernel**, whatever the space order: all
 //! taps are loaded into registers, combined in registers, and stored
-//! once.
+//! once. This tier does the same for every *affine* kernel (each
+//! multiplication has a constant operand); everything else runs on the
+//! opt-bytecode fallback (see [`crate::specialize`]).
 //!
 //! True runtime codegen needs a backend (cranelift) this repo cannot
 //! depend on, so this module does the next-best thing — a **template
 //! JIT**: a catalog of pre-compiled, monomorphized `#[inline(never)]`
 //! micro-kernels covering the stencil shapes the specializer actually
-//! sees, selected at pipeline-build time by matching the weighted-sum
-//! program's combine DAG. The catalog is parameterized by runtime data
+//! sees, selected at pipeline-build time by matching the optimized
+//! bytecode's combine DAG. The catalog is parameterized by runtime data
 //! (taps, coefficients, strides) but its *shape* — tap counts (const
 //! generics), fold structure, lane width — is fixed at compile time, so
 //! the inner loops carry no interpretation dispatch at all.
@@ -26,16 +24,26 @@
 //! out  := term₁ ⊕ term₂ ⊕ … ⊕ term_G          (left fold, ⊕ ∈ {+,−})
 //! term := elem                                 (plain element)
 //!       | [c ·] (elem₁ ⊕ … ⊕ elem_T)          (const-scaled group fold)
-//! elem := tap | c · tap | tap ⊕ tap | const   (tap = one grid load)
+//! elem := tap | tap ⊕ tap | const
+//! tap  := load | c · load | load · c           (one grid load)
 //! ```
 //!
 //! jacobi-1d matches as a pure 3-tap chain, heat-2d as
 //! `c + s·(((u+d)+(l+r)) − k·c)` (one plain term + one scaled group),
 //! the Devito heat-3d operator as `s₁·(a+b+c) + s₂·(d+e+f) + g·center`.
-//! Kernels outside the catalog (division nodes, nesting deeper than two
-//! levels, > [`MAX_TERMS`] terms, `Index` taps, runtime scalars) simply
-//! stay on the weighted-sum or opt-bytecode tier — tier selection is a
-//! pure win-or-fall-back.
+//! Kernels outside the grammar (runtime scalars, `Index` terms, negation
+//! or division, `load · load`, nesting deeper than two levels) stay on
+//! the opt-bytecode tier — tier selection is a pure win-or-fall-back.
+//!
+//! **Caps.** The general evaluator ([`fold_row`]) loops over `Vec`s, so
+//! fold lengths are bounded only to keep the matcher and the per-point
+//! work finite: [`MAX_FOLD`] (terms per output, elements per group)
+//! covers a space-order-16 star in 3D (49 taps) with room to spare, and
+//! [`MAX_OPS`] bounds the
+//! recomputation a shared sub-expression costs (a fold re-evaluates it at
+//! every use). Only the const-generic `chain<T>` fast path is
+//! monomorphized per length, so it stops at [`MAX_CHAIN`] taps; longer
+//! pure chains take the general evaluator.
 //!
 //! **Bit-exactness.** Evaluation replays exactly the operation sequence
 //! of the matched DAG per point: every tap is scaled with the recorded
@@ -55,20 +63,16 @@
 //! (two `__m256d` halves per block). Row remainders run the scalar path,
 //! which is bit-identical by construction.
 
-use crate::program::BinOp;
-use crate::specialize::{WsNode, WsProgram, WsTap};
+use crate::program::{BinOp, Instr};
+use crate::specialize::OptProgram;
 
-/// Maximum top-level fold terms (a pure chain of taps may use all of
-/// them; `chain<T>` micro-kernels are monomorphized for every `T` up to
-/// this bound).
-pub const MAX_TERMS: usize = 16;
-/// Maximum elements inside one scaled group.
-pub const MAX_GROUP_ELEMS: usize = 8;
-/// Maximum total evaluated operations per output (guards the
-/// recomputation that tree-shaped sharing can introduce).
-const MAX_OPS: usize = 64;
-/// Maximum outputs of a (horizontally fused) apply the templates accept.
-const MAX_OUTS: usize = 4;
+/// Maximum length of one fold: top-level terms, or elements of a group.
+const MAX_FOLD: usize = 64;
+/// Maximum evaluated operations per output (guards the recomputation
+/// that DAG sharing introduces).
+const MAX_OPS: usize = 512;
+/// Longest pure tap chain with a monomorphized `chain<T>` micro-kernel.
+const MAX_CHAIN: usize = 16;
 
 /// One grid load, optionally fused with a constant coefficient.
 #[derive(Clone, Debug)]
@@ -83,6 +87,13 @@ pub struct JitTap {
     pub coeff_left: bool,
     /// Whether the tap is multiplied by `coeff`.
     pub scaled: bool,
+}
+
+impl JitTap {
+    /// Operations one evaluation costs (the load, plus the scaling).
+    fn ops(&self) -> usize {
+        1 + usize::from(self.scaled)
+    }
 }
 
 /// A leaf value of the fold grammar.
@@ -148,10 +159,11 @@ pub struct JitOut {
 pub struct JitProgram {
     /// One fold plan per apply output.
     pub outs: Vec<JitOut>,
-    /// Distinct taps of the source weighted-sum program (label only).
+    /// Distinct grid loads of the kernel (label only).
     pub tap_count: usize,
-    /// `Some(T)` when the kernel is a single-output pure tap chain
-    /// (drives the const-generic `chain<T>` micro-kernels).
+    /// `Some(T)` when the kernel is a single-output pure tap chain of at
+    /// most [`MAX_CHAIN`] taps (drives the const-generic `chain<T>`
+    /// micro-kernels).
     pub chain_len: Option<usize>,
     /// The flattened `(op, tap)` pairs when `chain_len` is set, hoisted
     /// out of the row loop at match time.
@@ -189,33 +201,24 @@ fn avx2_available() -> bool {
 // Template matching
 // ---------------------------------------------------------------------
 
-/// What a weighted-sum slot holds during matching.
+/// What an optimized-bytecode register holds during matching.
 #[derive(Copy, Clone)]
-enum SlotKind<'a> {
-    Tap(&'a WsTap),
+enum Def {
+    Load { input: u32, rel: i64 },
     Const(f64),
-    Node(&'a WsNode),
+    Bin { op: BinOp, a: u32, b: u32 },
 }
 
-struct Matcher<'a> {
-    ws: &'a WsProgram,
+struct Matcher {
+    /// Definition of every register of the optimized program.
+    defs: Vec<Option<Def>>,
+    /// Operations charged to the current output.
     ops: usize,
 }
 
-impl<'a> Matcher<'a> {
-    fn slot(&self, s: u16) -> SlotKind<'a> {
-        let s = s as usize;
-        let taps = self.ws.taps.len();
-        let consts = taps + self.ws.index_taps.len() + self.ws.consts.len();
-        if s < taps {
-            SlotKind::Tap(&self.ws.taps[s])
-        } else if s < consts {
-            // Index slots are rejected up front, so anything between the
-            // taps and the nodes is a constant here.
-            SlotKind::Const(self.ws.consts[s - taps - self.ws.index_taps.len()])
-        } else {
-            SlotKind::Node(&self.ws.nodes[s - consts])
-        }
+impl Matcher {
+    fn def(&self, r: u32) -> Option<Def> {
+        self.defs[r as usize]
     }
 
     fn charge(&mut self, n: usize) -> Option<()> {
@@ -223,99 +226,81 @@ impl<'a> Matcher<'a> {
         (self.ops <= MAX_OPS).then_some(())
     }
 
-    fn tap(&mut self, t: &WsTap) -> Option<JitTap> {
-        self.charge(if t.scaled { 2 } else { 1 })?;
-        Some(JitTap {
-            input: t.input,
-            rel: t.rel,
-            coeff: t.coeff,
-            coeff_left: t.coeff_left,
-            scaled: t.scaled,
-        })
+    /// Matches `load`, `c · load` or `load · c`.
+    fn tap(&self, r: u32) -> Option<JitTap> {
+        let (load, scale) = match self.def(r)? {
+            Def::Load { .. } => (r, None),
+            Def::Bin { op: BinOp::Mul, a, b } => match (self.def(a)?, self.def(b)?) {
+                (Def::Const(c), _) => (b, Some((c, true))),
+                (_, Def::Const(c)) => (a, Some((c, false))),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let Def::Load { input, rel } = self.def(load)? else { return None };
+        let (coeff, coeff_left) = scale.unwrap_or((1.0, false));
+        Some(JitTap { input, rel, coeff, coeff_left, scaled: scale.is_some() })
     }
 
-    /// Matches a leaf: tap, `c·tap`, `tap ⊕ tap`, or a constant.
-    fn value(&mut self, s: u16) -> Option<JitValue> {
-        match self.slot(s) {
-            SlotKind::Tap(t) => Some(JitValue::Tap(self.tap(t)?)),
-            SlotKind::Const(c) => {
-                self.charge(1)?;
-                Some(JitValue::Const(c))
+    /// Matches a leaf: a tap, `tap ⊕ tap`, or a constant.
+    fn value(&mut self, r: u32) -> Option<JitValue> {
+        let (value, ops) = match self.def(r)? {
+            Def::Const(c) => (JitValue::Const(c), 1),
+            Def::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b } => {
+                let (a, b) = (self.tap(a)?, self.tap(b)?);
+                let ops = a.ops() + b.ops() + 1;
+                (JitValue::Pair { op, a, b }, ops)
             }
-            SlotKind::Node(WsNode::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b }) => {
-                let (SlotKind::Tap(ta), SlotKind::Tap(tb)) = (self.slot(*a), self.slot(*b)) else {
-                    return None;
-                };
-                let (a, b) = (self.tap(ta)?, self.tap(tb)?);
-                self.charge(1)?;
-                Some(JitValue::Pair { op: *op, a, b })
+            _ => {
+                let tap = self.tap(r)?;
+                let ops = tap.ops();
+                (JitValue::Tap(tap), ops)
             }
-            SlotKind::Node(WsNode::Bin { op: BinOp::Mul, a, b }) => {
-                // An unfused `const · tap` (the weighted-sum matcher only
-                // fuses coefficients into single-use taps).
-                let (c, t, left) = match (self.slot(*a), self.slot(*b)) {
-                    (SlotKind::Const(c), SlotKind::Tap(t)) => (c, t, true),
-                    (SlotKind::Tap(t), SlotKind::Const(c)) => (c, t, false),
-                    _ => return None,
-                };
-                if t.scaled {
-                    return None; // nested scaling: stay on weighted-sum
-                }
-                let mut tap = self.tap(t)?;
-                self.charge(1)?;
-                tap.coeff = c;
-                tap.coeff_left = left;
-                tap.scaled = true;
-                Some(JitValue::Tap(tap))
-            }
-            _ => None,
-        }
+        };
+        self.charge(ops)?;
+        Some(value)
     }
 
-    /// Linearizes the left spine of `Add`/`Sub` nodes rooted at `s` into
-    /// `(seed, [(op, term), …])`, mirroring the DAG's exact association.
-    fn linearize(&self, s: u16) -> (u16, Vec<(BinOp, u16)>) {
-        let mut rev: Vec<(BinOp, u16)> = Vec::new();
-        let mut cur = s;
-        while rev.len() < MAX_TERMS.max(MAX_GROUP_ELEMS) {
-            match self.slot(cur) {
-                SlotKind::Node(WsNode::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b }) => {
-                    rev.push((*op, *b));
-                    cur = *a;
-                }
-                _ => break,
+    /// Linearizes the left spine of `Add`/`Sub` nodes rooted at `r` into
+    /// `(seed, [(op, term), …])`, mirroring the DAG's exact association;
+    /// `None` when the fold is longer than [`MAX_FOLD`].
+    fn linearize(&self, r: u32) -> Option<(u32, Vec<(BinOp, u32)>)> {
+        let mut rev: Vec<(BinOp, u32)> = Vec::new();
+        let mut cur = r;
+        while let Some(Def::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b }) = self.def(cur) {
+            if rev.len() + 2 > MAX_FOLD {
+                return None;
             }
+            rev.push((op, b));
+            cur = a;
         }
         rev.reverse();
-        (cur, rev)
+        Some((cur, rev))
     }
 
     /// Matches a group fold (second fold level): every term must be a
     /// leaf value.
-    fn group_elems(&mut self, s: u16) -> Option<Vec<JitElem>> {
-        let (seed, folds) = self.linearize(s);
-        if folds.len() + 1 > MAX_GROUP_ELEMS {
-            return None;
-        }
+    fn group_elems(&mut self, r: u32) -> Option<Vec<JitElem>> {
+        let (seed, folds) = self.linearize(r)?;
         let mut elems = vec![JitElem { op: BinOp::Add, value: self.value(seed)? }];
-        for (op, slot) in folds {
+        for (op, r) in folds {
             self.charge(1)?;
-            elems.push(JitElem { op, value: self.value(slot)? });
+            elems.push(JitElem { op, value: self.value(r)? });
         }
         Some(elems)
     }
 
     /// Matches one top-level term: a leaf, or a (possibly const-scaled)
     /// group fold.
-    fn term_value(&mut self, s: u16) -> Option<JitTermValue> {
-        if let Some(v) = self.value(s) {
+    fn term_value(&mut self, r: u32) -> Option<JitTermValue> {
+        if let Some(v) = self.value(r) {
             return Some(JitTermValue::Elem(v));
         }
-        match self.slot(s) {
-            SlotKind::Node(WsNode::Bin { op: BinOp::Mul, a, b }) => {
-                let (c, inner, left) = match (self.slot(*a), self.slot(*b)) {
-                    (SlotKind::Const(c), _) => (c, *b, true),
-                    (_, SlotKind::Const(c)) => (c, *a, false),
+        match self.def(r)? {
+            Def::Bin { op: BinOp::Mul, a, b } => {
+                let (c, inner, left) = match (self.def(a)?, self.def(b)?) {
+                    (Def::Const(c), _) => (c, b, true),
+                    (_, Def::Const(c)) => (c, a, false),
                     _ => return None,
                 };
                 self.charge(1)?;
@@ -324,56 +309,68 @@ impl<'a> Matcher<'a> {
                     elems: self.group_elems(inner)?,
                 })
             }
-            SlotKind::Node(WsNode::Bin { op: BinOp::Add | BinOp::Sub, .. }) => {
-                Some(JitTermValue::Group { scale: None, elems: self.group_elems(s)? })
+            Def::Bin { op: BinOp::Add | BinOp::Sub, .. } => {
+                Some(JitTermValue::Group { scale: None, elems: self.group_elems(r)? })
             }
             _ => None,
         }
     }
 
-    fn out(&mut self, s: u16) -> Option<JitOut> {
-        let (seed, folds) = self.linearize(s);
-        if folds.len() + 1 > MAX_TERMS {
-            return None;
-        }
+    fn out(&mut self, r: u32) -> Option<JitOut> {
+        self.ops = 0;
+        let (seed, folds) = self.linearize(r)?;
         let mut terms = vec![JitTerm { op: BinOp::Add, value: self.term_value(seed)? }];
-        for (op, slot) in folds {
+        for (op, r) in folds {
             self.charge(1)?;
-            terms.push(JitTerm { op, value: self.term_value(slot)? });
+            terms.push(JitTerm { op, value: self.term_value(r)? });
         }
         Some(JitOut { terms })
     }
 }
 
-/// Tries to match a weighted-sum program against the template catalog.
-/// Returns `None` when the kernel needs a shape the catalog doesn't
-/// pre-compile — the caller then stays on the weighted-sum tier.
-pub fn match_template(ws: &WsProgram) -> Option<JitProgram> {
-    if !ws.index_taps.is_empty() || ws.outs.is_empty() || ws.outs.len() > MAX_OUTS {
+/// Tries to match an optimized program against the template catalog:
+/// every output must be an affine function of its loads in the two-level
+/// fold shape of the module docs. Returns `None` on first sight of
+/// anything outside the grammar — a runtime scalar, an `Index`, a
+/// negation or a division — and the caller stays on opt-bytecode.
+pub(crate) fn match_template(opt: &OptProgram) -> Option<JitProgram> {
+    if opt.outputs.is_empty() || !opt.scalar_regs.is_empty() {
         return None;
     }
-    let mut m = Matcher { ws, ops: 0 };
-    let outs: Vec<JitOut> = ws.outs.iter().map(|&o| m.out(o)).collect::<Option<_>>()?;
-    let chain = match &outs[..] {
-        [o] if o.terms.iter().all(|t| matches!(t.value, JitTermValue::Elem(JitValue::Tap(_)))) => {
-            Some(
-                o.terms
-                    .iter()
-                    .map(|t| match &t.value {
-                        JitTermValue::Elem(JitValue::Tap(tap)) => (t.op, tap.clone()),
-                        _ => unreachable!("just matched pure tap terms"),
-                    })
-                    .collect::<Vec<_>>(),
-            )
+    let mut defs = vec![None; opt.num_regs as usize];
+    for &(r, v) in &opt.preinit {
+        defs[r as usize] = Some(Def::Const(v));
+    }
+    for instr in &opt.instrs {
+        match *instr {
+            Instr::LoadInput { input, rel, dst } => {
+                defs[dst as usize] = Some(Def::Load { input, rel });
+            }
+            Instr::Bin { op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b, dst } => {
+                defs[dst as usize] = Some(Def::Bin { op, a, b });
+            }
+            _ => return None,
         }
+    }
+    let mut m = Matcher { defs, ops: 0 };
+    let outs: Vec<JitOut> = opt.outputs.iter().map(|&o| m.out(o)).collect::<Option<_>>()?;
+    let chain = match &outs[..] {
+        [o] if o.terms.len() <= MAX_CHAIN => o
+            .terms
+            .iter()
+            .map(|t| match &t.value {
+                JitTermValue::Elem(JitValue::Tap(tap)) => Some((t.op, tap.clone())),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>(),
         _ => None,
     };
     Some(JitProgram {
         chain_len: chain.as_ref().map(Vec::len),
         chain,
         outs,
-        tap_count: ws.taps.len(),
-        rel_bounds: ws.rel_bounds.clone(),
+        tap_count: opt.instrs.iter().filter(|i| matches!(i, Instr::LoadInput { .. })).count(),
+        rel_bounds: opt.rel_bounds.clone(),
         use_avx2: avx2_available(),
     })
 }
@@ -563,7 +560,7 @@ unsafe fn term_block<L: Lanes>(t: &JitTermValue, inputs: &[&[f64]], flats: &[i64
 /// the matching `#[target_feature]`; an out-of-line generic body would
 /// turn every lane op of the AVX2 instantiation into a real function
 /// call with `__m256d` operands spilled through memory (measured ~9×
-/// *slower* than weighted-sum on jacobi-1d).
+/// slower on jacobi-1d).
 ///
 /// # Safety
 /// Caller validated the row per [`JitProgram::rel_bounds`]; `out` must
@@ -711,7 +708,7 @@ macro_rules! chain_match {
             14 => $row::<14>($taps, $inputs, $flats, $out, $of, $len),
             15 => $row::<15>($taps, $inputs, $flats, $out, $of, $len),
             16 => $row::<16>($taps, $inputs, $flats, $out, $of, $len),
-            _ => unreachable!("chain length bounded by MAX_TERMS"),
+            _ => unreachable!("chain length bounded by MAX_CHAIN"),
         }
     };
 }
@@ -853,6 +850,36 @@ mod tests {
         assert_eq!(elems.len(), 4);
         assert!(matches!(elems[2].value, JitValue::Pair { .. }));
         assert!(matches!(elems[3].value, JitValue::Tap(JitTap { scaled: true, .. })));
+    }
+
+    /// `load₀ + load₁ + … + loadₙ₋₁` as optimized bytecode.
+    fn tap_chain(n: u32) -> OptProgram {
+        let loads = (0..n).map(|i| Instr::LoadInput { input: 0, rel: i as i64, dst: i });
+        let adds = (1..n).map(|i| Instr::Bin {
+            op: BinOp::Add,
+            a: if i == 1 { 0 } else { n + i - 2 },
+            b: i,
+            dst: n + i - 1,
+        });
+        OptProgram {
+            instrs: loads.chain(adds).collect(),
+            preinit: vec![],
+            scalar_regs: vec![],
+            num_regs: 2 * n - 1,
+            outputs: vec![2 * n - 2],
+            has_index: false,
+            rel_bounds: vec![Some((0, n as i64 - 1))],
+        }
+    }
+
+    #[test]
+    fn caps_bound_the_chain_fast_path_and_the_fold() {
+        let terms = |n| match_template(&tap_chain(n)).map(|j| (j.outs[0].terms.len(), j.chain_len));
+        assert_eq!(terms(MAX_CHAIN as u32), Some((MAX_CHAIN, Some(MAX_CHAIN))));
+        // Longer pure chains match, on the general evaluator.
+        assert_eq!(terms(MAX_CHAIN as u32 + 1), Some((MAX_CHAIN + 1, None)));
+        assert_eq!(terms(MAX_FOLD as u32), Some((MAX_FOLD, None)));
+        assert_eq!(terms(MAX_FOLD as u32 + 1), None);
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //!   per grid point (consumed by `sten-perf` to compute arithmetic
 //!   intensities from *real* IR rather than hand-waved estimates);
 //! * [`specialize`] — the kernel specialization engine: compiles each
-//!   [`program::KernelProgram`] into the fastest applicable executor
-//!   tier (`eval` → `opt-bytecode` → `weighted-sum` → `template-jit`)
-//!   at pipeline-build time, bit-for-bit identical to the reference
-//!   interpreter;
-//! * [`jit`] — the template-JIT tier's catalog of monomorphized fused
-//!   micro-kernels (const-generic tap chains, two-level fold templates,
+//!   [`program::KernelProgram`] into one of three executor tiers at
+//!   pipeline-build time — `template-jit` for every affine kernel,
+//!   `opt-bytecode` as the fallback, `eval` as the reference — each
+//!   bit-for-bit identical to the reference interpreter;
+//! * [`jit`] — the template-JIT tier: its matcher over the optimized
+//!   bytecode and its catalog of monomorphized fused micro-kernels
+//!   (const-generic tap chains, two-level fold templates,
 //!   optional explicit AVX2 lanes behind the `simd` cargo feature +
 //!   runtime CPU detection);
 //! * [`pipeline`] — compiles a whole stencil-level function

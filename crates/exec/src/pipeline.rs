@@ -448,7 +448,7 @@ impl Pipeline {
     /// Region-split steps (one interior + several boundary shells from
     /// an overlapped or deep-halo schedule) all derive from one compiled
     /// apply; they are specialized once and share the resulting tier's
-    /// `Arc`'d tap tables, so the short-row boundary path never rebuilds
+    /// `Arc`'d program, so the short-row boundary path never rebuilds
     /// per-shell state. Keyed by the kernel's debug rendering, which
     /// distinguishes every semantic detail including `-0.0` vs `0.0`
     /// constants (plain f64 equality would conflate them).
@@ -466,7 +466,7 @@ impl Pipeline {
     }
 
     /// One line per apply step describing the selected executor tier,
-    /// e.g. `apply#0: weighted-sum (5 taps, tree; rank 2) [3844 pts]`;
+    /// e.g. `apply#0: template-jit (5 taps, 2 terms; rank 2) [3844 pts]`;
     /// region-split steps carry their region, e.g. `[interior 3600 pts]`.
     pub fn tier_summary(&self) -> Vec<String> {
         self.steps
@@ -2150,8 +2150,8 @@ mod tests {
         assert_eq!(p.num_apply_steps(), 5, "interior + 4 shells");
         // Both at compile time (the split clones one specialized kernel)
         // and after respecialize (the dedup cache), the interior and the
-        // boundary shells must share one tap table, not per-shell copies.
-        for tier in [None, Some(TierKind::WeightedSum), Some(TierKind::TemplateJit)] {
+        // boundary shells must share one program, not per-shell copies.
+        for tier in [None, Some(TierKind::OptBytecode), Some(TierKind::TemplateJit)] {
             p.respecialize(tier);
             let applies: Vec<_> = p
                 .steps
@@ -2163,7 +2163,6 @@ mod tests {
                 .collect();
             assert_eq!(applies.len(), 5);
             let shared = applies.windows(2).all(|w| match (&w[0].tier, &w[1].tier) {
-                (Tier::WeightedSum(a), Tier::WeightedSum(b)) => Arc::ptr_eq(a, b),
                 (Tier::TemplateJit(a), Tier::TemplateJit(b)) => Arc::ptr_eq(a, b),
                 (Tier::OptBytecode(a), Tier::OptBytecode(b)) => Arc::ptr_eq(a, b),
                 _ => false,

@@ -120,9 +120,8 @@ impl InputDesc {
     }
 }
 
-/// Reusable per-thread execution scratch: the register file, flat-index
-/// cursors, and (for specialized tiers) the slot array. Hoisted out of
-/// the per-chunk execution calls so worker threads stop reallocating
+/// Reusable per-thread execution scratch: the register file and the
+/// flat-index cursors. Hoisted out of the per-chunk execution calls so worker threads stop reallocating
 /// them on every apply of every timestep.
 #[derive(Clone, Debug, Default)]
 pub struct ExecScratch {
@@ -132,8 +131,6 @@ pub struct ExecScratch {
     /// [`CompiledKernel::scalar_args`]), set by the caller before
     /// execution and preloaded into the scalar registers once per chunk.
     pub scalars: Vec<f64>,
-    /// Weighted-sum slot array (taps, consts, combine nodes).
-    pub slots: Vec<f64>,
     /// Per-input centre flat index of the current row start.
     pub flats: Vec<i64>,
     /// Per-output flat index of the current row start.
@@ -150,16 +147,8 @@ impl ExecScratch {
 
     /// Resizes the buffers for a kernel's geometry. Cheap when the sizes
     /// already match (the steady state inside a timestep loop).
-    pub fn ensure(
-        &mut self,
-        regs: usize,
-        slots: usize,
-        inputs: usize,
-        outputs: usize,
-        rank: usize,
-    ) {
+    pub fn ensure(&mut self, regs: usize, inputs: usize, outputs: usize, rank: usize) {
         self.regs.resize(regs, 0.0);
-        self.slots.resize(slots, 0.0);
         self.flats.resize(inputs, 0);
         self.out_flats.resize(outputs, 0);
         self.point.resize(rank, 0);
@@ -311,13 +300,7 @@ impl CompiledKernel {
     ) {
         let rank = range.rank();
         debug_assert!(rank >= 1);
-        scratch.ensure(
-            self.program.num_regs as usize,
-            0,
-            self.inputs.len(),
-            self.outputs.len(),
-            rank,
-        );
+        scratch.ensure(self.program.num_regs as usize, self.inputs.len(), self.outputs.len(), rank);
         preload_scalars(&self.program.scalar_regs, scratch);
         let last = rank - 1;
         let (last_lb, last_ub) = range.0[last];
@@ -373,20 +356,6 @@ impl CompiledKernel {
             }
         }
     }
-
-    /// Executes with `threads` workers, chunking the *longest* dimension
-    /// (not necessarily dim 0 — a `[4, 4096]` range parallelizes over the
-    /// 4096-row inner dimension).
-    pub fn execute_parallel(&self, inputs: &[&[f64]], outs: &mut [&mut [f64]], threads: usize) {
-        let subs = split_longest_dim(&self.range, threads);
-        if threads <= 1 || subs.len() <= 1 {
-            self.execute(inputs, outs);
-            return;
-        }
-        scoped_parallel(subs, outs, |sub, outs| {
-            self.execute_rows(inputs, outs, sub, &mut ExecScratch::new());
-        });
-    }
 }
 
 /// Copies the runtime scalar arguments from `scratch.scalars` into their
@@ -407,8 +376,8 @@ pub(crate) fn preload_scalars(scalar_regs: &[u32], scratch: &mut ExecScratch) {
     }
 }
 
-/// Raw output pointers that may cross thread boundaries. Shared by every
-/// parallel execution path (scoped and pooled); safety rests on the
+/// Raw output pointers that may cross thread boundaries (the pooled
+/// parallel execution path); safety rests on the
 /// chunks being disjoint slabs of one dimension, with each grid point
 /// writing only its own output cells.
 pub(crate) struct SendPtr(pub *mut f64, pub usize);
@@ -427,28 +396,6 @@ unsafe impl Sync for SendPtr {}
 #[allow(clippy::mut_from_ref)]
 pub(crate) unsafe fn rematerialize_outs(ptrs: &[SendPtr]) -> Vec<&mut [f64]> {
     ptrs.iter().map(|p| std::slice::from_raw_parts_mut(p.0, p.1)).collect()
-}
-
-/// Runs `body(chunk, outs)` for every chunk on scoped threads, handing
-/// each worker its own re-materialized view of the output buffers.
-pub(crate) fn scoped_parallel<F>(subs: Vec<Bounds>, outs: &mut [&mut [f64]], body: F)
-where
-    F: Fn(&Bounds, &mut [&mut [f64]]) + Sync,
-{
-    let out_ptrs: Vec<SendPtr> =
-        outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr(), o.len())).collect();
-    let out_ptrs = &out_ptrs;
-    let body = &body;
-    std::thread::scope(|scope| {
-        for sub in subs {
-            scope.spawn(move || {
-                // SAFETY: chunks are disjoint slabs of one dimension and
-                // the scope joins before `outs` is reused.
-                let mut outs = unsafe { rematerialize_outs(out_ptrs) };
-                body(&sub, &mut outs);
-            });
-        }
-    });
 }
 
 /// Compiles a `stencil.apply` op into a [`CompiledKernel`].
@@ -727,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
+    fn chunked_cover_matches_serial() {
         use sten_ir::Pass as _;
         let n = 64i64;
         let mut m = sten_stencil::samples::heat_2d(n, 0.1);
@@ -747,10 +694,15 @@ mod tests {
         let size = ((n + 2) * (n + 2)) as usize;
         let input: Vec<f64> = (0..size).map(|i| (i as f64 * 0.01).sin()).collect();
         let mut serial = vec![0.0; size];
-        let mut parallel = vec![0.0; size];
+        let mut chunked = vec![0.0; size];
         kernel.execute(&[&input], &mut [&mut serial]);
-        kernel.execute_parallel(&[&input], &mut [&mut parallel], 4);
-        assert_eq!(serial, parallel);
+        // The chunks the worker pool hands out cover the range disjointly.
+        let subs = split_longest_dim(&kernel.range, 4);
+        assert_eq!(subs.len(), 4);
+        for sub in &subs {
+            kernel.execute_rows(&[&input], &mut [&mut chunked], sub, &mut ExecScratch::new());
+        }
+        assert_eq!(serial, chunked);
     }
 
     #[test]

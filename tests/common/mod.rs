@@ -1,10 +1,19 @@
-//! Shared test support: a tiny deterministic PRNG.
+//! Shared test support: a tiny deterministic PRNG and the executor-tier
+//! axis of the property matrices.
 //!
 //! The randomized suites (`roundtrip`, `properties`, `random_stencils`)
 //! were written against `proptest`, which the offline build environment
 //! cannot fetch. They now draw from this xorshift64* generator instead:
 //! every case is a function of its seed, so failures reproduce exactly by
 //! re-running the named seed.
+
+/// The executor tiers a matrix enumerates: every rung of the ladder, or
+/// the one `STEN_EXEC_TIER` pins.
+#[allow(dead_code)]
+pub fn tiers() -> Vec<stencil_stack::exec::TierKind> {
+    use stencil_stack::exec::TierKind;
+    TierKind::from_env().map_or_else(|| TierKind::ALL.to_vec(), |t| vec![t])
+}
 
 /// A deterministic xorshift64* pseudo-random generator.
 pub struct Rng(u64);

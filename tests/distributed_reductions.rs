@@ -21,7 +21,7 @@ use std::sync::Arc;
 use common::Rng;
 use stencil_stack::cg;
 use stencil_stack::dmp::{make_strategy, DistributeStencil};
-use stencil_stack::exec::{compile_module_tiered, Runner, TierKind};
+use stencil_stack::exec::{compile_module_tiered, Runner};
 use stencil_stack::interp::{BufView, Interpreter, RtValue, SimWorld};
 use stencil_stack::ir::{Bounds, Module, Pass as _, Type};
 use stencil_stack::stencil::{samples, ShapeInference};
@@ -37,13 +37,6 @@ fn strategy_names() -> Vec<&'static str> {
             vec![name]
         }
         Err(_) => ALL.to_vec(),
-    }
-}
-
-fn tiers() -> Vec<TierKind> {
-    match TierKind::from_env() {
-        Some(t) => vec![t],
-        None => vec![TierKind::Eval, TierKind::OptBytecode, TierKind::WeightedSum],
     }
 }
 
@@ -147,7 +140,7 @@ fn distributed_reduce_matches_serial_interpreter_bit_for_bit() {
                         m
                     })
                     .collect();
-                for tier in tiers() {
+                for tier in common::tiers() {
                     for threads in [1usize, 2] {
                         let world = SimWorld::new(2);
                         let mut got = [0.0f64; 2];
@@ -188,7 +181,7 @@ fn distributed_reduce_matches_serial_interpreter_bit_for_bit() {
 
 #[test]
 fn cg_residual_trajectory_matches_serial_bit_for_bit() {
-    for tier in tiers() {
+    for tier in common::tiers() {
         let cfg = cg::CgConfig { tier: Some(tier), ..cg::CgConfig::new(20) };
         let serial = cg::solve(&cfg).unwrap();
         assert!(serial.converged, "{}: {:?}", tier.name(), serial.residuals);

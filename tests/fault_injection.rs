@@ -48,13 +48,6 @@ fn strategy_names() -> Vec<&'static str> {
     }
 }
 
-fn tiers() -> Vec<TierKind> {
-    match TierKind::from_env() {
-        Some(t) => vec![t],
-        None => vec![TierKind::Eval, TierKind::OptBytecode, TierKind::WeightedSum],
-    }
-}
-
 /// Fault-schedule seeds: `STEN_FAULT_SEED` pins one, otherwise four per
 /// matrix cell (3 strategies × 3 tiers × 4 seeds = 36 runs ≥ the
 /// 30-schedule acceptance floor).
@@ -211,7 +204,7 @@ fn random_fault_schedules_heal_bitwise_or_fail_typed() {
     let n = 12i64;
     let steps = 6usize;
     let mut checked = 0u32;
-    for (t, tier) in tiers().into_iter().enumerate() {
+    for (t, tier) in common::tiers().into_iter().enumerate() {
         for (s, strategy) in strategy_names().into_iter().enumerate() {
             for seed in fault_seeds() {
                 let cell = seed ^ ((t as u64) << 17) ^ ((s as u64) << 9);

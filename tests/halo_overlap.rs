@@ -318,12 +318,7 @@ fn overlap_equals_sync_bitwise_across_strategies_and_tiers() {
                 let (over_m, layouts2) =
                     per_rank_modules(&make, &grid, strategy, factors.clone(), true, false, 1);
                 assert_eq!(layouts, layouts2);
-                for tier in [
-                    TierKind::Eval,
-                    TierKind::OptBytecode,
-                    TierKind::WeightedSum,
-                    TierKind::TemplateJit,
-                ] {
+                for tier in common::tiers() {
                     for threads in [1usize, 2] {
                         let a = run_distributed(
                             &sync_m,
@@ -448,12 +443,7 @@ fn temporal_blocking_depths_are_bit_identical_across_strategies_and_tiers() {
             let make = || build(&st, n);
             let (sync_m, layouts) =
                 per_rank_modules(&make, &grid, strategy, factors.clone(), false, diagonals, 1);
-            for tier in [
-                TierKind::Eval,
-                TierKind::OptBytecode,
-                TierKind::WeightedSum,
-                TierKind::TemplateJit,
-            ] {
+            for tier in common::tiers() {
                 let base = gather_cores(
                     &run_distributed(&sync_m, &layouts, n, radius, 1, &global, Some(tier), 1, 4),
                     &layouts,

@@ -224,12 +224,7 @@ fn specialized_tiers_bit_identical_to_eval() {
             let mut want = vec![input.clone(), input.clone()];
             Runner::new(evalp, 1).step(&mut want).unwrap();
 
-            for tier in [
-                TierKind::Eval,
-                TierKind::OptBytecode,
-                TierKind::WeightedSum,
-                TierKind::TemplateJit,
-            ] {
+            for tier in common::tiers() {
                 for threads in [1usize, 2, 4] {
                     let mut p = pipeline.clone();
                     p.respecialize(Some(tier));

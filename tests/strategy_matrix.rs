@@ -16,8 +16,10 @@
 //! widened buffers and exchanges stay bit-correct end to end.
 //!
 //! A second matrix leg runs the same uneven domain through the compiled
-//! executor (`Runner::step_distributed`) per top tier — template-JIT
-//! and weighted-sum, or the tier `STEN_EXEC_TIER` pins.
+//! executor (`Runner::step_distributed`) on every executor tier, or the
+//! one `STEN_EXEC_TIER` pins.
+
+mod common;
 
 use std::sync::Arc;
 use stencil_stack::prelude::*;
@@ -52,20 +54,6 @@ fn strategy_names() -> Vec<&'static str> {
             vec![name]
         }
         Err(_) => ALL.to_vec(),
-    }
-}
-
-/// Executor tiers for the compiled-executor matrix run: the top two
-/// rungs of the ladder by default (template-JIT plus the weighted-sum
-/// tier it falls back to), or just the pinned one when CI sets
-/// `STEN_EXEC_TIER`.
-fn exec_tiers() -> Vec<TierKind> {
-    match std::env::var("STEN_EXEC_TIER") {
-        Ok(v) => match TierKind::parse(&v).expect("valid STEN_EXEC_TIER") {
-            Some(t) => vec![t],
-            None => vec![TierKind::TemplateJit, TierKind::WeightedSum],
-        },
-        Err(_) => vec![TierKind::TemplateJit, TierKind::WeightedSum],
     }
 }
 
@@ -194,7 +182,7 @@ fn uneven_heat127_matches_single_rank_for_every_strategy() {
 
 /// The same uneven domain through the *compiled* executor: per-rank
 /// stencil-level modules (halo exchanges still `dmp.swap`) run on
-/// [`Runner::step_distributed`] over SimMPI, once per top executor
+/// [`Runner::step_distributed`] over SimMPI, once per executor
 /// tier, and must match the single-rank interpreter bit-for-bit. This
 /// is the strategy-matrix leg of the tier coverage — the template-JIT
 /// tier has to survive every decomposition layout, not just the square
@@ -242,7 +230,7 @@ fn uneven_heat127_exec_tiers_match_single_rank_for_every_strategy() {
         let coords_of =
             |rank: i64| stencil_stack::dmp::decomposition::rank_to_coords(rank, &layout);
 
-        for tier in exec_tiers() {
+        for tier in common::tiers() {
             let world = SimWorld::new(4);
             let mut outs: Vec<Vec<f64>> = vec![Vec::new(); 4];
             std::thread::scope(|scope| {

@@ -260,7 +260,7 @@ fn traced_runs_are_bit_identical_to_untraced() {
             for overlap in [false, true] {
                 let (modules, layouts) =
                     per_rank_modules(&make, &grid, strategy, factors.clone(), overlap);
-                for tier in [TierKind::Eval, TierKind::OptBytecode, TierKind::WeightedSum] {
+                for tier in common::tiers() {
                     let plain =
                         run_distributed(&modules, &layouts, n, radius, &global, tier, 3, None);
                     let tracer = Tracer::new();

@@ -14,12 +14,19 @@
 //!
 //! `--smoke` shrinks the grid so the solver, the determinism assertion
 //! and the JSON emitter stay exercised in CI; smoke numbers are *not*
-//! meaningful throughput.
+//! meaningful throughput. Two more checks run in the binary:
+//!
+//! * under `tier = template-jit` every apply of all four solver
+//!   pipelines (`heat`, `dot`, `norm2`, `axpy` — serial, and every rank
+//!   of every strategy) must report [`TierKind::TemplateJit`]: a vector
+//!   update that falls back to `opt-bytecode` is most of a solve;
+//! * in the full run the serial `template-jit` solve must be at least
+//!   1.5x faster than the serial `opt-bytecode` one.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use stencil_core::cg::{solve, solve_distributed, CgConfig, CgReport};
-use stencil_core::exec::TierKind;
+use stencil_core::cg::{solve, solve_distributed, CgConfig, CgReport, SolverPipelines};
+use stencil_core::exec::{Step, TierKind};
 
 struct Args {
     smoke: bool,
@@ -48,6 +55,21 @@ fn bit_identical(a: &CgReport, b: &CgReport) -> bool {
         && a.residuals.iter().zip(&b.residuals).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Asserts no apply of the solver's pipelines fell off the template-JIT.
+fn assert_all_template_jit(pipelines: &SolverPipelines, whose: &str) {
+    for p in pipelines.all() {
+        for step in &p.steps {
+            let Step::Apply { kernel, .. } = step else { continue };
+            assert!(
+                kernel.tier_kind() == TierKind::TemplateJit,
+                "{whose} @{}: {} under tier = template-jit",
+                p.name,
+                kernel.tier_label()
+            );
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
     let n = if args.smoke { 24 } else { 192 };
@@ -74,14 +96,33 @@ fn main() {
     let mut all_identical = true;
     let mut runs = String::new();
     let mut serial_json = String::new();
+    let mut serial_secs = Vec::new();
     for (ti, tier) in TierKind::ALL.into_iter().enumerate() {
         let tname = tier.name();
         let cfg = CgConfig { threads: args.threads, tier: Some(tier), ..CgConfig::new(n) };
+        if tier == TierKind::TemplateJit {
+            assert_all_template_jit(&SolverPipelines::serial(&cfg).expect("pipelines"), "serial");
+            for &(sname, ref factors) in &strategies {
+                for rank in 0..4 {
+                    let p = SolverPipelines::for_rank(
+                        &cfg,
+                        sname,
+                        factors.clone(),
+                        &[2, 2],
+                        true,
+                        rank,
+                    )
+                    .expect("pipelines");
+                    assert_all_template_jit(&p, &format!("{sname} rank {rank}"));
+                }
+            }
+        }
         let t0 = Instant::now();
         let serial = solve(&cfg).expect("serial solve");
         let secs = t0.elapsed().as_secs_f64().max(1e-9);
         let gpts = serial.apply_points(n) as f64 / secs / 1e9;
         assert!(serial.converged, "serial CG must converge");
+        serial_secs.push(secs);
         println!(
             "{:<22} {:>6} {:>10.3e} {:>12} {:>10.3}",
             format!("serial/{tname}"),
@@ -141,4 +182,13 @@ fn main() {
     std::fs::write(&args.out, &json).expect("write BENCH_cg.json");
     println!("\nwrote {}", args.out);
     assert!(all_identical, "a distributed trajectory diverged from serial — determinism bug");
+    // `TierKind::ALL` is bottom of the ladder first: eval, opt-bytecode,
+    // template-jit.
+    let jit_speedup = serial_secs[1] / serial_secs[2];
+    println!("serial template-jit vs opt-bytecode: {jit_speedup:.2}x");
+    assert!(
+        args.smoke || jit_speedup >= 1.5,
+        "the serial template-jit solve must be >= 1.5x faster than opt-bytecode \
+         ({jit_speedup:.2}x)"
+    );
 }

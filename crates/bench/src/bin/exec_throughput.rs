@@ -1,7 +1,8 @@
 //! `exec_throughput` — wall-clock Gpts/s of the sten-exec executor tiers.
 //!
-//! Measures jacobi-1d / heat-2d / heat-3d through every executor tier
-//! (`eval` → `opt-bytecode` → `template-jit`) plus one
+//! Measures jacobi-1d / heat-2d / heat-3d and CG's `axpy` (a runtime
+//! scalar coefficient, set before every step) through every executor
+//! tier (`eval` → `opt-bytecode` → `template-jit`) plus one
 //! multi-threaded run through the persistent worker pool, prints a
 //! table, and emits `BENCH_exec.json` so the perf trajectory is
 //! recorded in-repo.
@@ -77,11 +78,26 @@ fn cases(smoke: bool) -> Vec<Case> {
         .expect("heat-3d operator")
         .compile()
         .expect("heat-3d compiles");
+    // The scalar lane: `out = a + α·b`, α a function argument.
+    let na = if smoke { 64 } else { 1024 };
+    let field = Bounds::new(vec![(0, na), (0, na)]);
+    let mut axpy = stencil_core::stencil::samples::axpy(field.clone(), field);
+    stencil_core::stencil::ShapeInference.run(&mut axpy).unwrap();
     vec![
         Case { name: "jacobi-1d", func: "jacobi", module: jacobi },
         Case { name: "heat-2d", func: "heat", module: heat2d },
         Case { name: "heat-3d", func: "step", module: heat3d },
+        Case { name: "axpy", func: "axpy", module: axpy },
     ]
+}
+
+/// One timestep, every runtime scalar argument set first — to a value
+/// that differs from the previous step's, as a solver's α does.
+fn step(runner: &mut Runner, args: &mut [Vec<f64>], index: usize) -> Result<(), String> {
+    for k in 0..runner.pipeline.scalar_inputs.len() {
+        runner.set_scalar(k, 0.25 + 0.125 * ((index + k) % 5) as f64);
+    }
+    runner.step(args)
 }
 
 fn selected_tier(p: &Pipeline) -> &'static str {
@@ -116,8 +132,8 @@ fn run_for_bits(
     p.respecialize(tier);
     let mut args = seed_args(&p);
     let mut runner = Runner::new(p, threads);
-    for _ in 0..steps {
-        runner.step(&mut args).expect("bit-identity step");
+    for i in 0..steps {
+        step(&mut runner, &mut args, i).expect("bit-identity step");
     }
     args
 }
@@ -180,19 +196,19 @@ fn measure(
         runner = runner.with_trace(t, pid);
     }
     let threads = runner.effective_threads();
-    runner.step(&mut args).expect("warm-up step");
+    step(&mut runner, &mut args, 0).expect("warm-up step");
     let reps = if smoke {
         1
     } else {
         // Calibrate to ~0.5 s per tier.
         let t0 = Instant::now();
-        runner.step(&mut args).expect("calibration step");
+        step(&mut runner, &mut args, 1).expect("calibration step");
         let per = t0.elapsed().as_secs_f64().max(1e-6);
         ((0.5 / per).ceil() as usize).clamp(1, 10_000)
     };
     let t0 = Instant::now();
-    for _ in 0..reps {
-        runner.step(&mut args).expect("timed step");
+    for i in 0..reps {
+        step(&mut runner, &mut args, 2 + i).expect("timed step");
     }
     let seconds = t0.elapsed().as_secs_f64().max(1e-9);
     Measurement {

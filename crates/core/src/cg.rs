@@ -22,7 +22,7 @@ use std::sync::Arc;
 use sten_dialects::func;
 use sten_dmp::decomposition::rank_to_coords;
 use sten_dmp::{make_strategy, DistributeStencil};
-use sten_exec::pipeline::{compile_module_tiered, Runner};
+use sten_exec::pipeline::{compile_module_tiered, Pipeline, Runner};
 use sten_exec::specialize::TierKind;
 use sten_interp::SimWorld;
 use sten_ir::{Bounds, FieldType, Module, Pass as _, Type};
@@ -212,8 +212,113 @@ fn prep(mut m: Module) -> Result<Module, String> {
     Ok(m)
 }
 
-/// Everything one rank needs: the four pipelines plus its place in the
-/// (optional) world.
+/// The four pipelines one rank of a solve steps — the operator apply,
+/// the two exact reductions and the vector update — over the box the
+/// rank stores.
+pub struct SolverPipelines {
+    /// `ap = A·p` (with the halo exchange when distributed).
+    pub heat: Pipeline,
+    /// `a · b` over the owned core (allreduced when distributed).
+    pub dot: Pipeline,
+    /// `‖v‖²` over the owned core (allreduced when distributed).
+    pub norm2: Pipeline,
+    /// `out = a + α·b` over the owned core, α set per call.
+    pub axpy: Pipeline,
+    /// The owned core, in global coordinates.
+    pub core: Bounds,
+    /// The stored box: the core plus the 1-cell halo/boundary ring the
+    /// operator reads.
+    pub field: Bounds,
+}
+
+impl SolverPipelines {
+    /// The pipelines, in the order an iteration first steps them.
+    pub fn all(&self) -> [&Pipeline; 4] {
+        [&self.heat, &self.dot, &self.norm2, &self.axpy]
+    }
+
+    /// The pointwise and reduction pipelines are built directly on the
+    /// stored box — they need no halo, only the owned core and the same
+    /// buffer layout as the operator `heat`.
+    fn around(
+        heat: Pipeline,
+        field: Bounds,
+        core: Bounds,
+        allreduce: bool,
+        tier: Option<TierKind>,
+    ) -> Result<SolverPipelines, CgError> {
+        let axpy_m = prep(samples::axpy(field.clone(), core.clone()))?;
+        let dot_m = prep(reduce_module("dot", 2, &field, &core, allreduce))?;
+        let norm_m = prep(reduce_module("norm2", 1, &field, &core, allreduce))?;
+        Ok(SolverPipelines {
+            heat,
+            dot: compile_module_tiered(&dot_m, "dot", tier)?,
+            norm2: compile_module_tiered(&norm_m, "norm2", tier)?,
+            axpy: compile_module_tiered(&axpy_m, "axpy", tier)?,
+            core,
+            field,
+        })
+    }
+
+    /// The pipelines of the serial reference solve: one rank owning the
+    /// whole domain.
+    ///
+    /// # Errors
+    /// Compilation/shape failures surface as [`CgError::Exec`].
+    pub fn serial(cfg: &CgConfig) -> Result<SolverPipelines, CgError> {
+        let field = Bounds::new(vec![(-1, cfg.n + 1), (-1, cfg.n + 1)]);
+        let core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
+        let op_m = prep(samples::heat_2d(cfg.n, -cfg.lam))?;
+        let heat = compile_module_tiered(&op_m, "heat", cfg.tier)?;
+        SolverPipelines::around(heat, field, core, false, cfg.tier)
+    }
+
+    /// The locally-shaped pipelines of `rank` in a distributed solve
+    /// over `grid` (`DistributeStencil::for_rank`, so uneven
+    /// decompositions work).
+    ///
+    /// # Errors
+    /// Compilation/shape failures surface as [`CgError::Exec`].
+    pub fn for_rank(
+        cfg: &CgConfig,
+        strategy: &str,
+        factors: Option<Vec<i64>>,
+        grid: &[i64],
+        overlap: bool,
+        rank: i64,
+    ) -> Result<SolverPipelines, CgError> {
+        let global_core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
+        let strat = make_strategy(strategy, factors.clone())?;
+        let layout = strat.layout(&global_core, grid)?;
+        let mut op_m = samples::heat_2d(cfg.n, -cfg.lam);
+        ShapeInference.run(&mut op_m).map_err(|e| e.to_string())?;
+        DistributeStencil::with_strategy(grid.to_vec(), make_strategy(strategy, factors)?)
+            .for_rank(rank)
+            .with_overlap(overlap)
+            .run(&mut op_m)
+            .map_err(|e| e.to_string())?;
+        let op_m = prep(op_m)?;
+        let heat = compile_module_tiered(&op_m, "heat", cfg.tier)?;
+
+        // The rank's core in global coordinates, and its stored box.
+        let coords = rank_to_coords(rank, &layout);
+        let core = strat.local_core(&global_core, &layout, &coords)?;
+        let field = Bounds::new(core.0.iter().map(|&(lo, hi)| (lo - 1, hi + 1)).collect());
+        if heat.arg_shapes[0] != field.shape() {
+            return Err(CgError::Exec(format!(
+                "rank {rank}: decomposition box {:?} disagrees with the \
+                 distributed pipeline's local field {:?}",
+                field.shape(),
+                heat.arg_shapes[0]
+            )));
+        }
+        let ranks = grid.iter().product::<i64>();
+        SolverPipelines::around(heat, field, core, ranks > 1, cfg.tier)
+    }
+}
+
+/// Everything one rank needs: a runner per pipeline plus its place in
+/// the (optional) world.
 struct RankSolver {
     op: Runner,
     dot: Runner,
@@ -223,6 +328,16 @@ struct RankSolver {
 }
 
 impl RankSolver {
+    fn new(p: SolverPipelines, threads: usize, world: Option<(Arc<SimWorld>, i64)>) -> RankSolver {
+        RankSolver {
+            op: Runner::new(p.heat, threads),
+            dot: Runner::new(p.dot, threads),
+            norm: Runner::new(p.norm2, threads),
+            axpy: Runner::new(p.axpy, threads),
+            world,
+        }
+    }
+
     fn step(&mut self, which: Which, args: &mut [Vec<f64>]) -> Result<(), String> {
         let runner = match which {
             Which::Op => &mut self.op,
@@ -403,19 +518,7 @@ fn cg_iterate(
 /// degradation as the matching typed variant with its residual
 /// trajectory.
 pub fn solve(cfg: &CgConfig) -> Result<CgReport, CgError> {
-    let field = Bounds::new(vec![(-1, cfg.n + 1), (-1, cfg.n + 1)]);
-    let core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
-    let op_m = prep(samples::heat_2d(cfg.n, -cfg.lam))?;
-    let axpy_m = prep(samples::axpy(field.clone(), core.clone()))?;
-    let dot_m = prep(reduce_module("dot", 2, &field, &core, false))?;
-    let norm_m = prep(reduce_module("norm2", 1, &field, &core, false))?;
-    let mut solver = RankSolver {
-        op: Runner::new(compile_module_tiered(&op_m, "heat", cfg.tier)?, cfg.threads),
-        dot: Runner::new(compile_module_tiered(&dot_m, "dot", cfg.tier)?, cfg.threads),
-        norm: Runner::new(compile_module_tiered(&norm_m, "norm2", cfg.tier)?, cfg.threads),
-        axpy: Runner::new(compile_module_tiered(&axpy_m, "axpy", cfg.tier)?, cfg.threads),
-        world: None,
-    };
+    let mut solver = RankSolver::new(SolverPipelines::serial(cfg)?, cfg.threads, None);
     let (x, residuals, converged, iterations) = cg_iterate(&mut solver, rhs(cfg.n), cfg)?;
     Ok(CgReport { residuals, converged, iterations, x })
 }
@@ -439,9 +542,6 @@ pub fn solve_distributed(
     if ranks < 1 {
         return Err(CgError::Exec("rank grid must be non-empty".into()));
     }
-    let global_core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
-    let strat = make_strategy(strategy, factors.clone())?;
-    let layout = strat.layout(&global_core, &grid)?;
     let b_global = rhs(cfg.n);
     let ext = (cfg.n + 2) as usize;
 
@@ -450,48 +550,15 @@ pub fn solve_distributed(
     let mut setups = Vec::with_capacity(ranks as usize);
     let world = SimWorld::new(ranks as usize);
     for rank in 0..ranks {
-        let mut op_m = samples::heat_2d(cfg.n, -cfg.lam);
-        ShapeInference.run(&mut op_m).map_err(|e| e.to_string())?;
-        DistributeStencil::with_strategy(grid.clone(), make_strategy(strategy, factors.clone())?)
-            .for_rank(rank)
-            .with_overlap(overlap)
-            .run(&mut op_m)
-            .map_err(|e| e.to_string())?;
-        let op_m = prep(op_m)?;
-        let op = compile_module_tiered(&op_m, "heat", cfg.tier)?;
-
-        // The rank's core in global coordinates, and its stored box
-        // (core + the 1-cell halo/boundary ring the operator reads).
-        let coords = rank_to_coords(rank, &layout);
-        let core = strat.local_core(&global_core, &layout, &coords)?;
-        let local_field = Bounds::new(core.0.iter().map(|&(lo, hi)| (lo - 1, hi + 1)).collect());
-        let shape: Vec<i64> = local_field.0.iter().map(|&(lo, hi)| hi - lo).collect();
-        if op.arg_shapes[0] != shape {
-            return Err(CgError::Exec(format!(
-                "rank {rank}: decomposition box {shape:?} disagrees with the \
-                 distributed pipeline's local field {:?}",
-                op.arg_shapes[0]
-            )));
-        }
-
-        // Pointwise and reduction pipelines are built directly on the
-        // local box — they need no halo, only the owned core and the
-        // same buffer layout as the operator.
-        let axpy_m = prep(samples::axpy(local_field.clone(), core.clone()))?;
-        let dot_m = prep(reduce_module("dot", 2, &local_field, &core, ranks > 1))?;
-        let norm_m = prep(reduce_module("norm2", 1, &local_field, &core, ranks > 1))?;
-        let solver = RankSolver {
-            op: Runner::new(op, cfg.threads),
-            dot: Runner::new(compile_module_tiered(&dot_m, "dot", cfg.tier)?, cfg.threads),
-            norm: Runner::new(compile_module_tiered(&norm_m, "norm2", cfg.tier)?, cfg.threads),
-            axpy: Runner::new(compile_module_tiered(&axpy_m, "axpy", cfg.tier)?, cfg.threads),
-            world: Some((Arc::clone(&world), rank)),
-        };
+        let pipelines =
+            SolverPipelines::for_rank(cfg, strategy, factors.clone(), &grid, overlap, rank)?;
+        let (core, local_field) = (pipelines.core.clone(), pipelines.field.clone());
+        let solver = RankSolver::new(pipelines, cfg.threads, Some((Arc::clone(&world), rank)));
 
         // Scatter: the rank's local view of b (halo included — the
         // neighbouring values are what an exchange would deliver).
         let row = (local_field.0[1].1 - local_field.0[1].0) as usize;
-        let mut b_local = Vec::with_capacity(shape.iter().product::<i64>() as usize);
+        let mut b_local = Vec::with_capacity(local_field.num_points() as usize);
         for gi in local_field.0[0].0..local_field.0[0].1 {
             let base = (gi + 1) as usize * ext + (local_field.0[1].0 + 1) as usize;
             b_local.extend_from_slice(&b_global[base..base + row]);

@@ -4,8 +4,9 @@
 //! emit **one fused loop per kernel**, whatever the space order: all
 //! taps are loaded into registers, combined in registers, and stored
 //! once. This tier does the same for every *affine* kernel (each
-//! multiplication has a constant operand); everything else runs on the
-//! opt-bytecode fallback (see [`crate::specialize`]).
+//! multiplication has a coefficient operand — a constant, or a runtime
+//! scalar); everything else runs on the opt-bytecode fallback (see
+//! [`crate::specialize`]).
 //!
 //! True runtime codegen needs a backend (cranelift) this repo cannot
 //! depend on, so this module does the next-best thing — a **template
@@ -21,19 +22,37 @@
 //! stencils (`out = Σ groups, group = [c ·] Σ elements`):
 //!
 //! ```text
-//! out  := term₁ ⊕ term₂ ⊕ … ⊕ term_G          (left fold, ⊕ ∈ {+,−})
-//! term := elem                                 (plain element)
-//!       | [c ·] (elem₁ ⊕ … ⊕ elem_T)          (const-scaled group fold)
-//! elem := tap | tap ⊕ tap | const
-//! tap  := load | c · load | load · c           (one grid load)
+//! out   := term₁ ⊕ term₂ ⊕ … ⊕ term_G         (left fold, ⊕ ∈ {+,−})
+//! term  := elem                                (plain element)
+//!        | [c ·] (elem₁ ⊕ … ⊕ elem_T)         (coefficient-scaled group fold)
+//! elem  := tap | tap ⊕ tap | c
+//! tap   := load | c · load | load · c          (one grid load)
+//! c     := const | runtime scalar              (a coefficient)
 //! ```
 //!
 //! jacobi-1d matches as a pure 3-tap chain, heat-2d as
 //! `c + s·(((u+d)+(l+r)) − k·c)` (one plain term + one scaled group),
-//! the Devito heat-3d operator as `s₁·(a+b+c) + s₂·(d+e+f) + g·center`.
-//! Kernels outside the grammar (runtime scalars, `Index` terms, negation
-//! or division, `load · load`, nesting deeper than two levels) stay on
-//! the opt-bytecode tier — tier selection is a pure win-or-fall-back.
+//! the Devito heat-3d operator as `s₁·(a+b+c) + s₂·(d+e+f) + g·center`,
+//! CG's `axpy` (`a + α·b`, α a function argument) as a 2-tap chain with
+//! one late-bound coefficient. Kernels outside the grammar (`Index`
+//! terms, negation or division, `load · load`, arithmetic between
+//! coefficients, nesting deeper than two levels) stay on the
+//! opt-bytecode tier — tier selection is a pure win-or-fall-back, and
+//! [`match_template`] names the first construct that caused the fall.
+//!
+//! **Binding.** A runtime scalar is a constant that arrives late: the
+//! matcher records its [`Slot`] where a constant would record its value,
+//! and the matched [`JitPlan`] stays immutable inside the shared
+//! [`JitProgram`]. [`JitProgram::bind`] resolves the slots **once per
+//! chunk**, before the row walk: it copies the plan (a few hundred
+//! bytes) into the executing worker's [`crate::ExecScratch`], reusing
+//! the allocations of the copy it made there the time before, and writes
+//! the current scalar values into the copy. The evaluators only ever see
+//! resolved `f64` coefficients, so they are the same code, with the same
+//! per-point op sequence, for both kinds — and [`Slot`] is two bytes in
+//! what was padding, so the structs they stride over keep their size. A
+//! kernel with no runtime scalar is evaluated straight from the shared
+//! plan, with no copy.
 //!
 //! **Caps.** The general evaluator ([`fold_row`]) loops over `Vec`s, so
 //! fold lengths are bounded only to keep the matcher and the per-point
@@ -74,8 +93,34 @@ const MAX_OPS: usize = 512;
 /// Longest pure tap chain with a monomorphized `chain<T>` micro-kernel.
 const MAX_CHAIN: usize = 16;
 
-/// One grid load, optionally fused with a constant coefficient.
-#[derive(Clone, Debug)]
+/// Where a coefficient's value comes from: recorded at match time (a
+/// constant), or read from runtime scalar `k` once per chunk by
+/// [`JitProgram::bind`]. Two bytes, so it rides in the padding of the
+/// structs the evaluators stride over and leaves their layout alone.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Slot(u16);
+
+impl Slot {
+    /// The coefficient is a constant.
+    pub const CONST: Slot = Slot(u16::MAX);
+
+    /// The kernel's `k`-th runtime scalar
+    /// ([`crate::ExecScratch::scalars`]`[k]`), if any.
+    pub fn scalar(self) -> Option<usize> {
+        (self != Slot::CONST).then_some(self.0 as usize)
+    }
+}
+
+/// A coefficient of the grammar as the matcher sees it: its value (NaN
+/// until bound, for a runtime scalar) and where the value comes from.
+#[derive(Copy, Clone)]
+struct Coeff {
+    value: f64,
+    slot: Slot,
+}
+
+/// One grid load, optionally fused with a coefficient.
+#[derive(Copy, Clone, Debug)]
 pub struct JitTap {
     /// Which apply input the tap reads.
     pub input: u32,
@@ -83,7 +128,9 @@ pub struct JitTap {
     pub rel: i64,
     /// Coefficient (ignored unless `scaled`).
     pub coeff: f64,
-    /// Whether the constant was the left multiplication operand.
+    /// Where `coeff` comes from.
+    pub slot: Slot,
+    /// Whether the coefficient was the left multiplication operand.
     pub coeff_left: bool,
     /// Whether the tap is multiplied by `coeff`.
     pub scaled: bool,
@@ -97,7 +144,7 @@ impl JitTap {
 }
 
 /// A leaf value of the fold grammar.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub enum JitValue {
     /// A (possibly scaled) tap.
     Tap(JitTap),
@@ -110,12 +157,25 @@ pub enum JitValue {
         /// Right tap.
         b: JitTap,
     },
-    /// A loop-invariant constant.
-    Const(f64),
+    /// A loop-invariant coefficient and where it comes from.
+    Const(f64, Slot),
+}
+
+impl JitValue {
+    fn for_each_coeff(&mut self, f: &mut impl FnMut(&mut f64, Slot)) {
+        match self {
+            JitValue::Tap(t) => f(&mut t.coeff, t.slot),
+            JitValue::Pair { a, b, .. } => {
+                f(&mut a.coeff, a.slot);
+                f(&mut b.coeff, b.slot);
+            }
+            JitValue::Const(c, slot) => f(c, *slot),
+        }
+    }
 }
 
 /// One element of a group fold: `acc = acc ⊕ value`.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct JitElem {
     /// `Add` or `Sub` (the first element ignores it and seeds the fold).
     pub op: BinOp,
@@ -124,22 +184,24 @@ pub struct JitElem {
 }
 
 /// What one top-level term evaluates.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum JitTermValue {
     /// A plain element.
     Elem(JitValue),
     /// `[c ·] (elem₁ ⊕ … ⊕ elem_T)`.
     Group {
-        /// Constant scale applied to the folded group (value, const on
-        /// the left).
+        /// Coefficient applied to the folded group (value, coefficient
+        /// on the left).
         scale: Option<(f64, bool)>,
+        /// Where the scale comes from.
+        scale_slot: Slot,
         /// The group fold.
         elems: Vec<JitElem>,
     },
 }
 
 /// One top-level fold term: `acc = acc ⊕ value`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct JitTerm {
     /// `Add` or `Sub` (the first term ignores it and seeds the fold).
     pub op: BinOp,
@@ -148,26 +210,110 @@ pub struct JitTerm {
 }
 
 /// The fold plan for one output.
-#[derive(Clone, Debug)]
+#[derive(Debug, Default)]
 pub struct JitOut {
     /// Top-level terms, applied left to right.
     pub terms: Vec<JitTerm>,
 }
 
-/// A kernel matched against the template catalog.
-#[derive(Clone, Debug)]
-pub struct JitProgram {
+// `clone_from` down the plan reuses every allocation of a destination
+// of the same shape: `JitProgram::bind` re-copies the plan into the same
+// scratch every chunk, and must not allocate doing so.
+impl Clone for JitTermValue {
+    fn clone(&self) -> JitTermValue {
+        match self {
+            JitTermValue::Elem(v) => JitTermValue::Elem(*v),
+            JitTermValue::Group { scale, scale_slot, elems } => {
+                JitTermValue::Group { scale: *scale, scale_slot: *scale_slot, elems: elems.clone() }
+            }
+        }
+    }
+
+    fn clone_from(&mut self, source: &JitTermValue) {
+        match (self, source) {
+            (
+                JitTermValue::Group { scale, scale_slot, elems },
+                JitTermValue::Group { scale: s, scale_slot: ss, elems: e },
+            ) => {
+                (*scale, *scale_slot) = (*s, *ss);
+                elems.clone_from(e);
+            }
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
+impl Clone for JitTerm {
+    fn clone(&self) -> JitTerm {
+        JitTerm { op: self.op, value: self.value.clone() }
+    }
+
+    fn clone_from(&mut self, source: &JitTerm) {
+        self.op = source.op;
+        self.value.clone_from(&source.value);
+    }
+}
+
+impl Clone for JitOut {
+    fn clone(&self) -> JitOut {
+        JitOut { terms: self.terms.clone() }
+    }
+
+    fn clone_from(&mut self, source: &JitOut) {
+        self.terms.clone_from(&source.terms);
+    }
+}
+
+/// Every part of a matched kernel that holds a coefficient: what the
+/// evaluators read, and what [`JitProgram::bind`] copies.
+#[derive(Clone, Debug, Default)]
+pub struct JitPlan {
     /// One fold plan per apply output.
     pub outs: Vec<JitOut>,
+    /// The flattened `(op, tap)` pairs when [`JitProgram::chain_len`] is
+    /// set, hoisted out of the row loop at match time.
+    chain: Option<Vec<(BinOp, JitTap)>>,
+}
+
+impl JitPlan {
+    fn for_each_coeff(&mut self, mut f: impl FnMut(&mut f64, Slot)) {
+        for (_, tap) in self.chain.iter_mut().flatten() {
+            f(&mut tap.coeff, tap.slot);
+        }
+        for term in self.outs.iter_mut().flat_map(|o| &mut o.terms) {
+            match &mut term.value {
+                JitTermValue::Elem(v) => v.for_each_coeff(&mut f),
+                JitTermValue::Group { scale, scale_slot, elems } => {
+                    if let Some((c, _)) = scale {
+                        f(c, *scale_slot);
+                    }
+                    for elem in elems {
+                        elem.value.for_each_coeff(&mut f);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A kernel matched against the template catalog. Immutable once
+/// matched (and shared between region steps and pool workers): runtime
+/// scalars are resolved into a per-worker copy of the plan, never here.
+#[derive(Clone, Debug)]
+pub struct JitProgram {
+    /// The matched fold plan. Its runtime-scalar coefficients are
+    /// unresolved (NaN): evaluate the plan [`JitProgram::bind`] returns.
+    pub plan: JitPlan,
     /// Distinct grid loads of the kernel (label only).
     pub tap_count: usize,
     /// `Some(T)` when the kernel is a single-output pure tap chain of at
     /// most [`MAX_CHAIN`] taps (drives the const-generic `chain<T>`
     /// micro-kernels).
     pub chain_len: Option<usize>,
-    /// The flattened `(op, tap)` pairs when `chain_len` is set, hoisted
-    /// out of the row loop at match time.
-    chain: Option<Vec<(BinOp, JitTap)>>,
+    /// Runtime scalars the kernel takes (index-aligned with
+    /// `CompiledKernel::scalar_args`); `0` means the plan is fully
+    /// constant and is evaluated in place.
+    pub scalars: usize,
     /// Per-input `(min, max)` relative displacement loaded.
     pub rel_bounds: Vec<Option<(i64, i64)>>,
     /// Whether the explicit AVX2 lane path is compiled in *and* the CPU
@@ -180,8 +326,36 @@ impl JitProgram {
     pub fn shape_label(&self) -> String {
         match self.chain_len {
             Some(t) => format!("chain<{t}>"),
-            None => format!("{} terms", self.outs.iter().map(|o| o.terms.len()).max().unwrap_or(0)),
+            None => {
+                format!("{} terms", self.plan.outs.iter().map(|o| o.terms.len()).max().unwrap_or(0))
+            }
         }
+    }
+
+    /// Resolves the runtime-scalar coefficients against `scalars` and
+    /// returns the plan to evaluate: the shared plan itself when the
+    /// kernel takes no runtime scalar, otherwise `bound` — overwritten
+    /// with a copy of the plan (no allocation when it last held a plan
+    /// of this shape, as a runner's scratch does from its second step
+    /// on) whose every scalar coefficient holds the scalar's current
+    /// value. Called once per chunk, so a scalar changed between steps,
+    /// or between two executions on one worker, is always seen.
+    ///
+    /// # Panics
+    /// Panics if `scalars` provides fewer values than the kernel takes.
+    pub(crate) fn bind<'a>(&'a self, scalars: &[f64], bound: &'a mut JitPlan) -> &'a JitPlan {
+        if self.scalars == 0 {
+            return &self.plan;
+        }
+        crate::program::assert_scalars_provided(self.scalars, scalars.len());
+        bound.outs.clone_from(&self.plan.outs);
+        bound.chain.clone_from(&self.plan.chain);
+        bound.for_each_coeff(|value, slot| {
+            if let Some(k) = slot.scalar() {
+                *value = scalars[k];
+            }
+        });
+        bound
     }
 }
 
@@ -201,11 +375,18 @@ fn avx2_available() -> bool {
 // Template matching
 // ---------------------------------------------------------------------
 
+/// Why a kernel is outside the template grammar: the first construct the
+/// matcher could not place (shown by `SpecializedKernel::tier_label`).
+pub type Reject = &'static str;
+
+const REJECT_PRODUCT: Reject = "load·load product";
+const REJECT_NESTING: Reject = "nesting deeper than two fold levels";
+
 /// What an optimized-bytecode register holds during matching.
 #[derive(Copy, Clone)]
 enum Def {
     Load { input: u32, rel: i64 },
-    Const(f64),
+    Coeff(Coeff),
     Bin { op: BinOp, a: u32, b: u32 },
 }
 
@@ -217,35 +398,55 @@ struct Matcher {
 }
 
 impl Matcher {
-    fn def(&self, r: u32) -> Option<Def> {
-        self.defs[r as usize]
+    fn def(&self, r: u32) -> Result<Def, Reject> {
+        self.defs[r as usize].ok_or("read of an undefined register")
     }
 
-    fn charge(&mut self, n: usize) -> Option<()> {
+    /// The coefficient register `r` holds, if it holds one.
+    fn coeff(&self, r: u32) -> Option<Coeff> {
+        match self.defs[r as usize] {
+            Some(Def::Coeff(c)) => Some(c),
+            _ => None,
+        }
+    }
+
+    fn charge(&mut self, n: usize) -> Result<(), Reject> {
         self.ops += n;
-        (self.ops <= MAX_OPS).then_some(())
+        if self.ops > MAX_OPS {
+            return Err("more than 512 ops per output");
+        }
+        Ok(())
+    }
+
+    /// Splits `a · b` into `(coefficient, other operand, coefficient on
+    /// the left)`.
+    fn scaled(&self, a: u32, b: u32) -> Result<(Coeff, u32, bool), Reject> {
+        match (self.coeff(a), self.coeff(b)) {
+            (Some(c), _) => Ok((c, b, true)),
+            (_, Some(c)) => Ok((c, a, false)),
+            _ => Err(REJECT_PRODUCT),
+        }
     }
 
     /// Matches `load`, `c · load` or `load · c`.
-    fn tap(&self, r: u32) -> Option<JitTap> {
+    fn tap(&self, r: u32) -> Result<JitTap, Reject> {
         let (load, scale) = match self.def(r)? {
             Def::Load { .. } => (r, None),
-            Def::Bin { op: BinOp::Mul, a, b } => match (self.def(a)?, self.def(b)?) {
-                (Def::Const(c), _) => (b, Some((c, true))),
-                (_, Def::Const(c)) => (a, Some((c, false))),
-                _ => return None,
-            },
-            _ => return None,
+            Def::Bin { op: BinOp::Mul, a, b } => {
+                let (c, load, left) = self.scaled(a, b)?;
+                (load, Some((c, left)))
+            }
+            _ => return Err(REJECT_NESTING),
         };
-        let Def::Load { input, rel } = self.def(load)? else { return None };
-        let (coeff, coeff_left) = scale.unwrap_or((1.0, false));
-        Some(JitTap { input, rel, coeff, coeff_left, scaled: scale.is_some() })
+        let Def::Load { input, rel } = self.def(load)? else { return Err(REJECT_NESTING) };
+        let (c, coeff_left) = scale.unwrap_or((Coeff { value: 1.0, slot: Slot::CONST }, false));
+        Ok(JitTap { input, rel, coeff: c.value, slot: c.slot, coeff_left, scaled: scale.is_some() })
     }
 
-    /// Matches a leaf: a tap, `tap ⊕ tap`, or a constant.
-    fn value(&mut self, r: u32) -> Option<JitValue> {
+    /// Matches a leaf: a tap, `tap ⊕ tap`, or a coefficient.
+    fn value(&mut self, r: u32) -> Result<JitValue, Reject> {
         let (value, ops) = match self.def(r)? {
-            Def::Const(c) => (JitValue::Const(c), 1),
+            Def::Coeff(c) => (JitValue::Const(c.value, c.slot), 1),
             Def::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b } => {
                 let (a, b) = (self.tap(a)?, self.tap(b)?);
                 let ops = a.ops() + b.ops() + 1;
@@ -258,65 +459,65 @@ impl Matcher {
             }
         };
         self.charge(ops)?;
-        Some(value)
+        Ok(value)
     }
 
     /// Linearizes the left spine of `Add`/`Sub` nodes rooted at `r` into
     /// `(seed, [(op, term), …])`, mirroring the DAG's exact association;
-    /// `None` when the fold is longer than [`MAX_FOLD`].
-    fn linearize(&self, r: u32) -> Option<(u32, Vec<(BinOp, u32)>)> {
+    /// rejects folds longer than [`MAX_FOLD`].
+    fn linearize(&self, r: u32) -> Result<(u32, Vec<(BinOp, u32)>), Reject> {
         let mut rev: Vec<(BinOp, u32)> = Vec::new();
         let mut cur = r;
-        while let Some(Def::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b }) = self.def(cur) {
+        while let Def::Bin { op: op @ (BinOp::Add | BinOp::Sub), a, b } = self.def(cur)? {
             if rev.len() + 2 > MAX_FOLD {
-                return None;
+                return Err("fold longer than 64");
             }
             rev.push((op, b));
             cur = a;
         }
         rev.reverse();
-        Some((cur, rev))
+        Ok((cur, rev))
     }
 
     /// Matches a group fold (second fold level): every term must be a
     /// leaf value.
-    fn group_elems(&mut self, r: u32) -> Option<Vec<JitElem>> {
+    fn group_elems(&mut self, r: u32) -> Result<Vec<JitElem>, Reject> {
         let (seed, folds) = self.linearize(r)?;
         let mut elems = vec![JitElem { op: BinOp::Add, value: self.value(seed)? }];
         for (op, r) in folds {
             self.charge(1)?;
             elems.push(JitElem { op, value: self.value(r)? });
         }
-        Some(elems)
+        Ok(elems)
     }
 
-    /// Matches one top-level term: a leaf, or a (possibly const-scaled)
-    /// group fold.
-    fn term_value(&mut self, r: u32) -> Option<JitTermValue> {
-        if let Some(v) = self.value(r) {
-            return Some(JitTermValue::Elem(v));
-        }
+    /// Matches one top-level term: a leaf, or a (possibly
+    /// coefficient-scaled) group fold.
+    fn term_value(&mut self, r: u32) -> Result<JitTermValue, Reject> {
+        let not_a_leaf = match self.value(r) {
+            Ok(v) => return Ok(JitTermValue::Elem(v)),
+            Err(reason) => reason,
+        };
         match self.def(r)? {
             Def::Bin { op: BinOp::Mul, a, b } => {
-                let (c, inner, left) = match (self.def(a)?, self.def(b)?) {
-                    (Def::Const(c), _) => (c, b, true),
-                    (_, Def::Const(c)) => (c, a, false),
-                    _ => return None,
-                };
+                let (c, inner, left) = self.scaled(a, b)?;
                 self.charge(1)?;
-                Some(JitTermValue::Group {
-                    scale: Some((c, left)),
+                Ok(JitTermValue::Group {
+                    scale: Some((c.value, left)),
+                    scale_slot: c.slot,
                     elems: self.group_elems(inner)?,
                 })
             }
-            Def::Bin { op: BinOp::Add | BinOp::Sub, .. } => {
-                Some(JitTermValue::Group { scale: None, elems: self.group_elems(r)? })
-            }
-            _ => None,
+            Def::Bin { op: BinOp::Add | BinOp::Sub, .. } => Ok(JitTermValue::Group {
+                scale: None,
+                scale_slot: Slot::CONST,
+                elems: self.group_elems(r)?,
+            }),
+            _ => Err(not_a_leaf),
         }
     }
 
-    fn out(&mut self, r: u32) -> Option<JitOut> {
+    fn out(&mut self, r: u32) -> Result<JitOut, Reject> {
         self.ops = 0;
         let (seed, folds) = self.linearize(r)?;
         let mut terms = vec![JitTerm { op: BinOp::Add, value: self.term_value(seed)? }];
@@ -324,52 +525,66 @@ impl Matcher {
             self.charge(1)?;
             terms.push(JitTerm { op, value: self.term_value(r)? });
         }
-        Some(JitOut { terms })
+        Ok(JitOut { terms })
     }
 }
 
 /// Tries to match an optimized program against the template catalog:
-/// every output must be an affine function of its loads in the two-level
-/// fold shape of the module docs. Returns `None` on first sight of
-/// anything outside the grammar — a runtime scalar, an `Index`, a
-/// negation or a division — and the caller stays on opt-bytecode.
-pub(crate) fn match_template(opt: &OptProgram) -> Option<JitProgram> {
-    if opt.outputs.is_empty() || !opt.scalar_regs.is_empty() {
-        return None;
+/// every output must be an affine function of its loads — coefficients
+/// being constants or runtime scalars — in the two-level fold shape of
+/// the module docs. On the first construct outside the grammar it
+/// returns that construct's name, and the caller stays on opt-bytecode.
+pub(crate) fn match_template(opt: &OptProgram) -> Result<JitProgram, Reject> {
+    if opt.outputs.is_empty() {
+        return Err("no outputs");
     }
-    let mut defs = vec![None; opt.num_regs as usize];
+    if opt.scalar_regs.len() >= Slot::CONST.0 as usize {
+        return Err("more than 65534 runtime scalars");
+    }
+    let constant = |value| Some(Def::Coeff(Coeff { value, slot: Slot::CONST }));
+    let mut m = Matcher { defs: vec![None; opt.num_regs as usize], ops: 0 };
     for &(r, v) in &opt.preinit {
-        defs[r as usize] = Some(Def::Const(v));
+        m.defs[r as usize] = constant(v);
+    }
+    for (k, &r) in opt.scalar_regs.iter().enumerate() {
+        m.defs[r as usize] = Some(Def::Coeff(Coeff { value: f64::NAN, slot: Slot(k as u16) }));
     }
     for instr in &opt.instrs {
         match *instr {
             Instr::LoadInput { input, rel, dst } => {
-                defs[dst as usize] = Some(Def::Load { input, rel });
+                m.defs[dst as usize] = Some(Def::Load { input, rel });
             }
-            Instr::Bin { op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b, dst } => {
-                defs[dst as usize] = Some(Def::Bin { op, a, b });
+            Instr::Const { v, dst } => m.defs[dst as usize] = constant(v),
+            Instr::Bin { op: BinOp::Div, .. } => return Err("division"),
+            Instr::Bin { op, a, b, dst } => {
+                // `optimize` folded const ⊕ const, so this is a new
+                // coefficient computed from a runtime scalar per point.
+                if m.coeff(a).is_some() && m.coeff(b).is_some() {
+                    return Err("arithmetic on a runtime scalar");
+                }
+                m.defs[dst as usize] = Some(Def::Bin { op, a, b });
             }
-            _ => return None,
+            Instr::Neg { .. } => return Err("negation"),
+            Instr::Index { .. } => return Err("stencil.index term"),
         }
     }
-    let mut m = Matcher { defs, ops: 0 };
-    let outs: Vec<JitOut> = opt.outputs.iter().map(|&o| m.out(o)).collect::<Option<_>>()?;
+    let outs: Vec<JitOut> = opt.outputs.iter().map(|&o| m.out(o)).collect::<Result<_, _>>()?;
     let chain = match &outs[..] {
         [o] if o.terms.len() <= MAX_CHAIN => o
             .terms
             .iter()
             .map(|t| match &t.value {
-                JitTermValue::Elem(JitValue::Tap(tap)) => Some((t.op, tap.clone())),
+                JitTermValue::Elem(JitValue::Tap(tap)) => Some((t.op, *tap)),
                 _ => None,
             })
             .collect::<Option<Vec<_>>>(),
         _ => None,
     };
-    Some(JitProgram {
+    Ok(JitProgram {
         chain_len: chain.as_ref().map(Vec::len),
-        chain,
-        outs,
+        plan: JitPlan { outs, chain },
         tap_count: opt.instrs.iter().filter(|i| matches!(i, Instr::LoadInput { .. })).count(),
+        scalars: opt.scalar_regs.len(),
         rel_bounds: opt.rel_bounds.clone(),
         use_avx2: avx2_available(),
     })
@@ -526,7 +741,7 @@ unsafe fn value_block<L: Lanes>(v: &JitValue, inputs: &[&[f64]], flats: &[i64], 
         JitValue::Pair { op, a, b } => {
             fold_op(*op, tap_block::<L>(a, inputs, flats, x), tap_block::<L>(b, inputs, flats, x))
         }
-        JitValue::Const(c) => L::splat(*c),
+        JitValue::Const(c, _) => L::splat(*c),
     }
 }
 
@@ -536,7 +751,7 @@ unsafe fn value_block<L: Lanes>(v: &JitValue, inputs: &[&[f64]], flats: &[i64], 
 unsafe fn term_block<L: Lanes>(t: &JitTermValue, inputs: &[&[f64]], flats: &[i64], x: i64) -> L {
     match t {
         JitTermValue::Elem(v) => value_block(v, inputs, flats, x),
-        JitTermValue::Group { scale, elems } => {
+        JitTermValue::Group { scale, elems, .. } => {
             let mut acc = value_block::<L>(&elems[0].value, inputs, flats, x);
             for e in &elems[1..] {
                 acc = fold_op(e.op, acc, value_block(&e.value, inputs, flats, x));
@@ -653,7 +868,7 @@ unsafe fn value_point(v: &JitValue, inputs: &[&[f64]], flats: &[i64], x: i64) ->
         JitValue::Pair { op, a, b } => {
             op.eval(tap_point(a, inputs, flats, x), tap_point(b, inputs, flats, x))
         }
-        JitValue::Const(c) => *c,
+        JitValue::Const(c, _) => *c,
     }
 }
 
@@ -667,7 +882,7 @@ unsafe fn eval_point(plan: &JitOut, inputs: &[&[f64]], flats: &[i64], x: i64) ->
     let term = |t: &JitTermValue| -> f64 {
         match t {
             JitTermValue::Elem(v) => value_point(v, inputs, flats, x),
-            JitTermValue::Group { scale, elems } => {
+            JitTermValue::Group { scale, elems, .. } => {
                 let mut acc = value_point(&elems[0].value, inputs, flats, x);
                 for e in &elems[1..] {
                     acc = e.op.eval(acc, value_point(&e.value, inputs, flats, x));
@@ -781,25 +996,28 @@ mod avx2_rows {
 }
 
 impl JitProgram {
-    /// Evaluates one stride-1 row of `len` points for every output.
+    /// Evaluates one stride-1 row of `len` points for every output,
+    /// reading coefficients from `plan` — the plan [`JitProgram::bind`]
+    /// returned for this chunk.
     ///
     /// # Safety
     /// The caller validated (per [`JitProgram::rel_bounds`]) that every
     /// `flats[i] + rel + x` for `x < len` is in bounds for `inputs[i]`
     /// and that `out_flats[o] .. out_flats[o] + len` is in bounds for
-    /// `outs[o]`.
+    /// `outs[o]`; `plan` is this program's plan or a bound copy of it.
     pub unsafe fn eval_row(
         &self,
+        plan: &JitPlan,
         inputs: &[&[f64]],
         flats: &[i64],
         outs: &mut [&mut [f64]],
         out_flats: &[i64],
         len: i64,
     ) {
-        for (oi, plan) in self.outs.iter().enumerate() {
+        let chain = plan.chain.as_deref();
+        for (oi, plan) in plan.outs.iter().enumerate() {
             let of = out_flats[oi];
             let out: &mut [f64] = outs[oi];
-            let chain = self.chain.as_deref();
             #[cfg(all(target_arch = "x86_64", feature = "simd"))]
             if self.use_avx2 {
                 use avx2_rows::{chain_row_avx2, fold_row_avx2};
@@ -841,15 +1059,19 @@ mod tests {
         // one scaled group. The group's left spine linearizes through
         // the leading tap pair: [tap, tap, pair, scaled tap], preserving
         // the exact left-nested association.
-        assert_eq!(jit.outs.len(), 1);
-        assert_eq!(jit.outs[0].terms.len(), 2);
+        assert_eq!(jit.plan.outs.len(), 1);
+        assert_eq!(jit.plan.outs[0].terms.len(), 2);
         assert!(jit.chain_len.is_none());
-        let JitTermValue::Group { scale: Some(_), elems } = &jit.outs[0].terms[1].value else {
+        let JitTermValue::Group { scale: Some(_), elems, .. } = &jit.plan.outs[0].terms[1].value
+        else {
             panic!("second term is a scaled group: {jit:?}");
         };
         assert_eq!(elems.len(), 4);
         assert!(matches!(elems[2].value, JitValue::Pair { .. }));
         assert!(matches!(elems[3].value, JitValue::Tap(JitTap { scaled: true, .. })));
+        // Fully constant: evaluated in place, never copied.
+        let mut bound = JitPlan::default();
+        assert!(std::ptr::eq(jit.bind(&[], &mut bound), &jit.plan));
     }
 
     /// `load₀ + load₁ + … + loadₙ₋₁` as optimized bytecode.
@@ -874,12 +1096,72 @@ mod tests {
 
     #[test]
     fn caps_bound_the_chain_fast_path_and_the_fold() {
-        let terms = |n| match_template(&tap_chain(n)).map(|j| (j.outs[0].terms.len(), j.chain_len));
-        assert_eq!(terms(MAX_CHAIN as u32), Some((MAX_CHAIN, Some(MAX_CHAIN))));
+        let terms =
+            |n| match_template(&tap_chain(n)).map(|j| (j.plan.outs[0].terms.len(), j.chain_len));
+        assert_eq!(terms(MAX_CHAIN as u32), Ok((MAX_CHAIN, Some(MAX_CHAIN))));
         // Longer pure chains match, on the general evaluator.
-        assert_eq!(terms(MAX_CHAIN as u32 + 1), Some((MAX_CHAIN + 1, None)));
-        assert_eq!(terms(MAX_FOLD as u32), Some((MAX_FOLD, None)));
-        assert_eq!(terms(MAX_FOLD as u32 + 1), None);
+        assert_eq!(terms(MAX_CHAIN as u32 + 1), Ok((MAX_CHAIN + 1, None)));
+        assert_eq!(terms(MAX_FOLD as u32), Ok((MAX_FOLD, None)));
+        let too_long = terms(MAX_FOLD as u32 + 1).unwrap_err();
+        assert_eq!(too_long, format!("fold longer than {MAX_FOLD}"));
+    }
+
+    /// The reason `instrs` (register 0 a runtime scalar, the last
+    /// register the output) is rejected.
+    fn rejection(instrs: Vec<Instr>, num_regs: u32) -> Reject {
+        let out = num_regs - 1;
+        let opt = OptProgram {
+            instrs,
+            preinit: vec![],
+            scalar_regs: vec![0],
+            num_regs,
+            outputs: vec![out],
+            has_index: false,
+            rel_bounds: vec![Some((0, 1))],
+        };
+        match_template(&opt).map(|_| ()).unwrap_err()
+    }
+
+    #[test]
+    fn rejections_name_the_first_construct_outside_the_grammar() {
+        // Register 0 is a runtime scalar throughout.
+        let load = |rel, dst| Instr::LoadInput { input: 0, rel, dst };
+        let bin = |op, a, b, dst| Instr::Bin { op, a, b, dst };
+        let two_loads = [load(0, 1), load(1, 2)];
+        let with = |tail: Instr| two_loads.iter().cloned().chain([tail]).collect::<Vec<_>>();
+        assert_eq!(rejection(with(bin(BinOp::Mul, 1, 2, 3)), 4), "load·load product");
+        assert_eq!(rejection(with(bin(BinOp::Div, 1, 2, 3)), 4), "division");
+        assert_eq!(rejection(with(Instr::Neg { a: 1, dst: 3 }), 4), "negation");
+        assert_eq!(
+            rejection(with(Instr::Index { dim: 0, offset: 0, dst: 3 }), 4),
+            "stencil.index term"
+        );
+        assert_eq!(rejection(with(bin(BinOp::Mul, 0, 0, 3)), 4), "arithmetic on a runtime scalar");
+        // α · (α · (l + r)): a scaled group inside a scaled group.
+        let nested = vec![
+            load(0, 1),
+            load(1, 2),
+            bin(BinOp::Add, 1, 2, 3),
+            bin(BinOp::Mul, 0, 3, 4),
+            bin(BinOp::Mul, 0, 4, 5),
+        ];
+        assert_eq!(rejection(nested, 6), "nesting deeper than two fold levels");
+        // p + G + G + G + G with p = l + r and G = p + p + … (40 times):
+        // a shared group, re-evaluated in full at each of its four uses.
+        let mut shared = with(bin(BinOp::Add, 1, 2, 3));
+        shared.push(bin(BinOp::Add, 3, 3, 4));
+        shared.extend((5..43).map(|dst| bin(BinOp::Add, dst - 1, 3, dst)));
+        shared.push(bin(BinOp::Add, 3, 42, 43));
+        shared.extend((44..47).map(|dst| bin(BinOp::Add, dst - 1, 42, dst)));
+        assert_eq!(rejection(shared, 47), format!("more than {MAX_OPS} ops per output"));
+    }
+
+    /// A slot must ride in padding: the evaluators stride over these.
+    #[test]
+    fn slots_leave_the_evaluated_structs_their_size() {
+        assert_eq!(std::mem::size_of::<JitTap>(), 24);
+        assert_eq!(std::mem::size_of::<JitElem>(), 64);
+        assert_eq!(std::mem::size_of::<JitTerm>(), 64);
     }
 
     #[test]

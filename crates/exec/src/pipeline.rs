@@ -336,9 +336,19 @@ pub struct TemporalBlock {
     pub overlap: bool,
 }
 
+/// What the slot of an `f64` function argument holds until
+/// [`Runner::set_scalar`] writes it: a signalling NaN whose payload no
+/// arithmetic produces. Kept in the slot itself — not beside it — so
+/// a [`RankSnapshot`] carries "set or not" along with the value, in the
+/// same bytes as before, and a restored runner knows as much as the one
+/// the snapshot was taken from.
+const SCALAR_UNSET: u64 = 0x7ff4_756e_7365_7421;
+
 /// A compiled stencil function.
 #[derive(Clone, Debug)]
 pub struct Pipeline {
+    /// The function the pipeline was compiled from.
+    pub name: String,
     /// Number of buffer arguments the caller must provide.
     pub num_args: usize,
     /// Shapes of caller-provided buffers.
@@ -364,6 +374,16 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
+    /// The scalar slots of a runner that has not run yet: reduction
+    /// results zero, every `f64` function argument marked "never set".
+    pub fn initial_scalar_slots(&self) -> Vec<f64> {
+        let mut slots = vec![0.0; self.num_slots];
+        for &s in &self.scalar_inputs {
+            slots[s] = f64::from_bits(SCALAR_UNSET);
+        }
+        slots
+    }
+
     /// Total floating-point ops per executed timestep.
     pub fn flops_per_step(&self) -> u64 {
         self.steps
@@ -656,7 +676,7 @@ impl Runner {
             .collect();
         let pool = (threads > 1).then(|| WorkerPool::new(threads));
         let swap_scratch = vec![SwapScratch::default(); pipeline.num_swaps];
-        let scalar_slots = vec![0.0; pipeline.num_slots];
+        let scalar_slots = pipeline.initial_scalar_slots();
         Runner {
             pipeline,
             threads,
@@ -705,7 +725,8 @@ impl Runner {
     }
 
     /// Sets the `i`-th scalar (`f64`) function argument for subsequent
-    /// steps (CG's α/β change every iteration).
+    /// steps (CG's α/β change every iteration). Stepping before every
+    /// scalar argument has been set is an error.
     ///
     /// # Panics
     /// Panics if the pipeline has fewer scalar arguments.
@@ -815,6 +836,13 @@ impl Runner {
         rank: i64,
     ) -> Result<(), ExecError> {
         assert_eq!(args.len(), self.pipeline.num_args, "argument count mismatch");
+        let unset = |&s: &usize| self.scalar_slots[s].to_bits() == SCALAR_UNSET;
+        if let Some(i) = self.pipeline.scalar_inputs.iter().position(unset) {
+            return Err(ExecError::Exec(format!(
+                "scalar argument {i} of @{} was never set",
+                self.pipeline.name
+            )));
+        }
         let index = self.timestep;
         self.timestep += 1;
         if let Some(world) = world {
@@ -1735,6 +1763,7 @@ pub fn compile_module_tiered(
     let temporal = detect_temporal(&steps, &swap_depths, &swap_overlap);
     let steps = if temporal.is_some() { steps } else { overlap_steps(steps, &swap_overlap) };
     Ok(Pipeline {
+        name: func.to_string(),
         num_args,
         arg_shapes,
         tmp_shapes,
@@ -2293,6 +2322,42 @@ mod tests {
             let want: Vec<f64> = a.iter().zip(&b).map(|(&x, &y)| x + alpha * y).collect();
             assert_eq!(args[2], want, "alpha = {alpha}");
         }
+    }
+
+    #[test]
+    fn stepping_with_an_unset_scalar_is_reported() {
+        let n = 32i64;
+        let full = Bounds::new(vec![(0, n)]);
+        let m = prepare(samples::axpy(full.clone(), full));
+        let pipeline = compile_module(&m, "axpy").unwrap();
+        let ones = vec![1.0; n as usize];
+        let mut args = vec![ones.clone(), ones.clone(), vec![0.0; n as usize]];
+
+        // Never set: an error, not `out = a + 0·b`.
+        let mut runner = Runner::new(pipeline.clone(), 1);
+        let unset = runner.snapshot(&args);
+        let err = runner.step(&mut args).unwrap_err();
+        assert_eq!(err, "scalar argument 0 of @axpy was never set");
+        assert_eq!(args[2], vec![0.0; n as usize], "nothing ran");
+        let world = SimWorld::new(1);
+        let err = runner.step_distributed_checked(&mut args, &world, 0).unwrap_err();
+        assert!(matches!(err, ExecError::Exec(msg) if msg.contains("was never set")));
+
+        runner.set_scalar(0, 0.0);
+        runner.step(&mut args).unwrap();
+        assert_eq!(args[2], ones, "an explicit zero is a value like any other");
+        runner.set_scalar(0, 2.5);
+        let set = runner.snapshot(&args);
+
+        // A snapshot carries whether the scalar was set: restoring one
+        // taken after `set_scalar` needs no second call, restoring one
+        // taken before it still refuses to step.
+        let mut restored = Runner::new(pipeline, 1);
+        restored.restore(&mut args, &set);
+        restored.step(&mut args).unwrap();
+        assert_eq!(args[2], vec![3.5; n as usize]);
+        restored.restore(&mut args, &RankSnapshot::from_bytes(&unset.to_bytes()).unwrap());
+        assert!(restored.step(&mut args).unwrap_err().contains("was never set"));
     }
 
     #[test]

@@ -137,6 +137,11 @@ pub struct ExecScratch {
     pub out_flats: Vec<i64>,
     /// Current logical coordinate (for `Index` instructions).
     pub point: Vec<i64>,
+    /// This worker's copy of the template-JIT plan being executed, with
+    /// the runtime-scalar coefficients resolved for the current chunk
+    /// (see [`crate::jit::JitProgram::bind`]; untouched by kernels that
+    /// take no runtime scalar).
+    pub(crate) bound: crate::jit::JitPlan,
 }
 
 impl ExecScratch {
@@ -365,15 +370,22 @@ impl CompiledKernel {
 /// # Panics
 /// Panics if the caller did not provide every scalar argument.
 pub(crate) fn preload_scalars(scalar_regs: &[u32], scratch: &mut ExecScratch) {
-    assert!(
-        scratch.scalars.len() >= scalar_regs.len(),
-        "kernel takes {} runtime scalar argument(s) but only {} were provided",
-        scalar_regs.len(),
-        scratch.scalars.len()
-    );
+    assert_scalars_provided(scalar_regs.len(), scratch.scalars.len());
     for (k, &r) in scalar_regs.iter().enumerate() {
         scratch.regs[r as usize] = scratch.scalars[k];
     }
+}
+
+/// The once-per-chunk check every tier makes before reading
+/// [`ExecScratch::scalars`].
+///
+/// # Panics
+/// Panics if the caller did not provide every scalar argument.
+pub(crate) fn assert_scalars_provided(taken: usize, provided: usize) {
+    assert!(
+        provided >= taken,
+        "kernel takes {taken} runtime scalar argument(s) but only {provided} were provided"
+    );
 }
 
 /// Raw output pointers that may cross thread boundaries (the pooled

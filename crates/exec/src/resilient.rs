@@ -196,7 +196,7 @@ pub fn run_resilient(
         let mut snap = RankSnapshot {
             step: 0,
             args: args.clone(),
-            scalar_slots: vec![0.0; pipeline.num_slots],
+            scalar_slots: pipeline.initial_scalar_slots(),
             digest: 0,
         };
         snap.digest = sten_ir::content_hash(&snap.to_bytes());

@@ -8,14 +8,17 @@
 //! pipeline-build time**, into one of three executor tiers:
 //!
 //! 1. **[`TierKind::TemplateJit`]** — every *affine* kernel (each
-//!    multiplication has a constant operand: jacobi/heat/wave at any
-//!    space order, fused multi-output applies): the template-JIT (see
-//!    [`crate::jit`]) evaluates one fused pass per row with all taps
-//!    loaded and combined in registers, const-generic tap counts for
-//!    pure chains, optional explicit AVX2 lanes behind the `simd` cargo
-//!    feature + runtime CPU detection.
+//!    multiplication has a coefficient operand — a constant or a runtime
+//!    scalar: jacobi/heat/wave at any space order, fused multi-output
+//!    applies, CG's `axpy`): the template-JIT (see [`crate::jit`])
+//!    evaluates one fused pass per row with all taps loaded and combined
+//!    in registers, const-generic tap counts for pure chains, optional
+//!    explicit AVX2 lanes behind the `simd` cargo feature + runtime CPU
+//!    detection. Runtime scalars are bound into the executing worker's
+//!    scratch once per chunk, before the row walk.
 //! 2. **[`TierKind::OptBytecode`]** — the fallback for everything else
-//!    (runtime scalars, `Index`, negation/division, non-affine bodies):
+//!    (`Index`, negation/division, non-affine bodies;
+//!    [`SpecializedKernel::tier_label`] names the construct):
 //!    bytecode-level CSE (identical `LoadInput`/`Const`/`Index` deduped),
 //!    constant folding of `Const ⊕ Const`, hoisting of loop-invariant
 //!    `Const` writes into a pre-initialized register file, dead-code
@@ -191,6 +194,10 @@ pub struct SpecializedKernel {
     pub kernel: CompiledKernel,
     /// The selected tier.
     pub tier: Tier,
+    /// Why the template-JIT was tried and did not take the kernel: the
+    /// first construct outside its grammar (`None` on the JIT, and when
+    /// a forced tier meant it was never tried).
+    pub jit_rejected: Option<crate::jit::Reject>,
 }
 
 impl std::ops::Deref for SpecializedKernel {
@@ -205,18 +212,22 @@ impl SpecializedKernel {
     /// pins one; forcing `TemplateJit` on a kernel outside the template
     /// grammar falls back to `OptBytecode`).
     pub fn specialize(kernel: CompiledKernel, force: Option<TierKind>) -> SpecializedKernel {
+        let mut jit_rejected = None;
         let tier = match force {
             Some(TierKind::Eval) => Tier::Eval,
             Some(TierKind::OptBytecode) => Tier::OptBytecode(Arc::new(optimize(&kernel))),
             Some(TierKind::TemplateJit) | None => {
                 let opt = optimize(&kernel);
                 match crate::jit::match_template(&opt) {
-                    Some(jit) => Tier::TemplateJit(Arc::new(jit)),
-                    None => Tier::OptBytecode(Arc::new(opt)),
+                    Ok(jit) => Tier::TemplateJit(Arc::new(jit)),
+                    Err(reason) => {
+                        jit_rejected = Some(reason);
+                        Tier::OptBytecode(Arc::new(opt))
+                    }
                 }
             }
         };
-        SpecializedKernel { kernel, tier }
+        SpecializedKernel { kernel, tier, jit_rejected }
     }
 
     /// The selected tier.
@@ -229,25 +240,37 @@ impl SpecializedKernel {
     }
 
     /// A one-line human description, e.g.
-    /// `template-jit (5 taps, 2 terms; rank 2)` or
-    /// `template-jit (3 taps, chain<3>; rank 1)`.
+    /// `template-jit (5 taps, 2 terms; rank 2)`,
+    /// `template-jit (2 taps, chain<2>; rank 1; 1 runtime scalar)` or
+    /// `opt-bytecode (9 instrs, 3 hoisted consts; rank 3; template-jit
+    /// rejected: load·load product)`.
     pub fn tier_label(&self) -> String {
+        let rank = self.program.rank;
         match &self.tier {
-            Tier::Eval => {
-                format!("eval ({} instrs; rank {})", self.program.instrs.len(), self.program.rank)
+            Tier::Eval => format!("eval ({} instrs; rank {rank})", self.program.instrs.len()),
+            Tier::OptBytecode(o) => {
+                let rejected = self
+                    .jit_rejected
+                    .map(|reason| format!("; template-jit rejected: {reason}"))
+                    .unwrap_or_default();
+                format!(
+                    "opt-bytecode ({} instrs, {} hoisted consts; rank {rank}{rejected})",
+                    o.instrs.len(),
+                    o.preinit.len(),
+                )
             }
-            Tier::OptBytecode(o) => format!(
-                "opt-bytecode ({} instrs, {} hoisted consts; rank {})",
-                o.instrs.len(),
-                o.preinit.len(),
-                self.program.rank
-            ),
-            Tier::TemplateJit(j) => format!(
-                "template-jit ({} taps, {}; rank {})",
-                j.tap_count,
-                j.shape_label(),
-                self.program.rank
-            ),
+            Tier::TemplateJit(j) => {
+                let scalars = match j.scalars {
+                    0 => String::new(),
+                    1 => "; 1 runtime scalar".to_string(),
+                    n => format!("; {n} runtime scalars"),
+                };
+                format!(
+                    "template-jit ({} taps, {}; rank {rank}{scalars})",
+                    j.tap_count,
+                    j.shape_label(),
+                )
+            }
         }
     }
 
@@ -302,9 +325,15 @@ impl SpecializedKernel {
                 // No register file: the fused micro-kernels keep all
                 // intermediates in registers.
                 scratch.ensure(0, self.inputs.len(), self.outputs.len(), range.rank());
+                // Runtime scalars become plain coefficients here, once per
+                // chunk, in this worker's own copy of the plan; the copy
+                // is moved out of the scratch while the rows borrow it.
+                let mut bound = std::mem::take(&mut scratch.bound);
+                let plan = jit.bind(&scratch.scalars, &mut bound);
                 walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
-                    jit.eval_row(inputs, &sc.flats, outs, &sc.out_flats, len);
+                    jit.eval_row(plan, inputs, &sc.flats, outs, &sc.out_flats, len);
                 });
+                scratch.bound = bound;
             }
         }
     }
@@ -727,7 +756,7 @@ pub(crate) mod tests {
         let spec = SpecializedKernel::specialize(kernel.clone(), None);
         assert_eq!(spec.tier_kind(), TierKind::TemplateJit);
         let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
-        assert_eq!(jit.outs.len(), 2);
+        assert_eq!(jit.plan.outs.len(), 2);
         assert_eq!(jit.tap_count, 2, "both outputs share the two taps");
 
         // Bit-identical to eval on both outputs, on every tier.
@@ -806,10 +835,9 @@ pub(crate) mod tests {
         assert!(opt.instrs.len() < k.program.instrs.len());
     }
 
-    #[test]
-    fn runtime_scalar_kernel_selects_opt_bytecode() {
-        use sten_ir::{Bounds, Type, Value};
-        let n = 32i64;
+    /// `@axpy` (`out = a + α·b`, α a runtime scalar) over `n` points.
+    fn axpy_kernel(n: i64) -> CompiledKernel {
+        use sten_ir::{Type, Value};
         let full = Bounds::new(vec![(0, n)]);
         let mut m = sten_stencil::samples::axpy(full.clone(), full);
         sten_stencil::ShapeInference.run(&mut m).unwrap();
@@ -819,7 +847,7 @@ pub(crate) mod tests {
             *f.region_block(0).args.iter().find(|&&a| *m.values.ty(a) == Type::F64).unwrap();
         let slots: Map<Value, usize> = Map::from([(alpha, 0)]);
         let d = InputDesc::new(vec![n], vec![0]);
-        let kernel = compile_apply(
+        compile_apply(
             apply,
             &m.values,
             vec![Some(d.clone()), Some(d.clone()), None],
@@ -827,31 +855,65 @@ pub(crate) mod tests {
             &Map::new(),
             &slots,
         )
-        .unwrap();
+        .unwrap()
+    }
 
-        // The coefficient isn't a compile-time constant, so no template
-        // matches — selected automatically or forced.
+    #[test]
+    fn runtime_scalar_kernel_selects_template_jit() {
+        // 37 points: four 8-lane blocks and a scalar remainder.
+        let n = 37i64;
+        let kernel = axpy_kernel(n);
+
+        // A runtime scalar is a coefficient bound late, so the template
+        // matches — selected automatically or forced — and a forced lower
+        // tier is still honoured.
         for force in [None, Some(TierKind::TemplateJit)] {
             let spec = SpecializedKernel::specialize(kernel.clone(), force);
-            assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
+            assert_eq!(spec.tier_kind(), TierKind::TemplateJit);
+            assert_eq!(
+                spec.tier_label(),
+                "template-jit (2 taps, chain<2>; rank 1; 1 runtime scalar)"
+            );
         }
-
-        // All applicable tiers agree bit-for-bit with the reference.
-        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.47).cos()).collect();
-        let mut scratch = ExecScratch::new();
-        scratch.scalars = vec![0.37];
-        let range = kernel.range.clone();
-        let mut want = vec![0.0; n as usize];
-        kernel.execute_rows(&[&a, &b], &mut [&mut want], &range, &mut scratch);
-        for tier in [TierKind::Eval, TierKind::OptBytecode] {
+        let specs = TierKind::ALL.map(|tier| {
             let spec = SpecializedKernel::specialize(kernel.clone(), Some(tier));
-            let mut got = vec![0.0; n as usize];
-            let mut scratch = ExecScratch::new();
-            scratch.scalars = vec![0.37];
-            spec.execute_rows(&[&a, &b], &mut [&mut got], &range, &mut scratch);
-            assert_eq!(got, want, "tier {}", tier.name());
+            assert_eq!(spec.tier_kind(), tier);
+            spec
+        });
+
+        // Every tier agrees bit-for-bit with the reference — signed zero,
+        // subnormal, infinite and payload-carrying-NaN coefficients
+        // included — and one specialized kernel and one scratch serve
+        // every α in turn: nothing of an earlier binding survives.
+        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
+        let mut b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.47).cos()).collect();
+        // (No NaN among the inputs: which payload NaN·NaN keeps is the
+        // compiler's choice of operand order, on any tier.)
+        (b[3], b[36]) = (0.0, f64::NEG_INFINITY);
+        let nan = f64::from_bits(0x7ff8_0000_dead_0001);
+        let range = kernel.range.clone();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratches = [ExecScratch::new(), ExecScratch::new(), ExecScratch::new()];
+        for alpha in [0.37, -0.0, 1e-310, f64::INFINITY, nan, 0.37] {
+            let mut want = vec![0.0; n as usize];
+            let mut reference = ExecScratch::new();
+            reference.scalars = vec![alpha];
+            kernel.execute_rows(&[&a, &b], &mut [&mut want], &range, &mut reference);
+            for (spec, scratch) in specs.iter().zip(&mut scratches) {
+                let mut got = vec![0.0; n as usize];
+                scratch.scalars = vec![alpha];
+                spec.execute_rows(&[&a, &b], &mut [&mut got], &range, scratch);
+                assert_eq!(bits(&got), bits(&want), "tier {} α = {alpha:e}", spec.tier_label());
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "takes 1 runtime scalar argument(s) but only 0 were provided")]
+    fn template_jit_checks_every_scalar_is_provided() {
+        let spec = SpecializedKernel::specialize(axpy_kernel(16), Some(TierKind::TemplateJit));
+        let (a, mut out) = (vec![1.0; 16], vec![0.0; 16]);
+        spec.execute(&[&a, &a], &mut [&mut out]);
     }
 
     #[test]

@@ -408,6 +408,10 @@ fn traced_smoke_run(
                         })
                         .collect();
                     let mut runner = sten_exec::Runner::new(p, 1).with_trace(tracer, r as u32);
+                    // Scalar arguments get a made-up value like the fields do.
+                    for k in 0..runner.pipeline.scalar_inputs.len() {
+                        runner.set_scalar(k, 0.5);
+                    }
                     for _ in 0..TIMESTEPS {
                         runner.step_distributed(&mut args, world, r as i64).ok()?;
                     }

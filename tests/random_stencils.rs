@@ -19,6 +19,40 @@ struct RandStencil {
     /// (offset per dim, coefficient) terms.
     terms: Vec<(Vec<i64>, f64)>,
     dims: usize,
+    /// When set, the mirrored half of `terms` is emitted as one scaled
+    /// group `s · (Σ c·u)` instead of inline.
+    group_scale: Option<f64>,
+    /// Coefficient positions that are `f64` function arguments instead
+    /// of constants: indices into `terms`, `terms.len()` for the group
+    /// scale. Entry `k` is scalar argument `k`.
+    runtime: Vec<usize>,
+}
+
+impl RandStencil {
+    /// Moves the mirrored half into a scaled group (half the time) and
+    /// turns 0–2 coefficients — tap coefficients or the group scale —
+    /// into runtime scalars.
+    fn with_runtime_scalars(mut self, rng: &mut Rng) -> RandStencil {
+        if rng.chance(1, 2) {
+            self.group_scale = Some(rng.range_f64(-2.0, 2.0));
+        }
+        let positions = self.terms.len() + usize::from(self.group_scale.is_some());
+        for _ in 0..rng.range_usize(0, 3) {
+            let at = rng.range_usize(0, positions);
+            if !self.runtime.contains(&at) {
+                self.runtime.push(at);
+            }
+        }
+        self
+    }
+
+    /// The value of runtime scalar `k` at `step`: the generated
+    /// coefficient, then a different one each step.
+    fn scalar(&self, k: usize, step: usize) -> f64 {
+        let at = self.runtime[k];
+        let c = self.terms.get(at).map_or_else(|| self.group_scale.unwrap(), |t| t.1);
+        c + 0.375 * step as f64
+    }
 }
 
 fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
@@ -34,50 +68,61 @@ fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
     let mirrored: Vec<(Vec<i64>, f64)> =
         terms.iter().map(|(o, c)| (o.iter().map(|x| -x).collect(), 0.5 * c)).collect();
     terms.extend(mirrored);
-    RandStencil { terms, dims }
+    RandStencil { terms, dims, group_scale: None, runtime: Vec::new() }
 }
 
-/// Builds `out = Σ c_i · u[x + o_i]` over an interior store range.
+/// Builds `out = Σ c_i · u[x + o_i]` over an interior store range (the
+/// mirrored half as `s · (Σ c_i · u[x + o_i])` when the stencil has a
+/// group scale), runtime coefficients as trailing `f64` arguments.
 fn build(st: &RandStencil, n: i64) -> Module {
     let dims = st.dims;
     let radius = 2i64;
     let mut m = Module::new();
     let bounds = Bounds::from_shape(&vec![n; dims]).grown(radius);
     let fld = Type::Field(FieldType::new(bounds, Type::F64));
-    let (mut f, args) = func::definition(&mut m.values, "rand", vec![fld.clone(), fld], vec![]);
+    let mut arg_types = vec![fld.clone(), fld];
+    arg_types.extend(st.runtime.iter().map(|_| Type::F64));
+    let (mut f, args) = func::definition(&mut m.values, "rand", arg_types, vec![]);
     let (src, dst) = (args[0], args[1]);
     let ld = ops::load(&mut m.values, src);
-    let t = ld.result(0);
+    let mut operands = vec![ld.result(0)];
+    operands.extend(&args[2..]);
     f.region_block_mut(0).ops.push(ld);
-    let terms = st.terms.clone();
+    let st = st.clone();
     let ap = ops::apply(
         &mut m.values,
-        vec![t],
+        operands,
         vec![Type::Temp(TempType::unknown(dims, Type::F64))],
         move |vt, a| {
-            let mut body = Vec::new();
-            let mut acc: Option<stencil_stack::ir::Value> = None;
-            for (off, c) in &terms {
-                let access = ops::access(vt, a[0], off.clone());
-                let av = access.result(0);
-                body.push(access);
-                let cv_op = arith::const_f64(vt, *c);
-                let cv = cv_op.result(0);
-                body.push(cv_op);
-                let mul = arith::mulf(vt, cv, av);
-                let mv = mul.result(0);
-                body.push(mul);
-                acc = Some(match acc {
+            use stencil_stack::ir::{Op, Value};
+            let mut body: Vec<Op> = Vec::new();
+            let mut emit = |op: Op| {
+                let v = op.result(0);
+                body.push(op);
+                v
+            };
+            // The scalar argument feeding coefficient position `at`, if
+            // it is a runtime one.
+            let runtime = |at: usize| st.runtime.iter().position(|&r| r == at).map(|k| a[1 + k]);
+            let inline = if st.group_scale.is_some() { st.terms.len() / 2 } else { st.terms.len() };
+            // [inline fold, group fold]
+            let mut accs: [Option<Value>; 2] = [None, None];
+            for (i, (off, c)) in st.terms.iter().enumerate() {
+                let av = emit(ops::access(vt, a[0], off.clone()));
+                let cv = runtime(i).unwrap_or_else(|| emit(arith::const_f64(vt, *c)));
+                let mv = emit(arith::mulf(vt, cv, av));
+                let acc = &mut accs[usize::from(i >= inline)];
+                *acc = Some(match *acc {
                     None => mv,
-                    Some(prev) => {
-                        let add = arith::addf(vt, prev, mv);
-                        let v = add.result(0);
-                        body.push(add);
-                        v
-                    }
+                    Some(prev) => emit(arith::addf(vt, prev, mv)),
                 });
             }
-            let out = acc.expect("at least one term");
+            let mut out = accs[0].expect("at least one term");
+            if let (Some(s), Some(group)) = (st.group_scale, accs[1]) {
+                let sv = runtime(st.terms.len()).unwrap_or_else(|| emit(arith::const_f64(vt, s)));
+                let scaled = emit(arith::mulf(vt, sv, group));
+                out = emit(arith::addf(vt, out, scaled));
+            }
             body.push(ops::ret(vec![out]));
             body
         },
@@ -205,39 +250,57 @@ fn random_1d_stencils_agree_at_all_levels() {
 /// Every specialized executor tier must be **bit-for-bit** identical to
 /// the seed `KernelProgram::eval` path — serial and through the worker
 /// pool at 2 and 4 threads — on random stencils of every rank the
-/// monomorphized row walkers cover (1D/2D/3D).
+/// monomorphized row walkers cover (1D/2D/3D), with 0–2 of their
+/// coefficients (tap coefficients, the group scale) fed at run time and
+/// changed between steps.
 #[test]
 fn specialized_tiers_bit_identical_to_eval() {
+    let mut with_scalars = 0;
     for (dims, n, seeds) in [(1usize, 24i64, 10u64), (2, 12, 10), (3, 6, 6)] {
         for seed in 0..seeds {
             let mut rng = Rng::new(9000 + seed * 37 + dims as u64);
-            let st = rand_stencil(dims, &mut rng);
+            let st = rand_stencil(dims, &mut rng).with_runtime_scalars(&mut rng);
+            with_scalars += usize::from(!st.runtime.is_empty());
             let m = build(&st, n);
             let ext: usize = ((n + 4) as usize).pow(dims as u32);
             let input: Vec<f64> =
                 (0..ext).map(|i| ((i as f64) * 0.19 + seed as f64 * 0.05).sin()).collect();
             let pipeline = compile_pipeline(&m, "rand").unwrap();
+            assert_eq!(pipeline.scalar_inputs.len(), st.runtime.len());
+
+            // Three steps on one runner, the runtime scalars different
+            // at each: the outputs after every step.
+            let run = |tier: TierKind, threads: usize| -> Vec<Vec<f64>> {
+                let mut p = pipeline.clone();
+                p.respecialize(Some(tier));
+                let mut runner = Runner::new(p, threads);
+                let mut args = vec![input.clone(), input.clone()];
+                (0..3)
+                    .map(|step| {
+                        for k in 0..st.runtime.len() {
+                            runner.set_scalar(k, st.scalar(k, step));
+                        }
+                        runner.step(&mut args).unwrap();
+                        args[1].clone()
+                    })
+                    .collect()
+            };
 
             // Reference: the seed eval interpreter, serial.
-            let mut evalp = pipeline.clone();
-            evalp.respecialize(Some(TierKind::Eval));
-            let mut want = vec![input.clone(), input.clone()];
-            Runner::new(evalp, 1).step(&mut want).unwrap();
-
+            let want = run(TierKind::Eval, 1);
             for tier in common::tiers() {
                 for threads in [1usize, 2, 4] {
-                    let mut p = pipeline.clone();
-                    p.respecialize(Some(tier));
-                    let mut args = vec![input.clone(), input.clone()];
-                    Runner::new(p, threads).step(&mut args).unwrap();
                     assert_eq!(
-                        args[1], want[1],
+                        run(tier, threads),
+                        want,
                         "dims {dims} seed {seed} tier {tier:?} threads {threads}"
                     );
                 }
             }
-            // Random mul-add chains are flat scaled-tap folds, well
-            // inside the template-JIT grammar (<= 12 terms), so automatic
+            // Random mul-add chains are flat scaled-tap folds, plus at
+            // most one scaled group, well inside the template-JIT
+            // grammar (<= 12 terms) whether a coefficient is a constant
+            // or a runtime scalar, so automatic
             // selection must reach the top tier (unless the run pins one
             // through the environment).
             if std::env::var("STEN_EXEC_TIER").is_err() {
@@ -249,6 +312,7 @@ fn specialized_tiers_bit_identical_to_eval() {
             }
         }
     }
+    assert!(with_scalars >= 8, "only {with_scalars} of 26 kernels drew a runtime scalar");
 }
 
 #[test]

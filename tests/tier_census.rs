@@ -4,19 +4,21 @@
 //! every affine kernel the frontends produce, at any space order — so
 //! the claim is a test: every `stencil.apply` of every sample, Devito
 //! operator (heat and acoustic wave, space orders 2–16, 2D and 3D) and
-//! PSyclone kernel, before and after the two fusion passes, must select
-//! `template-jit`, except an explicit allow-list that lands on the
-//! `opt-bytecode` fallback.
+//! PSyclone kernel, before and after the two fusion passes, and of the
+//! CG solver's four pipelines, must select `template-jit`, except an
+//! explicit allow-list that lands on the `opt-bytecode` fallback — and
+//! every entry of that list must still land there.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use stencil_stack::cg::{CgConfig, SolverPipelines};
 use stencil_stack::exec::{compile_module_tiered, Pipeline, Runner, Step, TierKind};
 use stencil_stack::ir::{Attribute, Bounds, Module, Pass as _};
 use stencil_stack::stencil::{samples, HorizontalFusion, ShapeInference, StencilFusion};
 use stencil_stack::{devito, psyclone};
 
-/// Functions whose applies may select the fallback tier, and why.
-const OPT_BYTECODE: [(&str, &str); 2] =
-    [("axpy", "runtime scalar coefficient"), ("pw_advection", "non-affine load · load terms")];
+/// Functions whose applies may select the fallback tier, and the reason
+/// the template-JIT gives for rejecting them.
+const OPT_BYTECODE: [(&str, &str); 1] = [("pw_advection", "load·load product")];
 
 const SPACE_ORDERS: [usize; 5] = [2, 4, 8, 12, 16];
 
@@ -86,34 +88,70 @@ fn pipelines(m: &Module) -> Vec<(String, Pipeline)> {
         .collect()
 }
 
+/// The four pipelines of a CG solve as `cg::solve_distributed` builds
+/// them for rank 0 of a 2-rank world: the operator on its rank-local
+/// box (overlapped: interior + shells), the reductions, the update.
+fn cg_pipelines() -> Vec<(String, Pipeline)> {
+    let p =
+        SolverPipelines::for_rank(&CgConfig::new(32), "standard-slicing", None, &[2, 1], true, 0)
+            .unwrap();
+    [("heat", p.heat), ("dot", p.dot), ("norm2", p.norm2), ("axpy", p.axpy)]
+        .map(|(f, p)| (f.to_string(), p))
+        .into()
+}
+
 #[test]
 fn every_shipped_kernel_selects_template_jit_or_is_allow_listed() {
-    let (mut jit, mut opt) = (0, 0);
+    // (where the pipeline comes from, its function, the pipeline)
+    let mut census: Vec<(String, String, Pipeline)> = Vec::new();
     for (name, module) in shipped_modules() {
         for (stage, m) in [("unfused", module.clone()), ("fused", fused(module))] {
             for (func, p) in pipelines(&m) {
-                for step in &p.steps {
-                    let Step::Apply { kernel, .. } = step else { continue };
-                    match kernel.tier_kind() {
-                        TierKind::TemplateJit => jit += 1,
-                        tier => {
-                            assert!(
-                                tier == TierKind::OptBytecode
-                                    && OPT_BYTECODE.iter().any(|&(f, _)| f == func),
-                                "{name} ({stage}) @{func}: {} is off the fast path and \
-                                 not allow-listed",
-                                kernel.tier_label()
-                            );
-                            opt += 1;
-                        }
-                    }
-                }
+                census.push((format!("{name} ({stage})"), func, p));
             }
         }
     }
-    // The census covers real traffic, and the allow-list is not stale.
+    census.extend(cg_pipelines().into_iter().map(|(func, p)| ("cg".to_string(), func, p)));
+
+    let mut jit = 0;
+    let mut fell_back = BTreeSet::new();
+    for (origin, func, p) in &census {
+        for step in &p.steps {
+            let Step::Apply { kernel, .. } = step else { continue };
+            let label = kernel.tier_label();
+            if kernel.tier_kind() == TierKind::TemplateJit {
+                jit += 1;
+                continue;
+            }
+            let Some(&(listed, reason)) = OPT_BYTECODE.iter().find(|(f, _)| f == func) else {
+                panic!("{origin} @{func}: {label} is off the fast path and not allow-listed");
+            };
+            assert_eq!(kernel.tier_kind(), TierKind::OptBytecode, "{origin} @{func}: {label}");
+            assert!(
+                label.ends_with(&format!("; template-jit rejected: {reason})")),
+                "{origin} @{func}: {label} does not give the allow-listed reason"
+            );
+            fell_back.insert(listed);
+        }
+    }
+    // The census covers real traffic, and no allow-list entry is stale:
+    // each one was seen on the fallback.
     assert!(jit >= 80, "only {jit} template-jit applies counted");
-    assert!(opt >= OPT_BYTECODE.len(), "allow-list entries no longer hit the fallback");
+    for (func, _) in OPT_BYTECODE {
+        assert!(fell_back.contains(func), "@{func} is allow-listed but no longer falls back");
+    }
+}
+
+/// CG's vector update carries a runtime scalar; it is a late-bound
+/// coefficient to the template-JIT, not a reason to fall back.
+#[test]
+fn axpy_selects_template_jit_with_a_late_bound_coefficient() {
+    let line = Bounds::new(vec![(0, 64)]);
+    let mut m = samples::axpy(line.clone(), line);
+    ShapeInference.run(&mut m).unwrap();
+    let p = compile_module_tiered(&m, "axpy", None).unwrap();
+    let [Step::Apply { kernel, .. }] = &p.steps[..] else { panic!("one apply: {:?}", p.steps) };
+    assert_eq!(kernel.tier_label(), "template-jit (2 taps, chain<2>; rank 1; 1 runtime scalar)");
 }
 
 /// The high space orders are the kernels the lifted caps brought onto

@@ -27,6 +27,7 @@ use sten_exec::specialize::TierKind;
 use sten_interp::SimWorld;
 use sten_ir::{Bounds, FieldType, Module, Pass as _, Type};
 use sten_stencil::{ops, samples, ShapeInference};
+use sten_trace::Tracer;
 
 /// A CG solve that failed *gracefully*: every variant carries the
 /// residual trajectory walked so far, so a caller can inspect how the
@@ -127,12 +128,23 @@ pub struct CgConfig {
     pub threads: usize,
     /// Executor tier pin (`None` = auto specialization).
     pub tier: Option<TierKind>,
+    /// Where every runner (and the world) of the solve records its
+    /// spans, rank `r` on process track `r`; disabled by default.
+    pub tracer: Tracer,
 }
 
 impl CgConfig {
     /// Defaults tuned for tests and smoke runs: λ = 0.25, tol = 1e-10.
     pub fn new(n: i64) -> CgConfig {
-        CgConfig { n, lam: 0.25, tol: 1e-10, max_iters: 200, threads: 1, tier: None }
+        CgConfig {
+            n,
+            lam: 0.25,
+            tol: 1e-10,
+            max_iters: 200,
+            threads: 1,
+            tier: None,
+            tracer: Tracer::disabled(),
+        }
     }
 }
 
@@ -328,12 +340,14 @@ struct RankSolver {
 }
 
 impl RankSolver {
-    fn new(p: SolverPipelines, threads: usize, world: Option<(Arc<SimWorld>, i64)>) -> RankSolver {
+    fn new(p: SolverPipelines, cfg: &CgConfig, world: Option<(Arc<SimWorld>, i64)>) -> RankSolver {
+        let pid = world.as_ref().map_or(0, |&(_, rank)| rank as u32);
+        let runner = |p: Pipeline| Runner::new(p, cfg.threads).with_trace(&cfg.tracer, pid);
         RankSolver {
-            op: Runner::new(p.heat, threads),
-            dot: Runner::new(p.dot, threads),
-            norm: Runner::new(p.norm2, threads),
-            axpy: Runner::new(p.axpy, threads),
+            op: runner(p.heat),
+            dot: runner(p.dot),
+            norm: runner(p.norm2),
+            axpy: runner(p.axpy),
             world,
         }
     }
@@ -518,7 +532,7 @@ fn cg_iterate(
 /// degradation as the matching typed variant with its residual
 /// trajectory.
 pub fn solve(cfg: &CgConfig) -> Result<CgReport, CgError> {
-    let mut solver = RankSolver::new(SolverPipelines::serial(cfg)?, cfg.threads, None);
+    let mut solver = RankSolver::new(SolverPipelines::serial(cfg)?, cfg, None);
     let (x, residuals, converged, iterations) = cg_iterate(&mut solver, rhs(cfg.n), cfg)?;
     Ok(CgReport { residuals, converged, iterations, x })
 }
@@ -548,12 +562,12 @@ pub fn solve_distributed(
     // Per-rank setup (done up front so compile errors surface before
     // any thread spawns).
     let mut setups = Vec::with_capacity(ranks as usize);
-    let world = SimWorld::new(ranks as usize);
+    let world = SimWorld::new_traced(ranks as usize, std::time::Duration::ZERO, cfg.tracer.clone());
     for rank in 0..ranks {
         let pipelines =
             SolverPipelines::for_rank(cfg, strategy, factors.clone(), &grid, overlap, rank)?;
         let (core, local_field) = (pipelines.core.clone(), pipelines.field.clone());
-        let solver = RankSolver::new(pipelines, cfg.threads, Some((Arc::clone(&world), rank)));
+        let solver = RankSolver::new(pipelines, cfg, Some((Arc::clone(&world), rank)));
 
         // Scatter: the rank's local view of b (halo included — the
         // neighbouring values are what an exchange would deliver).
@@ -658,6 +672,32 @@ mod tests {
             }
             assert_eq!(dist.x, serial.x, "{strategy}: gathered solution differs");
         }
+    }
+
+    #[test]
+    fn traced_solve_records_every_fold_and_changes_no_bit() {
+        use sten_trace::SpanKind;
+        let cfg = CgConfig::new(24);
+        let plain = solve_distributed(&cfg, "standard-slicing", None, vec![2], true).unwrap();
+        let traced_cfg = CgConfig { tracer: Tracer::new(), ..cfg };
+        let traced =
+            solve_distributed(&traced_cfg, "standard-slicing", None, vec![2], true).unwrap();
+        assert_eq!(traced.iterations, plain.iterations);
+        for (a, b) in traced.residuals.iter().zip(&plain.residuals) {
+            assert_eq!(a.to_bits(), b.to_bits(), "tracing moved a residual: {a} != {b}");
+        }
+        // ‖r₀‖², then p·Ap and ‖r‖² per iteration — on each rank.
+        let events = traced_cfg.tracer.events();
+        for rank in 0..2 {
+            let folds = events
+                .iter()
+                .filter(|e| e.pid == rank)
+                .filter(|e| matches!(e.kind, SpanKind::Reduce { phase: "partial", .. }))
+                .count();
+            assert_eq!(folds, 2 * traced.iterations + 1, "rank {rank}");
+        }
+        assert!(events.iter().any(|e| matches!(e.kind, SpanKind::Apply { .. })));
+        assert!(events.iter().any(|e| matches!(e.kind, SpanKind::MsgRecv { .. })));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::program::{
 };
 use crate::specialize::{SpecializedKernel, TierKind};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use sten_interp::{FaultAction, MpiError, ReduceAcc, ReduceKind, SimWorld};
 use sten_ir::{Attribute, Bounds, ExchangeAttr, Module, Type, Value};
 use sten_trace::{Counter, SpanKind, TraceLane, Tracer};
@@ -699,9 +699,13 @@ impl Runner {
     /// plus one enclosing timestep span, on process track `pid` (the
     /// rank). Worker-pool jobs record task spans on per-worker lanes.
     /// Tracing never changes what executes — outputs stay bit-identical
-    /// (enforced by `tests/trace_identity.rs`).
+    /// (enforced by `tests/trace_identity.rs`). A disabled sink leaves
+    /// the runner as it is (no worker pool is rebuilt for it).
     #[must_use]
     pub fn with_trace(mut self, tracer: &Tracer, pid: u32) -> Runner {
+        if !tracer.is_enabled() {
+            return self;
+        }
         self.lane = tracer.lane(pid, 0);
         self.tracer = tracer.clone();
         if self.threads > 1 {
@@ -944,11 +948,13 @@ impl Runner {
                         })
                         .collect();
                     let t_partial = lane.start();
-                    let (mut acc, chunks) = run_reduce(*kind, &input_slices, range, pool.as_mut());
+                    let Folded { mut acc, chunks, escaped } =
+                        run_reduce(*kind, &input_slices, range, pool.as_mut());
                     lane.span(t_partial, || SpanKind::Reduce {
                         phase: "partial",
                         bytes: 8 * range.num_points().max(0) as u64,
                         parts: chunks as u32,
+                        escaped,
                     });
                     if *allreduce {
                         if let Some(world) = world {
@@ -971,6 +977,7 @@ impl Runner {
                                 phase: "allreduce",
                                 bytes,
                                 parts: nparts as u32,
+                                escaped: 0,
                             });
                         }
                         // Single-process execution: the allreduce is the
@@ -1211,73 +1218,85 @@ fn run_apply(
     pool.run(jobs);
 }
 
+/// One fold's result: the accumulator, the chunks it was folded in, and
+/// the blocks that left the exact sum's vector stage for its per-point
+/// path ([`sten_interp::ExactSum::extend`]).
+struct Folded {
+    acc: ReduceAcc,
+    chunks: usize,
+    escaped: u32,
+}
+
 /// Folds the ranged points of `inputs` into one [`ReduceAcc`]: serially,
 /// or chunked over the longest dimension onto the worker pool, with the
 /// per-chunk partials merged in chunk order. Every accumulator operation
 /// is order-invariant, so the chunking never changes the result bits.
-/// Returns the accumulator and the number of chunks folded.
 fn run_reduce(
     kind: ReduceKind,
     inputs: &[(&[f64], &InputDesc)],
     range: &Bounds,
     pool: Option<&mut WorkerPool>,
-) -> (ReduceAcc, usize) {
+) -> Folded {
+    let serial = || {
+        let (acc, escaped) = reduce_partial(kind, inputs, range);
+        Folded { acc, chunks: 1, escaped }
+    };
     let Some(pool) = pool else {
-        return (reduce_partial(kind, inputs, range), 1);
+        return serial();
     };
     let subs = split_longest_dim(range, pool.threads());
     if subs.len() <= 1 {
-        return (reduce_partial(kind, inputs, range), 1);
+        return serial();
     }
-    let n = subs.len();
-    let partials: Mutex<Vec<Option<ReduceAcc>>> = Mutex::new(vec![None; n]);
-    let partials_ref = &partials;
+    // One slot per chunk, each borrowed by exactly one job.
+    let mut partials = vec![(ReduceAcc::new(kind), 0); subs.len()];
     let jobs: Vec<Job> = subs
         .into_iter()
-        .enumerate()
-        .map(|(i, sub)| {
-            Box::new(move |_: &mut ExecScratch| {
-                let acc = reduce_partial(kind, inputs, &sub);
-                partials_ref.lock().unwrap()[i] = Some(acc);
-            }) as Job
+        .zip(&mut partials)
+        .map(|(sub, slot)| {
+            Box::new(move |_: &mut ExecScratch| *slot = reduce_partial(kind, inputs, &sub)) as Job
         })
         .collect();
     pool.run(jobs);
-    let mut acc = ReduceAcc::new(kind);
-    for partial in partials.into_inner().unwrap() {
-        acc.merge(partial.expect("worker pool joined every chunk"));
+    let mut folded = Folded { acc: ReduceAcc::new(kind), chunks: partials.len(), escaped: 0 };
+    for (partial, escaped) in partials {
+        folded.acc.merge(partial);
+        folded.escaped += escaped;
     }
-    (acc, n)
+    folded
 }
 
-/// The serial fold of one chunk: row-major over stride-1 rows, one
-/// [`ReduceAcc::add`] per point (for `dot`, the per-point product is
-/// rounded once before accumulation — the deterministic part — and the
-/// accumulation itself is exact).
-fn reduce_partial(kind: ReduceKind, inputs: &[(&[f64], &InputDesc)], range: &Bounds) -> ReduceAcc {
+/// The serial fold of one chunk, row-major over stride-1 rows: sums and
+/// dots hand each row to the exact sum's block fold (for `dot`, the
+/// per-point product is rounded once before accumulation — the
+/// deterministic part — and the accumulation itself is exact); min/max
+/// fold point by point. Returns the partial and the escaped blocks.
+fn reduce_partial(
+    kind: ReduceKind,
+    inputs: &[(&[f64], &InputDesc)],
+    range: &Bounds,
+) -> (ReduceAcc, u32) {
     let mut acc = ReduceAcc::new(kind);
-    if range.num_points() <= 0 {
-        return acc;
-    }
+    let mut escaped = 0;
     let (a, da) = inputs[0];
-    if kind == ReduceKind::Dot {
-        let (b, db) = inputs[1];
-        for_each_row(range, |p, len| {
+    match (&mut acc, kind) {
+        (ReduceAcc::Exact(sum), ReduceKind::Dot) => {
+            let (b, db) = inputs[1];
+            for_each_row(range, |p, len| {
+                let (fa, fb) = (da.flat(p) as usize, db.flat(p) as usize);
+                escaped += sum.extend_products(&a[fa..fa + len], &b[fb..fb + len]);
+            });
+        }
+        (ReduceAcc::Exact(sum), _) => for_each_row(range, |p, len| {
             let fa = da.flat(p) as usize;
-            let fb = db.flat(p) as usize;
-            for x in 0..len {
-                acc.add(a[fa + x] * b[fb + x]);
-            }
-        });
-    } else {
-        for_each_row(range, |p, len| {
+            escaped += sum.extend(&a[fa..fa + len]);
+        }),
+        (lattice, _) => for_each_row(range, |p, len| {
             let fa = da.flat(p) as usize;
-            for x in 0..len {
-                acc.add(a[fa + x]);
-            }
-        });
+            a[fa..fa + len].iter().for_each(|&x| lattice.add(x));
+        }),
     }
-    acc
+    (acc, escaped)
 }
 
 /// Launches one `dmp.swap`: gathers every outgoing slab into a recycled
@@ -2239,21 +2258,58 @@ mod tests {
 
     #[test]
     fn reduce_is_bit_identical_across_thread_counts() {
-        let n = 127i64;
-        let bounds = Bounds::new(vec![(0, n)]);
-        let m = prepare(samples::reduce_nd("dot", bounds.clone(), bounds));
-        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin() * 1e8).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos() * 1e-8).collect();
-        let mut results = Vec::new();
-        for threads in [1, 2, 3, 8] {
-            let mut runner = Runner::new(compile_module(&m, "reduce").unwrap(), threads);
-            runner.step(&mut [a.clone(), b.clone()]).unwrap();
-            results.push(runner.scalar_outputs()[0]);
+        // Rows longer than one fold block; row 5 spans 300 binades, so
+        // its blocks escape the vector stage while the others stay on it.
+        let (rows, cols) = (24i64, 700i64);
+        let bounds = Bounds::new(vec![(0, rows), (0, cols)]);
+        let range = Bounds::new(vec![(1, rows - 1), (3, cols - 2)]);
+        let field = |phase: f64, scale: f64| -> Vec<f64> {
+            (0..rows * cols)
+                .map(|i| {
+                    let x = (i as f64 * phase).sin() * scale;
+                    if i / cols == 5 {
+                        x * 2f64.powi((i % 300) as i32 - 150)
+                    } else {
+                        x
+                    }
+                })
+                .collect()
+        };
+        let (a, b) = (field(0.31, 1e8), field(0.17, 1e-8));
+        for kind in ["sum", "dot"] {
+            let mut want = sten_interp::ExactSum::new();
+            for i in 1..rows - 1 {
+                for j in 3..cols - 2 {
+                    let at = (i * cols + j) as usize;
+                    want.add(if kind == "dot" { a[at] * b[at] } else { a[at] });
+                }
+            }
+            let m = prepare(samples::reduce_nd(kind, bounds.clone(), range.clone()));
+            for threads in [1, 2, 3, 8] {
+                let tracer = Tracer::new();
+                let mut runner = Runner::new(compile_module(&m, "reduce").unwrap(), threads)
+                    .with_trace(&tracer, 0);
+                let mut args =
+                    if kind == "dot" { vec![a.clone(), b.clone()] } else { vec![a.clone()] };
+                runner.step(&mut args).unwrap();
+                assert_eq!(
+                    runner.scalar_outputs()[0].to_bits(),
+                    want.round().to_bits(),
+                    "{kind} on {threads} threads != per-point exact sum"
+                );
+                drop(runner);
+                let escaped: Vec<u32> = tracer
+                    .events()
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        SpanKind::Reduce { phase: "partial", escaped, .. } => Some(escaped),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(escaped.len(), 1, "one partial span per reduce step");
+                assert!(escaped[0] > 0, "{kind}: the wide row never left the vector stage");
+            }
         }
-        assert!(
-            results.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()),
-            "thread count changed the dot product: {results:?}"
-        );
     }
 
     #[test]

@@ -30,6 +30,96 @@
 //! order-independent, so determinism survives; the exact path then
 //! never sees them.
 //!
+//! # The two-stage fold
+//!
+//! One `add` is a finite check, a 128-bit shift, a sign branch and three
+//! read-modify-writes — about seven cycles a point and nothing a
+//! compiler can vectorize. [`ExactSum::extend`] and
+//! [`ExactSum::extend_products`] reach the *same accumulator state* by
+//! putting an error-free vector stage in front of it. A row is cut into
+//! blocks of at most [`BLOCK`] = 512 values, and per block:
+//!
+//! 1. **Top.** One vector pass finds the largest magnitude as raw bits
+//!    (integer order on sign-cleared bits is magnitude order, with every
+//!    NaN/∞ above every finite value). Its biased exponent field is `e`;
+//!    write `E = e − 1023`, so every `|x| < 2^(E+1)`. A block whose top
+//!    is zero holds only `±0.0` and deposits nothing.
+//! 2. **Peel.** With `W` = 44 and anchors `M_j = 1.5·2^(E+53−(j+1)·W)`
+//!    for `j = 0, 1, 2`, each value goes through three rounds of
+//!    `q = (r + M_j) − M_j; r = r − q` (starting from `r = x`), and each
+//!    `q` is added to a per-level, per-lane f64 sum (8 lanes, so two
+//!    AVX2 vectors of independent add chains per level).
+//! 3. **Deposit.** The lanes of a level are added up and the three
+//!    totals go through the scalar `add`: three deposits per block
+//!    instead of one per point.
+//!
+//! For `dot` the value is the per-point product `a[i]·b[i]`, rounded
+//! once to f64 exactly as the per-point path rounds it, and formed again
+//! (the same IEEE operation on the same operands) in each pass.
+//!
+//! ## Why every step is exact
+//!
+//! Let `g_j = 2^(E+1−(j+1)·W)`, the ulp of the binade `[2^k, 2^(k+1))`
+//! with `k = E+53−(j+1)·W` that `M_j` sits in the middle of.
+//!
+//! * **`q` is `r` rounded to a multiple of `g_j`, exactly.** The input
+//!   of level `j` satisfies `|r| ≤ 2^(E+1)` (`j = 0`) or `|r| ≤ g_(j−1)/2`
+//!   (`j > 0`); both are at most `2^(k−1)` because `W ≤ 51`. So
+//!   `r + M_j` lies in `[2^k, 2^(k+1)]` for either sign of `r` (that is
+//!   what the factor 1.5 buys), where floats are spaced `g_j` apart: the
+//!   addition rounds `r` to the nearest multiple of `g_j`, ties to even.
+//!   Subtracting `M_j` back is exact by Sterbenz's lemma (the two are
+//!   within a factor 2 of each other). Hence `|q| ≤ 2^W·g_0` on level 0
+//!   and `|q| ≤ 2^(W−1)·g_j` below.
+//! * **`r − q` is exact,** and `|r − q| ≤ g_j/2`. If `|r| < g_j/2` then
+//!   `q = 0`. Otherwise `r − q` is a multiple of `r`'s own last-place
+//!   unit `u` (if `u > g_j`, `r` is already on the grid, `q = r`), no
+//!   larger than `|r| < 2^53·u`, hence representable. So after three
+//!   levels `x = q_0 + q_1 + q_2 + r_2` with no rounding anywhere.
+//! * **Every lane sum and level total is exact.** The slices of one
+//!   level are multiples of `g_j` of magnitude at most `2^W·g_j`, and a
+//!   block holds at most 512 = 2⁹ of them: the sum of *any* subset is a
+//!   multiple of `g_j` no larger than `2^(9+W)·g_j = 2^53·g_j`, which is
+//!   a representable f64. Every partial sum the lanes (and the final
+//!   lane reduction) form is such a subset sum, so each of those f64
+//!   additions is exact whatever the lane count or association — the
+//!   reason for `W` = 44 at `BLOCK` = 512.
+//! * **The deposits are exact** because `add` is.
+//!
+//! The block's slices therefore add up to the block exactly iff every
+//! final residual `r_2` is zero — iff every value is a multiple of
+//! `g_2 = 2^(E+1−3W)`, which holds for *any* f64 whose exponent is
+//! within `3W − 53` = 79 binades of the block's top (and for smaller
+//! ones with trailing zero bits).
+//!
+//! ## Escape conditions
+//!
+//! A block leaves the vector stage for one `add` per point — the same
+//! values, so the same state — when
+//!
+//! * the OR of the final residuals is not `±0.0`: some value reaches
+//!   below `g_2` (exponent span too wide). A NaN anywhere in the block
+//!   also lands here, since it survives every peel;
+//! * the top exponent field is above `TOP_MAX` = 2036: the first anchor,
+//!   or a level total of `2^(E+10)`, could overflow. Every block holding
+//!   an ∞ or a NaN has top field 2047, and `f64::MAX`-sized data lands
+//!   here too (its overflow-to-∞ and cancellation-back-in-range
+//!   behaviour is the superaccumulator's);
+//! * the top exponent field is below `TOP_MIN` = 80: the last anchor
+//!   would be subnormal (all-subnormal blocks included).
+//!
+//! Exactness thus never depends on the data; only speed does.
+//! [`ExactSum::extend`] returns how many blocks escaped, and the
+//! executor reports it on its `Reduce` trace spans.
+//!
+//! The stage is written once over a `Lanes` abstraction with two
+//! instantiations — portable `[f64; 8]` loops and explicit AVX2, picked
+//! at run time by `is_x86_feature_detected!("avx2")`. Every lane
+//! operation is the same IEEE (or bitwise) operation in both, so they
+//! agree bit for bit; the tests call both directly. The per-point `add`
+//! remains as the oracle (the interpreter uses nothing else), the escape
+//! path and the block flush.
+//!
 //! Min/max reductions need no such machinery — [`ReduceAcc`] folds
 //! them with [`f64::total_cmp`], a total order on bit patterns, which
 //! is equally order-invariant.
@@ -41,6 +131,324 @@ const NLIMBS: usize = 67;
 /// Deposits between forced renormalizations. Each deposit perturbs a
 /// limb by < 2³², so 2³⁰ of them keep every limb below 2⁶³.
 const RENORM_EVERY: u32 = 1 << 30;
+
+/// Points per block of the two-stage fold ([`ExactSum::extend`]).
+pub const BLOCK: usize = 512;
+
+/// Independent accumulator lanes of the block fold (two AVX2 vectors).
+const LANES: usize = 8;
+
+/// Extraction levels per block, and the bits each level peels off.
+/// `BLOCK · 2^W = 2⁵³`: the sum of *any* subset of one level's slices
+/// is an exactly representable f64 (module docs, "Why every step is
+/// exact").
+const LEVELS: usize = 3;
+const W: u64 = 44;
+const _: () = assert!(BLOCK as u64 * (1 << W) == 1 << 53 && BLOCK % LANES == 0);
+
+/// Biased exponent fields of a block's largest magnitude between which
+/// the vector stage runs: the last anchor's field, `e + 53 − LEVELS·W`,
+/// must be at least 1 (normal), and the first anchor's binade top,
+/// field `e + 54 − W`, at most 2046 (finite).
+const TOP_MIN: u64 = LEVELS as u64 * W - 52;
+const TOP_MAX: u64 = 2046 - 54 + W;
+
+const ABS_MASK: u64 = !(1 << 63);
+
+/// `LANES` values processed together by the vector stage. Every
+/// operation is the identical IEEE (or bitwise) op per lane, so the two
+/// implementations produce the same bits; they differ only in speed.
+trait Lanes: Copy {
+    fn splat(c: f64) -> Self;
+    fn load(c: &[f64; LANES]) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn mul(self, o: Self) -> Self;
+    /// Bitwise OR of the lanes' bit patterns.
+    fn or(self, o: Self) -> Self;
+    /// `self` holds sign-cleared bit patterns: the lane-wise larger of
+    /// it and `|o|` in *integer* order on the bits — magnitude order
+    /// with every NaN/∞ above every finite value.
+    fn max_abs(self, o: Self) -> Self;
+    fn to_array(self) -> [f64; LANES];
+}
+
+/// Portable lanes: fixed-width loops over `[f64; 8]`.
+#[derive(Copy, Clone)]
+struct Portable([f64; LANES]);
+
+impl Portable {
+    #[inline(always)]
+    fn zip(mut self, o: Self, f: impl Fn(f64, f64) -> f64) -> Self {
+        for l in 0..LANES {
+            self.0[l] = f(self.0[l], o.0[l]);
+        }
+        self
+    }
+}
+
+impl Lanes for Portable {
+    #[inline(always)]
+    fn splat(c: f64) -> Self {
+        Portable([c; LANES])
+    }
+    #[inline(always)]
+    fn load(c: &[f64; LANES]) -> Self {
+        Portable(*c)
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.zip(o, |a, b| a + b)
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        self.zip(o, |a, b| a - b)
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        self.zip(o, |a, b| a * b)
+    }
+    #[inline(always)]
+    fn or(self, o: Self) -> Self {
+        self.zip(o, |a, b| f64::from_bits(a.to_bits() | b.to_bits()))
+    }
+    #[inline(always)]
+    fn max_abs(self, o: Self) -> Self {
+        self.zip(o, |a, b| f64::from_bits(a.to_bits().max(b.to_bits() & ABS_MASK)))
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f64; LANES] {
+        self.0
+    }
+}
+
+/// Explicit AVX2 lanes (two `__m256d` halves); no FMA contraction.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Lanes, ABS_MASK, LANES};
+    use std::arch::x86_64::*;
+
+    /// Invariant: values of this type exist only while the generic
+    /// stage runs as [`super::ExactSum::fold_avx2`], whose caller
+    /// detected AVX2. Every `unsafe` block below executes AVX2
+    /// instructions on the strength of that; the two that touch memory
+    /// say what else they need.
+    #[derive(Copy, Clone)]
+    pub struct Avx2(__m256d, __m256d);
+
+    impl Lanes for Avx2 {
+        #[inline(always)]
+        fn splat(c: f64) -> Self {
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(_mm256_set1_pd(c), _mm256_set1_pd(c)) }
+        }
+        #[inline(always)]
+        fn load(c: &[f64; LANES]) -> Self {
+            // SAFETY: AVX2 is present (type invariant); the unaligned
+            // loads read `c[0..4]` and `c[4..8]`, inside the array.
+            unsafe { Avx2(_mm256_loadu_pd(c.as_ptr()), _mm256_loadu_pd(c.as_ptr().add(4))) }
+        }
+        #[inline(always)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(_mm256_add_pd(self.0, o.0), _mm256_add_pd(self.1, o.1)) }
+        }
+        #[inline(always)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(_mm256_sub_pd(self.0, o.0), _mm256_sub_pd(self.1, o.1)) }
+        }
+        #[inline(always)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(_mm256_mul_pd(self.0, o.0), _mm256_mul_pd(self.1, o.1)) }
+        }
+        #[inline(always)]
+        fn or(self, o: Self) -> Self {
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(_mm256_or_pd(self.0, o.0), _mm256_or_pd(self.1, o.1)) }
+        }
+        #[inline(always)]
+        fn max_abs(self, o: Self) -> Self {
+            /// # Safety
+            /// AVX2 must be present.
+            #[inline(always)]
+            unsafe fn half(m: __m256d, x: __m256d) -> __m256d {
+                let x = _mm256_and_pd(x, _mm256_set1_pd(f64::from_bits(ABS_MASK)));
+                // Sign-cleared patterns are non-negative as i64, so the
+                // signed compare orders them as unsigned.
+                let gt = _mm256_cmpgt_epi64(_mm256_castpd_si256(x), _mm256_castpd_si256(m));
+                _mm256_blendv_pd(m, x, _mm256_castsi256_pd(gt))
+            }
+            // SAFETY: AVX2 is present (type invariant).
+            unsafe { Avx2(half(self.0, o.0), half(self.1, o.1)) }
+        }
+        #[inline(always)]
+        fn to_array(self) -> [f64; LANES] {
+            let mut out = [0.0; LANES];
+            // SAFETY: AVX2 is present (type invariant); the unaligned
+            // stores write `out[0..4]` and `out[4..8]`, inside the array.
+            unsafe {
+                _mm256_storeu_pd(out.as_mut_ptr(), self.0);
+                _mm256_storeu_pd(out.as_mut_ptr().add(4), self.1);
+            }
+            out
+        }
+    }
+}
+
+// Everything generic over `L` below must inline into the instantiation
+// that names it (`fold_portable`, `fold_avx2`): a `std::arch` intrinsic
+// compiles to its instruction only inside a function carrying the
+// matching `#[target_feature]`. Hence `#[inline(always)]` throughout and
+// plain loops — a closure body is a function of its own.
+
+/// One block of the fold's input: the values of `a`, or the per-point
+/// products `a[i]·b[i]` — each rounded once, exactly as the per-point
+/// path forms them, and formed again wherever the block is re-read.
+#[derive(Copy, Clone)]
+struct Block<'a> {
+    a: &'a [f64],
+    b: Option<&'a [f64]>,
+}
+
+impl Block<'_> {
+    /// Value `i` of the block.
+    #[inline(always)]
+    fn point(self, i: usize) -> f64 {
+        match self.b {
+            None => self.a[i],
+            Some(b) => self.a[i] * b[i],
+        }
+    }
+
+    /// Whole lane groups in the block.
+    #[inline(always)]
+    fn groups(self) -> usize {
+        self.a.len() / LANES
+    }
+
+    /// Lane group `g < self.groups()`.
+    #[inline(always)]
+    fn group<L: Lanes>(self, g: usize) -> L {
+        #[inline(always)]
+        fn load<L: Lanes>(xs: &[f64], g: usize) -> L {
+            L::load(xs[g * LANES..][..LANES].try_into().expect("a slice of LANES values"))
+        }
+        match self.b {
+            None => load::<L>(self.a, g),
+            Some(b) => load::<L>(self.a, g).mul(load(b, g)),
+        }
+    }
+
+    /// The values after the last whole group, padded with `+0.0` (which
+    /// deposits nothing), if there are any.
+    #[inline(always)]
+    fn tail<L: Lanes>(self) -> Option<L> {
+        let whole = self.groups() * LANES;
+        if whole == self.a.len() {
+            return None;
+        }
+        let pad = |xs: &[f64]| {
+            let mut c = [0.0; LANES];
+            c[..xs.len() - whole].copy_from_slice(&xs[whole..]);
+            c
+        };
+        let (a, b) = (pad(self.a), self.b.map(pad));
+        Some(Block { a: &a, b: b.as_ref().map(|b| &b[..]) }.group(0))
+    }
+
+    /// `max |x|` over the block as raw bits (sign cleared).
+    #[inline(always)]
+    fn top_bits<L: Lanes>(self) -> u64 {
+        let mut m = L::splat(0.0);
+        for g in 0..self.groups() {
+            m = m.max_abs(self.group(g));
+        }
+        if let Some(t) = self.tail() {
+            m = m.max_abs(t);
+        }
+        let mut top = 0;
+        for x in m.to_array() {
+            top = top.max(x.to_bits());
+        }
+        top
+    }
+
+    /// The vector stage: splits every value of the block into `LEVELS`
+    /// slices against anchors placed `W` bits apart below the block's
+    /// top exponent and sums each level's slices in `LANES` lanes. All
+    /// of it is exact: the result is the block's sum as one f64 per
+    /// level, or `None` for a block that has to escape to the per-point
+    /// path.
+    #[inline(always)]
+    fn extract<L: Lanes>(self) -> Option<[f64; LEVELS]> {
+        let top = self.top_bits::<L>();
+        if top == 0 {
+            return Some([0.0; LEVELS]); // only ±0.0: nothing to deposit
+        }
+        let e = top >> 52;
+        if !(TOP_MIN..=TOP_MAX).contains(&e) {
+            return None; // includes every block holding a NaN or ∞
+        }
+        // Anchor j is 1.5·2^k with ulp 2^(E+1−(j+1)·W): adding it to a
+        // value rounds that value to a multiple of the ulp, subtracting
+        // it back is exact, and 1.5 keeps the sum inside one binade for
+        // either sign.
+        let mut peel = Peel {
+            anchor: [L::splat(0.0); LEVELS],
+            acc: [L::splat(0.0); LEVELS],
+            resid: L::splat(0.0),
+        };
+        for (j, a) in peel.anchor.iter_mut().enumerate() {
+            *a = L::splat(f64::from_bits(((e + 53 - (j as u64 + 1) * W) << 52) | (1 << 51)));
+        }
+        for g in 0..self.groups() {
+            peel.step(self.group(g));
+        }
+        if let Some(t) = self.tail() {
+            peel.step(t);
+        }
+        // A residual that is not ±0.0 (a NaN included): some value has
+        // bits below the last level's grid, so the slices do not add up
+        // to it.
+        let mut left = 0;
+        for r in peel.resid.to_array() {
+            left |= r.to_bits() & ABS_MASK;
+        }
+        if left != 0 {
+            return None;
+        }
+        let mut slices = [0.0; LEVELS];
+        for (s, lanes) in slices.iter_mut().zip(peel.acc) {
+            let l = lanes.to_array();
+            // Exact in any association: see `W`.
+            *s = ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+        }
+        Some(slices)
+    }
+}
+
+/// Running state of one block's vector stage.
+struct Peel<L> {
+    anchor: [L; LEVELS],
+    /// Per level, the lane sums of the slices peeled so far.
+    acc: [L; LEVELS],
+    /// OR of what was left of every value after the last level.
+    resid: L,
+}
+
+impl<L: Lanes> Peel<L> {
+    #[inline(always)]
+    fn step(&mut self, mut r: L) {
+        for j in 0..LEVELS {
+            let q = r.add(self.anchor[j]).sub(self.anchor[j]);
+            self.acc[j] = self.acc[j].add(q);
+            r = r.sub(q);
+        }
+        self.resid = self.resid.or(r);
+    }
+}
 
 /// Exact f64 accumulator: order-invariant sum with one final rounding.
 #[derive(Clone, Debug)]
@@ -102,6 +510,78 @@ impl ExactSum {
         if self.pending >= RENORM_EVERY {
             self.renormalize();
         }
+    }
+
+    /// Accumulates every value of `xs` exactly — the same accumulator
+    /// state as one [`ExactSum::add`] per value, reached through the
+    /// two-stage block fold (module docs). Returns the number of blocks
+    /// that escaped to the per-point path.
+    pub fn extend(&mut self, xs: &[f64]) -> u32 {
+        self.fold(xs, None)
+    }
+
+    /// Accumulates the per-point products `a[i]·b[i]` exactly, each
+    /// product rounded once to f64 first (the `dot` contract). Returns
+    /// the number of blocks that escaped to the per-point path.
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length.
+    pub fn extend_products(&mut self, a: &[f64], b: &[f64]) -> u32 {
+        assert_eq!(a.len(), b.len(), "dot operands differ in length");
+        self.fold(a, Some(b))
+    }
+
+    /// Picks the widest instantiation the host runs.
+    fn fold(&mut self, a: &[f64], b: Option<&[f64]>) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU feature the callee is compiled for was
+            // detected on the line above.
+            return unsafe { self.fold_avx2(a, b) };
+        }
+        self.fold_portable(a, b)
+    }
+
+    /// The block fold compiled for the build's baseline target.
+    fn fold_portable(&mut self, a: &[f64], b: Option<&[f64]>) -> u32 {
+        self.fold_blocks::<Portable>(a, b)
+    }
+
+    /// The block fold over the explicit AVX2 lanes, compiled with the
+    /// feature enabled so their intrinsics inline.
+    ///
+    /// # Safety
+    /// The caller must have detected AVX2 on the running CPU.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold_avx2(&mut self, a: &[f64], b: Option<&[f64]>) -> u32 {
+        self.fold_blocks::<avx2::Avx2>(a, b)
+    }
+
+    /// Both stages over `a` (or over the products `a·b`), one block at a
+    /// time: vector stage, then `LEVELS` deposits — or one per point for
+    /// a block that escaped. Inlined into each instantiation above.
+    #[inline(always)]
+    fn fold_blocks<L: Lanes>(&mut self, a: &[f64], b: Option<&[f64]>) -> u32 {
+        let mut escaped = 0;
+        for from in (0..a.len()).step_by(BLOCK) {
+            let to = a.len().min(from + BLOCK);
+            let block = Block { a: &a[from..to], b: b.map(|b| &b[from..to]) };
+            match block.extract::<L>() {
+                Some(slices) => {
+                    for s in slices {
+                        self.add(s);
+                    }
+                }
+                None => {
+                    escaped += 1;
+                    for i in 0..to - from {
+                        self.add(block.point(i));
+                    }
+                }
+            }
+        }
+        escaped
     }
 
     /// Restores the canonical form: `limbs[..N-1]` in `[0, 2³²)`, the
@@ -204,7 +684,9 @@ impl ExactSum {
     /// Deserializes a [`ExactSum::to_wire`] payload.
     ///
     /// # Errors
-    /// Rejects payloads of the wrong length.
+    /// Rejects, naming the word, a payload of the wrong length, a limb
+    /// word that is not an integer below 2⁵³ in magnitude (NaN and ±∞
+    /// included), and a special flag other than 0 or 1.
     pub fn from_wire(w: &[f64]) -> Result<ExactSum, String> {
         if w.len() != Self::WIRE_LEN {
             return Err(format!(
@@ -214,10 +696,22 @@ impl ExactSum {
             ));
         }
         let mut s = ExactSum::new();
-        for (l, &v) in s.limbs.iter_mut().zip(w) {
-            *l = v as i64;
+        for (i, (l, &v)) in s.limbs.iter_mut().zip(w).enumerate() {
+            // Written so that a NaN, which fails every comparison, is rejected.
+            if !(v.abs() < (1u64 << 53) as f64 && v.fract() == 0.0) {
+                return Err(format!(
+                    "exact-sum wire word {i} is {v:e}, not an integer limb below 2^53"
+                ));
+            }
+            *l = v as i64; // exact: an integer of at most 53 bits
         }
-        s.has_special = w[NLIMBS] != 0.0;
+        let flag = w[NLIMBS];
+        if flag != 0.0 && flag != 1.0 {
+            return Err(format!(
+                "exact-sum wire word {NLIMBS} (special flag) is {flag:e}, not 0 or 1"
+            ));
+        }
+        s.has_special = flag == 1.0;
         s.special = w[NLIMBS + 1];
         Ok(s)
     }
@@ -346,7 +840,8 @@ impl ReduceAcc {
     /// Deserializes a peer's [`ReduceAcc::to_wire`] payload.
     ///
     /// # Errors
-    /// Rejects payloads of the wrong length for `kind`.
+    /// Rejects payloads of the wrong length for `kind` and whatever
+    /// [`ExactSum::from_wire`] rejects.
     pub fn from_wire(kind: ReduceKind, w: &[f64]) -> Result<ReduceAcc, String> {
         match kind {
             ReduceKind::Sum | ReduceKind::Dot => Ok(ReduceAcc::Exact(ExactSum::from_wire(w)?)),
@@ -477,6 +972,275 @@ mod tests {
         assert_eq!(back.round().to_bits(), s.round().to_bits());
         assert_eq!(back.to_wire(), w, "wire form is canonical");
         assert!(ExactSum::from_wire(&w[1..]).is_err());
+    }
+
+    type FoldFn = fn(&mut ExactSum, &[f64], Option<&[f64]>) -> u32;
+
+    /// Every instantiation of the block fold this host can run, to be
+    /// called directly (not through `ExactSum::fold`'s switch).
+    fn folds() -> Vec<(&'static str, FoldFn)> {
+        let mut v: Vec<(&'static str, FoldFn)> = vec![("portable", ExactSum::fold_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the line above.
+            v.push(("avx2", |s, a, b| unsafe { s.fold_avx2(a, b) }));
+        }
+        v
+    }
+
+    /// The accumulator's observable state, NaN-safe.
+    fn wire_bits(s: &ExactSum) -> Vec<u64> {
+        s.to_wire().iter().map(|w| w.to_bits()).collect()
+    }
+
+    fn per_point(a: &[f64], b: Option<&[f64]>) -> ExactSum {
+        let mut s = ExactSum::new();
+        for i in 0..a.len() {
+            s.add(b.map_or(a[i], |b| a[i] * b[i]));
+        }
+        s
+    }
+
+    /// Asserts that every instantiation folds `a` (or `a·b`) to the state
+    /// per-point `add` reaches, all escaping the same blocks; returns
+    /// that count and the rounded sum.
+    fn check(a: &[f64], b: Option<&[f64]>) -> (u32, f64) {
+        let want = per_point(a, b);
+        let mut escapes = Vec::new();
+        for (name, fold) in folds() {
+            let mut got = ExactSum::new();
+            escapes.push(fold(&mut got, a, b));
+            assert_eq!(wire_bits(&got), wire_bits(&want), "{name}, {} values", a.len());
+        }
+        assert!(escapes.iter().all(|&e| e == escapes[0]), "escapes differ: {escapes:?}");
+        (escapes[0], want.round())
+    }
+
+    /// `n` values with random 53-bit mantissas, random signs and
+    /// exponents spread over `span` binades below 2^`top`.
+    fn spread(seed: u64, n: usize, top: i32, span: u32) -> Vec<f64> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let m = 1.0 + (state >> 12) as f64 / (1u64 << 52) as f64; // [1, 2), every bit live
+                let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+                sign * m * 2f64.powi(top - 1 - ((state >> 1) % u64::from(span)) as i32)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fold_matches_per_point_at_every_length() {
+        let a = spread(1, 2 * BLOCK + 7, 3, 30);
+        let b = spread(2, 2 * BLOCK + 7, -5, 20);
+        for len in 0..=a.len() {
+            assert_eq!(check(&a[..len], None).0, 0);
+            assert_eq!(check(&a[..len], Some(&b[..len])).0, 0);
+        }
+    }
+
+    #[test]
+    fn fold_is_invariant_under_splits_and_permutations() {
+        let xs = spread(3, 2 * BLOCK + 7, 10, 60);
+        let want = wire_bits(&per_point(&xs, None));
+        for (name, fold) in folds() {
+            // Every split offset: each one moves both block boundaries.
+            for k in 0..=xs.len() {
+                let mut s = ExactSum::new();
+                fold(&mut s, &xs[..k], None);
+                fold(&mut s, &xs[k..], None);
+                assert_eq!(wire_bits(&s), want, "{name}, split at {k}");
+            }
+            let mut perm = xs.clone();
+            for round in 0..8 {
+                perm.rotate_left(131 + round);
+                perm.reverse();
+                perm.swap(round, BLOCK + round);
+                let mut s = ExactSum::new();
+                fold(&mut s, &perm, None);
+                assert_eq!(wire_bits(&s), want, "{name}, permutation {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn exponent_span_decides_speed_never_the_sum() {
+        let blocks = 3;
+        for (span, fast) in
+            [(4, true), (30, true), (70, true), (120, false), (600, false), (2000, false)]
+        {
+            for top in [0, 300, -200] {
+                if span == 2000 && top != 0 {
+                    continue; // 2000 binades only fit centred
+                }
+                let top = if span == 2000 { 1000 } else { top };
+                let a = spread(u64::from(span), blocks * BLOCK, top, span);
+                let b = spread(u64::from(span) + 1, blocks * BLOCK, 1, 1);
+                let want = if fast { 0 } else { blocks as u32 };
+                assert_eq!(check(&a, None).0, want, "sum, {span} binades below 2^{top}");
+                assert_eq!(check(&a, Some(&b)).0, want, "dot, {span} binades below 2^{top}");
+            }
+        }
+    }
+
+    #[test]
+    fn zeros_subnormals_and_the_ends_of_the_range() {
+        // ±0.0 only: nothing deposited, nothing escaped, +0.0 out.
+        let zeros: Vec<f64> = (0..BLOCK + 9).map(|i| if i % 3 == 0 { -0.0 } else { 0.0 }).collect();
+        let (escaped, sum) = check(&zeros, None);
+        assert_eq!((escaped, sum.to_bits()), (0, 0.0f64.to_bits()));
+        assert_eq!(check(&zeros, Some(&zeros)).1.to_bits(), 0.0f64.to_bits());
+        // Signed zeros among ordinary values stay on the fast path.
+        let mut mixed = spread(5, BLOCK, 0, 20);
+        mixed[17] = -0.0;
+        mixed[400] = 0.0;
+        assert_eq!(check(&mixed, None).0, 0);
+
+        // Subnormals, alone and under a normal top: per-point path.
+        let tiny: Vec<f64> = (1..=700u64).map(|i| f64::from_bits(i * 0x1_0001)).collect();
+        assert_eq!(check(&tiny, None).0, 2);
+        let mut under = spread(6, BLOCK, -1000, 40);
+        under[3] = f64::from_bits(1);
+        assert_eq!(check(&under, None).0, 1);
+        // Products that underflow to subnormals or to zero.
+        let small = spread(7, BLOCK, -520, 30);
+        check(&small, Some(&small));
+
+        // f64::MAX pairs: overflow rounds to ∞, cancellation comes back.
+        let mut big = spread(8, BLOCK, 1020, 10);
+        big[100] = f64::MAX;
+        big[300] = f64::MAX;
+        assert_eq!(check(&[f64::MAX, f64::MAX], None), (1, f64::INFINITY));
+        assert_eq!(check(&[-f64::MAX, -f64::MAX], None), (1, f64::NEG_INFINITY));
+        assert_eq!(check(&[f64::MAX, f64::MAX, -f64::MAX], None), (1, f64::MAX));
+        assert_eq!(check(&big, None).0, 1);
+        // Products that overflow divert to the special sum, as per point.
+        let huge = spread(9, BLOCK, 600, 10);
+        assert!(check(&huge, Some(&huge)).1.is_infinite());
+    }
+
+    #[test]
+    fn specials_mid_block_escape_that_block_only() {
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 5, BLOCK - 1, BLOCK, BLOCK + 8, 2 * BLOCK + 6] {
+                let mut xs = spread(10, 2 * BLOCK + 7, 0, 25);
+                xs[at] = special;
+                let (escaped, sum) = check(&xs, None);
+                assert_eq!(escaped, 1, "{special} at {at}");
+                assert_eq!(sum.to_bits(), special.to_bits(), "{special} at {at}");
+                let ones = vec![1.0; xs.len()];
+                assert_eq!(check(&xs, Some(&ones)).0, 1);
+            }
+        }
+        // A NaN among zeros must not be mistaken for an all-zero block.
+        let mut xs = vec![0.0; BLOCK];
+        xs[77] = f64::NAN;
+        assert!(check(&xs, None).1.is_nan());
+        let mut xs = vec![0.0; 20];
+        xs[3] = f64::INFINITY;
+        xs[11] = f64::NEG_INFINITY;
+        assert!(check(&xs, None).1.is_nan());
+    }
+
+    #[test]
+    fn blocks_on_each_escape_threshold() {
+        let pow2 = |biased: u64| f64::from_bits(biased << 52);
+        // Top exponent at either end of the fast window, and one outside.
+        for (biased, escaped) in
+            [(TOP_MIN, 0), (TOP_MIN - 1, 1), (TOP_MAX, 0), (TOP_MAX + 1, 1), (2046, 1), (1, 1)]
+        {
+            let xs: Vec<f64> = spread(11, BLOCK, 1, 1).iter().map(|x| x * pow2(biased)).collect();
+            assert_eq!(check(&xs, None).0, escaped, "top exponent {biased}");
+        }
+        // The lane sums at their bound: BLOCK values of the largest
+        // magnitude a top exponent admits, every mantissa bit set.
+        for biased in [TOP_MIN, 1023, TOP_MAX] {
+            let x = f64::from_bits(((biased + 1) << 52) - 1);
+            assert_eq!(check(&vec![x; BLOCK], None).0, 0);
+            assert_eq!(check(&vec![-x; BLOCK], None).0, 0);
+        }
+        // The last level's grid under a top of 1.0 is 2^(1 − LEVELS·W):
+        // a value on it is absorbed, one bit below it escapes.
+        let grid = 1 - (LEVELS as i32) * W as i32;
+        for (low, escaped) in [
+            (2f64.powi(grid), 0),
+            (2f64.powi(grid - 1), 1),
+            (-3.0 * 2f64.powi(grid), 0),
+            (f64::from_bits(1.0f64.to_bits() + 1) * 2f64.powi(grid + 52), 0),
+            (f64::from_bits(1.0f64.to_bits() + 1) * 2f64.powi(grid + 51), 1),
+        ] {
+            let mut xs = vec![1.0; BLOCK];
+            xs[9] = low;
+            assert_eq!(check(&xs, None).0, escaped, "low value {low:e}");
+        }
+        // Ties between grid points of every level but the last, both
+        // signs (round-to-even picks a slice either way; the next level
+        // takes the rest).
+        let mut xs = vec![1.5, -1.25];
+        for level in 1..LEVELS as i32 {
+            let half = 2f64.powi(-level * W as i32);
+            xs.extend([half, -half, 3.0 * half, -3.0 * half, 1.0 + half, -1.0 - half]);
+        }
+        assert_eq!(check(&xs, None).0, 0);
+    }
+
+    #[test]
+    fn public_entry_points_fold_and_count_escapes() {
+        let a = spread(12, 3 * BLOCK, 0, 30);
+        let mut b = spread(13, 3 * BLOCK, 0, 30);
+        let mut s = ExactSum::new();
+        assert_eq!(s.extend(&a), 0);
+        assert_eq!(wire_bits(&s), wire_bits(&per_point(&a, None)));
+        b[BLOCK + 1] = f64::NAN;
+        let mut d = ExactSum::new();
+        assert_eq!(d.extend_products(&a, &b), 1);
+        assert_eq!(wire_bits(&d), wire_bits(&per_point(&a, Some(&b))));
+    }
+
+    #[test]
+    fn hostile_wire_payloads_are_rejected_by_word() {
+        let mut s = ExactSum::new();
+        s.extend(&spread(14, 100, 40, 90));
+        let good = s.to_wire();
+        assert!(ExactSum::from_wire(&good).is_ok());
+        assert!(ExactSum::from_wire(&good[1..]).unwrap_err().contains("68 words"));
+        assert!(ExactSum::from_wire(&[good.clone(), vec![0.0]].concat()).is_err());
+        let limb = NLIMBS - 1;
+        for (word, bad) in [
+            (0, f64::NAN),
+            (3, f64::INFINITY),
+            (limb, f64::NEG_INFINITY),
+            (5, 0.5),
+            (limb, -1.25),
+            (7, (1u64 << 53) as f64),
+            (9, -((1u64 << 53) as f64)),
+            (11, 1e300),
+            (NLIMBS, 2.0),
+            (NLIMBS, 0.5),
+            (NLIMBS, -1.0),
+            (NLIMBS, f64::NAN),
+        ] {
+            let mut w = good.clone();
+            w[word] = bad;
+            let err = ExactSum::from_wire(&w).expect_err("hostile payload accepted");
+            assert!(err.contains(&format!("word {word} ")), "{err}");
+            for kind in [ReduceKind::Sum, ReduceKind::Dot] {
+                assert_eq!(ReduceAcc::from_wire(kind, &w).unwrap_err(), err);
+            }
+        }
+        // The largest limb the encoding admits, and any special sum.
+        let mut w = good.clone();
+        w[limb] = -((1u64 << 53) as f64 - 1.0);
+        w[NLIMBS] = 1.0;
+        w[NLIMBS + 1] = f64::NAN;
+        assert!(ExactSum::from_wire(&w).unwrap().round().is_nan());
+        for kind in [ReduceKind::Min, ReduceKind::Max] {
+            assert!(ReduceAcc::from_wire(kind, &[]).is_err());
+            assert!(ReduceAcc::from_wire(kind, &[1.0, 2.0]).is_err());
+        }
     }
 
     #[test]

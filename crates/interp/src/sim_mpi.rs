@@ -1023,6 +1023,7 @@ impl Externals for MpiEnv {
             phase: "allreduce",
             bytes,
             parts: all.len() as u32,
+            escaped: 0,
         });
         Ok(all)
     }

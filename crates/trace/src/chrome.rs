@@ -78,8 +78,8 @@ fn args_json(kind: &SpanKind) -> String {
         SpanKind::Unpack { dir: d, bytes } => {
             format!("{{\"dir\":{},\"bytes\":{bytes}}}", dir(d))
         }
-        SpanKind::Reduce { phase, bytes, parts } => format!(
-            "{{\"phase\":\"{}\",\"bytes\":{bytes},\"parts\":{parts}}}",
+        SpanKind::Reduce { phase, bytes, parts, escaped } => format!(
+            "{{\"phase\":\"{}\",\"bytes\":{bytes},\"parts\":{parts},\"escaped\":{escaped}}}",
             escape(phase)
         ),
         SpanKind::MsgSend { src, dst, tag, bytes, latency_us } => format!(

@@ -185,6 +185,11 @@ pub enum SpanKind {
         /// Participants: worker chunks merged (`partial`) or ranks
         /// combined (`allreduce`).
         parts: u32,
+        /// Blocks of a `partial` sum/dot fold that left the exact sum's
+        /// vector stage for its per-point path (too wide an exponent
+        /// span, a NaN/∞, magnitudes at the ends of the f64 range) — the
+        /// "why was this reduce slow" answer. 0 for `allreduce`.
+        escaped: u32,
     },
     /// A blocking SimMPI receive (span covers any wait for delivery).
     MsgRecv {

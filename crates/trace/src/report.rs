@@ -47,6 +47,9 @@ pub struct TraceReport {
     pub reduce_wait_ns: u64,
     /// Allreduce rendezvous completed (counted across all ranks).
     pub allreduces: u64,
+    /// Per rank pid that folded a reduction, the blocks that escaped the
+    /// exact sum's vector stage (`Reduce::escaped`), sorted by pid.
+    pub reduce_escaped_by_rank: Vec<(u32, u64)>,
     /// Packed halo payload per exchange direction, sorted by direction.
     pub halo_bytes_by_direction: Vec<(Vec<i64>, u64)>,
     /// Faults injected by the fault plan, by kind (sorted by name).
@@ -105,6 +108,7 @@ impl TraceReport {
         let mut swaps_by_pid: HashMap<u32, SwapPairs> = HashMap::new();
         let mut applies_by_pid: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
         let mut halo: HashMap<Vec<i64>, u64> = HashMap::new();
+        let mut escaped_by_pid: HashMap<u32, u64> = HashMap::new();
 
         for e in events {
             match &e.kind {
@@ -158,12 +162,13 @@ impl TraceReport {
                         report.recv_immediate += 1;
                     }
                 }
-                SpanKind::Reduce { phase, .. } => {
+                SpanKind::Reduce { phase, escaped, .. } => {
                     if *phase == "allreduce" {
                         report.reduce_wait_ns += e.dur_ns;
                         report.allreduces += 1;
                     } else {
                         report.reduce_partial_ns += e.dur_ns;
+                        *escaped_by_pid.entry(e.pid).or_insert(0) += u64::from(*escaped);
                     }
                 }
                 SpanKind::Fault { fault, .. } => {
@@ -211,6 +216,8 @@ impl TraceReport {
         report.halo_bytes_by_direction = halo.into_iter().collect();
         report.halo_bytes_by_direction.sort();
         report.faults_by_kind.sort();
+        report.reduce_escaped_by_rank = escaped_by_pid.into_iter().collect();
+        report.reduce_escaped_by_rank.sort();
         report
     }
 
@@ -261,6 +268,12 @@ impl fmt::Display for TraceReport {
                 ms(self.reduce_wait_ns),
                 self.allreduces
             )?;
+            let escaped: Vec<String> = self
+                .reduce_escaped_by_rank
+                .iter()
+                .map(|(pid, blocks)| format!("rank {pid}: {blocks}"))
+                .collect();
+            writeln!(f, "    escaped blocks   {}", escaped.join(", "))?;
         }
         if !self.halo_bytes_by_direction.is_empty() {
             writeln!(f, "  halo bytes by direction:")?;
@@ -374,16 +387,22 @@ mod tests {
 
     #[test]
     fn reduce_spans_aggregate_by_phase() {
+        let reduce =
+            |phase, bytes, parts, escaped| SpanKind::Reduce { phase, bytes, parts, escaped };
         let events = vec![
-            span(0, 0, 100, SpanKind::Reduce { phase: "partial", bytes: 1024, parts: 2 }),
-            span(0, 100, 250, SpanKind::Reduce { phase: "allreduce", bytes: 552, parts: 4 }),
-            span(1, 0, 80, SpanKind::Reduce { phase: "partial", bytes: 1024, parts: 2 }),
+            span(0, 0, 100, reduce("partial", 1024, 2, 3)),
+            span(0, 100, 250, reduce("allreduce", 552, 4, 0)),
+            span(1, 0, 80, reduce("partial", 1024, 2, 0)),
+            span(0, 250, 300, reduce("partial", 1024, 2, 4)),
         ];
         let r = TraceReport::from_events(&events);
-        assert_eq!(r.reduce_partial_ns, 180);
+        assert_eq!(r.reduce_partial_ns, 230);
         assert_eq!(r.reduce_wait_ns, 150);
         assert_eq!(r.allreduces, 1);
-        assert!(format!("{r}").contains("allreduce wait"));
+        assert_eq!(r.reduce_escaped_by_rank, vec![(0, 7), (1, 0)]);
+        let text = format!("{r}");
+        assert!(text.contains("allreduce wait"));
+        assert!(text.contains("escaped blocks   rank 0: 7, rank 1: 0"), "{text}");
     }
 
     #[test]

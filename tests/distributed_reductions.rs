@@ -5,7 +5,9 @@
 //! local partial over each rank's owned core, then `dmp.allreduce` —
 //! must be *bit-identical* to the serial interpreter, for every
 //! decomposition strategy, executor tier, and worker-thread count, over
-//! random fields of every supported rank. The CG end-to-end test closes
+//! random fields of every supported rank (each with a row too wide in
+//! exponent for the exact sum's block fold, so both of its paths run).
+//! The CG end-to-end test closes
 //! the loop: a full implicit solve's residual trajectory (dozens of
 //! dependent reductions, α/β scalar feedback, a convergence predicate)
 //! matches the serial reference bit for bit.
@@ -22,7 +24,7 @@ use common::Rng;
 use stencil_stack::cg;
 use stencil_stack::dmp::{make_strategy, DistributeStencil};
 use stencil_stack::exec::{compile_module_tiered, Runner};
-use stencil_stack::interp::{BufView, Interpreter, RtValue, SimWorld};
+use stencil_stack::interp::{BufView, ExactSum, Interpreter, RtValue, SimWorld};
 use stencil_stack::ir::{Bounds, Module, Pass as _, Type};
 use stencil_stack::stencil::{samples, ShapeInference};
 
@@ -102,9 +104,40 @@ fn distributed_reduce_matches_serial_interpreter_bit_for_bit() {
             let range = Bounds::new(field.0.iter().map(|&(lo, hi)| (lo + 1, hi - 1)).collect());
             let gsize = field.0.iter().map(|&(l, h)| (h - l) as usize).product::<usize>();
             let arity = if kind == "dot" { 2 } else { 1 };
+            // One stride-1 row (in 1-D, the upper half of the only row)
+            // steps through 2^-100 / 1 / 2^100: too wide for the exact
+            // sum's vector stage, so that row takes its per-point escape
+            // while the others stay on the fast path.
+            let ext: Vec<usize> = field.0.iter().map(|&(l, h)| (h - l) as usize).collect();
+            let wide = |flat: usize| {
+                if dims == 1 {
+                    return flat >= gsize / 2;
+                }
+                // The row through the middle of every leading dimension.
+                let mut rest = flat / ext[dims - 1];
+                (0..dims - 1).rev().all(|d| {
+                    let coord = rest % ext[d];
+                    rest /= ext[d];
+                    coord == ext[d] / 2
+                })
+            };
             let data: Vec<Vec<f64>> = (0..arity)
-                .map(|_| (0..gsize).map(|_| rng.range_f64(-1e6, 1e6)).collect())
+                .map(|_| {
+                    (0..gsize)
+                        .map(|flat| {
+                            let x = rng.range_f64(-1e6, 1e6);
+                            if wide(flat) {
+                                x * 2f64.powi(100 * (flat % 3) as i32 - 100)
+                            } else {
+                                x
+                            }
+                        })
+                        .collect()
+                })
                 .collect();
+            let wide_row: Vec<f64> =
+                (0..gsize).filter(|&flat| wide(flat)).map(|flat| data[0][flat]).collect();
+            assert_eq!(ExactSum::new().extend(&wide_row[1..wide_row.len() - 1]), 1);
 
             // Serial interpreter reference.
             let mut serial_m = samples::reduce_nd(kind, field.clone(), range.clone());

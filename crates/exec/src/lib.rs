@@ -27,7 +27,8 @@
 //!   [`sten_interp::SimWorld`] (ranks-as-threads, the mpirun
 //!   substitute);
 //! * [`resilient`] — checkpoint/restart on top of the distributed
-//!   runner: a content-addressed [`resilient::CheckpointStore`] plus
+//!   runner: [`resilient::RankSnapshot`] (one rank's state, digested in
+//!   place), a content-addressed [`resilient::CheckpointStore`] plus
 //!   [`resilient::run_resilient`], the cohort driver that rolls every
 //!   rank back to the latest consistent checkpoint when a rank crashes.
 //!   Fault-injected exchanges run a sequence-numbered reliable protocol
@@ -45,10 +46,11 @@ pub mod resilient;
 pub mod specialize;
 
 pub use pipeline::{
-    compile_module, compile_module_tiered, ApplyRegion, BufId, ExecError, Pipeline, RankSnapshot,
-    Runner, Step,
+    compile_module, compile_module_tiered, ApplyRegion, BufId, ExecError, Pipeline, Runner, Step,
 };
 pub use pool::WorkerPool;
 pub use program::{split_longest_dim, BinOp, CompiledKernel, ExecScratch, Instr, KernelProgram};
-pub use resilient::{run_resilient, CheckpointStore, ResilientConfig, ResilientReport};
+pub use resilient::{
+    run_resilient, CheckpointStore, RankSnapshot, ResilientConfig, ResilientReport,
+};
 pub use specialize::{SpecializedKernel, Tier, TierKind};

@@ -41,6 +41,7 @@ use crate::pool::{Job, WorkerPool};
 use crate::program::{
     compile_apply, rematerialize_outs, split_longest_dim, ExecScratch, InputDesc, SendPtr,
 };
+use crate::resilient::RankSnapshot;
 use crate::specialize::{SpecializedKernel, TierKind};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,80 +114,6 @@ impl From<MpiError> for ExecError {
 impl From<String> for ExecError {
     fn from(msg: String) -> ExecError {
         ExecError::Exec(msg)
-    }
-}
-
-/// One rank's restartable execution state: the timestep counter, every
-/// field argument, and the scalar slots (temporaries are recomputed from
-/// scratch each step, so they need no capture). The digest is the
-/// FNV-1a-128 hash of the serialized state — the content address the
-/// checkpoint store files the snapshot under, and the value the
-/// checkpoint barrier exchanges to certify a consistent cut.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RankSnapshot {
-    /// Timesteps completed when the snapshot was taken.
-    pub step: u64,
-    /// The field arguments, in pipeline argument order.
-    pub args: Vec<Vec<f64>>,
-    /// The runner's scalar slots (runtime scalars, reduction results).
-    pub scalar_slots: Vec<f64>,
-    /// Content hash of the serialized snapshot.
-    pub digest: u128,
-}
-
-impl RankSnapshot {
-    /// Serializes the snapshot (little-endian words: step, arg count,
-    /// per-arg length + raw f64 bits, slot count + raw f64 bits). Bit
-    /// patterns are preserved exactly — a restore is bit-identical.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let doubles: usize =
-            self.args.iter().map(|a| a.len()).sum::<usize>() + self.scalar_slots.len();
-        let mut out = Vec::with_capacity(8 * (3 + self.args.len() + doubles));
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&(self.args.len() as u64).to_le_bytes());
-        for a in &self.args {
-            out.extend_from_slice(&(a.len() as u64).to_le_bytes());
-            for v in a {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.scalar_slots.len() as u64).to_le_bytes());
-        for v in &self.scalar_slots {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes a snapshot written by [`RankSnapshot::to_bytes`].
-    ///
-    /// # Errors
-    /// Reports truncated or malformed bytes.
-    pub fn from_bytes(bytes: &[u8]) -> Result<RankSnapshot, String> {
-        let mut at = 0usize;
-        let word = |n: &mut usize| -> Result<u64, String> {
-            let end = *n + 8;
-            let chunk = bytes.get(*n..end).ok_or("truncated checkpoint blob")?;
-            *n = end;
-            Ok(u64::from_le_bytes(chunk.try_into().unwrap()))
-        };
-        let step = word(&mut at)?;
-        let num_args = word(&mut at)? as usize;
-        let mut args = Vec::with_capacity(num_args);
-        for _ in 0..num_args {
-            let len = word(&mut at)? as usize;
-            let mut a = Vec::with_capacity(len);
-            for _ in 0..len {
-                a.push(f64::from_bits(word(&mut at)?));
-            }
-            args.push(a);
-        }
-        let num_slots = word(&mut at)? as usize;
-        let mut scalar_slots = Vec::with_capacity(num_slots);
-        for _ in 0..num_slots {
-            scalar_slots.push(f64::from_bits(word(&mut at)?));
-        }
-        let digest = sten_ir::content_hash(bytes);
-        Ok(RankSnapshot { step, args, scalar_slots, digest })
     }
 }
 
@@ -342,7 +269,7 @@ pub struct TemporalBlock {
 /// a [`RankSnapshot`] carries "set or not" along with the value, in the
 /// same bytes as before, and a restored runner knows as much as the one
 /// the snapshot was taken from.
-const SCALAR_UNSET: u64 = 0x7ff4_756e_7365_7421;
+pub(crate) const SCALAR_UNSET: u64 = 0x7ff4_756e_7365_7421;
 
 /// A compiled stencil function.
 #[derive(Clone, Debug)]
@@ -794,17 +721,10 @@ impl Runner {
     }
 
     /// Captures this rank's restartable state (timestep, field args,
-    /// scalar slots) as a [`RankSnapshot`], digesting the serialized
-    /// form so identical states share one content address.
+    /// scalar slots) as a [`RankSnapshot`], digested in place so
+    /// identical states share one content address.
     pub fn snapshot(&self, args: &[Vec<f64>]) -> RankSnapshot {
-        let mut snap = RankSnapshot {
-            step: self.timestep,
-            args: args.to_vec(),
-            scalar_slots: self.scalar_slots.clone(),
-            digest: 0,
-        };
-        snap.digest = sten_ir::content_hash(&snap.to_bytes());
-        snap
+        RankSnapshot::new(self.timestep, args.to_vec(), self.scalar_slots.clone())
     }
 
     /// Rolls this rank back to `snap`: overwrites `args` and the scalar

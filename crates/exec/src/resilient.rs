@@ -13,18 +13,155 @@
 //!
 //! [`FaultAction::RankCrash`]: sten_interp::FaultAction::RankCrash
 
-use crate::pipeline::{ExecError, Pipeline, RankSnapshot, Runner};
+use crate::pipeline::{ExecError, Pipeline, Runner};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 use sten_interp::{FaultPlan, MpiError, Reliability, SimWorld};
+use sten_ir::WordHash;
 use sten_trace::{Counter, SpanKind, Tracer};
 
-/// A content-addressed snapshot store: blobs are filed under the
-/// FNV-1a-128 digest of their bytes (identical states — e.g. a field
-/// that converged — are stored once), and an index maps `(step, rank)`
-/// to the digest deposited there. Optionally backed by a directory,
-/// where each blob lands as `<digest>.ckpt`.
+/// One rank's restartable execution state: the timestep counter, every
+/// field argument, and the scalar slots (temporaries are recomputed from
+/// scratch each step, so they need no capture).
+///
+/// `digest` is the snapshot's content address: the checkpoint
+/// [`WordHash`] over the words [`RankSnapshot::to_bytes`] frames — step,
+/// arg count, each arg's length and bit patterns, slot count and slot
+/// bits — taken in place over the `f64`s, with no serialise step. The
+/// [`CheckpointStore`] files the snapshot under it and the checkpoint
+/// barrier exchanges it to certify a consistent cut. (The compile cache
+/// keys modules with the FNV [`sten_ir::content_hash`] instead.) Make
+/// snapshots with [`RankSnapshot::new`], the one place a digest is made.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RankSnapshot {
+    /// Timesteps completed when the snapshot was taken.
+    pub step: u64,
+    /// The field arguments, in pipeline argument order.
+    pub args: Vec<Vec<f64>>,
+    /// The runner's scalar slots (runtime scalars, reduction results).
+    pub scalar_slots: Vec<f64>,
+    /// Content address of the state above.
+    pub digest: u128,
+}
+
+fn digest_of(step: u64, args: &[Vec<f64>], scalar_slots: &[f64]) -> u128 {
+    let mut h = WordHash::new();
+    h.word(step);
+    h.word(args.len() as u64);
+    for a in args {
+        h.word(a.len() as u64);
+        h.f64s(a);
+    }
+    h.word(scalar_slots.len() as u64);
+    h.f64s(scalar_slots);
+    h.finish()
+}
+
+/// A cursor over a blob's little-endian words that checks every count
+/// against the words that remain before anything is allocated.
+struct Words<'a>(&'a [u8]);
+
+/// The little-endian word in an 8-byte `chunk`.
+fn le_word(chunk: &[u8]) -> u64 {
+    u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"))
+}
+
+impl Words<'_> {
+    fn word(&mut self) -> Result<u64, String> {
+        if self.0.len() < 8 {
+            return Err("truncated checkpoint blob".into());
+        }
+        let (w, rest) = self.0.split_at(8);
+        self.0 = rest;
+        Ok(le_word(w))
+    }
+
+    /// A count of `what` that the rest of the blob has room for, at
+    /// one word each.
+    fn count(&mut self, what: &str) -> Result<usize, String> {
+        let n = self.word()?;
+        let room = (self.0.len() / 8) as u64;
+        if n > room {
+            return Err(format!("checkpoint blob claims {n} {what} with {room} words left"));
+        }
+        Ok(n as usize)
+    }
+
+    /// The next `n` words as `f64`s; `n` comes from [`Words::count`].
+    fn f64s(&mut self, n: usize) -> Vec<f64> {
+        let (head, rest) = self.0.split_at(8 * n);
+        self.0 = rest;
+        head.chunks_exact(8).map(|w| f64::from_bits(le_word(w))).collect()
+    }
+}
+
+impl RankSnapshot {
+    /// A snapshot of the given state, with its digest.
+    pub fn new(step: u64, args: Vec<Vec<f64>>, scalar_slots: Vec<f64>) -> RankSnapshot {
+        let digest = digest_of(step, &args, &scalar_slots);
+        RankSnapshot { step, args, scalar_slots, digest }
+    }
+
+    /// Length of [`RankSnapshot::to_bytes`], computed without
+    /// serialising.
+    pub fn encoded_len(&self) -> u64 {
+        let words =
+            3 + self.args.iter().map(|a| 1 + a.len()).sum::<usize>() + self.scalar_slots.len();
+        8 * words as u64
+    }
+
+    /// Serializes the snapshot (little-endian words: step, arg count,
+    /// per-arg length + raw f64 bits, slot count + raw f64 bits). Bit
+    /// patterns are preserved exactly — a restore is bit-identical.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len() as usize);
+        let mut word = |w: u64| out.extend_from_slice(&w.to_le_bytes());
+        word(self.step);
+        word(self.args.len() as u64);
+        for a in &self.args {
+            word(a.len() as u64);
+            a.iter().for_each(|v| word(v.to_bits()));
+        }
+        word(self.scalar_slots.len() as u64);
+        self.scalar_slots.iter().for_each(|v| word(v.to_bits()));
+        out
+    }
+
+    /// Deserializes a snapshot written by [`RankSnapshot::to_bytes`] and
+    /// digests it, so a blob and the name it was filed under can be
+    /// compared.
+    ///
+    /// # Errors
+    /// Reports truncated bytes, a count larger than the bytes that
+    /// follow it, and trailing bytes — never allocating on a count it
+    /// has not checked.
+    pub fn from_bytes(bytes: &[u8]) -> Result<RankSnapshot, String> {
+        let mut r = Words(bytes);
+        let step = r.word()?;
+        let num_args = r.count("arguments")?;
+        let mut args = Vec::with_capacity(num_args);
+        for _ in 0..num_args {
+            let len = r.count("values")?;
+            args.push(r.f64s(len));
+        }
+        let num_slots = r.count("scalar slots")?;
+        let scalar_slots = r.f64s(num_slots);
+        if !r.0.is_empty() {
+            return Err(format!("{} trailing bytes after the checkpoint", r.0.len()));
+        }
+        Ok(RankSnapshot::new(step, args, scalar_slots))
+    }
+}
+
+/// A content-addressed snapshot store. Each snapshot is filed, shared,
+/// under its own [`RankSnapshot::digest`] — the checkpoint word hash,
+/// not the compile cache's FNV key — so identical states (two ranks
+/// holding the same field, a field that converged) are stored once; an
+/// index maps `(step, rank)` to the digest deposited there. Optionally
+/// backed by a directory, where each new snapshot is also serialised to
+/// `<digest>.ckpt`; a blob read back from there is restored only if it
+/// still digests to its file name.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
@@ -33,8 +170,12 @@ pub struct CheckpointStore {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    blobs: HashMap<u128, Arc<Vec<u8>>>,
+    snaps: HashMap<u128, Arc<RankSnapshot>>,
     by_step: BTreeMap<u64, HashMap<usize, u128>>,
+}
+
+fn blob_path(dir: &Path, digest: u128) -> PathBuf {
+    dir.join(format!("{digest:032x}.ckpt"))
 }
 
 impl CheckpointStore {
@@ -53,49 +194,58 @@ impl CheckpointStore {
         Ok(CheckpointStore { inner: Mutex::default(), disk: Some(dir) })
     }
 
-    /// Deposits `rank`'s snapshot at its step. Returns the bytes newly
-    /// stored — 0 when the content address already existed (dedup hit).
-    pub fn put(&self, rank: usize, snap: &RankSnapshot) -> u64 {
-        let bytes = snap.to_bytes();
-        let digest = sten_ir::content_hash(&bytes);
-        let mut inner = self.inner.lock().unwrap();
-        inner.by_step.entry(snap.step).or_default().insert(rank, digest);
-        if inner.blobs.contains_key(&digest) {
-            return 0;
+    fn lock(&self) -> MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("a rank panicked while holding the checkpoint store lock")
+    }
+
+    /// Deposits `rank`'s snapshot at its step, filed under its digest.
+    /// Returns the bytes newly stored (its serialised size) — 0 when the
+    /// content address already existed (dedup hit).
+    pub fn put(&self, rank: usize, snap: RankSnapshot) -> u64 {
+        let digest = snap.digest;
+        debug_assert_eq!(
+            digest,
+            digest_of(snap.step, &snap.args, &snap.scalar_slots),
+            "snapshot content changed after its digest was made"
+        );
+        let snap = Arc::new(snap);
+        {
+            let mut inner = self.lock();
+            inner.by_step.entry(snap.step).or_default().insert(rank, digest);
+            if inner.snaps.contains_key(&digest) {
+                return 0;
+            }
+            inner.snaps.insert(digest, Arc::clone(&snap));
         }
-        let stored = bytes.len() as u64;
         if let Some(dir) = &self.disk {
             // Best-effort persistence; the in-memory copy is
             // authoritative within a run.
-            let _ = std::fs::write(dir.join(format!("{digest:032x}.ckpt")), &bytes);
+            let _ = std::fs::write(blob_path(dir, digest), snap.to_bytes());
         }
-        inner.blobs.insert(digest, Arc::new(bytes));
-        stored
+        snap.encoded_len()
     }
 
     /// The snapshot `rank` deposited at `step`, if any (falling back to
-    /// the disk copy when the in-memory blob is gone).
-    pub fn get(&self, step: u64, rank: usize) -> Option<RankSnapshot> {
-        let (digest, blob) = {
-            let inner = self.inner.lock().unwrap();
+    /// the disk copy when the in-memory one is gone, and refusing a disk
+    /// blob that does not digest to its own name).
+    pub fn get(&self, step: u64, rank: usize) -> Option<Arc<RankSnapshot>> {
+        let (digest, snap) = {
+            let inner = self.lock();
             let digest = *inner.by_step.get(&step)?.get(&rank)?;
-            (digest, inner.blobs.get(&digest).cloned())
+            (digest, inner.snaps.get(&digest).cloned())
         };
-        let bytes = match blob {
-            Some(b) => b,
-            None => {
-                let dir = self.disk.as_ref()?;
-                Arc::new(std::fs::read(dir.join(format!("{digest:032x}.ckpt"))).ok()?)
-            }
-        };
-        RankSnapshot::from_bytes(&bytes).ok()
+        if snap.is_some() {
+            return snap;
+        }
+        let bytes = std::fs::read(blob_path(self.disk.as_ref()?, digest)).ok()?;
+        let snap = RankSnapshot::from_bytes(&bytes).ok()?;
+        (snap.digest == digest).then(|| Arc::new(snap))
     }
 
     /// The newest step at which all `ranks` ranks deposited a snapshot —
     /// the rollback target of a recovery.
     pub fn latest_consistent(&self, ranks: usize) -> Option<u64> {
-        let inner = self.inner.lock().unwrap();
-        inner
+        self.lock()
             .by_step
             .iter()
             .rev()
@@ -103,14 +253,14 @@ impl CheckpointStore {
             .map(|(&step, _)| step)
     }
 
-    /// Distinct blobs currently stored.
+    /// Distinct snapshots currently stored.
     pub fn num_blobs(&self) -> usize {
-        self.inner.lock().unwrap().blobs.len()
+        self.lock().snaps.len()
     }
 
-    /// Total bytes of distinct blobs currently stored.
+    /// Total serialised size of the distinct snapshots currently stored.
     pub fn bytes_stored(&self) -> u64 {
-        self.inner.lock().unwrap().blobs.values().map(|b| b.len() as u64).sum()
+        self.lock().snaps.values().map(|s| s.encoded_len()).sum()
     }
 }
 
@@ -193,14 +343,7 @@ pub fn run_resilient(
     // The step-0 baseline: a rollback target that always exists, taken
     // before any step (and any fault) executes.
     for (rank, args) in args_per_rank.iter().enumerate() {
-        let mut snap = RankSnapshot {
-            step: 0,
-            args: args.clone(),
-            scalar_slots: pipeline.initial_scalar_slots(),
-            digest: 0,
-        };
-        snap.digest = sten_ir::content_hash(&snap.to_bytes());
-        store.put(rank, &snap);
+        store.put(rank, RankSnapshot::new(0, args.clone(), pipeline.initial_scalar_slots()));
         report.checkpoints += 1;
     }
 
@@ -230,11 +373,15 @@ pub fn run_resilient(
                     s.spawn(move || -> Result<(), ExecError> {
                         let mut runner =
                             Runner::new(pipeline, cfg.threads).with_trace(tracer, rank as u32);
-                        let snap = store.get(start, rank).ok_or_else(|| {
-                            ExecError::Exec(format!(
+                        let Some(snap) = store.get(start, rank) else {
+                            // Poison the world so peers fail fast instead
+                            // of timing out on a rank that never starts.
+                            let msg = format!(
                                 "rank {rank}: no checkpoint at step {start} to restore from"
-                            ))
-                        })?;
+                            );
+                            world.poison(rank as i32, msg.clone());
+                            return Err(ExecError::Exec(msg));
+                        };
                         runner.restore(args, &snap);
                         for step in start..cfg.steps {
                             runner.step_distributed_checked(args, &world, rank as i64)?;
@@ -244,14 +391,17 @@ pub fn run_resilient(
                             if (step + 1) % interval == 0 && step + 1 < cfg.steps {
                                 let t0 = tracer.now();
                                 let snap = runner.snapshot(args);
-                                store.put(rank, &snap);
+                                let (at, digest) = (snap.step, snap.digest);
+                                let bytes =
+                                    8 * snap.args.iter().map(Vec::len).sum::<usize>() as u64;
+                                store.put(rank, snap);
                                 // Checkpoint barrier: exchanging the
                                 // digest certifies every rank deposited
                                 // this step before anyone advances —
                                 // the step becomes a consistent cut.
                                 let wire = vec![
-                                    f64::from_bits(snap.digest as u64),
-                                    f64::from_bits((snap.digest >> 64) as u64),
+                                    f64::from_bits(digest as u64),
+                                    f64::from_bits((digest >> 64) as u64),
                                 ];
                                 world.exchange_all(rank, wire).map_err(|e| {
                                     world.poison(rank as i32, e.to_string());
@@ -259,10 +409,8 @@ pub fn run_resilient(
                                 })?;
                                 checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 tracer.count(Counter::Checkpoints, 1);
-                                let bytes =
-                                    8 * snap.args.iter().map(Vec::len).sum::<usize>() as u64;
                                 tracer.record_span(rank as u32, 0, t0, || SpanKind::Checkpoint {
-                                    step: snap.step,
+                                    step: at,
                                     bytes,
                                 });
                             }
@@ -300,45 +448,132 @@ pub fn run_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::compile_module;
+    use crate::pipeline::{compile_module, SCALAR_UNSET};
     use sten_interp::FaultAction;
     use sten_ir::Pass as _;
     use sten_stencil::{samples, ShapeInference};
 
     fn snap(step: u64, vals: &[f64]) -> RankSnapshot {
-        let mut s =
-            RankSnapshot { step, args: vec![vals.to_vec()], scalar_slots: vec![], digest: 0 };
-        s.digest = sten_ir::content_hash(&s.to_bytes());
-        s
+        RankSnapshot::new(step, vec![vals.to_vec()], vec![])
+    }
+
+    /// A scratch directory unique to this process and `test`.
+    fn scratch_dir(test: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("sten-ckpt-{test}-{:x}", std::process::id()))
+    }
+
+    #[test]
+    fn snapshot_digest_is_pinned() {
+        // Regression pin: on-disk blobs are named by this value.
+        let s = RankSnapshot::new(
+            7,
+            vec![vec![1.0, -0.0, 0.5], vec![f64::MAX]],
+            vec![f64::from_bits(SCALAR_UNSET)],
+        );
+        assert_eq!(s.digest, 0xb92a_79be_4e28_4da4_b3e1_a637_b7f6_e576);
+    }
+
+    #[test]
+    fn snapshot_digest_sees_every_distinction() {
+        let vals: Vec<f64> = (0..11).map(|i| f64::from(i) * 0.25 + 1.0).collect();
+        let base = RankSnapshot::new(4, vec![vals.clone(), vals.clone()], vec![2.5]);
+        let mut seen = vec![base.digest];
+        let mut distinct = |s: RankSnapshot, what: &str| {
+            assert!(!seen.contains(&s.digest), "{what} collides");
+            seen.push(s.digest);
+        };
+        // Each arg opens one word short of a lane boundary, so its words
+        // run head (0), whole 4-lane blocks (1..=8), tail remainder (9, 10).
+        for arg in 0..2 {
+            for at in 0..vals.len() {
+                for bit in [0, 63] {
+                    let mut args = base.args.clone();
+                    args[arg][at] = f64::from_bits(args[arg][at].to_bits() ^ (1 << bit));
+                    distinct(
+                        RankSnapshot::new(4, args, vec![2.5]),
+                        &format!("bit {bit} of arg {arg}[{at}]"),
+                    );
+                }
+            }
+        }
+        let with_slot = |slot: f64| RankSnapshot::new(4, base.args.clone(), vec![slot]);
+        distinct(with_slot(0.0), "+0.0");
+        distinct(with_slot(-0.0), "-0.0");
+        distinct(with_slot(f64::from_bits(0x7ff8_0000_0000_0001)), "NaN payload 1");
+        distinct(with_slot(f64::from_bits(0x7ff8_0000_0000_0002)), "NaN payload 2");
+        distinct(with_slot(f64::from_bits(SCALAR_UNSET)), "the unset-scalar sentinel");
+        distinct(with_slot(f64::NAN), "a slot set to NaN");
+        distinct(RankSnapshot::new(5, base.args.clone(), vec![2.5]), "step");
+        distinct(RankSnapshot::new(4, vec![vec![1.0, 2.0], vec![3.0]], vec![]), "[a,b]|[c]");
+        distinct(RankSnapshot::new(4, vec![vec![1.0], vec![2.0, 3.0]], vec![]), "[a]|[b,c]");
+    }
+
+    #[test]
+    fn snapshot_roundtrips_through_bytes_with_its_digest() {
+        for s in [
+            RankSnapshot::new(0, vec![], vec![]),
+            RankSnapshot::new(9, vec![vec![1.5; 13], vec![], vec![-0.0]], vec![f64::NAN, 2.0]),
+        ] {
+            let bytes = s.to_bytes();
+            assert_eq!(bytes.len() as u64, s.encoded_len());
+            let back = RankSnapshot::from_bytes(&bytes).unwrap();
+            assert_eq!(back.digest, s.digest);
+            assert_eq!(back.to_bytes(), bytes, "bit patterns survive");
+        }
+    }
+
+    #[test]
+    fn from_bytes_rejects_hostile_blobs_without_panicking() {
+        // Words: step, #args=2, len=2, v, v, len=1, v, #slots=1, v.
+        let s = RankSnapshot::new(3, vec![vec![1.0, 2.0], vec![3.0]], vec![4.0]);
+        let bytes = s.to_bytes();
+        assert_eq!(bytes.len(), 9 * 8);
+        for cut in 0..bytes.len() {
+            assert!(RankSnapshot::from_bytes(&bytes[..cut]).is_err(), "truncated at {cut}");
+        }
+        for extra in [&[0u8][..], &[0; 8], &[0xff; 13]] {
+            let long = [&bytes[..], extra].concat();
+            let err = RankSnapshot::from_bytes(&long).unwrap_err();
+            assert!(err.contains("trailing"), "{err}");
+        }
+        for count_word in [1, 2, 5, 7] {
+            for huge in [u64::MAX, 1 << 40] {
+                let mut b = bytes.clone();
+                b[8 * count_word..8 * count_word + 8].copy_from_slice(&huge.to_le_bytes());
+                let err = RankSnapshot::from_bytes(&b).unwrap_err();
+                assert!(err.contains("claims"), "count word {count_word} = {huge}: {err}");
+            }
+        }
     }
 
     #[test]
     fn store_roundtrips_and_dedups_by_content() {
         let store = CheckpointStore::in_memory();
         let a = snap(0, &[1.0, 2.0]);
-        assert!(store.put(0, &a) > 0, "first deposit stores bytes");
-        // The same content from another rank is a dedup hit.
-        assert_eq!(store.put(1, &a), 0);
+        let bytes = a.encoded_len();
+        assert_eq!(store.put(0, a.clone()), bytes, "first deposit stores its serialised size");
+        // Equal content built separately on another rank is a dedup hit.
+        assert_eq!(store.put(1, snap(0, &[1.0, 2.0])), 0);
         assert_eq!(store.num_blobs(), 1);
+        assert_eq!(store.bytes_stored(), bytes);
         let b = snap(4, &[3.0, 4.0]);
-        store.put(0, &b);
+        store.put(0, b.clone());
         assert_eq!(store.num_blobs(), 2);
-        assert!(store.bytes_stored() > 0);
+        assert_eq!(store.bytes_stored(), bytes + b.encoded_len());
+        assert_eq!(*store.get(0, 1).unwrap(), a);
         let got = store.get(4, 0).expect("deposited snapshot present");
-        assert_eq!(got.args, b.args);
-        assert_eq!(got.step, 4);
-        assert_eq!(got.digest, b.digest, "content address survives the roundtrip");
+        assert_eq!(*got, b, "content and content address survive the store");
         assert!(store.get(4, 1).is_none(), "rank 1 never deposited at step 4");
     }
 
     #[test]
     fn latest_consistent_needs_every_rank() {
         let store = CheckpointStore::in_memory();
-        store.put(0, &snap(0, &[0.0]));
-        store.put(1, &snap(0, &[1.0]));
-        store.put(0, &snap(4, &[2.0]));
-        store.put(1, &snap(4, &[3.0]));
-        store.put(0, &snap(8, &[4.0]));
+        store.put(0, snap(0, &[0.0]));
+        store.put(1, snap(0, &[1.0]));
+        store.put(0, snap(4, &[2.0]));
+        store.put(1, snap(4, &[3.0]));
+        store.put(0, snap(8, &[4.0]));
         // Step 8 has only rank 0 — not a consistent cut.
         assert_eq!(store.latest_consistent(2), Some(4));
         assert_eq!(store.latest_consistent(1), Some(8));
@@ -347,28 +582,31 @@ mod tests {
 
     #[test]
     fn disk_store_survives_losing_its_memory() {
-        let dir = std::env::temp_dir().join(format!("sten-ckpt-{:x}", std::process::id()));
+        let dir = scratch_dir("memory");
         let s = snap(2, &[5.0, 6.0, 7.0]);
         {
             let store = CheckpointStore::on_disk(&dir).unwrap();
-            store.put(0, &s);
+            store.put(0, s.clone());
         }
         // A fresh store over the same directory has the index gone but
         // the blob on disk; get() must fall back to it.
         let store = CheckpointStore::on_disk(&dir).unwrap();
-        store.inner.lock().unwrap().by_step.entry(2).or_default().insert(0, s.digest);
+        store.lock().by_step.entry(2).or_default().insert(0, s.digest);
         let got = store.get(2, 0).expect("blob recovered from disk");
-        assert_eq!(got.args, s.args);
+        assert_eq!(*got, s);
+
+        // One flipped payload bit and the blob no longer matches its name.
+        let path = blob_path(&dir, s.digest);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3 * 8] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(store.get(2, 0).is_none(), "a corrupted blob is not restored");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// End-to-end recovery: a mid-run crash rolls the cohort back to the
-    /// last consistent checkpoint and the healed result is bit-identical
-    /// to a fault-free run.
-    #[test]
-    fn crash_mid_run_heals_to_fault_free_bytes() {
-        let n = 64i64;
-        let steps = 6u64;
+    /// A 2-rank distributed jacobi-1d on `n` points and each rank's
+    /// initial argument pair.
+    fn jacobi_2r(n: i64) -> (Pipeline, Vec<Vec<Vec<f64>>>) {
         let mut m = samples::jacobi_1d(n);
         ShapeInference.run(&mut m).unwrap();
         sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
@@ -377,58 +615,137 @@ mod tests {
         let local = pipeline.arg_shapes[0][0];
         let core = (n - 2) / 2;
         let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-        let init = |rank: usize| -> Vec<Vec<f64>> {
-            let start = rank as i64 * core;
-            let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-            vec![data.clone(), data]
-        };
+        let init = (0..2)
+            .map(|rank| {
+                let start = rank * core;
+                let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
+                vec![data.clone(), data]
+            })
+            .collect();
+        (pipeline, init)
+    }
 
-        let tracer = Tracer::new();
-        let cfg = ResilientConfig {
-            steps,
+    /// Six steps, a checkpoint every second one.
+    fn six_steps() -> ResilientConfig {
+        ResilientConfig {
+            steps: 6,
             checkpoint_interval: 2,
             max_recoveries: 2,
             rotate_args: true,
             ..ResilientConfig::default()
-        };
+        }
+    }
 
-        let mut clean = vec![init(0), init(1)];
+    /// Runs the cohort fault-free, then under `plan` into `store`, and
+    /// asserts the healed state is bit-identical to the fault-free one.
+    fn heals_bit_identically(plan: FaultPlan, store: &CheckpointStore) -> ResilientReport {
+        let (pipeline, init) = jacobi_2r(64);
+        let tracer = Tracer::new();
+        let mut clean = init.clone();
+        let fault_free = CheckpointStore::in_memory();
         let report = run_resilient(
             &pipeline,
             &mut clean,
             Arc::new(FaultPlan::new()),
-            &CheckpointStore::in_memory(),
-            &cfg,
+            &fault_free,
+            &six_steps(),
             &tracer,
         )
         .unwrap();
         assert_eq!(report.recoveries, 0);
 
-        let plan = Arc::new(FaultPlan::new().with_rank_fault(1, 3, FaultAction::RankCrash));
-        let store = CheckpointStore::in_memory();
-        let mut healed = vec![init(0), init(1)];
-        let report = run_resilient(&pipeline, &mut healed, plan, &store, &cfg, &tracer).unwrap();
+        let mut healed = init;
+        let report =
+            run_resilient(&pipeline, &mut healed, Arc::new(plan), store, &six_steps(), &tracer)
+                .unwrap();
         assert_eq!(report.recoveries, 1, "one rollback heals one crash");
-        assert!(
-            report.replayed_steps > 0,
-            "the crash at step 3 forces a replay from the step-2 checkpoint"
-        );
         assert_eq!(healed, clean, "recovery is bit-identical to the fault-free run");
+        report
+    }
+
+    /// End-to-end recovery: a mid-run crash rolls the cohort back to the
+    /// last consistent checkpoint and the healed result is bit-identical
+    /// to a fault-free run.
+    #[test]
+    fn crash_mid_run_heals_to_fault_free_bytes() {
+        let plan = FaultPlan::new().with_rank_fault(1, 3, FaultAction::RankCrash);
+        let report = heals_bit_identically(plan, &CheckpointStore::in_memory());
+        assert_eq!(report.replayed_steps, 2 * 4, "the crash at step 3 replays from step 2");
+    }
+
+    /// The crash lands on the step right after a deposit: the cut just
+    /// certified is the one rolled back to.
+    #[test]
+    fn crash_right_after_a_deposit_heals_from_that_deposit() {
+        let plan = FaultPlan::new().with_rank_fault(1, 2, FaultAction::RankCrash);
+        let report = heals_bit_identically(plan, &CheckpointStore::in_memory());
+        assert_eq!(report.replayed_steps, 2 * 4, "the crash at step 2 replays from step 2");
+    }
+
+    /// The same recovery over an on-disk store; every blob it leaves is
+    /// named by its own digest.
+    #[test]
+    fn crash_heals_over_an_on_disk_store() {
+        let dir = scratch_dir("crash");
+        let store = CheckpointStore::on_disk(&dir).unwrap();
+        heals_bit_identically(
+            FaultPlan::new().with_rank_fault(0, 3, FaultAction::RankCrash),
+            &store,
+        );
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let snap = RankSnapshot::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+            assert_eq!(path, blob_path(&dir, snap.digest));
+            files += 1;
+        }
+        assert_eq!(files, store.num_blobs());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Resuming from a directory whose newest blob was corrupted reports
+    /// the missing checkpoint instead of restoring wrong data.
+    #[test]
+    fn a_corrupted_disk_checkpoint_is_reported_not_restored() {
+        let dir = scratch_dir("corrupt");
+        let (pipeline, init) = jacobi_2r(64);
+        let cfg = six_steps();
+        let first = CheckpointStore::on_disk(&dir).unwrap();
+        let no_faults = || Arc::new(FaultPlan::new());
+        run_resilient(&pipeline, &mut init.clone(), no_faults(), &first, &cfg, &Tracer::disabled())
+            .unwrap();
+        let index = std::mem::take(&mut first.lock().by_step);
+        assert_eq!(index.keys().copied().collect::<Vec<_>>(), [0, 2, 4]);
+
+        let path = blob_path(&dir, index[&4][&1]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3 * 8] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+
+        // A store resuming from the directory: the index survives, the
+        // in-memory snapshots do not.
+        let resumed = CheckpointStore::on_disk(&dir).unwrap();
+        resumed.lock().by_step = index;
+        assert!(resumed.get(4, 0).is_some());
+        assert!(resumed.get(4, 1).is_none(), "the corrupted blob is refused");
+        let err = run_resilient(
+            &pipeline,
+            &mut init.clone(),
+            no_faults(),
+            &resumed,
+            &cfg,
+            &Tracer::disabled(),
+        )
+        .unwrap_err();
+        assert_eq!(err, ExecError::Exec("rank 1: no checkpoint at step 4 to restore from".into()));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Exhausting the recovery budget surfaces the root cause, not the
     /// poison it spread.
     #[test]
     fn recovery_budget_exhaustion_reports_the_crash() {
-        let n = 32i64;
-        let mut m = samples::jacobi_1d(n);
-        ShapeInference.run(&mut m).unwrap();
-        sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
-        ShapeInference.run(&mut m).unwrap();
-        let pipeline = compile_module(&m, "jacobi").unwrap();
-        let local = pipeline.arg_shapes[0][0];
-        let data: Vec<f64> = (0..local).map(|i| i as f64 * 0.01).collect();
-        let mut args = vec![vec![data.clone(), data.clone()], vec![data.clone(), data]];
+        let (pipeline, mut args) = jacobi_2r(32);
         // Two crashes on rank 1, zero recoveries allowed.
         let plan = Arc::new(
             FaultPlan::new().with_rank_fault(1, 0, FaultAction::RankCrash).with_rank_fault(

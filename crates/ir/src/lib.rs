@@ -65,7 +65,7 @@ pub mod verifier;
 
 pub use attributes::{Attribute, ExchangeAttr, FloatAttr};
 pub use builder::OpBuilder;
-pub use digest::{content_hash, Hasher128};
+pub use digest::{content_hash, WordHash};
 pub use op::{Block, Module, Op, Region};
 pub use parser::{parse_module, ParseError};
 pub use pass::{FuncTiming, Pass, PassError, PassKind, PassManager, PassTiming};

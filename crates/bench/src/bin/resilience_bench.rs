@@ -3,10 +3,10 @@
 //!
 //! Three measurements over a 2-rank distributed jacobi on SimMPI:
 //!
-//! 1. **Fault-free protocol overhead** — the reliable exchange
-//!    (sequence-numbered frames, timeout-armed receives, retained
-//!    re-send buffers) vs the plain blocking exchange, interleaved
-//!    best-of reps on identical work. Gated at ≤2%: resilience must be
+//! 1. **Fault-free cost of a `Reliability`** — the same framed exchange
+//!    on a world with a `Reliability` (timeout-armed receives, kept
+//!    re-send copies) vs one without (plain blocking receives), in
+//!    paired bursts on identical work. Gated at ≤2%: resilience must be
 //!    free when the network is healthy.
 //! 2. **Checkpoint cost vs interval** — [`run_resilient`] with no
 //!    faults at intervals {1, 2, 4, 8, ∞}: wall-clock, deposits,
@@ -182,7 +182,8 @@ fn main() {
     // measures the protocol, not the scheduler.
     let n: i64 = if args.smoke { 1 << 12 } else { 1 << 18 };
     let steps: usize = if args.smoke { 16 } else { 60 };
-    // Overhead-gate pairs: short back-to-back (plain, reliable) bursts.
+    // Overhead-gate pairs: short back-to-back bursts without and with a
+    // `Reliability` ("plain" and "reliable" below).
     let gate_steps = if args.smoke { 8 } else { 6 };
     let gate_pairs = if args.smoke { 9 } else { 151 };
     const GATE_PCT: f64 = 2.0;
@@ -191,7 +192,7 @@ fn main() {
     let core = (n - 2) / RANKS as i64;
     let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.003).sin()).collect();
 
-    // --- 1. fault-free overhead: plain vs reliable exchange ---------
+    // --- 1. fault-free overhead: without vs with a Reliability ------
     // On a shared machine, background load drifts on a ~100ms timescale
     // and poisons any whole-run wall-clock comparison. So: many short
     // back-to-back (plain, reliable) bursts — each pair spans only a few
@@ -218,7 +219,7 @@ fn main() {
         let mut plain_outs = Vec::new();
         let mut reliable_outs = Vec::new();
         for pair in 0..gate_pairs {
-            // Alternate which protocol runs first, cancelling any
+            // Alternate which world runs first, cancelling any
             // first-vs-second systematic (cache residency, governor ramp).
             let (mut p, mut r);
             if pair % 2 == 0 {
@@ -238,7 +239,7 @@ fn main() {
         }
         assert_eq!(
             plain_outs, reliable_outs,
-            "reliable exchange must be bit-identical to the plain protocol"
+            "a world with a Reliability must compute the bytes of one without"
         );
         let plain_step = median(&mut plain_meds);
         let reliable_step = median(&mut reliable_meds);
@@ -254,9 +255,9 @@ fn main() {
     for attempt in 1..=GATE_ATTEMPTS {
         (plain_step, reliable_step, overhead_pct) = measure_gate();
         println!(
-            "fault-free overhead (attempt {attempt}/{GATE_ATTEMPTS}): plain {:.1}us/step, \
-             reliable {:.1}us/step (median paired ratio over {gate_pairs} bursts: \
-             {overhead_pct:+.2}%, gate {GATE_PCT}%)",
+            "fault-free overhead (attempt {attempt}/{GATE_ATTEMPTS}): no Reliability \
+             {:.1}us/step, with Reliability {:.1}us/step (median paired ratio over \
+             {gate_pairs} bursts: {overhead_pct:+.2}%, gate {GATE_PCT}%)",
             plain_step * 1e6,
             reliable_step * 1e6,
         );
@@ -266,7 +267,7 @@ fn main() {
     }
     assert!(
         overhead_pct <= GATE_PCT,
-        "reliable protocol costs {overhead_pct:.2}% fault-free in {GATE_ATTEMPTS} independent \
+        "a Reliability costs {overhead_pct:.2}% fault-free in {GATE_ATTEMPTS} independent \
          measurements — over the {GATE_PCT}% gate"
     );
 

@@ -26,18 +26,22 @@
 //!   reusable scratch), or SPMD-distributed over a
 //!   [`sten_interp::SimWorld`] (ranks-as-threads, the mpirun
 //!   substitute);
+//! * `exchange` — the one halo-exchange protocol every distributed
+//!   pipeline runs: sequence-numbered frames ([`FRAME_HEADER`] words in
+//!   front of each payload) with duplicate suppression. A world's
+//!   `Reliability` only arms receive timeouts with bounded-backoff
+//!   re-request/re-send, surfacing [`pipeline::ExecError`] instead of
+//!   hanging;
 //! * [`resilient`] — checkpoint/restart on top of the distributed
 //!   runner: [`resilient::RankSnapshot`] (one rank's state, digested in
 //!   place), a content-addressed [`resilient::CheckpointStore`] plus
 //!   [`resilient::run_resilient`], the cohort driver that rolls every
 //!   rank back to the latest consistent checkpoint when a rank crashes.
-//!   Fault-injected exchanges run a sequence-numbered reliable protocol
-//!   (timeout, bounded-backoff re-request/re-send, duplicate
-//!   suppression) surfacing [`pipeline::ExecError`] instead of hanging.
 //!
 //! Numerical results are bit-identical to the `sten-interp` tree-walker on
 //! the same module — the workspace tests enforce this.
 
+mod exchange;
 pub mod jit;
 pub mod pipeline;
 pub mod pool;
@@ -45,6 +49,7 @@ pub mod program;
 pub mod resilient;
 pub mod specialize;
 
+pub use exchange::FRAME_HEADER;
 pub use pipeline::{
     compile_module, compile_module_tiered, ApplyRegion, BufId, ExecError, Pipeline, Runner, Step,
 };

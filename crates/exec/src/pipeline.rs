@@ -6,12 +6,14 @@
 //! timesteps through a [`Runner`] — serially, with thread parallelism, or
 //! SPMD-distributed over SimMPI.
 //!
-//! **Overlapped halo exchange.** Every `dmp.swap` compiles into a
-//! [`Step::SwapBegin`]/[`Step::SwapWait`] pair with persistent pack
-//! buffers. On the synchronous path the pair is adjacent (pack + send,
-//! then receive + unpack — exactly the old `Step::Swap`). When the swap
-//! is marked `overlap` (`distribute-stencil{overlap=true}`) and the apply
-//! reading the exchanged buffer can be split, the pipeline instead runs
+//! **Overlapped halo exchange.** Every `dmp.swap` compiles into one
+//! [`Swap`] record and a [`Step::SwapBegin`]/[`Step::SwapWait`] pair,
+//! which the runner executes through the one exchange protocol of
+//! `exchange.rs` (sequence-numbered frames, persistent pack buffers).
+//! On the synchronous path the pair is adjacent (pack + send, then
+//! receive + unpack). When the swap is marked `overlap`
+//! (`distribute-stencil{overlap=true}`) and the apply reading the
+//! exchanged buffer can be split, the pipeline instead runs
 //!
 //! ```text
 //! SwapBegin            pack + buffered sends
@@ -37,6 +39,7 @@
 //! redundant computation on the outer shells buys `k×` fewer messages at
 //! the same total volume.
 
+use crate::exchange::Exchange;
 use crate::pool::{Job, WorkerPool};
 use crate::program::{
     compile_apply, rematerialize_outs, split_longest_dim, ExecScratch, InputDesc, SendPtr,
@@ -59,7 +62,8 @@ pub enum ExecError {
     /// The communication substrate failed (poison, timeout, protocol
     /// violation).
     Mpi(MpiError),
-    /// A reliable halo exchange exhausted its retry budget.
+    /// A halo exchange on a world with a `Reliability` exhausted its
+    /// retry budget.
     SwapTimeout {
         /// The waiting rank.
         rank: i64,
@@ -188,27 +192,15 @@ pub enum Step {
     /// Launch a halo exchange: pack the outgoing slabs into persistent
     /// per-exchange buffers and post the (buffered, non-blocking) sends.
     SwapBegin {
-        /// Index into the runner's persistent swap scratch.
+        /// Index into [`Pipeline::swaps`].
         id: usize,
-        /// The buffer to exchange.
-        buf: BufId,
-        /// Rank topology.
-        grid: Vec<i64>,
-        /// Exchange declarations (buffer coordinates).
-        exchanges: Vec<ExchangeAttr>,
     },
     /// Complete the exchange launched by the matching
     /// [`Step::SwapBegin`]: receive every neighbour's message (blocking
     /// only on messages still in flight) and unpack the halo slabs.
     SwapWait {
-        /// Index into the runner's persistent swap scratch.
+        /// Index into [`Pipeline::swaps`].
         id: usize,
-        /// The buffer to exchange.
-        buf: BufId,
-        /// Rank topology.
-        grid: Vec<i64>,
-        /// Exchange declarations (buffer coordinates).
-        exchanges: Vec<ExchangeAttr>,
     },
     /// Global reduction: fold the ranged points of the input buffer(s)
     /// into one scalar slot. The local fold is thread-chunked and merged
@@ -243,6 +235,23 @@ pub enum Step {
         /// Logical range to copy.
         range: Bounds,
     },
+}
+
+/// One `dmp.swap` of a [`Pipeline`]: what its
+/// [`Step::SwapBegin`]/[`Step::SwapWait`] pair exchanges, and how the
+/// schedule treats it.
+#[derive(Clone, Debug)]
+pub struct Swap {
+    /// The buffer to exchange.
+    pub buf: BufId,
+    /// Rank topology.
+    pub grid: Vec<i64>,
+    /// Exchange declarations (buffer coordinates).
+    pub exchanges: Vec<ExchangeAttr>,
+    /// The `overlap` marker: hide the exchange behind interior compute.
+    pub overlap: bool,
+    /// Temporal-blocking depth (1 = exchange every step).
+    pub depth: i64,
 }
 
 /// Temporal-blocking metadata attached to a [`Pipeline`] whose single
@@ -284,8 +293,8 @@ pub struct Pipeline {
     pub tmp_shapes: Vec<Vec<i64>>,
     /// Steps in program order.
     pub steps: Vec<Step>,
-    /// Number of distinct swaps (begin/wait pairs) in the pipeline.
-    pub num_swaps: usize,
+    /// One record per swap (begin/wait pair), indexed by the steps' `id`.
+    pub swaps: Vec<Swap>,
     /// Number of scalar slots (runtime `f64` arguments plus reduction
     /// results) the runner must hold.
     pub num_slots: usize,
@@ -367,9 +376,9 @@ impl Pipeline {
             return true;
         }
         self.steps.iter().enumerate().any(|(i, s)| match s {
-            Step::SwapBegin { id, .. } => !matches!(
+            Step::SwapBegin { id } => !matches!(
                 self.steps.get(i + 1),
-                Some(Step::SwapWait { id: wid, .. }) if wid == id
+                Some(Step::SwapWait { id: wid }) if wid == id
             ),
             _ => false,
         })
@@ -377,15 +386,7 @@ impl Pipeline {
 
     /// Elements exchanged per timestep when every neighbour is present.
     pub fn exchanged_elements_per_step(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::SwapBegin { exchanges, .. } => {
-                    exchanges.iter().map(|e| e.num_elements() as u64).sum()
-                }
-                _ => 0,
-            })
-            .sum()
+        self.swaps.iter().flat_map(|s| &s.exchanges).map(|e| e.num_elements() as u64).sum()
     }
 
     /// Re-specializes every apply kernel (`None` = automatic selection).
@@ -444,12 +445,12 @@ impl Pipeline {
                     region.label(),
                     region.points(&kernel.range)
                 ),
-                Step::SwapBegin { id, exchanges, .. } => format!(
+                Step::SwapBegin { id } => format!(
                     "swap#{id} begin [{} elems, {} exchanges]",
-                    exchanges.iter().map(ExchangeAttr::num_elements).sum::<i64>(),
-                    exchanges.len()
+                    self.swaps[*id].exchanges.iter().map(ExchangeAttr::num_elements).sum::<i64>(),
+                    self.swaps[*id].exchanges.len()
                 ),
-                Step::SwapWait { id, .. } => format!("swap#{id} wait"),
+                Step::SwapWait { id } => format!("swap#{id} wait"),
                 Step::Reduce { kind, range, allreduce, .. } => format!(
                     "reduce {} [{} pts{}]",
                     kind.name(),
@@ -469,10 +470,7 @@ impl Pipeline {
     /// every step.
     pub fn temporal_summary(&self) -> Vec<String> {
         let Some(tb) = &self.temporal else { return Vec::new() };
-        let exchanges = self.steps.iter().find_map(|s| match s {
-            Step::SwapBegin { exchanges, .. } => Some(exchanges),
-            _ => None,
-        });
+        let exchanges = self.swaps.first().map(|s| &s.exchanges);
         let core = self.steps.iter().find_map(|s| match s {
             Step::Apply { kernel, .. } => Some(&kernel.range),
             _ => None,
@@ -497,70 +495,13 @@ impl Pipeline {
     }
 }
 
-/// Persistent per-swap exchange scratch: message buffers are recycled
-/// between the pack (gather) side and the unpack (scatter) side, so the
-/// steady state of a timestep loop allocates nothing — received buffers
-/// become the next step's send buffers.
-///
-/// On a world with [`Reliability`] attached, the scratch additionally
-/// carries the reliable-exchange state: a per-swap sequence number
-/// (stamped into every outgoing frame, incremented once per
-/// [`swap_begin`]) and the retained copies of the current round's
-/// outgoing frames, re-sent verbatim on a receive timeout — the peer
-/// suppresses the duplicates by sequence number, so the re-send is
-/// idempotent.
-#[derive(Clone, Debug, Default)]
-struct SwapScratch {
-    free: Vec<Vec<f64>>,
-    /// Sequence number of the in-flight round (0 = nothing sent yet).
-    seq: u64,
-    /// Retained `(dst, tag, framed payload)` of the current round, for
-    /// timeout-triggered re-sends from the recycled pack buffers.
-    sent: Vec<(i32, i32, Vec<f64>)>,
-}
-
-impl SwapScratch {
-    fn take(&mut self, capacity: usize) -> Vec<f64> {
-        match self.free.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.reserve(capacity);
-                v
-            }
-            None => Vec::with_capacity(capacity),
-        }
-    }
-
-    fn recycle(&mut self, v: Vec<f64>) {
-        self.free.push(v);
-    }
-}
-
-/// A frame received out of order on a reliable exchange: either a later
-/// sequence number overtook the expected one (a reordering fault) or a
-/// frame for a different swap id sharing the direction tag arrived
-/// first. Parked until the wait that expects it comes around.
-#[derive(Clone, Debug)]
-struct StashedFrame {
-    src: i32,
-    tag: i32,
-    swap: u64,
-    seq: u64,
-    frame: Vec<f64>,
-}
-
-/// Words of frame header a reliable exchange prepends to each halo
-/// payload: the swap id and the sequence number, each stored exactly as
-/// a small-integer `f64`.
-const FRAME_HEADER: usize = 2;
-
 /// Executes a [`Pipeline`].
 ///
 /// A runner owns a persistent [`WorkerPool`] (when `threads > 1`):
 /// workers are spawned once and reused across every apply of every
 /// timestep, each holding a long-lived [`ExecScratch`], instead of the
 /// seed's `thread::scope` spawn-per-apply. Swap steps likewise reuse
-/// persistent per-exchange message buffers ([`SwapScratch`]).
+/// persistent per-exchange message buffers.
 pub struct Runner {
     /// The compiled pipeline.
     pub pipeline: Pipeline,
@@ -573,11 +514,7 @@ pub struct Runner {
     /// [`Runner::set_scalar`]) and reduction results, persisted across
     /// steps so later steps (and the caller) can read them.
     scalar_slots: Vec<f64>,
-    swap_scratch: Vec<SwapScratch>,
-    /// Out-of-order frames parked by reliable exchanges, shared across
-    /// swap ids (distinct swaps reuse a direction's tag, so an early
-    /// frame can belong to a different swap than the one waiting).
-    swap_stash: Vec<StashedFrame>,
+    exchange: Exchange,
     copy_scratch: Vec<f64>,
     /// Per-phase step schedules for temporal blocking, built lazily on
     /// the first distributed step: the phase-region growth is clamped
@@ -602,7 +539,7 @@ impl Runner {
             .map(|s| vec![0.0; s.iter().product::<i64>().max(0) as usize])
             .collect();
         let pool = (threads > 1).then(|| WorkerPool::new(threads));
-        let swap_scratch = vec![SwapScratch::default(); pipeline.num_swaps];
+        let exchange = Exchange::new(pipeline.swaps.len());
         let scalar_slots = pipeline.initial_scalar_slots();
         Runner {
             pipeline,
@@ -611,8 +548,7 @@ impl Runner {
             pool,
             scratch: ExecScratch::new(),
             scalar_slots,
-            swap_scratch,
-            swap_stash: Vec::new(),
+            exchange,
             copy_scratch: Vec::new(),
             phase_schedule: None,
             lane: TraceLane::disabled(),
@@ -742,15 +678,8 @@ impl Runner {
         self.scalar_slots.clone_from(&snap.scalar_slots);
         self.timestep = snap.step;
         // A restore accompanies a fresh world (rollback discards all
-        // in-flight messages); reliable-exchange state restarts with it.
-        for s in &mut self.swap_scratch {
-            s.seq = 0;
-            let retained = std::mem::take(&mut s.sent);
-            for (_, _, frame) in retained {
-                s.recycle(frame);
-            }
-        }
-        self.swap_stash.clear();
+        // in-flight messages); the exchange state restarts with it.
+        self.exchange.reset();
     }
 
     fn step_inner(
@@ -797,8 +726,7 @@ impl Runner {
         let pool = &mut self.pool;
         let scratch = &mut self.scratch;
         let scalar_slots = &mut self.scalar_slots;
-        let swap_scratch = &mut self.swap_scratch;
-        let swap_stash = &mut self.swap_stash;
+        let exchange = &mut self.exchange;
         let copy_scratch = &mut self.copy_scratch;
         let lane = &mut self.lane;
         let steps: &[Step] = match &self.phase_schedule {
@@ -905,85 +833,22 @@ impl Runner {
                     }
                     scalar_slots[*dst_slot] = acc.finish();
                 }
-                Step::SwapBegin { id, buf, grid, exchanges } => {
+                Step::SwapBegin { id } | Step::SwapWait { id } => {
                     let Some(world) = world else {
                         return Err(ExecError::Exec(
                             "pipeline contains dmp.swap steps — use step_distributed".into(),
                         ));
                     };
-                    let shape = match *buf {
-                        BufId::Arg(i) => &pipeline.arg_shapes[i],
-                        BufId::Tmp(i) => &pipeline.tmp_shapes[i],
+                    let swap = &pipeline.swaps[*id];
+                    let (shape, data) = match swap.buf {
+                        BufId::Arg(i) => (&pipeline.arg_shapes[i], &mut args[i]),
+                        BufId::Tmp(i) => (&pipeline.tmp_shapes[i], &mut tmps[i]),
                     };
-                    let data: &[f64] = match *buf {
-                        BufId::Arg(i) => &args[i],
-                        BufId::Tmp(i) => &tmps[i],
-                    };
-                    if world.reliability().is_some() {
-                        reliable_swap_begin(
-                            world,
-                            rank,
-                            *id,
-                            grid,
-                            exchanges,
-                            shape,
-                            data,
-                            &mut swap_scratch[*id],
-                            lane,
-                        )?;
-                    } else {
-                        swap_begin(
-                            world,
-                            rank,
-                            grid,
-                            exchanges,
-                            shape,
-                            data,
-                            &mut swap_scratch[*id],
-                            lane,
-                        )?;
-                    }
-                }
-                Step::SwapWait { id, buf, grid, exchanges } => {
-                    let Some(world) = world else {
-                        return Err(ExecError::Exec(
-                            "pipeline contains dmp.swap steps — use step_distributed".into(),
-                        ));
-                    };
-                    let shape = match *buf {
-                        BufId::Arg(i) => &pipeline.arg_shapes[i],
-                        BufId::Tmp(i) => &pipeline.tmp_shapes[i],
-                    };
-                    let data: &mut [f64] = match *buf {
-                        BufId::Arg(i) => &mut args[i],
-                        BufId::Tmp(i) => &mut tmps[i],
-                    };
-                    if let Some(rel) = world.reliability() {
-                        let rel = rel.clone();
-                        reliable_swap_wait(
-                            world,
-                            rank,
-                            *id,
-                            grid,
-                            exchanges,
-                            shape,
-                            data,
-                            &mut swap_scratch[*id],
-                            swap_stash,
-                            lane,
-                            &rel,
-                        )?;
-                    } else {
-                        swap_wait(
-                            world,
-                            rank,
-                            grid,
-                            exchanges,
-                            shape,
-                            data,
-                            &mut swap_scratch[*id],
-                            lane,
-                        )?;
+                    match step {
+                        Step::SwapBegin { .. } => {
+                            exchange.begin(world, rank, *id, swap, shape, data, lane)?
+                        }
+                        _ => exchange.wait(world, rank, *id, swap, shape, data, lane)?,
                     }
                 }
                 Step::Copy { src, src_desc, dst, dst_desc, range } if range.num_points() > 0 => {
@@ -1042,14 +907,15 @@ impl Runner {
                         region: region.label().trim_end().to_string(),
                         points: region.points(&kernel.range),
                     },
-                    Step::SwapBegin { id, exchanges, .. } => SpanKind::SwapBegin {
+                    Step::SwapBegin { id } => SpanKind::SwapBegin {
                         swap: *id,
-                        bytes: 8 * exchanges
+                        bytes: 8 * pipeline.swaps[*id]
+                            .exchanges
                             .iter()
                             .map(|e| e.num_elements().max(0) as u64)
                             .sum::<u64>(),
                     },
-                    Step::SwapWait { id, .. } => SpanKind::SwapWait { swap: *id },
+                    Step::SwapWait { id } => SpanKind::SwapWait { swap: *id },
                     Step::Copy { range, .. } => SpanKind::Copy { points: range.num_points() },
                     Step::Reduce { .. } => unreachable!(),
                 }),
@@ -1065,7 +931,7 @@ impl Runner {
 /// row-start coordinate and the contiguous row length). Both buffers of a
 /// [`Step::Copy`] are row-major with unit stride in the last dimension,
 /// so ranged copies move whole rows at a time.
-fn for_each_row(range: &Bounds, mut row: impl FnMut(&[i64], usize)) {
+pub(crate) fn for_each_row(range: &Bounds, mut row: impl FnMut(&[i64], usize)) {
     let rank = range.rank();
     if rank == 0 || range.num_points() <= 0 {
         return;
@@ -1219,261 +1085,6 @@ fn reduce_partial(
     (acc, escaped)
 }
 
-/// Launches one `dmp.swap`: gathers every outgoing slab into a recycled
-/// message buffer and posts the buffered (non-blocking) sends. The
-/// matching [`swap_wait`] completes the exchange; the pair executed
-/// back-to-back is exactly the old synchronous `swap_exchange`
-/// (sends first, then receives — deadlock-free).
-#[allow(clippy::too_many_arguments)]
-fn swap_begin(
-    world: &Arc<SimWorld>,
-    rank: i64,
-    grid: &[i64],
-    exchanges: &[ExchangeAttr],
-    shape: &[i64],
-    data: &[f64],
-    scratch: &mut SwapScratch,
-    lane: &mut TraceLane,
-) -> Result<(), String> {
-    use sten_dmp::decomposition::neighbor_rank;
-    use sten_mpi::dmp_to_mpi::tag_for_direction;
-    let desc = InputDesc::new(shape.to_vec(), vec![0; shape.len()]);
-    for e in exchanges {
-        if let Some(n) = neighbor_rank(rank, grid, &e.to)? {
-            let send_at = e.send_at();
-            let range =
-                Bounds::new(send_at.iter().zip(&e.size).map(|(&a, &s)| (a, a + s)).collect());
-            let t0 = lane.start();
-            let mut msg = scratch.take(range.num_points().max(0) as usize);
-            for_each_row(&range, |p, len| {
-                let s = desc.flat(p) as usize;
-                msg.extend_from_slice(&data[s..s + len]);
-            });
-            let bytes = 8 * msg.len() as u64;
-            lane.span(t0, || SpanKind::Pack { dir: e.to.clone(), bytes });
-            world.send(rank as i32, n as i32, tag_for_direction(&e.to) as i32, msg);
-        }
-    }
-    Ok(())
-}
-
-/// Completes one `dmp.swap`: receives each neighbour's message (blocking
-/// only on messages still in flight) and scatters it into the halo
-/// slabs. Drained message buffers are recycled into the scratch for the
-/// next timestep's [`swap_begin`].
-#[allow(clippy::too_many_arguments)]
-fn swap_wait(
-    world: &Arc<SimWorld>,
-    rank: i64,
-    grid: &[i64],
-    exchanges: &[ExchangeAttr],
-    shape: &[i64],
-    data: &mut [f64],
-    scratch: &mut SwapScratch,
-    lane: &mut TraceLane,
-) -> Result<(), String> {
-    use sten_dmp::decomposition::neighbor_rank;
-    use sten_mpi::dmp_to_mpi::tag_for_direction;
-    let desc = InputDesc::new(shape.to_vec(), vec![0; shape.len()]);
-    for e in exchanges {
-        if let Some(n) = neighbor_rank(rank, grid, &e.to)? {
-            let neg: Vec<i64> = e.to.iter().map(|t| -t).collect();
-            let msg = world
-                .recv(rank as i32, n as i32, tag_for_direction(&neg) as i32)
-                .map_err(|e| e.to_string())?;
-            let range = Bounds::new(e.at.iter().zip(&e.size).map(|(&a, &s)| (a, a + s)).collect());
-            if msg.len() != range.num_points().max(0) as usize {
-                return Err(format!(
-                    "halo message of {} elements does not match the {}-element receive region",
-                    msg.len(),
-                    range.num_points().max(0)
-                ));
-            }
-            let t0 = lane.start();
-            let mut at = 0usize;
-            for_each_row(&range, |p, len| {
-                let d = desc.flat(p) as usize;
-                data[d..d + len].copy_from_slice(&msg[at..at + len]);
-                at += len;
-            });
-            let bytes = 8 * msg.len() as u64;
-            lane.span(t0, || SpanKind::Unpack { dir: e.to.clone(), bytes });
-            scratch.recycle(msg);
-        }
-    }
-    Ok(())
-}
-
-/// [`swap_begin`] under the reliable protocol: each outgoing payload is
-/// framed with `[swap id, sequence]` (the sequence increments once per
-/// round, shared by every direction of the swap), and a copy of every
-/// frame is retained in the scratch so a timed-out peer receive can
-/// trigger an idempotent re-send. Retained frames from the previous
-/// round are recycled here — the matching wait completed before this
-/// begin runs.
-#[allow(clippy::too_many_arguments)]
-fn reliable_swap_begin(
-    world: &Arc<SimWorld>,
-    rank: i64,
-    id: usize,
-    grid: &[i64],
-    exchanges: &[ExchangeAttr],
-    shape: &[i64],
-    data: &[f64],
-    scratch: &mut SwapScratch,
-    lane: &mut TraceLane,
-) -> Result<(), ExecError> {
-    use sten_dmp::decomposition::neighbor_rank;
-    use sten_mpi::dmp_to_mpi::tag_for_direction;
-    scratch.seq += 1;
-    let seq = scratch.seq;
-    let retained = std::mem::take(&mut scratch.sent);
-    for (_, _, frame) in retained {
-        scratch.recycle(frame);
-    }
-    let desc = InputDesc::new(shape.to_vec(), vec![0; shape.len()]);
-    for e in exchanges {
-        if let Some(n) = neighbor_rank(rank, grid, &e.to)? {
-            let send_at = e.send_at();
-            let range =
-                Bounds::new(send_at.iter().zip(&e.size).map(|(&a, &s)| (a, a + s)).collect());
-            let t0 = lane.start();
-            let mut msg = scratch.take(FRAME_HEADER + range.num_points().max(0) as usize);
-            msg.push(id as f64);
-            msg.push(seq as f64);
-            for_each_row(&range, |p, len| {
-                let s = desc.flat(p) as usize;
-                msg.extend_from_slice(&data[s..s + len]);
-            });
-            let bytes = 8 * msg.len() as u64;
-            lane.span(t0, || SpanKind::Pack { dir: e.to.clone(), bytes });
-            let tag = tag_for_direction(&e.to) as i32;
-            world.send(rank as i32, n as i32, tag, msg.clone());
-            scratch.sent.push((n as i32, tag, msg));
-        }
-    }
-    Ok(())
-}
-
-/// [`swap_wait`] under the reliable protocol. Each expected frame is
-/// taken from the stash if an earlier wait already received it;
-/// otherwise receives run with a bounded timeout. A frame with a stale
-/// sequence (a duplicate of an already-consumed round) is suppressed; a
-/// frame for a later round or another swap sharing the tag is stashed.
-/// On timeout the receiver re-requests a possibly-dropped inbound frame
-/// from the world's lost store and re-sends its own retained outgoing
-/// frames (deduplicated at the peer by sequence), doubling the timeout
-/// each retry; exhausting the budget is [`ExecError::SwapTimeout`] —
-/// never a hang.
-#[allow(clippy::too_many_arguments)]
-fn reliable_swap_wait(
-    world: &Arc<SimWorld>,
-    rank: i64,
-    id: usize,
-    grid: &[i64],
-    exchanges: &[ExchangeAttr],
-    shape: &[i64],
-    data: &mut [f64],
-    scratch: &mut SwapScratch,
-    stash: &mut Vec<StashedFrame>,
-    lane: &mut TraceLane,
-    rel: &sten_interp::Reliability,
-) -> Result<(), ExecError> {
-    use sten_dmp::decomposition::neighbor_rank;
-    use sten_mpi::dmp_to_mpi::tag_for_direction;
-    let desc = InputDesc::new(shape.to_vec(), vec![0; shape.len()]);
-    let seq = scratch.seq;
-    for e in exchanges {
-        let Some(n) = neighbor_rank(rank, grid, &e.to)? else { continue };
-        let neg: Vec<i64> = e.to.iter().map(|t| -t).collect();
-        let tag = tag_for_direction(&neg) as i32;
-        let src = n as i32;
-        let mut timeout_ms = rel.swap_timeout_ms.max(1);
-        let mut attempts = 0u32;
-        let mut waited_ms = 0u64;
-        let frame = loop {
-            if let Some(pos) = stash
-                .iter()
-                .position(|s| s.src == src && s.tag == tag && s.swap == id as u64 && s.seq == seq)
-            {
-                break stash.swap_remove(pos).frame;
-            }
-            match world.recv_timeout(
-                rank as i32,
-                src,
-                tag,
-                std::time::Duration::from_millis(timeout_ms),
-            )? {
-                Some(msg) => {
-                    if msg.len() < FRAME_HEADER {
-                        return Err(ExecError::Exec(format!(
-                            "rank {rank}: reliable frame from rank {n} tag {tag} has only {} \
-                             words — missing its [swap, seq] header",
-                            msg.len()
-                        )));
-                    }
-                    let mid = msg[0] as u64;
-                    let mseq = msg[1] as u64;
-                    if mid == id as u64 && mseq == seq {
-                        break msg;
-                    } else if mid == id as u64 && mseq < seq {
-                        // Stale duplicate of a completed round (a
-                        // duplication fault or a redundant re-send).
-                        scratch.recycle(msg);
-                    } else {
-                        stash.push(StashedFrame { src, tag, swap: mid, seq: mseq, frame: msg });
-                    }
-                }
-                None => {
-                    attempts += 1;
-                    waited_ms += timeout_ms;
-                    if attempts > rel.max_retries {
-                        return Err(ExecError::SwapTimeout {
-                            rank,
-                            swap: id,
-                            neighbor: n,
-                            tag,
-                            attempts: attempts - 1,
-                            waited_ms,
-                        });
-                    }
-                    world.tracer().record_instant(rank.max(0) as u32, 0, || SpanKind::Retry {
-                        target: format!("swap#{id} ← rank {n} tag {tag}"),
-                        attempt: attempts,
-                    });
-                    world.rerequest(rank as i32, src, tag);
-                    for (dst, t, payload) in &scratch.sent {
-                        world.send(rank as i32, *dst, *t, payload.clone());
-                    }
-                    timeout_ms = timeout_ms.saturating_mul(2);
-                }
-            }
-        };
-        // A consumed round makes every stashed frame at or below its
-        // sequence stale — drop them so duplicates cannot accumulate.
-        stash.retain(|s| !(s.src == src && s.tag == tag && s.swap == id as u64 && s.seq <= seq));
-        let range = Bounds::new(e.at.iter().zip(&e.size).map(|(&a, &s)| (a, a + s)).collect());
-        if frame.len() - FRAME_HEADER != range.num_points().max(0) as usize {
-            return Err(ExecError::Exec(format!(
-                "halo message of {} elements does not match the {}-element receive region",
-                frame.len() - FRAME_HEADER,
-                range.num_points().max(0)
-            )));
-        }
-        let t0 = lane.start();
-        let mut at = FRAME_HEADER;
-        for_each_row(&range, |p, len| {
-            let d = desc.flat(p) as usize;
-            data[d..d + len].copy_from_slice(&frame[at..at + len]);
-            at += len;
-        });
-        let bytes = 8 * (frame.len() - FRAME_HEADER) as u64;
-        lane.span(t0, || SpanKind::Unpack { dir: e.to.clone(), bytes });
-        scratch.recycle(frame);
-    }
-    Ok(())
-}
-
 /// Compiles the function `func` of a shape-inferred stencil-level module
 /// into a [`Pipeline`], specializing every apply kernel into its
 /// executor tier (honouring the `STEN_EXEC_TIER` override).
@@ -1541,8 +1152,7 @@ pub fn compile_module_tiered(
     let mut steps = Vec::new();
     let mut scalar_consts: HashMap<Value, f64> = HashMap::new();
     let mut scalar_outputs: Vec<usize> = Vec::new();
-    let mut swap_overlap: Vec<bool> = Vec::new();
-    let mut swap_depths: Vec<i64> = Vec::new();
+    let mut swaps: Vec<Swap> = Vec::new();
 
     for op in &block.ops {
         match op.name.as_str() {
@@ -1566,7 +1176,7 @@ pub fn compile_module_tiered(
                 );
             }
             "dmp.swap" => {
-                let (id, _desc) = bufs.get(&op.operand(0)).cloned().ok_or("swap of unknown")?;
+                let (buf, _desc) = bufs.get(&op.operand(0)).cloned().ok_or("swap of unknown")?;
                 let grid = op
                     .attr("grid")
                     .and_then(Attribute::as_grid)
@@ -1577,16 +1187,16 @@ pub fn compile_module_tiered(
                     .and_then(Attribute::as_array)
                     .map(|a| a.iter().filter_map(Attribute::as_exchange).cloned().collect())
                     .unwrap_or_default();
-                let swap_id = swap_overlap.len();
-                swap_overlap.push(op.attr("overlap").is_some());
-                swap_depths.push(sten_dmp::ops::SwapOp(op).depth());
-                steps.push(Step::SwapBegin {
-                    id: swap_id,
-                    buf: id,
-                    grid: grid.clone(),
-                    exchanges: exchanges.clone(),
+                let id = swaps.len();
+                swaps.push(Swap {
+                    buf,
+                    grid,
+                    exchanges,
+                    overlap: op.attr("overlap").is_some(),
+                    depth: sten_dmp::ops::SwapOp(op).depth(),
                 });
-                steps.push(Step::SwapWait { id: swap_id, buf: id, grid, exchanges });
+                steps.push(Step::SwapBegin { id });
+                steps.push(Step::SwapWait { id });
             }
             "stencil.apply" => {
                 let input_descs: Vec<Option<InputDesc>> =
@@ -1694,20 +1304,19 @@ pub fn compile_module_tiered(
             other => return Err(format!("unsupported op at function level: {other}")),
         }
     }
-    let num_swaps = swap_overlap.len();
     // Temporal blocking: when the step sequence matches the deep-halo
     // pattern, keep the synchronous base steps (correct fallback: a wide
     // exchange every step) and record the block shape for the Runner.
     // Otherwise apply the within-step overlap rewrite as usual.
-    let temporal = detect_temporal(&steps, &swap_depths, &swap_overlap);
-    let steps = if temporal.is_some() { steps } else { overlap_steps(steps, &swap_overlap) };
+    let temporal = detect_temporal(&steps, &swaps);
+    let steps = if temporal.is_some() { steps } else { overlap_steps(steps, &swaps) };
     Ok(Pipeline {
         name: func.to_string(),
         num_args,
         arg_shapes,
         tmp_shapes,
         steps,
-        num_swaps,
+        swaps,
         num_slots,
         scalar_inputs,
         scalar_outputs,
@@ -1721,12 +1330,13 @@ pub fn compile_module_tiered(
 /// store-forwarded ping-pong — deep phases write outside the core, which
 /// only the widened field buffers can hold). Returns the block metadata
 /// or `None` (the synchronous wide-exchange schedule stays correct).
-fn detect_temporal(steps: &[Step], depths: &[i64], overlap: &[bool]) -> Option<TemporalBlock> {
-    let [depth] = depths[..] else { return None };
+fn detect_temporal(steps: &[Step], swaps: &[Swap]) -> Option<TemporalBlock> {
+    let [Swap { buf, exchanges, overlap, depth, .. }] = swaps else { return None };
+    let depth = *depth;
     if depth <= 1 {
         return None;
     }
-    let [Step::SwapBegin { buf, exchanges, .. }, Step::SwapWait { .. }, Step::Apply { kernel, inputs, outputs, region: ApplyRegion::Full }] =
+    let [Step::SwapBegin { .. }, Step::SwapWait { .. }, Step::Apply { kernel, inputs, outputs, region: ApplyRegion::Full }] =
         steps
     else {
         return None;
@@ -1746,7 +1356,7 @@ fn detect_temporal(steps: &[Step], depths: &[i64], overlap: &[bool]) -> Option<T
     if lo.iter().chain(&hi).all(|&w| w == 0) {
         return None;
     }
-    Some(TemporalBlock { depth, lo, hi, overlap: overlap.first().copied().unwrap_or(false) })
+    Some(TemporalBlock { depth, lo, hi, overlap: *overlap })
 }
 
 /// Expands a temporal-blocking pipeline into its per-phase schedules for
@@ -1759,19 +1369,20 @@ fn detect_temporal(steps: &[Step], depths: &[i64], overlap: &[bool]) -> Option<T
 fn build_phase_schedule(p: &Pipeline, rank: i64) -> Result<Vec<Vec<Step>>, String> {
     use sten_dmp::decomposition::neighbor_rank;
     let tb = p.temporal.as_ref().expect("temporal metadata");
-    let [begin @ Step::SwapBegin { grid, exchanges, .. }, wait @ Step::SwapWait { .. }, Step::Apply { kernel, inputs, outputs, .. }] =
+    let [Step::SwapBegin { id }, Step::SwapWait { .. }, apply @ Step::Apply { kernel, .. }] =
         &p.steps[..]
     else {
         return Err("temporal pipeline must be swap-begin, swap-wait, apply".into());
     };
+    let swap = &p.swaps[*id];
     let core = &kernel.range;
     let dims = core.rank();
     let mut step_lo = vec![0i64; dims];
     let mut step_hi = vec![0i64; dims];
-    for e in exchanges {
+    for e in &swap.exchanges {
         let nonzero: Vec<usize> = (0..e.to.len()).filter(|&d| e.to[d] != 0).collect();
         let [d] = nonzero[..] else { continue }; // corners follow their faces
-        if d >= dims || neighbor_rank(rank, grid, &e.to)?.is_none() {
+        if d >= dims || neighbor_rank(rank, &swap.grid, &e.to)?.is_none() {
             continue;
         }
         if e.to[d] < 0 {
@@ -1780,17 +1391,11 @@ fn build_phase_schedule(p: &Pipeline, rank: i64) -> Result<Vec<Vec<Step>>, Strin
             step_hi[d] = tb.hi[d];
         }
     }
-    let apply = |region: ApplyRegion| Step::Apply {
-        kernel: kernel.clone(),
-        inputs: inputs.clone(),
-        outputs: outputs.clone(),
-        region,
-    };
     let regions = sten_dmp::deep_phase_regions(core, &step_lo, &step_hi, tb.depth);
     let mut schedule = Vec::with_capacity(regions.len());
-    for (j, region) in regions.iter().enumerate() {
+    for (j, region) in regions.into_iter().enumerate() {
         if j > 0 {
-            schedule.push(vec![apply(ApplyRegion::Phase(j, region.clone()))]);
+            schedule.push(vec![restrict(apply, ApplyRegion::Phase(j, region))]);
             continue;
         }
         // Phase 0 owns the deep exchange. With the overlap marker the
@@ -1799,70 +1404,53 @@ fn build_phase_schedule(p: &Pipeline, rank: i64) -> Result<Vec<Vec<Step>>, Strin
         // data while the deep messages are in flight.
         let deep_lo: Vec<i64> = step_lo.iter().map(|w| w * tb.depth).collect();
         let deep_hi: Vec<i64> = step_hi.iter().map(|w| w * tb.depth).collect();
-        let split = sten_dmp::HaloRegionSplit::compute(region, &deep_lo, &deep_hi);
-        if tb.overlap && split.is_splittable() {
-            let mut phase =
-                vec![begin.clone(), apply(ApplyRegion::Interior(split.interior.clone()))];
-            phase.push(wait.clone());
-            for shell in &split.shells {
-                if shell.bounds.num_points() > 0 {
-                    phase.push(apply(ApplyRegion::Boundary(
-                        shell.dir.clone(),
-                        shell.bounds.clone(),
-                    )));
-                }
-            }
-            schedule.push(phase);
+        let split = sten_dmp::HaloRegionSplit::compute(&region, &deep_lo, &deep_hi);
+        schedule.push(if tb.overlap && split.is_splittable() {
+            split_around(&[*id], apply, &split)
         } else {
-            schedule.push(vec![
-                begin.clone(),
-                wait.clone(),
-                apply(ApplyRegion::Phase(0, region.clone())),
-            ]);
-        }
+            let phase = restrict(apply, ApplyRegion::Phase(0, region));
+            vec![Step::SwapBegin { id: *id }, Step::SwapWait { id: *id }, phase]
+        });
     }
     Ok(schedule)
 }
 
 /// Rewrites overlap-marked exchanges into the four-phase step order:
 /// a run of adjacent begin/wait pairs immediately followed by an apply
-/// that reads every swapped buffer becomes
-/// `begins…, Apply(Interior), waits…, Apply(Boundary(dir))…`, splitting
-/// the apply by [`sten_dmp::HaloRegionSplit`]. Unmarked or unsplittable
-/// swaps keep the synchronous pair — bit-for-bit the old `Step::Swap`.
-fn overlap_steps(steps: Vec<Step>, overlap_flags: &[bool]) -> Vec<Step> {
+/// that reads every swapped buffer becomes [`split_around`] that apply,
+/// split by [`sten_dmp::HaloRegionSplit`]. Unmarked or unsplittable
+/// swaps keep the synchronous pair.
+fn overlap_steps(steps: Vec<Step>, swaps: &[Swap]) -> Vec<Step> {
     let mut out = Vec::with_capacity(steps.len());
     let mut i = 0;
     while i < steps.len() {
         // A maximal run of adjacent overlap-marked begin/wait pairs.
-        let mut j = i;
-        let mut pairs: Vec<usize> = Vec::new();
-        while j + 1 < steps.len() {
-            let Step::SwapBegin { id: b, .. } = &steps[j] else { break };
-            let Step::SwapWait { id: w, .. } = &steps[j + 1] else { break };
-            if b != w || !overlap_flags[*b] {
+        let mut ids: Vec<usize> = Vec::new();
+        while let [Step::SwapBegin { id }, Step::SwapWait { id: w }, ..] =
+            &steps[i + 2 * ids.len()..]
+        {
+            if id != w || !swaps[*id].overlap {
                 break;
             }
-            pairs.push(j);
-            j += 2;
+            ids.push(*id);
         }
-        if pairs.is_empty() {
+        if ids.is_empty() {
             out.push(steps[i].clone());
             i += 1;
             continue;
         }
+        let j = i + 2 * ids.len();
         let split = match &steps.get(j) {
             Some(Step::Apply { kernel, inputs, region: ApplyRegion::Full, .. }) => {
                 let rank = kernel.range.rank();
                 let mut lo = vec![0i64; rank];
                 let mut hi = vec![0i64; rank];
                 let mut feeds_apply = true;
-                for &p in &pairs {
-                    let Step::SwapBegin { buf, exchanges, .. } = &steps[p] else { unreachable!() };
-                    feeds_apply &= inputs.contains(buf);
+                for swap in ids.iter().map(|&id| &swaps[id]) {
+                    feeds_apply &= inputs.contains(&swap.buf);
                     // Malformed exchanges (verifier territory) simply
                     // keep the pair synchronous.
-                    let Ok((l, h)) = sten_dmp::halo_widths(exchanges, rank) else {
+                    let Ok((l, h)) = sten_dmp::halo_widths(&swap.exchanges, rank) else {
                         feeds_apply = false;
                         continue;
                     };
@@ -1878,38 +1466,35 @@ fn overlap_steps(steps: Vec<Step>, overlap_flags: &[bool]) -> Vec<Step> {
         };
         let Some(split) = split else {
             // Unsplittable: keep the first pair synchronous and rescan.
-            out.push(steps[pairs[0]].clone());
-            out.push(steps[pairs[0] + 1].clone());
+            out.extend_from_slice(&steps[i..i + 2]);
             i += 2;
             continue;
         };
-        let Step::Apply { kernel, inputs, outputs, .. } = &steps[j] else { unreachable!() };
-        for &p in &pairs {
-            out.push(steps[p].clone()); // begins
-        }
-        out.push(Step::Apply {
-            kernel: kernel.clone(),
-            inputs: inputs.clone(),
-            outputs: outputs.clone(),
-            region: ApplyRegion::Interior(split.interior.clone()),
-        });
-        for &p in &pairs {
-            out.push(steps[p + 1].clone()); // waits
-        }
-        for shell in &split.shells {
-            if shell.bounds.num_points() <= 0 {
-                continue;
-            }
-            out.push(Step::Apply {
-                kernel: kernel.clone(),
-                inputs: inputs.clone(),
-                outputs: outputs.clone(),
-                region: ApplyRegion::Boundary(shell.dir.clone(), shell.bounds.clone()),
-            });
-        }
+        out.extend(split_around(&ids, &steps[j], &split));
         i = j + 1;
     }
     out
+}
+
+/// The overlapped order of the swaps `ids` around the apply they feed:
+/// every begin, the interior, every wait, then one step per non-empty
+/// boundary shell of `split`.
+fn split_around(ids: &[usize], apply: &Step, split: &sten_dmp::HaloRegionSplit) -> Vec<Step> {
+    let mut out: Vec<Step> = ids.iter().map(|&id| Step::SwapBegin { id }).collect();
+    out.push(restrict(apply, ApplyRegion::Interior(split.interior.clone())));
+    out.extend(ids.iter().map(|&id| Step::SwapWait { id }));
+    for shell in split.shells.iter().filter(|s| s.bounds.num_points() > 0) {
+        out.push(restrict(apply, ApplyRegion::Boundary(shell.dir.clone(), shell.bounds.clone())));
+    }
+    out
+}
+
+/// `apply` (a [`Step::Apply`]) restricted to `region`.
+fn restrict(apply: &Step, region: ApplyRegion) -> Step {
+    let Step::Apply { kernel, inputs, outputs, .. } = apply else {
+        unreachable!("only an apply step has a region")
+    };
+    Step::Apply { kernel: kernel.clone(), inputs: inputs.clone(), outputs: outputs.clone(), region }
 }
 
 #[cfg(test)]

@@ -248,11 +248,13 @@ impl FaultPlan {
     }
 }
 
-/// Timeout/retry knobs for reliable exchanges. Attached to a world by
+/// Timeout/retry knobs for halo exchanges. Attached to a world by
 /// [`SimWorld::new_with_faults`](crate::SimWorld::new_with_faults) (or
 /// explicitly via
-/// [`SimWorld::new_resilient`](crate::SimWorld::new_resilient)); a world
-/// without one runs the original zero-overhead protocol.
+/// [`SimWorld::new_resilient`](crate::SimWorld::new_resilient)). The
+/// wire format is the same with or without one: it only arms receive
+/// timeouts with re-request and re-send, and makes senders keep a copy
+/// of each frame for those re-sends. Without one, a receive blocks.
 #[derive(Clone, Debug)]
 pub struct Reliability {
     /// Initial per-wait timeout for a halo receive, milliseconds. Each

@@ -192,8 +192,8 @@ pub struct SimWorld {
     tracer: Tracer,
     /// The fault schedule, if this world injects faults.
     faults: Option<Arc<FaultPlan>>,
-    /// Timeout/retry knobs; `Some` switches the executor's exchanges to
-    /// the sequence-numbered reliable protocol.
+    /// Timeout/retry knobs; `Some` arms the executor's halo receives
+    /// with timeouts, re-requests and re-sends (same wire format).
     reliability: Option<Reliability>,
     /// Set once by the first failing rank; blocking waits re-check it
     /// and return [`MpiError::Poisoned`] so no peer hangs forever.
@@ -224,9 +224,10 @@ impl SimWorld {
     }
 
     /// Creates a world that injects the faults scheduled in `plan`, with
-    /// default [`Reliability`] knobs so the executor runs its reliable
-    /// exchange protocol. The plan is an `Arc` so a resilient driver can
-    /// reuse it (with its fired flags) across world re-creations.
+    /// default [`Reliability`] knobs so the executor's halo receives time
+    /// out and recover dropped frames. The plan is an `Arc` so a
+    /// resilient driver can reuse it (with its fired flags) across world
+    /// re-creations.
     pub fn new_with_faults(size: usize, plan: Arc<FaultPlan>) -> Arc<SimWorld> {
         SimWorld::new_resilient(
             size,
@@ -238,8 +239,8 @@ impl SimWorld {
     }
 
     /// The fully-general constructor: latency, tracing, an optional
-    /// fault schedule, and optional reliability knobs (reliable exchange
-    /// can run without faults, e.g. to measure its fault-free overhead).
+    /// fault schedule, and optional reliability knobs (they can be set
+    /// without faults, e.g. to measure their fault-free overhead).
     pub fn new_resilient(
         size: usize,
         latency: std::time::Duration,
@@ -279,7 +280,7 @@ impl SimWorld {
         self.faults.as_ref()
     }
 
-    /// The reliability knobs, if the reliable protocol is on.
+    /// The reliability knobs, if receives are timeout-armed.
     pub fn reliability(&self) -> Option<&Reliability> {
         self.reliability.as_ref()
     }

@@ -368,10 +368,7 @@ fn traced_smoke_run(
         sten_stencil::ShapeInference.run(&mut m).ok()?;
         sten_exec::compile_module(&m, func).ok()?
     };
-    let grid = probe.steps.iter().find_map(|s| match s {
-        sten_exec::Step::SwapBegin { grid, .. } => Some(grid.clone()),
-        _ => None,
-    })?;
+    let grid = probe.swaps.first()?.grid.clone();
     let ranks = grid.iter().product::<i64>();
     if !(2..=8).contains(&ranks) {
         return None;

@@ -315,6 +315,27 @@ fn crash_poisons_peers_instead_of_hanging() {
     }
 }
 
+/// A peer's poison reaches the caller typed on a world without a
+/// `Reliability` too, so the checked step does not re-poison the world
+/// as this rank's own failure.
+#[test]
+fn poison_is_typed_on_a_world_without_reliability() {
+    let n = 8i64;
+    let mut rng = Rng::new(0x9015);
+    let pipeline =
+        distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
+    let local = pipeline.arg_shapes[0][0];
+    let world = SimWorld::new(RANKS);
+    world.poison(1, "rank 1 failed");
+    let data: Vec<f64> = (0..local).map(|i| i as f64).collect();
+    let mut args = vec![data.clone(), data];
+    match Runner::new(pipeline, 1).step_distributed_checked(&mut args, &world, 0) {
+        Err(ExecError::Mpi(MpiError::Poisoned { by_rank: 1, .. })) => {}
+        other => panic!("expected rank 1's poison, got {other:?}"),
+    }
+    assert_eq!(world.poison_info().map(|(rank, _)| rank), Some(1));
+}
+
 /// Satellite: a neighbour that never answers (tag mismatch, dead rank)
 /// exhausts the bounded retry budget and surfaces [`ExecError::SwapTimeout`].
 #[test]
@@ -396,5 +417,51 @@ fn wrong_size_reliable_frame_is_rejected_by_the_executor() {
             assert!(msg.contains("does not match"), "got: {msg}");
         }
         other => panic!("expected a structured unpack error, got {other:?}"),
+    }
+}
+
+/// A header word that is not an exact integer in `0..2^53` (here `-1`,
+/// NaN and 0.5, in either position) rejects the frame on every world,
+/// before anything is unpacked.
+#[test]
+fn malformed_frame_header_is_rejected_by_the_executor() {
+    let n = 8i64;
+    let mut rng = Rng::new(0xF00D);
+    let pipeline =
+        distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
+    let local = pipeline.arg_shapes[0][0];
+    let halo = (local - 1) as usize;
+    let tag = tag_for_direction(&[-1]) as i32;
+    let rel = Reliability { swap_timeout_ms: 20, max_retries: 1, collective_timeout_ms: 200 };
+    for reliability in [None, Some(rel)] {
+        for pos in 0..2 {
+            for bad in [-1.0, f64::NAN, 0.5] {
+                let world = SimWorld::new_resilient(
+                    RANKS,
+                    Duration::ZERO,
+                    Tracer::disabled(),
+                    None,
+                    reliability.clone(),
+                );
+                // Swap 0, round 1, one payload word — with one header
+                // word replaced.
+                let mut frame = vec![0.0, 1.0, 99.0];
+                frame[pos] = bad;
+                world.send(1, 0, tag, frame);
+                let data: Vec<f64> = (0..local).map(|i| i as f64).collect();
+                let mut args = vec![data.clone(), data];
+                let case = format!("header[{pos}] = {bad}, reliability {}", reliability.is_some());
+                match Runner::new(pipeline.clone(), 1)
+                    .step_distributed_checked(&mut args, &world, 0)
+                {
+                    Err(ExecError::Exec(msg)) => assert!(
+                        msg.contains("rank 0") && msg.contains("rank 1") && msg.contains("tag"),
+                        "{case}: {msg}"
+                    ),
+                    other => panic!("{case}: expected a header error, got {other:?}"),
+                }
+                assert_eq!(args[0][halo], halo as f64, "{case}: the halo cell was written");
+            }
+        }
     }
 }

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 use stencil_stack::dmp::DistributeStencil;
+use stencil_stack::interp::Reliability;
 use stencil_stack::prelude::*;
 use stencil_stack::stencil::{samples, ShapeInference};
 use stencil_stack::trace::chrome;
@@ -14,9 +15,14 @@ use stencil_stack::trace::chrome;
 const RANKS: usize = 2;
 const TIMESTEPS: usize = 3;
 
-/// Runs heat-2d on a 2x1 grid over SimMPI with a recording tracer and
-/// 2 worker threads per rank; returns the merged event log.
-fn run_traced(overlap: bool) -> Vec<stencil_stack::trace::Event> {
+/// Runs heat-2d on a 2x1 grid over SimMPI (with `reliability`, if any)
+/// with a recording tracer and 2 worker threads per rank; returns the
+/// merged event log.
+fn run_traced(
+    overlap: bool,
+    reliability: Option<Reliability>,
+    timesteps: usize,
+) -> Vec<stencil_stack::trace::Event> {
     let n = 32i64;
     let mut modules = Vec::new();
     for rank in 0..RANKS {
@@ -31,7 +37,13 @@ fn run_traced(overlap: bool) -> Vec<stencil_stack::trace::Event> {
         modules.push(m);
     }
     let tracer = Tracer::new();
-    let world = SimWorld::new_traced(RANKS, Duration::from_micros(200), tracer.clone());
+    let world = SimWorld::new_resilient(
+        RANKS,
+        Duration::from_micros(200),
+        tracer.clone(),
+        None,
+        reliability,
+    );
     std::thread::scope(|scope| {
         for (rank, module) in modules.iter().enumerate() {
             let world = Arc::clone(&world);
@@ -43,7 +55,7 @@ fn run_traced(overlap: bool) -> Vec<stencil_stack::trace::Event> {
                     (0..len).map(|i| ((i + rank as i64) as f64 * 0.03).sin()).collect();
                 let mut args = vec![data.clone(), data];
                 let mut runner = Runner::new(pipeline, 2).with_trace(tracer, rank as u32);
-                for _ in 0..TIMESTEPS {
+                for _ in 0..timesteps {
                     runner.step_distributed(&mut args, &world, rank as i64).unwrap();
                     args.swap(0, 1);
                 }
@@ -55,7 +67,7 @@ fn run_traced(overlap: bool) -> Vec<stencil_stack::trace::Event> {
 
 #[test]
 fn overlapped_run_exports_a_valid_chrome_trace() {
-    let events = run_traced(true);
+    let events = run_traced(true, None, TIMESTEPS);
     let json = chrome::to_json(&events, &[]);
     let stats = chrome::validate(&json).expect("exported trace validates");
 
@@ -77,7 +89,7 @@ fn overlapped_run_exports_a_valid_chrome_trace() {
 
 #[test]
 fn report_shows_hidden_comm_on_overlap_and_none_on_sync() {
-    let overlapped = TraceReport::from_events(&run_traced(true));
+    let overlapped = TraceReport::from_events(&run_traced(true, None, TIMESTEPS));
     assert_eq!(overlapped.ranks, RANKS);
     assert_eq!(overlapped.timesteps, TIMESTEPS as u64);
     assert!(overlapped.msgs_sent > 0, "halo exchange sent messages");
@@ -87,7 +99,29 @@ fn report_shows_hidden_comm_on_overlap_and_none_on_sync() {
     );
     assert!(overlapped.overlap_efficiency() > 0.0);
 
-    let sync = TraceReport::from_events(&run_traced(false));
+    let sync = TraceReport::from_events(&run_traced(false, None, TIMESTEPS));
     assert_eq!(sync.comm_hidden_ns, 0, "synchronous pipeline waits before any apply: {sync}");
     assert!(sync.msgs_sent > 0);
+}
+
+/// `Pack` spans report payload bytes, not the frame header: one
+/// synchronous step packs exactly the pipeline's exchanged elements
+/// (both ranks together send each declared slab once).
+#[test]
+fn pack_spans_report_payload_bytes() {
+    let mut m = samples::heat_2d(32, 0.1);
+    ShapeInference.run(&mut m).unwrap();
+    DistributeStencil::new(vec![2, 1]).run(&mut m).unwrap();
+    ShapeInference.run(&mut m).unwrap();
+    let elements = compile_pipeline(&m, "heat").unwrap().exchanged_elements_per_step();
+    let events = run_traced(false, Some(Reliability::default()), 1);
+    let packed: u64 = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            SpanKind::Pack { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .sum();
+    assert!(elements > 0);
+    assert_eq!(packed, 8 * elements);
 }

@@ -750,6 +750,28 @@ mod tests {
         assert!(t.observe(0.6));
     }
 
+    /// FNV-1a over the bits of every residual, then of every `x` entry.
+    fn trajectory_digest(report: &CgReport) -> u64 {
+        report
+            .residuals
+            .iter()
+            .chain(&report.x)
+            .fold(0xcbf2_9ce4_8422_2325, |h, v| (h ^ v.to_bits()).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn solves_are_pinned_to_their_recorded_bits() {
+        // Recorded from the solver before any restructuring: a change in
+        // how the iteration is compiled must not move a single bit.
+        let cfg = CgConfig::new(24);
+        let serial = solve(&cfg).unwrap();
+        let dist = solve_distributed(&cfg, "standard-slicing", None, vec![2], true).unwrap();
+        for (who, report) in [("serial", &serial), ("2-rank", &dist)] {
+            assert_eq!(report.iterations, 19, "{who}");
+            assert_eq!(trajectory_digest(report), 12_704_088_252_234_627_211, "{who}");
+        }
+    }
+
     #[test]
     fn uneven_decomposition_still_bit_identical() {
         // 25 does not divide by 3: balanced slabs differ in size, so

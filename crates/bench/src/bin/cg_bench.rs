@@ -16,22 +16,25 @@
 //! and the JSON emitter stay exercised in CI; smoke numbers are *not*
 //! meaningful throughput. Two more checks run in the binary:
 //!
-//! * under `tier = template-jit` every apply of all four solver
-//!   pipelines (`heat`, `dot`, `norm2`, `axpy` — serial, and every rank
-//!   of every strategy) must report [`TierKind::TemplateJit`]: a vector
-//!   update that falls back to `opt-bytecode` is most of a solve;
+//! * under `tier = template-jit` every apply of both solver pipelines
+//!   (`@cg_norm` and `@cg_iter`: the operator and the three updates —
+//!   serial, and every rank of every strategy) must report
+//!   [`TierKind::TemplateJit`]: a vector update that falls back to
+//!   `opt-bytecode` is most of a solve;
 //! * in the full run the serial `template-jit` solve must be at least
 //!   5x faster than the serial `opt-bytecode` one.
 //!
 //! The `folds` object says what the exact reductions cost at the serial
-//! size: the solver's `dot` and `norm2` pipelines stepped stand-alone
-//! (median Mpts/s), and the share of a traced serial `template-jit`
-//! solve spent inside `Reduce{partial}` spans.
+//! size: a stand-alone `dot` fold (`samples::reduce_nd`) and the solver's
+//! `@cg_norm` pipeline (median Mpts/s), and the share of a traced serial
+//! `template-jit` solve spent inside `Reduce{partial}` spans.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 use stencil_core::cg::{rhs, solve, solve_distributed, CgConfig, CgReport, SolverPipelines};
-use stencil_core::exec::{Pipeline, Runner, Step, TierKind};
+use stencil_core::exec::{compile_module_tiered, Pipeline, Runner, Step, TierKind};
+use stencil_core::ir::Pass as _;
+use stencil_core::stencil::{samples, ShapeInference};
 use stencil_core::trace::{TraceReport, Tracer};
 
 struct Args {
@@ -76,8 +79,8 @@ fn assert_all_template_jit(pipelines: &SolverPipelines, whose: &str) {
     }
 }
 
-/// Median Mpts/s of one of the solver's reduce pipelines, stepped
-/// stand-alone over `arity` copies of the right-hand side.
+/// Median Mpts/s of a reduce pipeline, stepped stand-alone over `arity`
+/// copies of the right-hand side.
 fn fold_mpts_per_s(pipeline: Pipeline, arity: usize, cfg: &CgConfig) -> f64 {
     let mut runner = Runner::new(pipeline, cfg.threads);
     let mut fields = vec![rhs(cfg.n); arity];
@@ -96,7 +99,10 @@ fn fold_mpts_per_s(pipeline: Pipeline, arity: usize, cfg: &CgConfig) -> f64 {
 /// share of a traced serial solve spent folding partials.
 fn folds_json(cfg: &CgConfig) -> String {
     let p = SolverPipelines::serial(cfg).expect("pipelines");
-    let dot = fold_mpts_per_s(p.dot, 2, cfg);
+    let mut dot = samples::reduce_nd("dot", p.field, p.core);
+    ShapeInference.run(&mut dot).expect("shape inference");
+    let dot = compile_module_tiered(&dot, "reduce", cfg.tier).expect("dot pipeline");
+    let dot = fold_mpts_per_s(dot, 2, cfg);
     let norm2 = fold_mpts_per_s(p.norm2, 1, cfg);
     let traced = CgConfig { tracer: Tracer::new(), ..cfg.clone() };
     let t0 = Instant::now();

@@ -2,12 +2,16 @@
 //! *implicit* workload (ROADMAP "implicit solvers").
 //!
 //! Solves `A x = b` for the 2D implicit-Euler heat operator
-//! `A = I − λ∇²` (SPD for `λ > 0`) without ever materialising a matrix:
-//! the inner loop is exactly the program shape the distributed reduction
-//! refactor exists for — a stencil apply (`ap = A·p`, with halo
-//! exchanges when distributed) interleaved with global reductions
-//! (`p·Ap`, `‖r‖²`) whose scalar results steer the next iteration
-//! (α, β, and the convergence predicate).
+//! `A = I − λ∇²` (SPD for `λ > 0`) without ever materialising a matrix.
+//! The whole iteration is one stencil function, [`samples::cg`]'s
+//! `@cg_iter`: the operator apply (`ap = A·p`), the global reductions
+//! `p·Ap` and `‖r‖²`, α and β, and the three vector updates. A solve
+//! compiles it once — through `distribute-stencil` first when
+//! distributed, which inserts the halo exchange and every allreduce —
+//! and steps it once per iteration on one runner per rank; α and β run
+//! as `Step::Scalar`s inside the step. The host only sets `rsold`,
+//! rotates the five field roles and checks `(p·Ap, ‖r‖²)` for
+//! convergence and breakdown.
 //!
 //! Determinism guarantee: dot products are folded through the exact
 //! superaccumulator ([`sten_interp::ReduceAcc`]), so every reduction is
@@ -19,14 +23,12 @@
 
 use std::sync::Arc;
 
-use sten_dialects::func;
-use sten_dmp::decomposition::rank_to_coords;
 use sten_dmp::{make_strategy, DistributeStencil};
 use sten_exec::pipeline::{compile_module_tiered, Pipeline, Runner};
 use sten_exec::specialize::TierKind;
 use sten_interp::SimWorld;
-use sten_ir::{Bounds, FieldType, Module, Pass as _, Type};
-use sten_stencil::{ops, samples, ShapeInference};
+use sten_ir::{Bounds, Module, Pass as _, Type};
+use sten_stencil::{samples, ShapeInference};
 use sten_trace::Tracer;
 
 /// A CG solve that failed *gracefully*: every variant carries the
@@ -185,57 +187,16 @@ pub fn rhs(n: i64) -> Vec<f64> {
     b
 }
 
-/// Builds the `dot` / `‖·‖²` module: load the field argument(s), fold an
-/// exact dot product over `range`, optionally merge partials across
-/// ranks with `dmp.allreduce`, and return the scalar.
-fn reduce_module(
-    name: &str,
-    arity: usize,
-    field_bounds: &Bounds,
-    range: &Bounds,
-    allreduce: bool,
-) -> Module {
-    let mut m = Module::new();
-    let fty = Type::Field(FieldType::new(field_bounds.clone(), Type::F64));
-    let (mut f, args) = func::definition(&mut m.values, name, vec![fty; arity], vec![Type::F64]);
-    let mut loaded = Vec::new();
-    for &a in &args {
-        let ld = ops::load(&mut m.values, a);
-        loaded.push(ld.result(0));
-        f.region_block_mut(0).ops.push(ld);
-    }
-    // A norm is a dot of the single loaded field with itself.
-    let operands = if arity == 1 { vec![loaded[0], loaded[0]] } else { loaded };
-    let rd = ops::reduce(&mut m.values, "dot", operands, range.lower(), range.upper());
-    let mut out = rd.result(0);
-    f.region_block_mut(0).ops.push(rd);
-    if allreduce {
-        let ar = sten_dmp::ops::allreduce(&mut m.values, out, "sum");
-        out = ar.result(0);
-        f.region_block_mut(0).ops.push(ar);
-    }
-    f.region_block_mut(0).ops.push(func::ret(vec![out]));
-    m.body_mut().ops.push(f);
-    m
-}
-
-fn prep(mut m: Module) -> Result<Module, String> {
-    ShapeInference.run(&mut m).map_err(|e| e.to_string())?;
-    Ok(m)
-}
-
-/// The four pipelines one rank of a solve steps — the operator apply,
-/// the two exact reductions and the vector update — over the box the
-/// rank stores.
+/// The two pipelines one rank of a solve steps, compiled from
+/// [`samples::cg`] over the box the rank stores.
 pub struct SolverPipelines {
-    /// `ap = A·p` (with the halo exchange when distributed).
-    pub heat: Pipeline,
-    /// `a · b` over the owned core (allreduced when distributed).
-    pub dot: Pipeline,
-    /// `‖v‖²` over the owned core (allreduced when distributed).
+    /// `@cg_norm`: the initial `‖r‖²` over the owned core (allreduced
+    /// when distributed).
     pub norm2: Pipeline,
-    /// `out = a + α·b` over the owned core, α set per call.
-    pub axpy: Pipeline,
+    /// `@cg_iter`: one whole iteration — `ap = A·p` (with the halo
+    /// exchange when distributed), `p·Ap` and `‖r‖²` (allreduced when
+    /// distributed), α and β as scalar steps, and the three updates.
+    pub iteration: Pipeline,
     /// The owned core, in global coordinates.
     pub core: Bounds,
     /// The stored box: the core plus the 1-cell halo/boundary ring the
@@ -244,30 +205,25 @@ pub struct SolverPipelines {
 }
 
 impl SolverPipelines {
-    /// The pipelines, in the order an iteration first steps them.
-    pub fn all(&self) -> [&Pipeline; 4] {
-        [&self.heat, &self.dot, &self.norm2, &self.axpy]
+    /// The pipelines, in the order a solve first steps them.
+    pub fn all(&self) -> [&Pipeline; 2] {
+        [&self.norm2, &self.iteration]
     }
 
-    /// The pointwise and reduction pipelines are built directly on the
-    /// stored box — they need no halo, only the owned core and the same
-    /// buffer layout as the operator `heat`.
-    fn around(
-        heat: Pipeline,
-        field: Bounds,
-        core: Bounds,
-        allreduce: bool,
-        tier: Option<TierKind>,
-    ) -> Result<SolverPipelines, CgError> {
-        let axpy_m = prep(samples::axpy(field.clone(), core.clone()))?;
-        let dot_m = prep(reduce_module("dot", 2, &field, &core, allreduce))?;
-        let norm_m = prep(reduce_module("norm2", 1, &field, &core, allreduce))?;
+    /// Shape-infers `m` — the global module, or one rank's distributed
+    /// module — and compiles both functions. The stored box is the
+    /// fields' type, which distribution rewrote to the rank's box.
+    fn compile(mut m: Module, tier: Option<TierKind>) -> Result<SolverPipelines, CgError> {
+        ShapeInference.run(&mut m).map_err(|e| e.to_string())?;
+        let arg = m.lookup_symbol("cg_iter").map(|f| m.values.ty(f.region_block(0).args[0]));
+        let Some(Type::Field(fld)) = arg else {
+            return Err(CgError::Exec("@cg_iter does not take a field first".into()));
+        };
+        let field = fld.bounds.clone();
         Ok(SolverPipelines {
-            heat,
-            dot: compile_module_tiered(&dot_m, "dot", tier)?,
-            norm2: compile_module_tiered(&norm_m, "norm2", tier)?,
-            axpy: compile_module_tiered(&axpy_m, "axpy", tier)?,
-            core,
+            norm2: compile_module_tiered(&m, "cg_norm", tier)?,
+            iteration: compile_module_tiered(&m, "cg_iter", tier)?,
+            core: Bounds::new(field.0.iter().map(|&(lo, hi)| (lo + 1, hi - 1)).collect()),
             field,
         })
     }
@@ -278,16 +234,13 @@ impl SolverPipelines {
     /// # Errors
     /// Compilation/shape failures surface as [`CgError::Exec`].
     pub fn serial(cfg: &CgConfig) -> Result<SolverPipelines, CgError> {
-        let field = Bounds::new(vec![(-1, cfg.n + 1), (-1, cfg.n + 1)]);
-        let core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
-        let op_m = prep(samples::heat_2d(cfg.n, -cfg.lam))?;
-        let heat = compile_module_tiered(&op_m, "heat", cfg.tier)?;
-        SolverPipelines::around(heat, field, core, false, cfg.tier)
+        SolverPipelines::compile(samples::cg(cfg.n, cfg.lam), cfg.tier)
     }
 
-    /// The locally-shaped pipelines of `rank` in a distributed solve
-    /// over `grid` (`DistributeStencil::for_rank`, so uneven
-    /// decompositions work).
+    /// The pipelines of `rank` in a distributed solve over `grid`: the
+    /// global module through `distribute-stencil` for that rank
+    /// (`DistributeStencil::for_rank`, so uneven decompositions work),
+    /// which localizes every reduction and inserts its allreduce.
     ///
     /// # Errors
     /// Compilation/shape failures surface as [`CgError::Exec`].
@@ -299,125 +252,15 @@ impl SolverPipelines {
         overlap: bool,
         rank: i64,
     ) -> Result<SolverPipelines, CgError> {
-        let global_core = Bounds::new(vec![(0, cfg.n), (0, cfg.n)]);
-        let strat = make_strategy(strategy, factors.clone())?;
-        let layout = strat.layout(&global_core, grid)?;
-        let mut op_m = samples::heat_2d(cfg.n, -cfg.lam);
-        ShapeInference.run(&mut op_m).map_err(|e| e.to_string())?;
+        let mut m = samples::cg(cfg.n, cfg.lam);
+        ShapeInference.run(&mut m).map_err(|e| e.to_string())?;
         DistributeStencil::with_strategy(grid.to_vec(), make_strategy(strategy, factors)?)
             .for_rank(rank)
             .with_overlap(overlap)
-            .run(&mut op_m)
+            .run(&mut m)
             .map_err(|e| e.to_string())?;
-        let op_m = prep(op_m)?;
-        let heat = compile_module_tiered(&op_m, "heat", cfg.tier)?;
-
-        // The rank's core in global coordinates, and its stored box.
-        let coords = rank_to_coords(rank, &layout);
-        let core = strat.local_core(&global_core, &layout, &coords)?;
-        let field = Bounds::new(core.0.iter().map(|&(lo, hi)| (lo - 1, hi + 1)).collect());
-        if heat.arg_shapes[0] != field.shape() {
-            return Err(CgError::Exec(format!(
-                "rank {rank}: decomposition box {:?} disagrees with the \
-                 distributed pipeline's local field {:?}",
-                field.shape(),
-                heat.arg_shapes[0]
-            )));
-        }
-        let ranks = grid.iter().product::<i64>();
-        SolverPipelines::around(heat, field, core, ranks > 1, cfg.tier)
+        SolverPipelines::compile(m, cfg.tier)
     }
-}
-
-/// Everything one rank needs: a runner per pipeline plus its place in
-/// the (optional) world.
-struct RankSolver {
-    op: Runner,
-    dot: Runner,
-    norm: Runner,
-    axpy: Runner,
-    world: Option<(Arc<SimWorld>, i64)>,
-}
-
-impl RankSolver {
-    fn new(p: SolverPipelines, cfg: &CgConfig, world: Option<(Arc<SimWorld>, i64)>) -> RankSolver {
-        let pid = world.as_ref().map_or(0, |&(_, rank)| rank as u32);
-        let runner = |p: Pipeline| Runner::new(p, cfg.threads).with_trace(&cfg.tracer, pid);
-        RankSolver {
-            op: runner(p.heat),
-            dot: runner(p.dot),
-            norm: runner(p.norm2),
-            axpy: runner(p.axpy),
-            world,
-        }
-    }
-
-    fn step(&mut self, which: Which, args: &mut [Vec<f64>]) -> Result<(), String> {
-        let runner = match which {
-            Which::Op => &mut self.op,
-            Which::Dot => &mut self.dot,
-            Which::Norm => &mut self.norm,
-            Which::Axpy => &mut self.axpy,
-        };
-        match &self.world {
-            Some((w, r)) => runner.step_distributed(args, w, *r),
-            None => runner.step(args),
-        }
-    }
-
-    /// `ap = A·p` (exchanges p's halo first when distributed).
-    fn apply_op(&mut self, p: &mut Vec<f64>, ap: &mut Vec<f64>) -> Result<(), String> {
-        let mut args = [std::mem::take(p), std::mem::take(ap)];
-        self.step(Which::Op, &mut args)?;
-        let [p2, ap2] = args;
-        *p = p2;
-        *ap = ap2;
-        Ok(())
-    }
-
-    /// Global `a · b` over the owned core (allreduced when distributed).
-    fn dot(&mut self, a: &mut Vec<f64>, b: &mut Vec<f64>) -> Result<f64, String> {
-        let mut args = [std::mem::take(a), std::mem::take(b)];
-        self.step(Which::Dot, &mut args)?;
-        let [a2, b2] = args;
-        *a = a2;
-        *b = b2;
-        Ok(self.dot.scalar_outputs()[0])
-    }
-
-    /// Global `‖v‖²` over the owned core (allreduced when distributed).
-    fn norm2(&mut self, v: &mut Vec<f64>) -> Result<f64, String> {
-        let mut args = [std::mem::take(v)];
-        self.step(Which::Norm, &mut args)?;
-        let [v2] = args;
-        *v = v2;
-        Ok(self.norm.scalar_outputs()[0])
-    }
-
-    /// `out = a + alpha·b` over the owned core.
-    fn axpy(
-        &mut self,
-        alpha: f64,
-        a: &mut Vec<f64>,
-        b: &mut Vec<f64>,
-        out: &mut Vec<f64>,
-    ) -> Result<(), String> {
-        self.axpy.set_scalar(0, alpha);
-        let mut args = [std::mem::take(a), std::mem::take(b), std::mem::take(out)];
-        self.step(Which::Axpy, &mut args)?;
-        let [a2, b2, o2] = args;
-        *a = a2;
-        *b = b2;
-        *out = o2;
-        Ok(())
-    }
-}
-
-enum Which {
-    Op,
-    Dot,
-    Norm,
-    Axpy,
 }
 
 /// Iterations without any residual improvement before the solve is
@@ -454,27 +297,36 @@ impl StagnationTracker {
     }
 }
 
-/// One rank's CG iteration: textbook CG with the runtime scalars α and β
-/// recomputed locally on every rank — safe because the reductions they
-/// derive from are bit-identical everywhere.
+/// One rank's CG solve: `@cg_norm` once, then `@cg_iter` once per
+/// iteration on one runner, α and β computed inside the step on every
+/// rank — safe because the reductions they derive from are
+/// bit-identical everywhere.
 ///
 /// Degrades gracefully instead of looping or panicking: a NaN/∞
 /// residual, a non-positive curvature `p·Ap`, or a residual that stops
 /// improving for [`STAGNATION_WINDOW`] iterations each surface as the
 /// matching [`CgError`], carrying the trajectory walked so far.
 fn cg_iterate(
-    solver: &mut RankSolver,
+    pipelines: SolverPipelines,
     b: Vec<f64>,
     cfg: &CgConfig,
+    world: Option<(&Arc<SimWorld>, i64)>,
 ) -> Result<(Vec<f64>, Vec<f64>, bool, usize), CgError> {
+    let pid = world.map_or(0, |(_, rank)| rank as u32);
+    let runner = |p: Pipeline| Runner::new(p, cfg.threads).with_trace(&cfg.tracer, pid);
+    let (mut norm2, mut iteration) = (runner(pipelines.norm2), runner(pipelines.iteration));
+    let step = |runner: &mut Runner, args: &mut [Vec<f64>]| -> Result<Vec<f64>, String> {
+        match world {
+            Some((w, rank)) => runner.step_distributed(args, w, rank)?,
+            None => runner.step(args)?,
+        }
+        Ok(runner.scalar_outputs())
+    };
     let len = b.len();
-    let mut x = vec![0.0; len];
-    let mut r = b.clone();
-    let mut p = b;
-    let mut ap = vec![0.0; len];
-    let mut scratch = vec![0.0; len];
+    // @cg_iter's fields by role: x, r, p, ap, s.
+    let mut v = [vec![0.0; len], b.clone(), b, vec![0.0; len], vec![0.0; len]];
 
-    let mut rsold = solver.norm2(&mut r)?;
+    let mut rsold = step(&mut norm2, &mut v[1..2])?[0];
     if !rsold.is_finite() {
         return Err(CgError::NonFiniteResidual { iteration: 0, residuals: vec![] });
     }
@@ -483,8 +335,13 @@ fn cg_iterate(
     let mut iters = 0;
     let mut tracker = StagnationTracker::new(rsold.sqrt(), STAGNATION_WINDOW);
     while !converged && iters < cfg.max_iters {
-        solver.apply_op(&mut p, &mut ap)?;
-        let pap = solver.dot(&mut p, &mut ap)?;
+        iteration.set_scalar(0, rsold);
+        let out = step(&mut iteration, &mut v)?;
+        // The step left the new x in s, the new r in x and the new p
+        // in r; old p becomes the next step's scratch.
+        let [x, r, p, ap, s] = v;
+        v = [s, x, r, ap, p];
+        let (pap, rsnew) = (out[0], out[1]);
         if !pap.is_finite() {
             return Err(CgError::NonFiniteResidual { iteration: iters, residuals });
         }
@@ -494,12 +351,6 @@ fn cg_iterate(
             // on this subspace, or precision is exhausted.
             return Err(CgError::Breakdown { iteration: iters, pap, residuals });
         }
-        let alpha = rsold / pap;
-        solver.axpy(alpha, &mut x, &mut p, &mut scratch)?;
-        std::mem::swap(&mut x, &mut scratch);
-        solver.axpy(-alpha, &mut r, &mut ap, &mut scratch)?;
-        std::mem::swap(&mut r, &mut scratch);
-        let rsnew = solver.norm2(&mut r)?;
         iters += 1;
         if !rsnew.is_finite() {
             return Err(CgError::NonFiniteResidual { iteration: iters, residuals });
@@ -517,11 +368,9 @@ fn cg_iterate(
                 residuals,
             });
         }
-        let beta = rsnew / rsold;
-        solver.axpy(beta, &mut r, &mut p, &mut scratch)?;
-        std::mem::swap(&mut p, &mut scratch);
         rsold = rsnew;
     }
+    let [x, ..] = v;
     Ok((x, residuals, converged, iters))
 }
 
@@ -532,8 +381,8 @@ fn cg_iterate(
 /// degradation as the matching typed variant with its residual
 /// trajectory.
 pub fn solve(cfg: &CgConfig) -> Result<CgReport, CgError> {
-    let mut solver = RankSolver::new(SolverPipelines::serial(cfg)?, cfg, None);
-    let (x, residuals, converged, iterations) = cg_iterate(&mut solver, rhs(cfg.n), cfg)?;
+    let (x, residuals, converged, iterations) =
+        cg_iterate(SolverPipelines::serial(cfg)?, rhs(cfg.n), cfg, None)?;
     Ok(CgReport { residuals, converged, iterations, x })
 }
 
@@ -567,7 +416,6 @@ pub fn solve_distributed(
         let pipelines =
             SolverPipelines::for_rank(cfg, strategy, factors.clone(), &grid, overlap, rank)?;
         let (core, local_field) = (pipelines.core.clone(), pipelines.field.clone());
-        let solver = RankSolver::new(pipelines, cfg, Some((Arc::clone(&world), rank)));
 
         // Scatter: the rank's local view of b (halo included — the
         // neighbouring values are what an exchange would deliver).
@@ -577,16 +425,17 @@ pub fn solve_distributed(
             let base = (gi + 1) as usize * ext + (local_field.0[1].0 + 1) as usize;
             b_local.extend_from_slice(&b_global[base..base + row]);
         }
-        setups.push((solver, b_local, core, local_field));
+        setups.push((rank, pipelines, b_local, core, local_field));
     }
 
     // One OS thread per rank, exchanging through the shared world.
     let results: Result<Vec<_>, CgError> = std::thread::scope(|scope| {
         let handles: Vec<_> = setups
             .into_iter()
-            .map(|(mut solver, b_local, core, local_field)| {
+            .map(|(rank, pipelines, b_local, core, local_field)| {
+                let world = &world;
                 scope.spawn(move || {
-                    let out = cg_iterate(&mut solver, b_local, cfg)?;
+                    let out = cg_iterate(pipelines, b_local, cfg, Some((world, rank)))?;
                     Ok::<_, CgError>((out, core, local_field))
                 })
             })
@@ -770,6 +619,68 @@ mod tests {
             assert_eq!(report.iterations, 19, "{who}");
             assert_eq!(trajectory_digest(report), 12_704_088_252_234_627_211, "{who}");
         }
+    }
+
+    #[test]
+    fn reference_interpreter_walks_the_same_bits() {
+        // The undistributed module through the tree-walking interpreter,
+        // with the solver's role rotation over shared buffers: the
+        // compiled solve's residuals and `x` are the reference's bits.
+        use sten_interp::{BufView, Interpreter, RtValue};
+        let cfg = CgConfig { max_iters: 5, ..CgConfig::new(16) };
+        let want = solve(&cfg).unwrap();
+        assert_eq!(want.iterations, 5);
+        let mut m = samples::cg(cfg.n, cfg.lam);
+        ShapeInference.run(&mut m).unwrap();
+        let b = rhs(cfg.n);
+        let field = |data: Vec<f64>| BufView::from_data(vec![cfg.n + 2; 2], data);
+        let zeros = || field(vec![0.0; b.len()]);
+        let mut v = [zeros(), field(b.clone()), field(b.clone()), zeros(), zeros()];
+        let float = |out: &RtValue| match out {
+            RtValue::Float(f) => *f,
+            other => panic!("expected a scalar, got {other:?}"),
+        };
+        let mut interp = Interpreter::new(&m);
+        let out = interp.call_function("cg_norm", vec![RtValue::Buffer(v[1].clone())]).unwrap();
+        let mut rsold = float(&out[0]);
+        let mut residuals = vec![rsold.sqrt()];
+        for _ in 0..5 {
+            let mut args: Vec<RtValue> = v.iter().cloned().map(RtValue::Buffer).collect();
+            args.push(RtValue::Float(rsold));
+            let out = interp.call_function("cg_iter", args).unwrap();
+            let [x, r, p, ap, s] = v;
+            v = [s, x, r, ap, p];
+            rsold = float(&out[1]);
+            residuals.push(rsold.sqrt());
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&residuals), bits(&want.residuals));
+        assert_eq!(bits(&v[0].to_vec()), bits(&want.x));
+    }
+
+    #[test]
+    fn an_iteration_is_one_program_without_temporaries() {
+        use sten_exec::Step;
+        let cfg = CgConfig::new(24);
+        let serial = SolverPipelines::serial(&cfg).unwrap();
+        let rank1 =
+            SolverPipelines::for_rank(&cfg, "standard-slicing", None, &[2], true, 1).unwrap();
+        for (who, p) in [("serial", &serial), ("rank 1", &rank1)] {
+            let it = &p.iteration;
+            assert!(it.tmp_shapes.is_empty(), "{who}: every apply is store-forwarded");
+            let scalars = it.steps.iter().filter(|s| matches!(s, Step::Scalar { .. })).count();
+            assert_eq!(scalars, 3, "{who}: α, −α and β");
+            assert_eq!(it.num_reduce_steps().0, 2, "{who}: p·Ap and ‖r‖²");
+            assert_eq!((it.scalar_inputs.len(), it.scalar_outputs.len()), (1, 2), "{who}");
+        }
+        // Distribution placed the halo exchange and every allreduce.
+        assert_eq!(serial.iteration.swaps.len(), 0);
+        assert_eq!(rank1.iteration.swaps.len(), 1);
+        assert!(rank1.iteration.is_overlapped());
+        assert_eq!(rank1.iteration.num_reduce_steps(), (2, 2));
+        assert_eq!(rank1.norm2.num_reduce_steps(), (1, 1));
+        assert_eq!(rank1.core, Bounds::new(vec![(12, 24), (0, 24)]));
+        assert_eq!(rank1.field, Bounds::new(vec![(11, 25), (-1, 25)]));
     }
 
     #[test]

@@ -42,7 +42,7 @@
 use crate::exchange::Exchange;
 use crate::pool::{Job, WorkerPool};
 use crate::program::{
-    compile_apply, rematerialize_outs, split_longest_dim, ExecScratch, InputDesc, SendPtr,
+    compile_apply, rematerialize_outs, split_longest_dim, BinOp, ExecScratch, InputDesc, SendPtr,
 };
 use crate::resilient::RankSnapshot;
 use crate::specialize::{SpecializedKernel, TierKind};
@@ -221,6 +221,20 @@ pub enum Step {
         /// Whether to merge accumulators across all ranks (a folded
         /// `dmp.allreduce`; the identity when running single-process).
         allreduce: bool,
+    },
+    /// Function-level scalar arithmetic over scalar slots:
+    /// `slots[dst] = args[0] ⊕ args[1]` (`arith.{addf,subf,mulf,divf}`),
+    /// or `-args[0]` (`arith.negf`, `op = None`). A few flops, so it
+    /// records no span. Its operands are arguments or (allreduced)
+    /// reduction results, identical on every rank, so every rank computes
+    /// the same bits and nothing is broadcast.
+    Scalar {
+        /// The binary operator; `None` negates.
+        op: Option<BinOp>,
+        /// Operand slots: two for a binary operator, one for `negf`.
+        args: Vec<usize>,
+        /// Slot receiving the result.
+        dst: usize,
     },
     /// Range copy between buffers (non-forwarded stores).
     Copy {
@@ -457,6 +471,7 @@ impl Pipeline {
                     range.num_points(),
                     if *allreduce { ", allreduce" } else { "" }
                 ),
+                Step::Scalar { op, .. } => format!("scalar {}", op.map_or("negf", BinOp::name)),
                 Step::Copy { range, .. } => format!("copy [{} pts]", range.num_points()),
             })
             .collect()
@@ -833,6 +848,10 @@ impl Runner {
                     }
                     scalar_slots[*dst_slot] = acc.finish();
                 }
+                Step::Scalar { op, args, dst } => {
+                    let arg = |i: usize| scalar_slots[args[i]];
+                    scalar_slots[*dst] = op.map_or_else(|| -arg(0), |op| op.eval(arg(0), arg(1)));
+                }
                 Step::SwapBegin { id } | Step::SwapWait { id } => {
                     let Some(world) = world else {
                         return Err(ExecError::Exec(
@@ -899,8 +918,8 @@ impl Runner {
             }
             match step {
                 // Reduce steps record their own per-phase spans above
-                // (partial fold, allreduce rendezvous).
-                Step::Reduce { .. } => {}
+                // (partial fold, allreduce rendezvous); scalar steps none.
+                Step::Reduce { .. } | Step::Scalar { .. } => {}
                 _ => lane.span(t0, || match step {
                     Step::Apply { kernel, region, .. } => SpanKind::Apply {
                         tier: kernel.tier_kind().name(),
@@ -917,7 +936,7 @@ impl Runner {
                     },
                     Step::SwapWait { id } => SpanKind::SwapWait { swap: *id },
                     Step::Copy { range, .. } => SpanKind::Copy { points: range.num_points() },
-                    Step::Reduce { .. } => unreachable!(),
+                    Step::Reduce { .. } | Step::Scalar { .. } => unreachable!(),
                 }),
             }
         }
@@ -1293,10 +1312,34 @@ pub fn compile_module_tiered(
                 }
                 scalar_slots.insert(op.result(0), slot);
             }
+            name if name == "arith.negf" || BinOp::from_arith(name).is_some() => {
+                let args = op
+                    .operands
+                    .iter()
+                    .enumerate()
+                    .map(|(i, o)| {
+                        scalar_slots.get(o).copied().ok_or_else(|| {
+                            format!("{name} operand {i} is not a scalar argument or result")
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                scalar_slots.insert(op.result(0), num_slots);
+                steps.push(Step::Scalar { op: BinOp::from_arith(name), args, dst: num_slots });
+                num_slots += 1;
+            }
             "func.return" => {
-                for o in &op.operands {
-                    if let Some(&s) = scalar_slots.get(o) {
-                        scalar_outputs.push(s);
+                // A returned f64 without a slot (a constant) would shift
+                // every later index of `scalar_outputs()`.
+                for (i, o) in op.operands.iter().enumerate() {
+                    match scalar_slots.get(o) {
+                        Some(&s) => scalar_outputs.push(s),
+                        None if *module.values.ty(*o) == Type::F64 => {
+                            return Err(format!(
+                                "@{func} returns operand {i}, an f64 that is not a scalar \
+                                 argument or result"
+                            ))
+                        }
+                        None => {}
                     }
                 }
                 break;
@@ -1658,6 +1701,7 @@ mod tests {
                 Step::SwapWait { .. } => "wait".into(),
                 Step::Copy { .. } => "copy".into(),
                 Step::Reduce { .. } => "reduce".into(),
+                Step::Scalar { .. } => "scalar".into(),
             })
             .collect();
         assert_eq!(
@@ -1861,6 +1905,81 @@ mod tests {
         });
         assert_eq!(norms[0].to_bits(), norms[1].to_bits(), "ranks disagree: {norms:?}");
         assert_eq!(norms[0].to_bits(), want.to_bits(), "distributed {} != serial {want}", norms[0]);
+    }
+
+    /// `@f(%0, %1: f64) -> (f64, f64)` returning `body`'s last two values.
+    fn scalar_fn(body: &str, ret: &str) -> Result<Pipeline, String> {
+        let text = format!(
+            r#""builtin.module"() ({{
+  "func.func"() {{function_type = (f64, f64) -> (f64, f64), sym_name = "f"}} ({{
+  ^bb0(%0: f64, %1: f64):
+{body}    "func.return"({ret}) : (f64, f64) -> ()
+  }}) : () -> ()
+}}) : () -> ()
+"#
+        );
+        compile_module(&sten_ir::parse_module(&text).map_err(|e| e.to_string())?, "f")
+    }
+
+    const DIV_NEG: &str = r#"    %2 = "arith.divf"(%0, %1) : (f64, f64) -> (f64)
+    %3 = "arith.negf"(%0) : (f64) -> (f64)
+"#;
+
+    #[test]
+    fn scalar_steps_divide_and_negate_bit_exactly() {
+        let p = scalar_fn(DIV_NEG, "%2, %3").unwrap();
+        assert_eq!(p.step_summary(), ["scalar divf", "scalar negf"]);
+        let mut runner = Runner::new(p, 1);
+        for (a, b) in [(1.0, 3.0), (0.0, 2.0), (-0.0, 5.0), (1.0, -0.0), (f64::NAN, 1.0)] {
+            runner.set_scalar(0, a);
+            runner.set_scalar(1, b);
+            runner.step(&mut []).unwrap();
+            let [q, n] = runner.scalar_outputs()[..] else { panic!("two outputs") };
+            assert_eq!(q.to_bits(), (a / b).to_bits(), "{a} / {b}");
+            assert_eq!(n.to_bits(), (-a).to_bits(), "-{a}");
+        }
+        // `negf` is a sign flip, not `0 − a`: it turns 0.0 into −0.0.
+        runner.set_scalar(0, 0.0);
+        runner.step(&mut []).unwrap();
+        assert_eq!(runner.scalar_outputs()[1].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn scalar_step_operands_must_be_slots() {
+        let body = r#"    %2 = "arith.constant"() {value = 2.0 : f64} : () -> (f64)
+    %3 = "arith.mulf"(%0, %2) : (f64, f64) -> (f64)
+"#;
+        let err = scalar_fn(body, "%3, %1").unwrap_err();
+        assert!(err.contains("arith.mulf operand 1"), "{err}");
+    }
+
+    #[test]
+    fn a_returned_constant_is_rejected_not_dropped() {
+        // Skipping the constant would make `scalar_outputs()[0]` the
+        // argument returned second.
+        let body = r#"    %2 = "arith.constant"() {value = 1.0 : f64} : () -> (f64)
+"#;
+        let err = scalar_fn(body, "%2, %0").unwrap_err();
+        assert!(err.contains("returns operand 0"), "{err}");
+    }
+
+    #[test]
+    fn scalar_steps_match_across_thread_counts() {
+        // A CG iteration: reductions feed scalar steps feed runtime
+        // scalars of the updates, on 1 and 2 worker threads.
+        let n = 20i64;
+        let m = prepare(samples::cg(n, 0.25));
+        let ext = (n + 2) as usize;
+        let f = |k: usize| (0..ext * ext).map(|i| ((i * k) as f64 * 0.37).sin()).collect();
+        let run = |threads| {
+            let mut runner = Runner::new(compile_module(&m, "cg_iter").unwrap(), threads);
+            let mut args: Vec<Vec<f64>> = (1..=5).map(f).collect();
+            runner.set_scalar(0, 1.5);
+            runner.step(&mut args).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (bits(&runner.scalar_outputs()), args.iter().map(|a| bits(a)).collect::<Vec<_>>())
+        };
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

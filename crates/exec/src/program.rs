@@ -71,6 +71,22 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// The operator of an `arith.{addf,subf,mulf,divf}` op name.
+    pub fn from_arith(name: &str) -> Option<BinOp> {
+        let name = name.strip_prefix("arith.")?;
+        [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div].into_iter().find(|op| op.name() == name)
+    }
+
+    /// The `arith` op name without its dialect prefix.
+    pub fn name(self) -> &'static str {
+        match self {
+            BinOp::Add => "addf",
+            BinOp::Sub => "subf",
+            BinOp::Mul => "mulf",
+            BinOp::Div => "divf",
+        }
+    }
+
     /// Applies the operator.
     #[inline(always)]
     pub fn eval(self, a: f64, b: f64) -> f64 {
@@ -530,13 +546,8 @@ pub fn compile_apply(
                 let dst = alloc(op.result(0), &mut regs, &mut next_reg);
                 instrs.push(Instr::Index { dim, offset, dst });
             }
-            "arith.addf" | "arith.subf" | "arith.mulf" | "arith.divf" => {
-                let bin = match op.name.as_str() {
-                    "arith.addf" => BinOp::Add,
-                    "arith.subf" => BinOp::Sub,
-                    "arith.mulf" => BinOp::Mul,
-                    _ => BinOp::Div,
-                };
+            name if BinOp::from_arith(name).is_some() => {
+                let bin = BinOp::from_arith(name).expect("guarded");
                 let fetch = |v: Value, instrs: &mut Vec<Instr>, next: &mut u32| match reg_of(
                     v, &regs, &arg_const,
                 )? {

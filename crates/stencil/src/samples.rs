@@ -5,7 +5,7 @@
 
 use crate::ops;
 use sten_dialects::{arith, func};
-use sten_ir::{Bounds, FieldType, Module, TempType, Type, Value, ValueTable};
+use sten_ir::{Bounds, FieldType, Module, Op, TempType, Type, Value, ValueTable};
 
 /// A classic 3-point 1D Jacobi: `out[i] = l + r - 2 c` over `[1, n-1)`
 /// (the paper's Listing 1 with `n = 128`).
@@ -244,12 +244,24 @@ pub fn jacobi_with_norm(n: i64) -> Module {
     m
 }
 
+/// `a + s·b` pointwise over rank-`rank` temps, `s` a runtime scalar:
+/// the update shape the template-JIT binds its coefficient late for.
+fn axpy_apply(vt: &mut ValueTable, a: Value, b: Value, s: Value, rank: usize) -> Op {
+    ops::apply(vt, vec![a, b, s], vec![Type::Temp(TempType::unknown(rank, Type::F64))], |vt, x| {
+        let va = ops::access(vt, x[0], vec![0; rank]);
+        let vb = ops::access(vt, x[1], vec![0; rank]);
+        let scaled = arith::mulf(vt, x[2], vb.result(0));
+        let v = arith::addf(vt, va.result(0), scaled.result(0));
+        let out = v.result(0);
+        vec![va, vb, scaled, v, ops::ret(vec![out])]
+    })
+}
+
 /// The update step of iterative solvers (CG's `x += α p`):
 /// `@axpy(a, b, alpha, out)` stores `a + alpha·b` on `core`, with `alpha`
 /// a *runtime* `f64` argument rather than a compile-time constant.
 pub fn axpy(field_bounds: Bounds, core: Bounds) -> Module {
     let mut m = Module::new();
-    let rank = core.rank();
     let fty = Type::Field(FieldType::new(field_bounds, Type::F64));
     let (mut f, args) = func::definition(
         &mut m.values,
@@ -260,25 +272,80 @@ pub fn axpy(field_bounds: Bounds, core: Bounds) -> Module {
     let (fa, fb, alpha, fout) = (args[0], args[1], args[2], args[3]);
     let la = ops::load(&mut m.values, fa);
     let lb = ops::load(&mut m.values, fb);
-    let ap = ops::apply(
-        &mut m.values,
-        vec![la.result(0), lb.result(0), alpha],
-        vec![Type::Temp(TempType::unknown(rank, Type::F64))],
-        |vt, a| {
-            let va = ops::access(vt, a[0], vec![0; rank]);
-            let vb = ops::access(vt, a[1], vec![0; rank]);
-            let scaled = arith::mulf(vt, a[2], vb.result(0));
-            let v = arith::addf(vt, va.result(0), scaled.result(0));
-            let out = v.result(0);
-            vec![va, vb, scaled, v, ops::ret(vec![out])]
-        },
-    );
+    let ap = axpy_apply(&mut m.values, la.result(0), lb.result(0), alpha, core.rank());
     let out = ap.result(0);
     let body = &mut f.region_block_mut(0).ops;
     body.extend([la, lb, ap]);
     body.push(ops::store(out, fout, core.lower(), core.upper()));
     body.push(func::ret(vec![]));
     m.body_mut().ops.push(f);
+    m
+}
+
+/// Appends `op` to `body` and returns its (first) result.
+fn emit(body: &mut Vec<Op>, op: Op) -> Value {
+    let v = op.result(0);
+    body.push(op);
+    v
+}
+
+/// Conjugate gradients on `A = I − λ∇²` (the implicit heat operator,
+/// [`heat_2d`]'s body with coefficient `−λ`) over fields `[-1, n+1)²`:
+///
+/// * `@cg_norm(r) -> f64`: `‖r‖²` over the core `[0, n)²`, once per
+///   solve;
+/// * `@cg_iter(x, r, p, ap, s, rsold: f64) -> (pap, rsnew)`: one whole
+///   iteration — `ap = A·p`, `pap = p·ap`, `α = rsold / pap`,
+///   `s = x + α·p`, `x = r + (−α)·ap`, `rsnew = ‖x‖²`,
+///   `β = rsnew / rsold`, `r = x + β·p`.
+///
+/// After a step the five fields change roles: the next step's
+/// `[x, r, p, ap, s]` are this step's `[s, x, r, ap, p]`. Each apply
+/// result is used only by its store and later ops load the stored field
+/// again, so every apply is store-forwarded and the iteration needs no
+/// temporary; each update has [`axpy`]'s shape.
+pub fn cg(n: i64, lam: f64) -> Module {
+    let mut m = Module::new();
+    let (lo, hi) = (vec![0, 0], vec![n, n]);
+    let fty = Type::Field(FieldType::new(Bounds::new(vec![(-1, n + 1), (-1, n + 1)]), Type::F64));
+    let vt = &mut m.values;
+    let dot =
+        |vt: &mut ValueTable, a, b| ops::reduce(vt, "dot", vec![a, b], lo.clone(), hi.clone());
+
+    let (mut norm, args) = func::definition(vt, "cg_norm", vec![fty.clone()], vec![Type::F64]);
+    let body = &mut norm.region_block_mut(0).ops;
+    let r = emit(body, ops::load(vt, args[0]));
+    let rr = emit(body, dot(vt, r, r));
+    body.push(func::ret(vec![rr]));
+
+    let mut inputs = vec![fty; 5];
+    inputs.push(Type::F64);
+    let (mut iter, args) = func::definition(vt, "cg_iter", inputs, vec![Type::F64, Type::F64]);
+    let [x, r, p, ap, s, rsold] = args[..] else { unreachable!("six arguments") };
+    let b = &mut iter.region_block_mut(0).ops;
+    let store =
+        |b: &mut Vec<Op>, temp, field| b.push(ops::store(temp, field, lo.clone(), hi.clone()));
+    let pt = emit(b, ops::load(vt, p));
+    let temp = Type::Temp(TempType::unknown(2, Type::F64));
+    let apt = emit(b, ops::apply(vt, vec![pt], vec![temp], |vt, a| heat5_body(vt, a[0], -lam).0));
+    store(b, apt, ap);
+    let apt = emit(b, ops::load(vt, ap));
+    let pap = emit(b, dot(vt, pt, apt));
+    let alpha = emit(b, arith::divf(vt, rsold, pap));
+    let xt = emit(b, ops::load(vt, x));
+    let xnew = emit(b, axpy_apply(vt, xt, pt, alpha, 2));
+    store(b, xnew, s);
+    let neg_alpha = emit(b, arith::negf(vt, alpha));
+    let rt = emit(b, ops::load(vt, r));
+    let rnew = emit(b, axpy_apply(vt, rt, apt, neg_alpha, 2));
+    store(b, rnew, x);
+    let rt = emit(b, ops::load(vt, x)); // the new residual
+    let rsnew = emit(b, dot(vt, rt, rt));
+    let beta = emit(b, arith::divf(vt, rsnew, rsold));
+    let pnew = emit(b, axpy_apply(vt, rt, pt, beta, 2));
+    store(b, pnew, r);
+    b.push(func::ret(vec![pap, rsnew]));
+    m.body_mut().ops.extend([norm, iter]);
     m
 }
 
@@ -306,6 +373,7 @@ mod tests {
             reduce_nd("min", b1.clone(), c1.clone()),
             jacobi_with_norm(128),
             axpy(b1, c1),
+            cg(16, 0.25),
         ] {
             verify_module(&m, Some(&registry())).unwrap();
         }

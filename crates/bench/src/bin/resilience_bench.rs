@@ -9,11 +9,11 @@
 //!    paired bursts on identical work. Gated at ≤2%: resilience must be
 //!    free when the network is healthy.
 //! 2. **Checkpoint cost vs interval** — [`run_resilient`] with no
-//!    faults at intervals {1, 2, 4, 8, ∞}: wall-clock, deposits,
-//!    content-addressed store growth (dedup visible), and the deposit
-//!    itself from the trace's checkpoint spans (snapshot, store `put`,
-//!    digest barrier): µs per deposit and GB/s deposited. Full runs gate
-//!    the deposit rate at ≥0.75 GB/s.
+//!    faults at intervals {1, 2, 4, 8, ∞}: wall-clock, deposits, what
+//!    the store retains (asserted: one cut, at most one snapshot per
+//!    rank), and the deposit itself from the trace's checkpoint spans
+//!    (snapshot, store `put`, digest barrier): µs per deposit and GB/s
+//!    deposited. Full runs gate the deposit rate at ≥0.75 GB/s.
 //! 3. **Recovery overhead vs interval** — a rank crash at mid-run:
 //!    rollback count, replayed steps (shrinking as checkpoints tighten),
 //!    wall-clock vs the fault-free run, and a bit-identity check of the
@@ -286,6 +286,16 @@ fn main() {
     )
     .expect("fault-free resilient run");
     assert_eq!(no_ckpt.outs, plain_ref, "resilient driver must heal to plain bytes");
+    // Retention: a fault-free run leaves one cut, one snapshot per rank
+    // at most (fewer where ranks share content).
+    let holds_one_cut = |out: &ResilientOutcome, what: &str| {
+        assert!(
+            out.store_blobs <= RANKS,
+            "{what}: the store holds {} snapshots after a fault-free run, more than one cut",
+            out.store_blobs
+        );
+    };
+    holds_one_cut(&no_ckpt, "no checkpoints");
     let intervals = [1u64, 2, 4, 8];
     // One rank's deposit: its field arguments.
     let deposit_bytes: u64 =
@@ -307,6 +317,7 @@ fn main() {
         .expect("fault-free resilient run");
         assert_eq!(out.outs, plain_ref);
         assert_eq!(out.report.recoveries, 0);
+        holds_one_cut(&out, &format!("interval {interval}"));
         let cost_pct = (out.seconds / no_ckpt.seconds - 1.0) * 100.0;
         let rate = gb_per_s(out.deposits, out.deposit_ns);
         let deposit_us = us_per_deposit(out.deposits, out.deposit_ns);
@@ -330,8 +341,9 @@ fn main() {
         ));
     }
     // The deposit rate over every traced deposit of the sweep. The
-    // store keeps every cut, so each deposit fills fresh pages; the gate
-    // is what that costs, not a cache-warm copy.
+    // store keeps one cut and deposits copy into the retired one's
+    // buffers, so after the first two cuts no deposit touches a fresh
+    // page.
     const DEPOSIT_GATE_GB_PER_S: f64 = 0.75;
     let deposit_rate = gb_per_s(all_deposits, all_deposit_ns);
     let deposit_us = us_per_deposit(all_deposits, all_deposit_ns);

@@ -106,6 +106,19 @@ impl Exchange {
         self.stash.clear();
     }
 
+    /// Whether no round is in flight: every sequence at 0, no frame kept
+    /// or parked — the state of a fresh exchange.
+    #[cfg(test)]
+    pub(crate) fn is_idle(&self) -> bool {
+        self.stash.is_empty() && self.swaps.iter().all(|s| s.seq == 0 && s.sent.is_empty())
+    }
+
+    /// Recycled frames on each swap's free list.
+    #[cfg(test)]
+    pub(crate) fn free_frames(&self) -> Vec<usize> {
+        self.swaps.iter().map(|s| s.free.len()).collect()
+    }
+
     /// Starts round `seq + 1` of swap `id` over `data` (laid out as
     /// `shape`): frames each outgoing slab and posts a buffered send to
     /// every present neighbour. The frames kept from the previous round
@@ -143,7 +156,12 @@ impl Exchange {
             lane.span(t0, || SpanKind::Pack { dir: e.to.clone(), bytes });
             let tag = tag_for_direction(&e.to) as i32;
             if keep {
-                world.send(rank as i32, n as i32, tag, frame.clone());
+                // The copy on the wire comes from the free list too: each
+                // round returns two frames per neighbour (the kept one and
+                // the received one), so it must take two.
+                let mut copy = scratch.take(frame.len());
+                copy.extend_from_slice(&frame);
+                world.send(rank as i32, n as i32, tag, copy);
                 scratch.sent.push((n as i32, tag, frame));
             } else {
                 world.send(rank as i32, n as i32, tag, frame);

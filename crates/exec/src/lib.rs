@@ -37,6 +37,9 @@
 //!   place), a content-addressed [`resilient::CheckpointStore`] plus
 //!   [`resilient::run_resilient`], the cohort driver that rolls every
 //!   rank back to the latest consistent checkpoint when a rank crashes.
+//!   A rollback never targets anything older than the newest certified
+//!   cut, so the store retires every older one and deposits copy into
+//!   the retired buffers: a fault-free run holds one cut.
 //!
 //! Numerical results are bit-identical to the `sten-interp` tree-walker on
 //! the same module — the workspace tests enforce this.

@@ -675,7 +675,23 @@ impl Runner {
     /// scalar slots) as a [`RankSnapshot`], digested in place so
     /// identical states share one content address.
     pub fn snapshot(&self, args: &[Vec<f64>]) -> RankSnapshot {
-        RankSnapshot::new(self.timestep, args.to_vec(), self.scalar_slots.clone())
+        self.snapshot_into(args, Vec::new())
+    }
+
+    /// [`Runner::snapshot`] into recycled buffers: each argument is
+    /// copied into one of `bufs` (a new one once they run out), so a
+    /// deposit writes into warm pages instead of fresh ones.
+    pub fn snapshot_into(&self, args: &[Vec<f64>], mut bufs: Vec<Vec<f64>>) -> RankSnapshot {
+        let copies = args
+            .iter()
+            .map(|a| {
+                let mut buf = bufs.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(a);
+                buf
+            })
+            .collect();
+        RankSnapshot::new(self.timestep, copies, self.scalar_slots.clone())
     }
 
     /// Rolls this rank back to `snap`: overwrites `args` and the scalar
@@ -2040,16 +2056,88 @@ mod tests {
         assert!(restored.step(&mut args).unwrap_err().contains("was never set"));
     }
 
-    #[test]
-    fn swap_without_world_is_reported() {
-        let mut m = samples::jacobi_1d(128);
+    /// jacobi-1d on `n` points split over 2 ranks, and a zeroed argument
+    /// pair of one rank's local shape.
+    fn jacobi_2r(n: i64) -> (Pipeline, Vec<Vec<f64>>) {
+        let mut m = samples::jacobi_1d(n);
         ShapeInference.run(&mut m).unwrap();
         sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
         ShapeInference.run(&mut m).unwrap();
         let pipeline = compile_module(&m, "jacobi").unwrap();
-        let shape = pipeline.arg_shapes[0].clone();
-        let len = shape.iter().product::<i64>() as usize;
-        let mut args = vec![vec![0.0; len], vec![0.0; len]];
+        let len = pipeline.arg_shapes[0].iter().product::<i64>() as usize;
+        (pipeline, vec![vec![0.0; len], vec![0.0; len]])
+    }
+
+    /// Steps both ranks of a fresh runner `steps` times over `world`
+    /// and returns the runners.
+    fn step_both_ranks(
+        pipeline: &Pipeline,
+        args: &[Vec<f64>],
+        world: &Arc<SimWorld>,
+        steps: usize,
+    ) -> Vec<Runner> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|rank| {
+                    let (mut args, world) = (args.to_vec(), Arc::clone(world));
+                    s.spawn(move || {
+                        let mut runner = Runner::new(pipeline.clone(), 1);
+                        for _ in 0..steps {
+                            runner.step_distributed(&mut args, &world, rank).unwrap();
+                            args.swap(0, 1);
+                        }
+                        runner
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    fn reliable_world() -> Arc<SimWorld> {
+        SimWorld::new_resilient(
+            2,
+            std::time::Duration::ZERO,
+            sten_trace::Tracer::disabled(),
+            None,
+            Some(sten_interp::Reliability::default()),
+        )
+    }
+
+    #[test]
+    fn swap_free_lists_stay_bounded() {
+        // Each rank of the 1-D split has one neighbour. A world with a
+        // `Reliability` keeps one frame per neighbour and sends a copy,
+        // so at most two recycle; one without keeps nothing.
+        let (pipeline, args) = jacobi_2r(128);
+        for (world, bound) in [(reliable_world(), 2), (SimWorld::new(2), 1)] {
+            for (rank, runner) in step_both_ranks(&pipeline, &args, &world, 64).iter().enumerate() {
+                let free = runner.exchange.free_frames();
+                assert!(free.iter().all(|&n| n <= bound), "rank {rank}: {free:?} after 64 rounds");
+            }
+        }
+    }
+
+    /// `run_resilient` starts a first attempt on fresh runners instead of
+    /// restoring the step-0 baseline they just deposited.
+    #[test]
+    fn a_fresh_runner_is_one_restored_from_its_baseline() {
+        let (pipeline, args) = jacobi_2r(128);
+        let fresh = Runner::new(pipeline.clone(), 1);
+        let baseline = fresh.snapshot(&args);
+        assert!(fresh.exchange.is_idle());
+        for mut runner in step_both_ranks(&pipeline, &args, &reliable_world(), 3) {
+            assert!(!runner.exchange.is_idle() && runner.timestep == 3);
+            runner.restore(&mut args.clone(), &baseline);
+            assert!(runner.exchange.is_idle());
+            assert_eq!(runner.timestep, fresh.timestep);
+            assert_eq!(runner.snapshot(&args), baseline);
+        }
+    }
+
+    #[test]
+    fn swap_without_world_is_reported() {
+        let (pipeline, mut args) = jacobi_2r(128);
         let err = Runner::new(pipeline, 1).step(&mut args).unwrap_err();
         assert!(err.contains("step_distributed"), "{err}");
     }

@@ -11,10 +11,14 @@
 //! guarantee the crash that triggered the rollback cannot re-fire during
 //! the replay, so the cohort makes forward progress.
 //!
+//! The store keeps only what such a rollback can read: each certified
+//! cut retires the ones before it, and the next deposits copy into the
+//! retired cut's buffers (see [`CheckpointStore`]).
+//!
 //! [`FaultAction::RankCrash`]: sten_interp::FaultAction::RankCrash
 
 use crate::pipeline::{ExecError, Pipeline, Runner};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use sten_interp::{FaultPlan, MpiError, Reliability, SimWorld};
@@ -162,6 +166,16 @@ impl RankSnapshot {
 /// backed by a directory, where each new snapshot is also serialised to
 /// `<digest>.ckpt`; a blob read back from there is restored only if it
 /// still digests to its file name.
+///
+/// **Retention.** A store keeps what a recovery can still read.
+/// [`CheckpointStore::retire_before`] drops the index entries older than
+/// a certified cut, then every snapshot no remaining entry names (and
+/// its file). A rollback only ever targets
+/// [`CheckpointStore::latest_consistent`], which is never older than the
+/// newest certified cut, so nothing it could read is dropped. The
+/// argument buffers of a dropped snapshot go onto a free list, and
+/// [`CheckpointStore::recycled`] hands them to the next deposits to copy
+/// into, instead of fresh pages.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
@@ -172,6 +186,8 @@ pub struct CheckpointStore {
 struct StoreInner {
     snaps: HashMap<u128, Arc<RankSnapshot>>,
     by_step: BTreeMap<u64, HashMap<usize, u128>>,
+    /// Argument buffers of dropped snapshots, for deposits to copy into.
+    free: Vec<Vec<f64>>,
 }
 
 fn blob_path(dir: &Path, digest: u128) -> PathBuf {
@@ -253,6 +269,41 @@ impl CheckpointStore {
             .map(|(&step, _)| step)
     }
 
+    /// Retires every index entry older than `step`, the newest certified
+    /// cut. A snapshot that no remaining entry names leaves the store
+    /// (and the disk), and its argument buffers go onto the free list
+    /// unless someone still holds it. A digest a retained step shares
+    /// stays, and so does a partial newer cut.
+    pub fn retire_before(&self, step: u64) {
+        let mut inner = self.lock();
+        let StoreInner { snaps, by_step, free } = &mut *inner;
+        if !by_step.keys().next().is_some_and(|&oldest| oldest < step) {
+            return;
+        }
+        *by_step = by_step.split_off(&step);
+        let kept: HashSet<u128> = by_step.values().flat_map(|r| r.values().copied()).collect();
+        snaps.retain(|digest, snap| {
+            if kept.contains(digest) {
+                return true;
+            }
+            if let Some(dir) = &self.disk {
+                let _ = std::fs::remove_file(blob_path(dir, *digest));
+            }
+            if let Some(snap) = Arc::get_mut(snap) {
+                free.append(&mut snap.args);
+            }
+            false
+        });
+    }
+
+    /// Up to `n` argument buffers of retired snapshots, for a deposit to
+    /// copy into (see [`Runner::snapshot_into`]).
+    pub fn recycled(&self, n: usize) -> Vec<Vec<f64>> {
+        let mut inner = self.lock();
+        let from = inner.free.len().saturating_sub(n);
+        inner.free.split_off(from)
+    }
+
     /// Distinct snapshots currently stored.
     pub fn num_blobs(&self) -> usize {
         self.lock().snaps.len()
@@ -305,10 +356,43 @@ pub struct ResilientReport {
     /// Rollbacks performed.
     pub recoveries: u32,
     /// Checkpoint deposits across all ranks and attempts (the step-0
-    /// baseline included).
+    /// baseline included, when the store held no cut to resume from).
     pub checkpoints: u64,
     /// Timesteps re-executed during recovery replays, summed over ranks.
     pub replayed_steps: u64,
+}
+
+/// Brings one rank's fresh `runner` and `args` to the attempt's `start`
+/// cut and returns the first step to run.
+///
+/// `None` — a first attempt over a store without a consistent cut —
+/// starts from the caller's `args` as they are: a fresh runner is
+/// already at timestep 0 with the initial scalar slots and an idle
+/// exchange, exactly what a restore of that state would leave. The rank
+/// deposits the state as its step-0 baseline before any step (and any
+/// fault) executes, so every later attempt finds a cut. Otherwise the
+/// rank restores its snapshot of the cut; a missing one poisons the
+/// world, so peers fail fast instead of timing out on a rank that never
+/// starts.
+fn resume(
+    runner: &mut Runner,
+    args: &mut [Vec<f64>],
+    start: Option<u64>,
+    rank: usize,
+    store: &CheckpointStore,
+    world: &SimWorld,
+) -> Result<u64, ExecError> {
+    let Some(start) = start else {
+        store.put(rank, runner.snapshot_into(args, store.recycled(args.len())));
+        return Ok(0);
+    };
+    let Some(snap) = store.get(start, rank) else {
+        let msg = format!("rank {rank}: no checkpoint at step {start} to restore from");
+        world.poison(rank as i32, msg.clone());
+        return Err(ExecError::Exec(msg));
+    };
+    runner.restore(args, &snap);
+    Ok(start)
 }
 
 /// Runs `cfg.steps` timesteps of `pipeline` across
@@ -319,6 +403,16 @@ pub struct ResilientReport {
 /// an injected crash rolls the whole cohort back to the latest
 /// consistent checkpoint. On success `args_per_rank` holds each rank's
 /// final owned state — bit-identical to a fault-free run.
+///
+/// Once the barrier certifies a cut, every rank retires the entries
+/// older than it ([`CheckpointStore::retire_before`]), so a fault-free
+/// run leaves one cut in `store`. That is all a recovery needs: it rolls
+/// back to [`CheckpointStore::latest_consistent`], never older than the
+/// newest certified cut, and a partial newer cut (a crash mid-deposit)
+/// stays until a certified one replaces it. Deposits copy into the
+/// retired cut's buffers ([`CheckpointStore::recycled`]). On a first
+/// attempt over a store without a cut, each rank deposits its own step-0
+/// baseline and starts from the caller's `args` without a restore.
 ///
 /// # Errors
 /// Returns the underlying [`ExecError`] when the recovery budget is
@@ -340,19 +434,17 @@ pub fn run_resilient(
     let interval = cfg.checkpoint_interval.max(1);
     let mut report = ResilientReport::default();
 
-    // The step-0 baseline: a rollback target that always exists, taken
-    // before any step (and any fault) executes.
-    for (rank, args) in args_per_rank.iter().enumerate() {
-        store.put(rank, RankSnapshot::new(0, args.clone(), pipeline.initial_scalar_slots()));
-        report.checkpoints += 1;
-    }
-
     let mut recoveries = 0u32;
     loop {
-        let start =
-            store.latest_consistent(ranks).expect("the step-0 baseline checkpoint always exists");
+        // `None` only on a first attempt over a store without a cut: each
+        // rank then deposits its own step-0 baseline (see `resume`).
+        let start = store.latest_consistent(ranks);
+        assert!(
+            start.is_some() || recoveries == 0,
+            "the step-0 baseline checkpoint always exists after a first attempt"
+        );
         if recoveries > 0 {
-            report.replayed_steps += (cfg.steps - start) * ranks as u64;
+            report.replayed_steps += (cfg.steps - start.unwrap_or(0)) * ranks as u64;
         }
         let world = SimWorld::new_resilient(
             ranks,
@@ -373,24 +465,18 @@ pub fn run_resilient(
                     s.spawn(move || -> Result<(), ExecError> {
                         let mut runner =
                             Runner::new(pipeline, cfg.threads).with_trace(tracer, rank as u32);
-                        let Some(snap) = store.get(start, rank) else {
-                            // Poison the world so peers fail fast instead
-                            // of timing out on a rank that never starts.
-                            let msg = format!(
-                                "rank {rank}: no checkpoint at step {start} to restore from"
-                            );
-                            world.poison(rank as i32, msg.clone());
-                            return Err(ExecError::Exec(msg));
-                        };
-                        runner.restore(args, &snap);
-                        for step in start..cfg.steps {
+                        let from = resume(&mut runner, args, start, rank, store, &world)?;
+                        if start.is_none() {
+                            checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                        for step in from..cfg.steps {
                             runner.step_distributed_checked(args, &world, rank as i64)?;
                             if cfg.rotate_args {
                                 args.rotate_left(1);
                             }
                             if (step + 1) % interval == 0 && step + 1 < cfg.steps {
                                 let t0 = tracer.now();
-                                let snap = runner.snapshot(args);
+                                let snap = runner.snapshot_into(args, store.recycled(args.len()));
                                 let (at, digest) = (snap.step, snap.digest);
                                 let bytes =
                                     8 * snap.args.iter().map(Vec::len).sum::<usize>() as u64;
@@ -407,6 +493,7 @@ pub fn run_resilient(
                                     world.poison(rank as i32, e.to_string());
                                     ExecError::Mpi(e)
                                 })?;
+                                store.retire_before(at);
                                 checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                                 tracer.count(Counter::Checkpoints, 1);
                                 tracer.record_span(rank as u32, 0, t0, || SpanKind::Checkpoint {
@@ -581,6 +668,88 @@ mod tests {
     }
 
     #[test]
+    fn retiring_keeps_what_recovery_can_read() {
+        let dir = scratch_dir("retire");
+        for store in [CheckpointStore::in_memory(), CheckpointStore::on_disk(&dir).unwrap()] {
+            for step in [0, 4] {
+                for rank in 0..2 {
+                    store.put(rank, snap(step, &[step as f64, rank as f64]));
+                }
+            }
+            store.retire_before(4);
+            assert!(store.get(0, 0).is_none() && store.get(0, 1).is_none());
+            assert_eq!(*store.get(4, 1).unwrap(), snap(4, &[4.0, 1.0]));
+            assert_eq!(store.num_blobs(), 2);
+
+            // Rank 1 crashed before depositing step 8: cut 4 stays the
+            // rollback target, and retiring before it keeps both.
+            store.put(0, snap(8, &[8.0, 0.0]));
+            store.retire_before(4);
+            assert_eq!(store.latest_consistent(2), Some(4));
+            assert!(store.get(4, 0).is_some() && store.get(4, 1).is_some());
+            assert!(store.get(8, 0).is_some(), "a partial newer cut stays");
+
+            // Step 12 files step 8's content address: retiring step 8
+            // keeps the blob, and its buffers are not recycled.
+            let shared = store.get(8, 0).unwrap().digest;
+            store.lock().by_step.entry(12).or_default().insert(0, shared);
+            let recycled = store.lock().free.len();
+            store.retire_before(12);
+            assert!(store.get(8, 0).is_none());
+            assert_eq!(store.get(12, 0).unwrap().digest, shared);
+            assert_eq!(store.num_blobs(), 1);
+            assert_eq!(store.lock().free.len(), recycled + 2, "cut 4's two buffers, not step 8's");
+            if store.disk.is_some() {
+                let files = std::fs::read_dir(&dir).unwrap().count();
+                assert_eq!(files, store.num_blobs(), "retired blobs leave the disk");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_recycled_buffer_never_aliases_a_retained_snapshot() {
+        let store = CheckpointStore::in_memory();
+        store.put(0, snap(0, &[1.0; 8]));
+        let retired = store.get(0, 0).unwrap().args[0].as_ptr();
+        store.put(0, snap(4, &[2.0; 8]));
+        store.retire_before(4);
+
+        let mut bufs = store.recycled(2);
+        assert_eq!(bufs.len(), 1, "one retired buffer");
+        assert_eq!(bufs[0].as_ptr(), retired, "the retired snapshot's own buffer");
+        bufs[0].clear();
+        bufs[0].extend_from_slice(&[3.0; 8]);
+        store.put(0, RankSnapshot::new(8, bufs, vec![]));
+
+        let kept = store.get(4, 0).unwrap();
+        assert_eq!(*kept, snap(4, &[2.0; 8]), "the retained cut keeps its bits");
+        assert_eq!(kept.digest, digest_of(4, &kept.args, &kept.scalar_slots));
+        assert_ne!(kept.args[0].as_ptr(), store.get(8, 0).unwrap().args[0].as_ptr());
+    }
+
+    #[test]
+    fn a_fault_free_run_leaves_one_cut() {
+        let (pipeline, mut args) = jacobi_2r(64);
+        let store = CheckpointStore::in_memory();
+        let cfg = ResilientConfig { steps: 64, rotate_args: true, ..ResilientConfig::default() };
+        let report = run_resilient(
+            &pipeline,
+            &mut args,
+            Arc::new(FaultPlan::new()),
+            &store,
+            &cfg,
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        assert_eq!(report.checkpoints, 2 * 16, "the baseline and 15 deposits per rank");
+        assert_eq!(store.latest_consistent(2), Some(60));
+        let cut: u64 = (0..2).map(|rank| store.get(60, rank).unwrap().encoded_len()).sum();
+        assert_eq!(store.bytes_stored(), cut);
+        assert_eq!(store.num_blobs(), 2);
+    }
+
+    #[test]
     fn disk_store_survives_losing_its_memory() {
         let dir = scratch_dir("memory");
         let s = snap(2, &[5.0, 6.0, 7.0]);
@@ -715,7 +884,7 @@ mod tests {
         run_resilient(&pipeline, &mut init.clone(), no_faults(), &first, &cfg, &Tracer::disabled())
             .unwrap();
         let index = std::mem::take(&mut first.lock().by_step);
-        assert_eq!(index.keys().copied().collect::<Vec<_>>(), [0, 2, 4]);
+        assert_eq!(index.keys().copied().collect::<Vec<_>>(), [4], "only the last cut is kept");
 
         let path = blob_path(&dir, index[&4][&1]);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -7,7 +7,6 @@
 //! is warmed up, then timed over enough iterations to fill ~200 ms, and
 //! the mean/min wall time per iteration is reported.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use stencil_core::prelude::*;
 
@@ -125,17 +124,12 @@ fn bench_simmpi_halo() {
     for elems in [64usize, 4096] {
         report("simmpi_halo", &format!("{elems}elem"), None, || {
             let world = SimWorld::new(2);
-            std::thread::scope(|scope| {
-                for rank in 0..2i32 {
-                    let world = Arc::clone(&world);
-                    scope.spawn(move || {
-                        let peer = 1 - rank;
-                        let data = vec![rank as f64; elems];
-                        world.send(rank, peer, 7, data);
-                        let _ = world.recv(rank, peer, 7);
-                    });
-                }
-            });
+            launch(&world, |rank| {
+                let (rank, peer) = (rank as i32, 1 - rank as i32);
+                world.send(rank, peer, 7, vec![f64::from(rank); elems]);
+                world.recv(rank, peer, 7).map_err(|e| e.to_string())
+            })
+            .unwrap();
         });
     }
 }

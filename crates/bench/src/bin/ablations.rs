@@ -208,19 +208,31 @@ fn ablate_decomposition_strategies() {
     let mut rows = Vec::new();
     let mut measured: HashMap<&str, u64> = HashMap::new();
     for strategy in ["standard-slicing", "recursive-bisection"] {
-        let modules: Vec<Module> = (0..ranks)
+        // Each rank's box is read at the stencil level, before the
+        // lowering turns its fields into plain memrefs.
+        let (modules, boxes): (Vec<Module>, Vec<RankBox>) = (0..ranks)
             .map(|rank| {
-                let pipeline = format!(
-                    "shape-inference,distribute-stencil{{grid=4 rank={rank} \
-                     strategy={strategy}}},shape-inference,dmp-eliminate-redundant-swaps,\
-                     convert-stencil-to-loops,dmp-to-mpi,mpi-to-func"
+                let run = |m: Module, pipeline: &str| {
+                    driver
+                        .run_str(m, pipeline)
+                        .unwrap_or_else(|e| panic!("{strategy} rank {rank}: {e}"))
+                        .module
+                };
+                let distributed = run(
+                    stencil_core::stencil::samples::heat_2d(n, 0.1),
+                    &format!(
+                        "shape-inference,distribute-stencil{{grid=4 rank={rank} \
+                         strategy={strategy}}},shape-inference"
+                    ),
                 );
-                driver
-                    .run_str(stencil_core::stencil::samples::heat_2d(n, 0.1), &pipeline)
-                    .unwrap_or_else(|e| panic!("{strategy} rank {rank}: {e}"))
-                    .module
+                let rank_box = RankBox::of(&distributed, "heat").unwrap();
+                let lowered = run(
+                    distributed,
+                    "dmp-eliminate-redundant-swaps,convert-stencil-to-loops,dmp-to-mpi,mpi-to-func",
+                );
+                (lowered, rank_box)
             })
-            .collect();
+            .unzip();
         let layout =
             stencil_core::dialects::func::FuncOp(modules[0].lookup_symbol("heat").unwrap())
                 .0
@@ -230,26 +242,12 @@ fn ablate_decomposition_strategies() {
                 .to_vec();
         let full = (n + 2) as usize;
         let global: Vec<f64> = (0..full * full).map(|i| (i as f64 * 0.01).sin()).collect();
-        let g = &global;
-        let layout_ref = &layout;
-        let (_, world) = run_spmd_modules(&modules, "heat", &move |rank| {
-            let coords = stencil_core::dmp::decomposition::rank_to_coords(rank as i64, layout_ref);
-            let (oy, sy) = stencil_core::dmp::balanced_chunk(n, layout_ref[0], coords[0]);
-            let (ox, sx) = stencil_core::dmp::balanced_chunk(
-                n,
-                layout_ref.get(1).copied().unwrap_or(1),
-                coords.get(1).copied().unwrap_or(0),
-            );
-            let mut data = Vec::with_capacity(((sy + 2) * (sx + 2)) as usize);
-            for y in 0..sy + 2 {
-                for x in 0..sx + 2 {
-                    data.push(g[(oy + y) as usize * full + (ox + x) as usize]);
-                }
-            }
-            vec![
-                ArgSpec::Buffer { shape: vec![sy + 2, sx + 2], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![sy + 2, sx + 2], data },
-            ]
+        let placement = Layout { global: Bounds::new(vec![(-1, n + 1); 2]), ranks: boxes };
+        let parts = placement.scatter(&global);
+        let (_, world) = run_spmd_modules(&modules, "heat", &|rank| {
+            let shape = placement.ranks[rank].stored.shape();
+            let buffer = ArgSpec::Buffer { shape, data: parts[rank].clone() };
+            vec![buffer.clone(), buffer]
         })
         .unwrap();
         measured.insert(strategy, world.total_sent_elements());

@@ -99,7 +99,7 @@ fn fold_mpts_per_s(pipeline: Pipeline, arity: usize, cfg: &CgConfig) -> f64 {
 /// share of a traced serial solve spent folding partials.
 fn folds_json(cfg: &CgConfig) -> String {
     let p = SolverPipelines::serial(cfg).expect("pipelines");
-    let mut dot = samples::reduce_nd("dot", p.field, p.core);
+    let mut dot = samples::reduce_nd("dot", p.rank_box.stored, p.rank_box.core);
     ShapeInference.run(&mut dot).expect("shape inference");
     let dot = compile_module_tiered(&dot, "reduce", cfg.tier).expect("dot pipeline");
     let dot = fold_mpts_per_s(dot, 2, cfg);

@@ -10,7 +10,6 @@
 //! scaling run over SimMPI (real rank threads, real halo exchanges) to
 //! demonstrate the code path.
 
-use std::sync::Arc;
 use sten_bench::{gpts, heat_profile, print_table, wave_profile};
 use stencil_core::perf::{archer2_node, slingshot, strong_scaling, CpuPipeline, ScalingConfig};
 use stencil_core::prelude::*;
@@ -84,34 +83,16 @@ fn measured() {
         };
         let dist = op.compile_distributed(&topo).expect("distributes");
         let world = SimWorld::new(ranks as usize);
-        let shape = op.field_shape();
-        let w = shape[1];
-        let grid0 = topo[0];
-        let grid1 = topo.get(1).copied().unwrap_or(1);
-        let (core0, core1) = (n / grid0, n / grid1);
-        let r = op.halo_lo[0];
+        let len: i64 = op.field_shape().iter().product();
+        let global: Vec<f64> = (0..len).map(|i| (i as f64 * 0.01).sin()).collect();
+        let layout = Layout::of_spmd(op.field_bounds(), &dist, "step").expect("rank layout");
+        let parts = layout.scatter(&global);
         let start = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for rank in 0..ranks {
-                let world = Arc::clone(&world);
-                let op = op.clone();
-                let dist = &dist;
-                scope.spawn(move || {
-                    let (c0, c1) = (rank / grid1, rank % grid1);
-                    let (l0, l1) = (core0 + 2 * r, core1 + 2 * r);
-                    let mut data = Vec::with_capacity((l0 * l1) as usize);
-                    for y in 0..l0 {
-                        for x in 0..l1 {
-                            let gy = c0 * core0 + y;
-                            let gx = c1 * core1 + x;
-                            data.push(((gy * w + gx) as f64 * 0.01).sin());
-                        }
-                    }
-                    let mut bufs = vec![data.clone(), data];
-                    op.run_distributed(dist, &mut bufs, steps, 1, &world, rank).unwrap();
-                });
-            }
-        });
+        launch_with(&world, parts, |rank, data| {
+            let mut bufs = vec![data.clone(), data];
+            op.run_distributed(&dist, &mut bufs, steps, 1, &world, rank as i64)
+        })
+        .unwrap();
         let secs = start.elapsed().as_secs_f64();
         let pts = (n * n) as f64 * steps as f64;
         rows.push(vec![

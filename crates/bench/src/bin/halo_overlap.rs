@@ -101,10 +101,16 @@ fn cases(smoke: bool) -> Vec<Case> {
     ]
 }
 
-/// One module per rank at the stencil level, ready for the executor.
-fn per_rank_pipelines(case: &Case, overlap: bool, depth: i64) -> (Vec<Pipeline>, Vec<i64>) {
+/// One module per rank at the stencil level, ready for the executor,
+/// with the rank grid the strategy chose and each rank's box.
+fn per_rank_pipelines(
+    case: &Case,
+    overlap: bool,
+    depth: i64,
+) -> (Vec<Pipeline>, Vec<i64>, Vec<RankBox>) {
     let ranks: i64 = case.grid.iter().product();
     let mut pipelines = Vec::new();
+    let mut boxes = Vec::new();
     let mut layout = Vec::new();
     for rank in 0..ranks {
         let mut m = case.module.clone();
@@ -126,25 +132,44 @@ fn per_rank_pipelines(case: &Case, overlap: bool, depth: i64) -> (Vec<Pipeline>,
                 .expect("layout recorded")
                 .to_vec();
         }
+        boxes.push(RankBox::of(&m, case.func).unwrap());
         pipelines.push(compile_pipeline(&m, case.func).unwrap());
     }
-    (pipelines, layout)
+    (pipelines, layout, boxes)
+}
+
+/// A world's receives that found their message already delivered, out
+/// of all its receives.
+fn receives(world: &SimWorld) -> String {
+    let immediate = world.total_recv_immediate();
+    format!("{immediate}/{}", immediate + world.total_recv_blocked())
+}
+
+/// The depth sweep's view of a run: the owned cores gathered back into
+/// the global field, and the message traffic.
+struct DepthOutcome {
+    seconds: f64,
+    gathered: Vec<f64>,
+    sent_messages: u64,
+    sent_elements: u64,
 }
 
 struct RunOutcome {
     seconds: f64,
+    /// Every rank's final `src` buffer.
     buffers: Vec<Vec<f64>>,
-    recv_immediate: u64,
-    recv_blocked: u64,
+    world: Arc<SimWorld>,
 }
 
 /// Runs `timesteps` ping-pong steps on every rank (one OS thread per
-/// rank, serial runner inside) and returns the wall-clock of the whole
-/// SPMD execution plus every rank's final buffer.
-fn run_spmd_pipelines(
+/// rank, serial runner inside), both arguments starting from the rank's
+/// `inits` entry, and returns the wall-clock of the whole SPMD execution
+/// plus every rank's final buffer.
+fn run_ranks(
     pipelines: &[Pipeline],
     latency: Duration,
     timesteps: usize,
+    inits: &[Vec<f64>],
     tracer: Option<&Tracer>,
 ) -> RunOutcome {
     let ranks = pipelines.len();
@@ -152,124 +177,26 @@ fn run_spmd_pipelines(
         Some(t) => SimWorld::new_traced(ranks, latency, t.clone()),
         None => SimWorld::new_with_latency(ranks, latency),
     };
-    let mut buffers: Vec<Vec<f64>> = vec![Vec::new(); ranks];
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for (rank, out) in buffers.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let pipeline = pipelines[rank].clone();
-            scope.spawn(move || {
-                let mut args: Vec<Vec<f64>> = pipeline
-                    .arg_shapes
-                    .iter()
-                    .map(|s| {
-                        let len = s.iter().product::<i64>().max(0) as usize;
-                        (0..len).map(|i| ((i + rank) as f64 * 0.001).sin()).collect()
-                    })
-                    .collect();
-                let mut runner = Runner::new(pipeline, 1);
-                if let Some(t) = tracer {
-                    runner = runner.with_trace(t, rank as u32);
-                }
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args[0].clone();
-            });
+    let buffers = launch_with(&world, pipelines.iter().zip(inits), |rank, (pipeline, init)| {
+        assert_eq!(
+            pipeline.arg_shapes[0].iter().product::<i64>(),
+            init.len() as i64,
+            "rank {rank}"
+        );
+        let mut args = vec![init.clone(), init.clone()];
+        let mut runner = Runner::new(pipeline.clone(), 1);
+        if let Some(t) = tracer {
+            runner = runner.with_trace(t, rank as u32);
         }
-    });
-    RunOutcome {
-        seconds: t0.elapsed().as_secs_f64(),
-        buffers,
-        recv_immediate: world.total_recv_immediate(),
-        recv_blocked: world.total_recv_blocked(),
-    }
-}
-
-struct DepthOutcome {
-    seconds: f64,
-    /// Global buffer with every rank's owned core gathered back in.
-    gathered: Vec<f64>,
-    sent_messages: u64,
-    sent_elements: u64,
-}
-
-/// Runs the jacobi-1d depth-sweep pipelines with scatter-from-global
-/// initialization: at depth `k` each rank's local buffer carries a
-/// `k`-cell halo, so local shapes differ across depths and only a
-/// shared global initial condition makes the final owned cores
-/// comparable bit-for-bit. `core_n` is the decomposed core extent
-/// (jacobi stores `[1, n-1)` of its `[0, n)` field, so `core_n = n-2`
-/// and `global.len() == n`).
-fn run_depth_spmd(
-    pipelines: &[Pipeline],
-    latency: Duration,
-    timesteps: usize,
-    global: &[f64],
-    core_n: i64,
-    halo: i64,
-    tracer: Option<&Tracer>,
-) -> DepthOutcome {
-    let ranks = pipelines.len();
-    let world = match tracer {
-        Some(t) => SimWorld::new_traced(ranks, latency, t.clone()),
-        None => SimWorld::new_with_latency(ranks, latency),
-    };
-    let mut outs: Vec<Vec<f64>> = vec![Vec::new(); ranks];
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for (rank, out) in outs.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let pipeline = pipelines[rank].clone();
-            scope.spawn(move || {
-                let (off, c) = stencil_core::dmp::balanced_chunk(core_n, ranks as i64, rank as i64);
-                let local = c + 2 * halo;
-                assert_eq!(
-                    pipeline.arg_shapes[0],
-                    vec![local],
-                    "rank {rank}: local shape must be core + 2*{halo}"
-                );
-                // Local index p maps to global flat `off + 1 + p - halo`
-                // (jacobi radius 1); cells past the global pad are dead
-                // and zero-filled.
-                let init: Vec<f64> = (0..local)
-                    .map(|p| {
-                        let flat = off + 1 + p - halo;
-                        if flat < 0 || flat >= global.len() as i64 {
-                            0.0
-                        } else {
-                            global[flat as usize]
-                        }
-                    })
-                    .collect();
-                let mut args = vec![init.clone(), init];
-                let mut runner = Runner::new(pipeline, 1);
-                if let Some(t) = tracer {
-                    runner = runner.with_trace(t, rank as u32);
-                }
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args[0].clone();
-            });
+        for _ in 0..timesteps {
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            args.swap(0, 1);
         }
-    });
-    let seconds = t0.elapsed().as_secs_f64();
-    let mut gathered = global.to_vec();
-    for (rank, local) in outs.iter().enumerate() {
-        let (off, c) = stencil_core::dmp::balanced_chunk(core_n, ranks as i64, rank as i64);
-        for p in 0..c {
-            gathered[(off + 1 + p) as usize] = local[(halo + p) as usize];
-        }
-    }
-    DepthOutcome {
-        seconds,
-        gathered,
-        sent_messages: world.total_sent_messages(),
-        sent_elements: world.total_sent_elements(),
-    }
+        Ok::<_, String>(args.swap_remove(0))
+    })
+    .unwrap();
+    RunOutcome { seconds: t0.elapsed().as_secs_f64(), buffers, world }
 }
 
 fn main() {
@@ -291,23 +218,30 @@ fn main() {
     let mut trace_names: Vec<(u32, String)> = Vec::new();
     let all = cases(args.smoke);
     for (ci, case) in all.iter().enumerate() {
-        let (sync_p, layout) = per_rank_pipelines(case, false, 1);
-        let (over_p, _) = per_rank_pipelines(case, true, 1);
+        let (sync_p, layout, _) = per_rank_pipelines(case, false, 1);
+        let (over_p, ..) = per_rank_pipelines(case, true, 1);
         assert!(!sync_p[0].is_overlapped());
         assert!(over_p[0].is_overlapped(), "{}: overlap pipeline did not split", case.name);
 
+        // Each rank starts from its own smooth ramp.
+        let inits: Vec<Vec<f64>> = (0..sync_p.len())
+            .map(|rank| {
+                let len = sync_p[rank].arg_shapes[0].iter().product::<i64>().max(0) as usize;
+                (0..len).map(|i| ((i + rank) as f64 * 0.001).sin()).collect()
+            })
+            .collect();
         // Best-of-reps (after one warm-up each) keeps scheduler noise out
         // of the committed numbers.
         let mut sync_best: Option<RunOutcome> = None;
         let mut over_best: Option<RunOutcome> = None;
-        let _ = run_spmd_pipelines(&sync_p, latency, timesteps.min(3), None);
-        let _ = run_spmd_pipelines(&over_p, latency, timesteps.min(3), None);
+        let _ = run_ranks(&sync_p, latency, timesteps.min(3), &inits, None);
+        let _ = run_ranks(&over_p, latency, timesteps.min(3), &inits, None);
         for _ in 0..reps {
-            let s = run_spmd_pipelines(&sync_p, latency, timesteps, None);
+            let s = run_ranks(&sync_p, latency, timesteps, &inits, None);
             if sync_best.as_ref().map_or(true, |b| s.seconds < b.seconds) {
                 sync_best = Some(s);
             }
-            let o = run_spmd_pipelines(&over_p, latency, timesteps, None);
+            let o = run_ranks(&over_p, latency, timesteps, &inits, None);
             if over_best.as_ref().map_or(true, |b| o.seconds < b.seconds) {
                 over_best = Some(o);
             }
@@ -318,7 +252,7 @@ fn main() {
         let mut reports = Vec::new();
         for (variant, pipelines) in [("sync", &sync_p), ("overlap", &over_p)] {
             let tracer = Tracer::new();
-            let _ = run_spmd_pipelines(pipelines, latency, timesteps.min(5), Some(&tracer));
+            let _ = run_ranks(pipelines, latency, timesteps.min(5), &inits, Some(&tracer));
             let events = tracer.events();
             let report = TraceReport::from_events(&events);
             if variant == "overlap" {
@@ -374,12 +308,14 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"sync_recv\": {{\"immediate\": {}, \"blocked\": {}}},",
-            sync.recv_immediate, sync.recv_blocked
+            sync.world.total_recv_immediate(),
+            sync.world.total_recv_blocked()
         );
         let _ = writeln!(
             json,
             "      \"overlap_recv\": {{\"immediate\": {}, \"blocked\": {}}},",
-            over.recv_immediate, over.recv_blocked
+            over.world.total_recv_immediate(),
+            over.world.total_recv_blocked()
         );
         for (variant, report) in &reports {
             let _ = writeln!(
@@ -399,8 +335,8 @@ fn main() {
             format!("{:.4}", sync.seconds),
             format!("{:.4}", over.seconds),
             format!("{speedup:.2}x"),
-            format!("{}/{}", sync.recv_immediate, sync.recv_immediate + sync.recv_blocked),
-            format!("{}/{}", over.recv_immediate, over.recv_immediate + over.recv_blocked),
+            receives(&sync.world),
+            receives(&over.world),
         ]);
     }
     let _ = writeln!(json, "  ],");
@@ -413,7 +349,6 @@ fn main() {
     let depths = [1i64, 2, 4, 8];
     let sweep_case = &all[0];
     assert_eq!(sweep_case.name, "jacobi-1d-2ranks");
-    let core_n = n_sweep - 2; // jacobi stores [1, n-1) of its [0, n) field
     let global: Vec<f64> = (0..n_sweep).map(|i| (i as f64 * 0.001).sin()).collect();
     let mut sweep_rows = Vec::new();
     let mut depth1: Option<(DepthOutcome, usize, u64)> = None;
@@ -423,7 +358,8 @@ fn main() {
     let _ = writeln!(json, "    \"timesteps\": {sweep_steps},");
     let _ = writeln!(json, "    \"points\": [");
     for (di, &k) in depths.iter().enumerate() {
-        let (pipelines, _) = per_rank_pipelines(sweep_case, true, k);
+        let (pipelines, _, boxes) = per_rank_pipelines(sweep_case, true, k);
+        let placement = Layout { global: Bounds::new(vec![(0, n_sweep)]), ranks: boxes };
         assert!(pipelines[0].is_overlapped(), "depth={k} sweep pipeline must overlap");
         if k > 1 {
             assert!(
@@ -431,10 +367,25 @@ fn main() {
                 "depth={k} pipeline must carry a temporal block"
             );
         }
-        let _ = run_depth_spmd(&pipelines, latency, sweep_steps.min(3), &global, core_n, k, None);
+        // At depth `k` each rank's buffer carries a `k`-cell halo, so
+        // local shapes differ across depths and only a shared global
+        // initial condition makes the final owned cores comparable.
+        let inits = placement.scatter(&global);
+        let run = |steps: usize, tracer: Option<&Tracer>| {
+            let o = run_ranks(&pipelines, latency, steps, &inits, tracer);
+            let mut gathered = global.clone();
+            placement.gather_into(&o.buffers, &mut gathered);
+            DepthOutcome {
+                seconds: o.seconds,
+                gathered,
+                sent_messages: o.world.total_sent_messages(),
+                sent_elements: o.world.total_sent_elements(),
+            }
+        };
+        let _ = run(sweep_steps.min(3), None);
         let mut best: Option<DepthOutcome> = None;
         for _ in 0..reps {
-            let o = run_depth_spmd(&pipelines, latency, sweep_steps, &global, core_n, k, None);
+            let o = run(sweep_steps, None);
             if best.as_ref().map_or(true, |b| o.seconds < b.seconds) {
                 best = Some(o);
             }
@@ -445,8 +396,7 @@ fn main() {
         // instants carrying the same total bytes.
         let tracer = Tracer::new();
         let traced_steps = 8;
-        let _ =
-            run_depth_spmd(&pipelines, latency, traced_steps, &global, core_n, k, Some(&tracer));
+        let _ = run(traced_steps, Some(&tracer));
         let events = tracer.events();
         let (msg_sends, msg_bytes) = events.iter().fold((0usize, 0u64), |(c, b), e| match e.kind {
             stencil_core::trace::SpanKind::MsgSend { bytes, .. } => (c + 1, b + bytes),

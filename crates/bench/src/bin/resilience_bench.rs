@@ -61,62 +61,43 @@ fn parse_args() -> Args {
 }
 
 /// The 2-rank distributed jacobi pipeline (rank-generic: the even split
-/// gives every rank the same local shape).
-fn jacobi_pipeline(n: i64) -> Pipeline {
+/// gives every rank the same local shape) and each rank's share of the
+/// global field `global`.
+fn jacobi_pipeline(global: &[f64]) -> (Pipeline, Vec<Vec<f64>>) {
+    let n = global.len() as i64;
     let mut m = stencil_core::stencil::samples::jacobi_1d(n);
     ShapeInference.run(&mut m).unwrap();
     stencil_core::dmp::DistributeStencil::new(vec![RANKS as i64]).run(&mut m).unwrap();
     ShapeInference.run(&mut m).unwrap();
-    compile_pipeline(&m, "jacobi").unwrap()
+    let layout = Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap();
+    (compile_pipeline(&m, "jacobi").unwrap(), layout.scatter(global))
 }
 
-fn initial_args(pipeline: &Pipeline, global: &[f64], core: i64, rank: usize) -> Vec<Vec<f64>> {
-    let local = pipeline.arg_shapes[0][0];
-    let start = rank as i64 * core;
-    let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-    vec![data.clone(), data]
-}
-
-/// `timesteps` ping-pong steps on every rank over `world`; returns the
-/// per-step wall-clocks (measured on rank 0 — the halo handshake
-/// synchronises the cohort every step, so one rank sees them all) and
-/// each rank's final argument pair.
+/// `timesteps` ping-pong steps on every rank over `world` from the
+/// scattered `parts`; returns the per-step wall-clocks (measured on rank
+/// 0 — the halo handshake synchronises the cohort every step, so one
+/// rank sees them all) and each rank's final argument pair.
 fn run_spmd(
     pipeline: &Pipeline,
     world: &Arc<SimWorld>,
-    global: &[f64],
-    core: i64,
+    parts: &[Vec<f64>],
     timesteps: usize,
 ) -> (Vec<f64>, Vec<Vec<Vec<f64>>>) {
-    let mut outs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); RANKS];
-    let mut step_secs: Vec<f64> = Vec::with_capacity(timesteps);
-    std::thread::scope(|scope| {
-        let mut ranks = outs.iter_mut().enumerate();
-        let (_, out0) = ranks.next().expect("at least one rank");
-        for (rank, out) in ranks {
-            let world = Arc::clone(world);
-            let pipeline = pipeline.clone();
-            scope.spawn(move || {
-                let mut args = initial_args(&pipeline, global, core, rank);
-                let mut runner = Runner::new(pipeline, 1);
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args;
-            });
-        }
-        let mut args = initial_args(pipeline, global, core, 0);
+    let ranks = launch_with(world, parts, |rank, data| {
+        let mut args = vec![data.clone(), data.clone()];
         let mut runner = Runner::new(pipeline.clone(), 1);
+        let mut step_secs = Vec::with_capacity(timesteps);
         for _ in 0..timesteps {
             let t0 = Instant::now();
-            runner.step_distributed(&mut args, world, 0).unwrap();
+            runner.step_distributed(&mut args, world, rank as i64)?;
             args.swap(0, 1);
             step_secs.push(t0.elapsed().as_secs_f64());
         }
-        *out0 = args;
-    });
-    (step_secs, outs)
+        Ok::<_, String>((step_secs, args))
+    })
+    .unwrap();
+    let (mut step_secs, outs): (Vec<_>, Vec<_>) = ranks.into_iter().unzip();
+    (step_secs.swap_remove(0), outs)
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -149,14 +130,12 @@ struct ResilientOutcome {
 
 fn run_resilient_once(
     pipeline: &Pipeline,
-    global: &[f64],
-    core: i64,
+    parts: &[Vec<f64>],
     steps: u64,
     interval: u64,
     plan: Arc<FaultPlan>,
 ) -> Result<ResilientOutcome, ExecError> {
-    let mut args: Vec<Vec<Vec<f64>>> =
-        (0..RANKS).map(|r| initial_args(pipeline, global, core, r)).collect();
+    let mut args: Vec<Vec<Vec<f64>>> = parts.iter().map(|p| vec![p.clone(), p.clone()]).collect();
     let store = CheckpointStore::in_memory();
     let cfg = resilient_cfg(steps, interval);
     let tracer = Tracer::new();
@@ -188,9 +167,8 @@ fn main() {
     let gate_pairs = if args.smoke { 9 } else { 151 };
     const GATE_PCT: f64 = 2.0;
 
-    let pipeline = jacobi_pipeline(n);
-    let core = (n - 2) / RANKS as i64;
     let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.003).sin()).collect();
+    let (pipeline, parts) = jacobi_pipeline(&global);
 
     // --- 1. fault-free overhead: without vs with a Reliability ------
     // On a shared machine, background load drifts on a ~100ms timescale
@@ -210,8 +188,8 @@ fn main() {
             Some(Reliability::default()),
         )
     };
-    let _ = run_spmd(&pipeline, &plain_world(), &global, core, gate_steps);
-    let _ = run_spmd(&pipeline, &reliable_world(), &global, core, gate_steps);
+    let _ = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
+    let _ = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
     let measure_gate = || {
         let mut ratios = Vec::with_capacity(gate_pairs);
         let mut plain_meds = Vec::with_capacity(gate_pairs);
@@ -223,13 +201,11 @@ fn main() {
             // first-vs-second systematic (cache residency, governor ramp).
             let (mut p, mut r);
             if pair % 2 == 0 {
-                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &global, core, gate_steps);
-                (r, reliable_outs) =
-                    run_spmd(&pipeline, &reliable_world(), &global, core, gate_steps);
+                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
+                (r, reliable_outs) = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
             } else {
-                (r, reliable_outs) =
-                    run_spmd(&pipeline, &reliable_world(), &global, core, gate_steps);
-                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &global, core, gate_steps);
+                (r, reliable_outs) = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
+                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
             }
             let pm = median(&mut p[1..]);
             let rm = median(&mut r[1..]);
@@ -274,12 +250,11 @@ fn main() {
     // --- 2. checkpoint cost vs interval (no faults) -----------------
     // The bit-identity reference for phases 2 and 3: a plain run over
     // the full `steps` horizon.
-    let (_, plain_ref) = run_spmd(&pipeline, &plain_world(), &global, core, steps);
+    let (_, plain_ref) = run_spmd(&pipeline, &plain_world(), &parts, steps);
     // interval > steps ⇒ only the step-0 baseline is deposited.
     let no_ckpt = run_resilient_once(
         &pipeline,
-        &global,
-        core,
+        &parts,
         steps as u64,
         steps as u64 + 1,
         Arc::new(FaultPlan::new()),
@@ -308,8 +283,7 @@ fn main() {
     for &interval in &intervals {
         let out = run_resilient_once(
             &pipeline,
-            &global,
-            core,
+            &parts,
             steps as u64,
             interval,
             Arc::new(FaultPlan::new()),
@@ -366,7 +340,7 @@ fn main() {
     for &interval in &intervals {
         let plan =
             Arc::new(FaultPlan::new().with_rank_fault(1, crash_step, FaultAction::RankCrash));
-        let out = run_resilient_once(&pipeline, &global, core, steps as u64, interval, plan)
+        let out = run_resilient_once(&pipeline, &parts, steps as u64, interval, plan)
             .expect("crash must be healed by rollback");
         assert_eq!(
             out.outs, plain_ref,

@@ -11,7 +11,10 @@
 //! and steps it once per iteration on one runner per rank; α and β run
 //! as `Step::Scalar`s inside the step. The host only sets `rsold`,
 //! rotates the five field roles and checks `(p·Ap, ‖r‖²)` for
-//! convergence and breakdown.
+//! convergence and breakdown. A distributed solve runs its ranks on the
+//! SPMD launcher ([`sten_interp::spmd`]): a rank that fails or panics
+//! poisons the world, so its peers stop instead of hanging, and the
+//! solve reports that rank's error.
 //!
 //! Determinism guarantee: dot products are folded through the exact
 //! superaccumulator ([`sten_interp::ReduceAcc`]), so every reduction is
@@ -26,8 +29,8 @@ use std::sync::Arc;
 use sten_dmp::{make_strategy, DistributeStencil};
 use sten_exec::pipeline::{compile_module_tiered, Pipeline, Runner};
 use sten_exec::specialize::TierKind;
-use sten_interp::SimWorld;
-use sten_ir::{Bounds, Module, Pass as _, Type};
+use sten_interp::{launch_with, Layout, RankBox, RankPanic, SimWorld};
+use sten_ir::{Bounds, Module, Pass as _};
 use sten_stencil::{samples, ShapeInference};
 use sten_trace::Tracer;
 
@@ -70,6 +73,8 @@ pub enum CgError {
     /// The execution substrate failed (compilation, communication,
     /// shape errors) before the iteration could degrade numerically.
     Exec(String),
+    /// A rank's thread panicked (reported by the SPMD launcher).
+    Panicked(RankPanic),
 }
 
 impl std::fmt::Display for CgError {
@@ -90,11 +95,18 @@ impl std::fmt::Display for CgError {
                 write!(f, "CG broke down at iteration {iteration}: p·Ap = {pap:e} is not positive")
             }
             CgError::Exec(msg) => f.write_str(msg),
+            CgError::Panicked(p) => write!(f, "{p}"),
         }
     }
 }
 
 impl std::error::Error for CgError {}
+
+impl From<RankPanic> for CgError {
+    fn from(p: RankPanic) -> CgError {
+        CgError::Panicked(p)
+    }
+}
 
 impl From<String> for CgError {
     fn from(msg: String) -> CgError {
@@ -110,7 +122,7 @@ impl CgError {
             CgError::NonFiniteResidual { residuals, .. }
             | CgError::Stagnation { residuals, .. }
             | CgError::Breakdown { residuals, .. } => residuals,
-            CgError::Exec(_) => &[],
+            CgError::Exec(_) | CgError::Panicked(_) => &[],
         }
     }
 }
@@ -197,11 +209,10 @@ pub struct SolverPipelines {
     /// exchange when distributed), `p·Ap` and `‖r‖²` (allreduced when
     /// distributed), α and β as scalar steps, and the three updates.
     pub iteration: Pipeline,
-    /// The owned core, in global coordinates.
-    pub core: Bounds,
-    /// The stored box: the core plus the 1-cell halo/boundary ring the
-    /// operator reads.
-    pub field: Bounds,
+    /// The rank's owned core and the box it stores (the core plus the
+    /// 1-cell halo/boundary ring the operator reads), in global
+    /// coordinates.
+    pub rank_box: RankBox,
 }
 
 impl SolverPipelines {
@@ -215,16 +226,10 @@ impl SolverPipelines {
     /// fields' type, which distribution rewrote to the rank's box.
     fn compile(mut m: Module, tier: Option<TierKind>) -> Result<SolverPipelines, CgError> {
         ShapeInference.run(&mut m).map_err(|e| e.to_string())?;
-        let arg = m.lookup_symbol("cg_iter").map(|f| m.values.ty(f.region_block(0).args[0]));
-        let Some(Type::Field(fld)) = arg else {
-            return Err(CgError::Exec("@cg_iter does not take a field first".into()));
-        };
-        let field = fld.bounds.clone();
         Ok(SolverPipelines {
             norm2: compile_module_tiered(&m, "cg_norm", tier)?,
             iteration: compile_module_tiered(&m, "cg_iter", tier)?,
-            core: Bounds::new(field.0.iter().map(|&(lo, hi)| (lo + 1, hi - 1)).collect()),
-            field,
+            rank_box: RankBox::of(&m, "cg_iter")?,
         })
     }
 
@@ -391,9 +396,16 @@ pub fn solve(cfg: &CgConfig) -> Result<CgReport, CgError> {
 /// Each rank gets its own locally-shaped pipelines
 /// (`DistributeStencil::for_rank`, so uneven decompositions work), the
 /// operator apply exchanges halos through [`SimWorld`], and every dot
-/// product merges exact partial accumulators across ranks. The returned
+/// product merges exact partial accumulators across ranks. The ranks run
+/// on the [`launch_with`] launcher, and the rank boxes the pipelines were
+/// compiled for ([`Layout`]) scatter `b` and gather `x`. The returned
 /// report's residual trajectory is asserted bit-identical across ranks;
 /// callers compare it against [`solve`] for the full determinism check.
+///
+/// # Errors
+/// As [`solve`], reported by the rank that failed first: its failure
+/// poisons the world, so no peer waits on it. A panicking rank is
+/// [`CgError::Panicked`], naming the rank and its message.
 pub fn solve_distributed(
     cfg: &CgConfig,
     strategy: &str,
@@ -405,51 +417,26 @@ pub fn solve_distributed(
     if ranks < 1 {
         return Err(CgError::Exec("rank grid must be non-empty".into()));
     }
-    let b_global = rhs(cfg.n);
-    let ext = (cfg.n + 2) as usize;
 
     // Per-rank setup (done up front so compile errors surface before
-    // any thread spawns).
-    let mut setups = Vec::with_capacity(ranks as usize);
+    // any rank starts).
+    let setups = (0..ranks)
+        .map(|rank| SolverPipelines::for_rank(cfg, strategy, factors.clone(), &grid, overlap, rank))
+        .collect::<Result<Vec<_>, _>>()?;
+    let global = Bounds::new(vec![(-1, cfg.n + 1); 2]);
+    let layout = Layout { global, ranks: setups.iter().map(|p| p.rank_box.clone()).collect() };
+    // Each rank's view of b, halo included: the neighbouring values are
+    // what an exchange would deliver.
+    let b_local = layout.scatter(&rhs(cfg.n));
+
     let world = SimWorld::new_traced(ranks as usize, std::time::Duration::ZERO, cfg.tracer.clone());
-    for rank in 0..ranks {
-        let pipelines =
-            SolverPipelines::for_rank(cfg, strategy, factors.clone(), &grid, overlap, rank)?;
-        let (core, local_field) = (pipelines.core.clone(), pipelines.field.clone());
-
-        // Scatter: the rank's local view of b (halo included — the
-        // neighbouring values are what an exchange would deliver).
-        let row = (local_field.0[1].1 - local_field.0[1].0) as usize;
-        let mut b_local = Vec::with_capacity(local_field.num_points() as usize);
-        for gi in local_field.0[0].0..local_field.0[0].1 {
-            let base = (gi + 1) as usize * ext + (local_field.0[1].0 + 1) as usize;
-            b_local.extend_from_slice(&b_global[base..base + row]);
-        }
-        setups.push((rank, pipelines, b_local, core, local_field));
-    }
-
-    // One OS thread per rank, exchanging through the shared world.
-    let results: Result<Vec<_>, CgError> = std::thread::scope(|scope| {
-        let handles: Vec<_> = setups
-            .into_iter()
-            .map(|(rank, pipelines, b_local, core, local_field)| {
-                let world = &world;
-                scope.spawn(move || {
-                    let out = cg_iterate(pipelines, b_local, cfg, Some((world, rank)))?;
-                    Ok::<_, CgError>((out, core, local_field))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| CgError::Exec("rank thread panicked".to_string()))?)
-            .collect()
-    });
-    let results = results?;
+    let results = launch_with(&world, setups.into_iter().zip(b_local), |rank, (pipelines, b)| {
+        cg_iterate(pipelines, b, cfg, Some((&world, rank as i64)))
+    })?;
 
     // Every rank must have walked the same trajectory, bit for bit.
-    let ((_, ref residuals0, converged, iterations), ..) = results[0];
-    for (rank, ((_, res, ..), ..)) in results.iter().enumerate().skip(1) {
+    let (_, ref residuals0, converged, iterations) = results[0];
+    for (rank, (_, res, ..)) in results.iter().enumerate().skip(1) {
         let same = res.len() == residuals0.len()
             && res.iter().zip(residuals0).all(|(a, b)| a.to_bits() == b.to_bits());
         if !same {
@@ -458,21 +445,11 @@ pub fn solve_distributed(
             )));
         }
     }
-
-    // Gather each rank's owned core into the global field.
-    let mut x = vec![0.0; ext * ext];
-    for ((x_local, ..), core, local_field) in &results {
-        let lrow = (local_field.0[1].1 - local_field.0[1].0) as usize;
-        for gi in core.0[0].0..core.0[0].1 {
-            let li = (gi - local_field.0[0].0) as usize;
-            let lj = (core.0[1].0 - local_field.0[1].0) as usize;
-            let src = li * lrow + lj;
-            let dst = (gi + 1) as usize * ext + (core.0[1].0 + 1) as usize;
-            let cols = (core.0[1].1 - core.0[1].0) as usize;
-            x[dst..dst + cols].copy_from_slice(&x_local[src..src + cols]);
-        }
-    }
-    Ok(CgReport { residuals: residuals0.clone(), converged, iterations, x })
+    let residuals = residuals0.clone();
+    let xs: Vec<Vec<f64>> = results.into_iter().map(|(x, ..)| x).collect();
+    let mut x = vec![0.0; layout.global.num_points() as usize];
+    layout.gather_into(&xs, &mut x);
+    Ok(CgReport { residuals, converged, iterations, x })
 }
 
 #[cfg(test)]
@@ -679,8 +656,8 @@ mod tests {
         assert!(rank1.iteration.is_overlapped());
         assert_eq!(rank1.iteration.num_reduce_steps(), (2, 2));
         assert_eq!(rank1.norm2.num_reduce_steps(), (1, 1));
-        assert_eq!(rank1.core, Bounds::new(vec![(12, 24), (0, 24)]));
-        assert_eq!(rank1.field, Bounds::new(vec![(11, 25), (-1, 25)]));
+        assert_eq!(rank1.rank_box.core, Bounds::new(vec![(12, 24), (0, 24)]));
+        assert_eq!(rank1.rank_box.stored, Bounds::new(vec![(11, 25), (-1, 25)]));
     }
 
     #[test]

@@ -365,7 +365,8 @@ pub mod prelude {
         Runner, TierKind,
     };
     pub use sten_interp::{
-        run_spmd, run_spmd_modules, ArgSpec, BufView, Interpreter, RtValue, SimWorld,
+        launch, launch_with, run_spmd, run_spmd_modules, ArgSpec, BufView, Interpreter, Layout,
+        RankBox, RankPanic, RtValue, SimWorld,
     };
     pub use sten_ir::{parse_module, print_module, verify_module, Bounds, Module, Pass};
     pub use sten_opt::{CompileCache, Driver, PassRegistry, PipelineSpec};

@@ -573,36 +573,16 @@ mod tests {
         let want = serial[last].clone();
 
         let dist = op.compile_distributed(&[2]).unwrap();
+        let layout = sten_interp::Layout::of_spmd(op.field_bounds(), &dist, "step").unwrap();
         let world = sten_interp::SimWorld::new(2);
-        let core = 32i64;
-        let results: Vec<(usize, Vec<f64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2)
-                .map(|rank| {
-                    let world = std::sync::Arc::clone(&world);
-                    let op = op.clone();
-                    let dist = &dist;
-                    let init = init.clone();
-                    scope.spawn(move || {
-                        let start = rank * core;
-                        let local: Vec<f64> =
-                            (0..core + 2).map(|i| init[(start + i) as usize]).collect();
-                        let mut bufs = vec![local.clone(), local];
-                        let last =
-                            op.run_distributed(dist, &mut bufs, steps, 1, &world, rank).unwrap();
-                        (last, bufs[last].clone())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
+        let outs = sten_interp::launch_with(&world, layout.scatter(&init), |rank, local| {
+            let mut bufs = vec![local.clone(), local];
+            let last = op.run_distributed(&dist, &mut bufs, steps, 1, &world, rank as i64)?;
+            Ok::<_, String>(bufs.swap_remove(last))
+        })
+        .unwrap();
         let mut got = init.clone();
-        for (rank, (_, out)) in results.iter().enumerate() {
-            let start = rank as i64 * core;
-            for l in 1..=core {
-                got[(start + l) as usize] = out[l as usize];
-            }
-        }
+        layout.gather_into(&outs, &mut got);
         for (i, (a, b)) in got.iter().zip(&want).enumerate() {
             assert!((a - b).abs() < 1e-12, "mismatch at {i}: {a} vs {b}");
         }

@@ -36,12 +36,10 @@ pub const STRATEGY_NAMES: [&str; 3] = ["standard-slicing", "recursive-bisection"
 
 /// The contiguous chunk of `0..extent` owned by `coord` of `parts`
 /// balanced parts, as `(offset, size)`: the first `extent % parts`
-/// coordinates get one extra cell, so sizes differ by at most one.
-///
-/// This is the balanced (remainder-spreading) decomposition used by every
-/// in-tree strategy; exported so drivers and tests can compute
-/// scatter/gather offsets without re-deriving it.
-pub fn balanced_chunk(extent: i64, parts: i64, coord: i64) -> (i64, i64) {
+/// coordinates get one extra cell, so sizes differ by at most one. Every
+/// in-tree strategy places its cores this way; drivers read the result
+/// off the distributed module (`sten_interp::Layout`).
+fn balanced_chunk(extent: i64, parts: i64, coord: i64) -> (i64, i64) {
     let base = extent / parts;
     let rem = extent % parts;
     let offset = coord * base + coord.min(rem);

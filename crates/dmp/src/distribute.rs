@@ -164,14 +164,15 @@ fn hull(a: &Bounds, b: &Bounds) -> Bounds {
 }
 
 /// Collects the hull of all `stencil.store` and `stencil.reduce` ranges
-/// in a function — the set of points the function's ranks collectively
-/// own. Reduce-only programs (a dot product, a norm) decompose over
-/// their reduction range exactly as store programs do over theirs.
+/// in a function — the set of points the function owns: the global core
+/// the pass decomposes, or, after distribution, one rank's local core.
+/// Reduce-only programs (a dot product, a norm) decompose over their
+/// reduction range exactly as store programs do over theirs.
 ///
 /// # Errors
 /// Reports malformed ops (missing bounds attributes) instead of
 /// panicking, so `sten-opt` can attribute the failure to the function.
-fn global_core(func: &Op) -> Result<Option<Bounds>, String> {
+pub fn owned_box(func: &Op) -> Result<Option<Bounds>, String> {
     let mut core: Option<Bounds> = None;
     let mut malformed = None;
     func.walk(&mut |op| {
@@ -532,7 +533,7 @@ impl Pass for DistributeStencil {
                         .unwrap_or("<unnamed>")
                         .to_string();
                     let in_func = |m: String| format!("in @{fname}: {m}");
-                    let core = match global_core(op) {
+                    let core = match owned_box(op) {
                         Ok(Some(c)) => c,
                         Ok(None) => continue, // no stencil stores: nothing to distribute
                         Err(m) => {

@@ -35,10 +35,10 @@ pub mod ops;
 pub mod overlap;
 
 pub use decomposition::{
-    balanced_chunk, make_strategy, CustomGrid, DecompositionStrategy, RecursiveBisection,
-    StandardSlicing, STRATEGY_NAMES,
+    make_strategy, CustomGrid, DecompositionStrategy, RecursiveBisection, StandardSlicing,
+    STRATEGY_NAMES,
 };
 pub use dedup::EliminateRedundantSwaps;
-pub use distribute::{DistributeStencil, HaloDepth};
+pub use distribute::{owned_box, DistributeStencil, HaloDepth};
 pub use ops::register;
 pub use overlap::{corner_exchanges, deep_phase_regions, halo_widths, HaloRegionSplit, Shell};

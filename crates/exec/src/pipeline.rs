@@ -48,7 +48,7 @@ use crate::resilient::RankSnapshot;
 use crate::specialize::{SpecializedKernel, TierKind};
 use std::collections::HashMap;
 use std::sync::Arc;
-use sten_interp::{FaultAction, MpiError, ReduceAcc, ReduceKind, SimWorld};
+use sten_interp::{FaultAction, MpiError, RankPanic, ReduceAcc, ReduceKind, SimWorld};
 use sten_ir::{Attribute, Bounds, ExchangeAttr, Module, Type, Value};
 use sten_trace::{Counter, SpanKind, TraceLane, Tracer};
 
@@ -88,6 +88,8 @@ pub enum ExecError {
     /// Any other executor failure (shape mismatches, unsupported
     /// structure) — the legacy string diagnostics.
     Exec(String),
+    /// A rank's thread panicked (reported by the SPMD launcher).
+    Panicked(RankPanic),
 }
 
 impl std::fmt::Display for ExecError {
@@ -103,6 +105,7 @@ impl std::fmt::Display for ExecError {
                 write!(f, "rank {rank}: injected crash at step {step}")
             }
             ExecError::Exec(msg) => f.write_str(msg),
+            ExecError::Panicked(p) => write!(f, "{p}"),
         }
     }
 }
@@ -112,6 +115,12 @@ impl std::error::Error for ExecError {}
 impl From<MpiError> for ExecError {
     fn from(e: MpiError) -> ExecError {
         ExecError::Mpi(e)
+    }
+}
+
+impl From<RankPanic> for ExecError {
+    fn from(p: RankPanic) -> ExecError {
+        ExecError::Panicked(p)
     }
 }
 
@@ -1559,6 +1568,7 @@ fn restrict(apply: &Step, region: ApplyRegion) -> Step {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sten_interp::{launch, launch_with, Layout};
     use sten_ir::Pass as _;
     use sten_stencil::{samples, ShapeInference};
 
@@ -1632,64 +1642,46 @@ mod tests {
         ShapeInference.run(&mut m).unwrap();
         let pipeline = compile_module(&m, "jacobi").unwrap();
         assert!(pipeline.exchanged_elements_per_step() > 0);
-        let local = pipeline.arg_shapes[0][0];
-        let core = (n - 2) / 2;
+        let layout = Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap();
 
         let world = SimWorld::new(2);
-        let mut outs: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
-        std::thread::scope(|scope| {
-            for (rank, out) in outs.iter_mut().enumerate() {
-                let world = Arc::clone(&world);
-                let pipeline = pipeline.clone();
-                let global = global.clone();
-                scope.spawn(move || {
-                    let start = rank as i64 * core;
-                    let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-                    let mut args = vec![data.clone(), data];
-                    let mut runner = Runner::new(pipeline, 1);
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    *out = args[1].clone();
-                });
-            }
-        });
-
+        let outs = launch_with(&world, layout.scatter(&global), |rank, data| {
+            let mut args = vec![data.clone(), data];
+            let mut runner = Runner::new(pipeline.clone(), 1);
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            Ok::<_, String>(args.swap_remove(1))
+        })
+        .unwrap();
         let mut got = global.clone();
-        for (rank, out) in outs.iter().enumerate() {
-            let start = rank as i64 * core;
-            for l in 1..=core {
-                got[(start + l) as usize] = out[l as usize];
-            }
-        }
+        layout.gather_into(&outs, &mut got);
         assert_eq!(got, serial_args[1]);
     }
 
-    /// Runs `timesteps` of a 2-rank distributed jacobi and returns every
-    /// rank's final buffer.
+    /// The layout of jacobi-1d on `n` points split over 2 ranks.
+    fn jacobi_2r_layout(n: i64) -> Layout {
+        let mut m = samples::jacobi_1d(n);
+        ShapeInference.run(&mut m).unwrap();
+        sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
+        ShapeInference.run(&mut m).unwrap();
+        Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap()
+    }
+
+    /// Runs `timesteps` of a 2-rank distributed jacobi from `global` and
+    /// returns every rank's final buffer.
     fn run_jacobi_2ranks(pipeline: &Pipeline, global: &[f64], timesteps: usize) -> Vec<Vec<f64>> {
-        let n = global.len() as i64;
-        let local = pipeline.arg_shapes[0][0];
-        let core = (n - 2) / 2;
+        let parts = jacobi_2r_layout(global.len() as i64).scatter(global);
         let world = SimWorld::new(2);
-        let mut outs: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
-        std::thread::scope(|scope| {
-            for (rank, out) in outs.iter_mut().enumerate() {
-                let world = Arc::clone(&world);
-                let pipeline = pipeline.clone();
-                scope.spawn(move || {
-                    let start = rank as i64 * core;
-                    let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-                    let mut args = vec![data.clone(), data];
-                    let mut runner = Runner::new(pipeline, 1);
-                    for _ in 0..timesteps {
-                        runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                        // Ping-pong so the exchange matters every step.
-                        args.swap(0, 1);
-                    }
-                    *out = args[0].clone();
-                });
+        launch_with(&world, parts, |rank, data| {
+            let mut args = vec![data.clone(), data];
+            let mut runner = Runner::new(pipeline.clone(), 1);
+            for _ in 0..timesteps {
+                runner.step_distributed(&mut args, &world, rank as i64)?;
+                // Ping-pong so the exchange matters every step.
+                args.swap(0, 1);
             }
-        });
-        outs
+            Ok::<_, String>(args.swap_remove(0))
+        })
+        .unwrap()
     }
 
     #[test]
@@ -1899,26 +1891,16 @@ mod tests {
         ShapeInference.run(&mut m).unwrap();
         let pipeline = compile_module(&m, "jacobi_norm").unwrap();
         assert_eq!(pipeline.num_reduce_steps(), (1, 1));
-        let local = pipeline.arg_shapes[0][0];
-        let core = (n - 2) / 2;
+        let layout = Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi_norm").unwrap();
 
         let world = SimWorld::new(2);
-        let mut norms = vec![0.0f64; 2];
-        std::thread::scope(|scope| {
-            for (rank, norm) in norms.iter_mut().enumerate() {
-                let world = Arc::clone(&world);
-                let pipeline = pipeline.clone();
-                let global = global.clone();
-                scope.spawn(move || {
-                    let start = rank as i64 * core;
-                    let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-                    let mut args = vec![data.clone(), data];
-                    let mut runner = Runner::new(pipeline, 1);
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    *norm = runner.scalar_outputs()[0];
-                });
-            }
-        });
+        let norms = launch_with(&world, layout.scatter(&global), |rank, data| {
+            let mut args = vec![data.clone(), data];
+            let mut runner = Runner::new(pipeline.clone(), 1);
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            Ok::<_, String>(runner.scalar_outputs()[0])
+        })
+        .unwrap();
         assert_eq!(norms[0].to_bits(), norms[1].to_bits(), "ranks disagree: {norms:?}");
         assert_eq!(norms[0].to_bits(), want.to_bits(), "distributed {} != serial {want}", norms[0]);
     }
@@ -2076,22 +2058,16 @@ mod tests {
         world: &Arc<SimWorld>,
         steps: usize,
     ) -> Vec<Runner> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|rank| {
-                    let (mut args, world) = (args.to_vec(), Arc::clone(world));
-                    s.spawn(move || {
-                        let mut runner = Runner::new(pipeline.clone(), 1);
-                        for _ in 0..steps {
-                            runner.step_distributed(&mut args, &world, rank).unwrap();
-                            args.swap(0, 1);
-                        }
-                        runner
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        launch(world, |rank| {
+            let mut args = args.to_vec();
+            let mut runner = Runner::new(pipeline.clone(), 1);
+            for _ in 0..steps {
+                runner.step_distributed(&mut args, world, rank as i64)?;
+                args.swap(0, 1);
+            }
+            Ok::<_, String>(runner)
         })
+        .unwrap()
     }
 
     fn reliable_world() -> Arc<SimWorld> {

@@ -20,8 +20,9 @@
 use crate::pipeline::{ExecError, Pipeline, Runner};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use sten_interp::{FaultPlan, MpiError, Reliability, SimWorld};
+use sten_interp::{launch_with, FaultPlan, Reliability, SimWorld};
 use sten_ir::WordHash;
 use sten_trace::{Counter, SpanKind, Tracer};
 
@@ -371,25 +372,24 @@ pub struct ResilientReport {
 /// exchange, exactly what a restore of that state would leave. The rank
 /// deposits the state as its step-0 baseline before any step (and any
 /// fault) executes, so every later attempt finds a cut. Otherwise the
-/// rank restores its snapshot of the cut; a missing one poisons the
-/// world, so peers fail fast instead of timing out on a rank that never
-/// starts.
+/// rank restores its snapshot of the cut; a missing one is an error, and
+/// the launcher's poison makes peers fail fast instead of timing out on a
+/// rank that never starts.
 fn resume(
     runner: &mut Runner,
     args: &mut [Vec<f64>],
     start: Option<u64>,
     rank: usize,
     store: &CheckpointStore,
-    world: &SimWorld,
 ) -> Result<u64, ExecError> {
     let Some(start) = start else {
         store.put(rank, runner.snapshot_into(args, store.recycled(args.len())));
         return Ok(0);
     };
     let Some(snap) = store.get(start, rank) else {
-        let msg = format!("rank {rank}: no checkpoint at step {start} to restore from");
-        world.poison(rank as i32, msg.clone());
-        return Err(ExecError::Exec(msg));
+        return Err(ExecError::Exec(format!(
+            "rank {rank}: no checkpoint at step {start} to restore from"
+        )));
     };
     runner.restore(args, &snap);
     Ok(start)
@@ -414,10 +414,15 @@ fn resume(
 /// attempt over a store without a cut, each rank deposits its own step-0
 /// baseline and starts from the caller's `args` without a restore.
 ///
+/// Each attempt's ranks run on the [`launch_with`] launcher: a failing
+/// rank poisons the attempt's world, so no peer hangs on it.
+///
 /// # Errors
-/// Returns the underlying [`ExecError`] when the recovery budget is
+/// Returns the root cause — the error of the rank that failed first,
+/// never the poison it spread to peers — when the recovery budget is
 /// exhausted or a non-recoverable error (shape mismatch, retry-budget
-/// exhaustion that no crash explains) surfaces.
+/// exhaustion that no crash explains) surfaces. A panicking rank is
+/// [`ExecError::Panicked`], naming the rank and its message.
 ///
 /// # Panics
 /// Panics if `args_per_rank` is empty.
@@ -453,75 +458,54 @@ pub fn run_resilient(
             Some(plan.clone()),
             Some(cfg.reliability.clone()),
         );
-        let checkpoints = std::sync::atomic::AtomicU64::new(0);
-        let results: Vec<Result<(), ExecError>> = std::thread::scope(|s| {
-            let handles: Vec<_> = args_per_rank
-                .iter_mut()
-                .enumerate()
-                .map(|(rank, args)| {
-                    let world = Arc::clone(&world);
-                    let pipeline = pipeline.clone();
-                    let checkpoints = &checkpoints;
-                    s.spawn(move || -> Result<(), ExecError> {
-                        let mut runner =
-                            Runner::new(pipeline, cfg.threads).with_trace(tracer, rank as u32);
-                        let from = resume(&mut runner, args, start, rank, store, &world)?;
-                        if start.is_none() {
-                            checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                        for step in from..cfg.steps {
-                            runner.step_distributed_checked(args, &world, rank as i64)?;
-                            if cfg.rotate_args {
-                                args.rotate_left(1);
-                            }
-                            if (step + 1) % interval == 0 && step + 1 < cfg.steps {
-                                let t0 = tracer.now();
-                                let snap = runner.snapshot_into(args, store.recycled(args.len()));
-                                let (at, digest) = (snap.step, snap.digest);
-                                let bytes =
-                                    8 * snap.args.iter().map(Vec::len).sum::<usize>() as u64;
-                                store.put(rank, snap);
-                                // Checkpoint barrier: exchanging the
-                                // digest certifies every rank deposited
-                                // this step before anyone advances —
-                                // the step becomes a consistent cut.
-                                let wire = vec![
-                                    f64::from_bits(digest as u64),
-                                    f64::from_bits((digest >> 64) as u64),
-                                ];
-                                world.exchange_all(rank, wire).map_err(|e| {
-                                    world.poison(rank as i32, e.to_string());
-                                    ExecError::Mpi(e)
-                                })?;
-                                store.retire_before(at);
-                                checkpoints.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                tracer.count(Counter::Checkpoints, 1);
-                                tracer.record_span(rank as u32, 0, t0, || SpanKind::Checkpoint {
-                                    step: at,
-                                    bytes,
-                                });
-                            }
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+        let checkpoints = AtomicU64::new(0);
+        let crashed = AtomicBool::new(false);
+        let attempt = launch_with(&world, args_per_rank.iter_mut(), |rank, args| {
+            let mut runner =
+                Runner::new(pipeline.clone(), cfg.threads).with_trace(tracer, rank as u32);
+            let from = resume(&mut runner, args, start, rank, store)?;
+            if start.is_none() {
+                checkpoints.fetch_add(1, Ordering::Relaxed);
+            }
+            for step in from..cfg.steps {
+                if let Err(e) = runner.step_distributed_checked(args, &world, rank as i64) {
+                    crashed
+                        .fetch_or(matches!(e, ExecError::InjectedCrash { .. }), Ordering::Relaxed);
+                    return Err(e);
+                }
+                if cfg.rotate_args {
+                    args.rotate_left(1);
+                }
+                if (step + 1) % interval == 0 && step + 1 < cfg.steps {
+                    let t0 = tracer.now();
+                    let snap = runner.snapshot_into(args, store.recycled(args.len()));
+                    let (at, digest) = (snap.step, snap.digest);
+                    let bytes = 8 * snap.args.iter().map(Vec::len).sum::<usize>() as u64;
+                    store.put(rank, snap);
+                    // Checkpoint barrier: exchanging the digest certifies
+                    // every rank deposited this step before anyone
+                    // advances — the step becomes a consistent cut.
+                    let wire =
+                        vec![f64::from_bits(digest as u64), f64::from_bits((digest >> 64) as u64)];
+                    world.exchange_all(rank, wire)?;
+                    store.retire_before(at);
+                    checkpoints.fetch_add(1, Ordering::Relaxed);
+                    tracer.count(Counter::Checkpoints, 1);
+                    tracer.record_span(rank as u32, 0, t0, || SpanKind::Checkpoint {
+                        step: at,
+                        bytes,
+                    });
+                }
+            }
+            Ok(())
         });
         report.checkpoints += checkpoints.into_inner();
-        if results.iter().all(Result::is_ok) {
-            return Ok(report);
-        }
-        // A crash is recoverable by rollback; anything else propagates.
-        let mut errs: Vec<ExecError> = results.into_iter().filter_map(Result::err).collect();
-        let recoverable = errs.iter().any(|e| matches!(e, ExecError::InjectedCrash { .. }));
-        if !recoverable || recoveries >= cfg.max_recoveries {
-            // Report the root cause, not the poison it spread to peers.
-            let root = errs
-                .iter()
-                .position(|e| !matches!(e, ExecError::Mpi(MpiError::Poisoned { .. })))
-                .unwrap_or(0);
-            return Err(errs.swap_remove(root));
+        // A crash anywhere is recoverable by rollback; anything else
+        // propagates as the launcher's root cause.
+        match attempt {
+            Ok(_) => return Ok(report),
+            Err(e) if !crashed.into_inner() || recoveries >= cfg.max_recoveries => return Err(e),
+            Err(_) => {}
         }
         recoveries += 1;
         report.recoveries = recoveries;
@@ -536,7 +520,7 @@ pub fn run_resilient(
 mod tests {
     use super::*;
     use crate::pipeline::{compile_module, SCALAR_UNSET};
-    use sten_interp::FaultAction;
+    use sten_interp::{FaultAction, Layout};
     use sten_ir::Pass as _;
     use sten_stencil::{samples, ShapeInference};
 
@@ -781,17 +765,10 @@ mod tests {
         sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
         ShapeInference.run(&mut m).unwrap();
         let pipeline = compile_module(&m, "jacobi").unwrap();
-        let local = pipeline.arg_shapes[0][0];
-        let core = (n - 2) / 2;
+        let layout = Layout::of_spmd(sten_ir::Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap();
         let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin()).collect();
-        let init = (0..2)
-            .map(|rank| {
-                let start = rank * core;
-                let data: Vec<f64> = (0..local).map(|i| global[(start + i) as usize]).collect();
-                vec![data.clone(), data]
-            })
-            .collect();
-        (pipeline, init)
+        let init = layout.scatter(&global).into_iter().map(|data| vec![data.clone(), data]);
+        (pipeline, init.collect())
     }
 
     /// Six steps, a checkpoint every second one.
@@ -910,34 +887,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Exhausting the recovery budget surfaces the root cause, not the
-    /// poison it spread.
+    /// Exhausting the recovery budget surfaces the root cause — the
+    /// crashed rank's error, whichever rank it is — not the poison it
+    /// spread. A watchdog turns a stranded peer into a failure.
     #[test]
     fn recovery_budget_exhaustion_reports_the_crash() {
-        let (pipeline, mut args) = jacobi_2r(32);
-        // Two crashes on rank 1, zero recoveries allowed.
-        let plan = Arc::new(
-            FaultPlan::new().with_rank_fault(1, 0, FaultAction::RankCrash).with_rank_fault(
-                1,
-                1,
-                FaultAction::RankCrash,
-            ),
-        );
-        let cfg = ResilientConfig {
-            steps: 4,
-            max_recoveries: 0,
-            rotate_args: true,
-            ..ResilientConfig::default()
-        };
-        let err = run_resilient(
-            &pipeline,
-            &mut args,
-            plan,
-            &CheckpointStore::in_memory(),
-            &cfg,
-            &Tracer::disabled(),
-        )
-        .unwrap_err();
-        assert_eq!(err, ExecError::InjectedCrash { rank: 1, step: 0 });
+        for crash_rank in [0i32, 1] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let (pipeline, mut args) = jacobi_2r(32);
+                // Two crashes on one rank, zero recoveries allowed.
+                let plan = Arc::new(
+                    FaultPlan::new()
+                        .with_rank_fault(crash_rank, 0, FaultAction::RankCrash)
+                        .with_rank_fault(crash_rank, 1, FaultAction::RankCrash),
+                );
+                let cfg = ResilientConfig {
+                    steps: 4,
+                    max_recoveries: 0,
+                    rotate_args: true,
+                    ..ResilientConfig::default()
+                };
+                let store = CheckpointStore::in_memory();
+                let result =
+                    run_resilient(&pipeline, &mut args, plan, &store, &cfg, &Tracer::disabled());
+                tx.send(result).ok();
+            });
+            let result = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("a rank was stranded after the crash");
+            let rank = i64::from(crash_rank);
+            assert_eq!(result.unwrap_err(), ExecError::InjectedCrash { rank, step: 0 });
+        }
     }
 }

@@ -1,12 +1,15 @@
-//! SPMD execution driver: one interpreter thread per rank over a shared
-//! [`SimWorld`].
+//! SPMD execution driver: one interpreter per rank over a shared
+//! [`SimWorld`], spawned by the [`launch`] launcher.
 //!
 //! This is the reproduction's equivalent of `mpirun -n N ./kernel` on
 //! ARCHER2: every rank executes the same (rank-local) module; SimMPI
-//! carries the halo exchanges.
+//! carries the halo exchanges. A rank whose function fails poisons the
+//! world, so a peer blocked in a receive wakes instead of hanging, and
+//! the caller gets the failing rank's error.
 
 use crate::interp::{InterpError, Interpreter};
 use crate::sim_mpi::{MpiEnv, SimWorld};
+use crate::spmd::{check_rank_order, launch, rank_specialization};
 use crate::value::{BufView, RtValue};
 use std::sync::Arc;
 use sten_ir::Module;
@@ -45,11 +48,9 @@ pub struct RankResult {
 /// communication statistics from the shared world.
 ///
 /// # Errors
-/// Returns the first rank's error if any rank fails (all threads are
-/// joined regardless).
-///
-/// # Panics
-/// Panics if a rank thread panics.
+/// Returns the error of the rank that failed first; its failure poisons
+/// the world, so no peer hangs on it. A panicking rank reports
+/// `rank N panicked: <message>`.
 pub fn run_spmd(
     module: &Module,
     func: &str,
@@ -60,7 +61,7 @@ pub fn run_spmd(
     // uneven decomposition; running it SPMD would silently compute with
     // another rank's slab geometry.
     if world_size > 1 {
-        if let Some((fname, coords)) = rank_specialization(module) {
+        if let Some((fname, coords, _)) = rank_specialization(module) {
             return Err(InterpError {
                 message: format!(
                     "@{fname} is specialised to rank coordinates {coords:?} (uneven \
@@ -73,36 +74,13 @@ pub fn run_spmd(
     run_spmd_impl(&|_| module, func, world_size, args_for_rank)
 }
 
-/// The `(function, dmp.coords)` marker of a rank-specialised module, if
-/// any function carries one.
-fn rank_specialization(module: &Module) -> Option<(String, Vec<i64>)> {
-    let mut found = None;
-    module.walk(|op| {
-        if found.is_none() && op.name == "func.func" {
-            if let Some(coords) = op.attr("dmp.coords").and_then(sten_ir::Attribute::as_dense) {
-                let name = op
-                    .attr("sym_name")
-                    .and_then(sten_ir::Attribute::as_str)
-                    .unwrap_or("<unnamed>")
-                    .to_string();
-                found = Some((name, coords.to_vec()));
-            }
-        }
-    });
-    found
-}
-
 /// Runs `func` with one module per rank — the uneven-decomposition case,
 /// where balanced slabs make each rank's local program rank-specific
 /// (`distribute-stencil{rank=N}` emits module N). Even decompositions are
 /// congruent and can keep sharing one module via [`run_spmd`].
 ///
 /// # Errors
-/// Returns the first rank's error if any rank fails (all threads are
-/// joined regardless).
-///
-/// # Panics
-/// Panics if a rank thread panics.
+/// As [`run_spmd`], and for modules handed over out of rank order.
 pub fn run_spmd_modules(
     modules: &[Module],
     func: &str,
@@ -110,31 +88,7 @@ pub fn run_spmd_modules(
 ) -> Result<(Vec<RankResult>, Arc<SimWorld>), InterpError> {
     // Rank-specialised modules carry their coordinates: catch a module
     // list handed over in the wrong order before it computes nonsense.
-    for (rank, module) in modules.iter().enumerate() {
-        let Some((fname, coords)) = rank_specialization(module) else { continue };
-        let grid = {
-            let mut grid = None;
-            module.walk(|op| {
-                if grid.is_none() && op.name == "func.func" {
-                    grid = op
-                        .attr("dmp.grid")
-                        .and_then(sten_ir::Attribute::as_grid)
-                        .map(<[i64]>::to_vec);
-                }
-            });
-            grid
-        };
-        let linear =
-            grid.as_deref().and_then(|g| sten_dmp::decomposition::coords_to_rank(&coords, g));
-        if linear != Some(rank as i64) {
-            return Err(InterpError {
-                message: format!(
-                    "modules[{rank}]: @{fname} is specialised to coordinates {coords:?} \
-                     (rank {linear:?} of grid {grid:?}) — pass modules in rank order"
-                ),
-            });
-        }
-    }
+    check_rank_order(modules).map_err(|message| InterpError { message })?;
     run_spmd_impl(&|rank| &modules[rank], func, modules.len(), args_for_rank)
 }
 
@@ -145,122 +99,90 @@ fn run_spmd_impl<'m>(
     args_for_rank: &(dyn Fn(usize) -> Vec<ArgSpec> + Sync),
 ) -> Result<(Vec<RankResult>, Arc<SimWorld>), InterpError> {
     let world = SimWorld::new(world_size);
-    let mut results: Vec<Option<Result<RankResult, InterpError>>> =
-        (0..world_size).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (rank, slot) in results.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            handles.push(scope.spawn(move || {
-                let specs = args_for_rank(rank);
-                let mut buffers: Vec<BufView> = Vec::new();
-                let args: Vec<RtValue> = specs
-                    .into_iter()
-                    .map(|spec| match spec {
-                        ArgSpec::F64(v) => RtValue::Float(v),
-                        ArgSpec::Int(v) => RtValue::Int(v),
-                        ArgSpec::Buffer { shape, data } => {
-                            let view = BufView::from_data(shape, data);
-                            buffers.push(view.clone());
-                            RtValue::Buffer(view)
-                        }
-                    })
-                    .collect();
-                let env = MpiEnv::new(world, rank as i32);
-                let mut interp = Interpreter::with_externals(module_for_rank(rank), Box::new(env));
-                let out = interp.call_function(func, args).map(|_| RankResult {
-                    buffers: buffers.iter().map(BufView::to_vec).collect(),
-                    steps: interp.steps(),
-                });
-                *slot = Some(out);
-            }));
-        }
-        for h in handles {
-            h.join().expect("rank thread panicked");
-        }
-    });
-    let mut out = Vec::with_capacity(world_size);
-    for slot in results {
-        out.push(slot.expect("rank completed")?);
-    }
-    Ok((out, world))
+    let results = launch(&world, |rank| {
+        let mut buffers: Vec<BufView> = Vec::new();
+        let args: Vec<RtValue> = args_for_rank(rank)
+            .into_iter()
+            .map(|spec| match spec {
+                ArgSpec::F64(v) => RtValue::Float(v),
+                ArgSpec::Int(v) => RtValue::Int(v),
+                ArgSpec::Buffer { shape, data } => {
+                    let view = BufView::from_data(shape, data);
+                    buffers.push(view.clone());
+                    RtValue::Buffer(view)
+                }
+            })
+            .collect();
+        let env = MpiEnv::new(Arc::clone(&world), rank as i32);
+        let mut interp = Interpreter::with_externals(module_for_rank(rank), Box::new(env));
+        interp.call_function(func, args)?;
+        let steps = interp.steps();
+        Ok::<_, InterpError>(RankResult {
+            buffers: buffers.iter().map(BufView::to_vec).collect(),
+            steps,
+        })
+    })?;
+    Ok((results, world))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spmd::{Layout, RankBox};
     use sten_ir::Bounds;
     use sten_stencil::{samples, ShapeInference, StencilToLoops};
+
+    /// Runs `func` of the undistributed `module` on one copy of `global`
+    /// as both arguments (`src`, `dst`) and returns `dst`.
+    fn serial(module: sten_ir::Module, func: &str, shape: Vec<i64>, global: &[f64]) -> Vec<f64> {
+        let mut m = module;
+        ShapeInference.run(&mut m).unwrap();
+        let src = BufView::from_data(shape.clone(), global.to_vec());
+        let dst = BufView::from_data(shape, global.to_vec());
+        Interpreter::new(&m)
+            .call_function(func, vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
+            .unwrap();
+        dst.to_vec()
+    }
+
+    /// Both arguments of a rank: its scattered part of the global field.
+    fn pair(layout: &Layout, parts: &[Vec<f64>], rank: usize) -> Vec<ArgSpec> {
+        let shape = layout.ranks[rank].stored.shape();
+        let buffer = ArgSpec::Buffer { shape, data: parts[rank].clone() };
+        vec![buffer.clone(), buffer]
+    }
+
+    /// Gathers every rank's `dst` into a copy of `global`.
+    fn gather(layout: &Layout, results: &[RankResult], global: &[f64]) -> Vec<f64> {
+        let outs: Vec<Vec<f64>> = results.iter().map(|r| r.buffers[1].clone()).collect();
+        let mut got = global.to_vec();
+        layout.gather_into(&outs, &mut got);
+        got
+    }
 
     /// Distributes jacobi over `ranks` ranks, scatters a global input,
     /// runs one step at the chosen lowering level, gathers, and compares
     /// against the single-process stencil-level result.
     fn distributed_jacobi_matches_serial(ranks: i64, lower_to_func: bool) {
         let n = 128i64;
-        let global_input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let want = serial(samples::jacobi_1d(n), "jacobi", vec![n], &global);
 
-        // Serial reference at stencil level.
-        let mut serial = samples::jacobi_1d(n);
-        ShapeInference.run(&mut serial).unwrap();
-        let src = BufView::from_data(vec![n], global_input.clone());
-        let dst = BufView::from_data(vec![n], global_input.clone());
-        let mut interp = Interpreter::new(&serial);
-        interp
-            .call_function("jacobi", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-            .unwrap();
-        let want = dst.to_vec();
-
-        // Distributed pipeline.
         let mut m = samples::jacobi_1d(n);
         ShapeInference.run(&mut m).unwrap();
         sten_dmp::DistributeStencil::new(vec![ranks]).run(&mut m).unwrap();
         ShapeInference.run(&mut m).unwrap();
+        let layout = Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap();
         StencilToLoops.run(&mut m).unwrap();
         if lower_to_func {
             sten_mpi::DmpToMpi.run(&mut m).unwrap();
             sten_mpi::MpiToFunc.run(&mut m).unwrap();
         }
 
-        // Local field bounds after distribution: derive scatter mapping.
-        let func = m.lookup_symbol("jacobi").unwrap();
-        let fty = sten_dialects::func::FuncOp(func).function_type().clone();
-        let local_extent = match &fty.inputs[0] {
-            sten_ir::Type::MemRef(mt) => mt.shape[0],
-            sten_ir::Type::Field(f) => f.bounds.size(0),
-            other => panic!("unexpected arg type {other:?}"),
-        };
-        let core = (n - 2) / ranks; // global core is [1, n-1)
-
-        let input = &global_input;
-        let (results, world) = run_spmd(&m, "jacobi", ranks as usize, &move |rank| {
-            // Rank r's local buffer covers global [r*core, r*core + local).
-            let start = rank as i64 * core;
-            let data: Vec<f64> = (0..local_extent)
-                .map(|i| {
-                    let g = start + i;
-                    if g < n {
-                        input[g as usize]
-                    } else {
-                        0.0
-                    }
-                })
-                .collect();
-            vec![
-                ArgSpec::Buffer { shape: vec![local_extent], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![local_extent], data },
-            ]
-        })
-        .unwrap();
-
-        // Gather: rank r owns global [1 + r*core, 1 + (r+1)*core).
-        let mut got = global_input.clone();
-        for (rank, res) in results.iter().enumerate() {
-            let out = &res.buffers[1];
-            let start = rank as i64 * core;
-            for l in 1..=core {
-                got[(start + l) as usize] = out[l as usize];
-            }
-        }
+        let parts = layout.scatter(&global);
+        let (results, world) =
+            run_spmd(&m, "jacobi", ranks as usize, &|rank| pair(&layout, &parts, rank)).unwrap();
+        let got = gather(&layout, &results, &global);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert!((g - w).abs() < 1e-12, "mismatch at {i}: {g} vs {w}");
         }
@@ -286,28 +208,31 @@ mod tests {
     }
 
     /// Distributes a module once per rank (balanced slabs are
-    /// rank-dependent on uneven domains) and fully lowers each module to
-    /// the func/MPI level.
+    /// rank-dependent on uneven domains), lays the ranks out over the
+    /// global field `global`, and fully lowers each module to the
+    /// func/MPI level.
     fn per_rank_modules(
         make: &dyn Fn() -> sten_ir::Module,
+        func: &str,
         grid: &[i64],
-        ranks: usize,
-    ) -> Vec<sten_ir::Module> {
-        (0..ranks)
+        global: Bounds,
+    ) -> (Vec<sten_ir::Module>, Layout) {
+        let ranks: i64 = grid.iter().product();
+        let mut boxes = Vec::new();
+        let modules = (0..ranks)
             .map(|rank| {
                 let mut m = make();
                 ShapeInference.run(&mut m).unwrap();
-                sten_dmp::DistributeStencil::new(grid.to_vec())
-                    .for_rank(rank as i64)
-                    .run(&mut m)
-                    .unwrap();
+                sten_dmp::DistributeStencil::new(grid.to_vec()).for_rank(rank).run(&mut m).unwrap();
                 ShapeInference.run(&mut m).unwrap();
+                boxes.push(RankBox::of(&m, func).unwrap());
                 StencilToLoops.run(&mut m).unwrap();
                 sten_mpi::DmpToMpi.run(&mut m).unwrap();
                 sten_mpi::MpiToFunc.run(&mut m).unwrap();
                 m
             })
-            .collect()
+            .collect();
+        (modules, Layout { global, ranks: boxes })
     }
 
     #[test]
@@ -315,41 +240,18 @@ mod tests {
         // n = 129 → global core 127, which no rank count > 1 divides:
         // 2 ranks get balanced slabs of 64 and 63.
         let n = 129i64;
-        let ranks = 2usize;
-        let global_input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
+        let want = serial(samples::jacobi_1d(n), "jacobi", vec![n], &global);
 
-        let mut serial = samples::jacobi_1d(n);
-        ShapeInference.run(&mut serial).unwrap();
-        let src = BufView::from_data(vec![n], global_input.clone());
-        let dst = BufView::from_data(vec![n], global_input.clone());
-        Interpreter::new(&serial)
-            .call_function("jacobi", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-            .unwrap();
-        let want = dst.to_vec();
-
-        let modules = per_rank_modules(&|| samples::jacobi_1d(n), &[ranks as i64], ranks);
-        let core_extent = n - 2;
-        let input = &global_input;
-        let (results, world) = run_spmd_modules(&modules, "jacobi", &move |rank| {
-            let (offset, size) = sten_dmp::balanced_chunk(core_extent, ranks as i64, rank as i64);
-            // Rank r's buffer covers global [offset, offset + size + 2)
-            // (local core plus the 1-cell halos).
-            let data: Vec<f64> = (0..size + 2).map(|i| input[(offset + i) as usize]).collect();
-            vec![
-                ArgSpec::Buffer { shape: vec![size + 2], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![size + 2], data },
-            ]
-        })
-        .unwrap();
+        let (modules, layout) =
+            per_rank_modules(&|| samples::jacobi_1d(n), "jacobi", &[2], Bounds::new(vec![(0, n)]));
+        let sizes: Vec<i64> = layout.ranks.iter().map(|r| r.core.size(0)).collect();
+        assert_eq!(sizes, [64, 63], "balanced slabs");
+        let parts = layout.scatter(&global);
+        let (results, world) =
+            run_spmd_modules(&modules, "jacobi", &|rank| pair(&layout, &parts, rank)).unwrap();
         assert!(world.total_sent_messages() > 0, "halo exchange happened");
-
-        let mut got = global_input.clone();
-        for (rank, res) in results.iter().enumerate() {
-            let (offset, size) = sten_dmp::balanced_chunk(core_extent, ranks as i64, rank as i64);
-            for l in 1..=size {
-                got[(offset + l) as usize] = res.buffers[1][l as usize];
-            }
-        }
+        let got = gather(&layout, &results, &global);
         assert_eq!(got, want, "uneven distributed jacobi must match serial bit-for-bit");
     }
 
@@ -370,129 +272,79 @@ mod tests {
         let swapped = vec![distribute(1), distribute(0)];
         let err = run_spmd_modules(&swapped, "jacobi", &|_| Vec::new()).err().expect("must reject");
         assert!(err.message.contains("rank order"), "{}", err.message);
+        let global = Bounds::new(vec![(0, 129)]);
+        let err = Layout::of_modules(global.clone(), &swapped, "jacobi").unwrap_err();
+        assert!(err.contains("rank order"), "{err}");
+        let err = Layout::of_spmd(global, &distribute(1), "jacobi").unwrap_err();
+        assert!(err.contains("of_modules"), "{err}");
+    }
+
+    /// Rank 0 fails before its halo send while rank 1 blocks receiving
+    /// it: the failure poisons the world, rank 1 wakes, and the caller
+    /// gets rank 0's own error rather than the poison rank 1 saw.
+    #[test]
+    fn a_rank_failing_before_its_send_does_not_strand_its_peer() {
+        let mut m = samples::jacobi_1d(64);
+        ShapeInference.run(&mut m).unwrap();
+        sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
+        ShapeInference.run(&mut m).unwrap();
+        let layout = Layout::of_spmd(Bounds::new(vec![(0, 64)]), &m, "jacobi").unwrap();
+        let parts = layout.scatter(&[1.0; 64]);
+        let modules = vec![m.clone(), m];
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // Rank 0 gets no arguments: its call fails before any send.
+            let args =
+                |rank: usize| if rank == 0 { Vec::new() } else { pair(&layout, &parts, rank) };
+            tx.send(run_spmd_modules(&modules, "jacobi", &args).map(|_| ())).ok();
+        });
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("rank 1 was stranded in its receive");
+        let err = result.unwrap_err();
+        assert!(err.message.contains("takes 2 arguments, got 0"), "{}", err.message);
+        assert!(!err.message.contains("poisoned"), "{}", err.message);
     }
 
     #[test]
     fn uneven_heat2d_bitwise_matches_serial() {
         // A 15×15 core on a 2×2 grid: balanced slabs of 8 and 7 per dim.
         let n = 15i64;
-        let shape = vec![n + 2, n + 2];
         let size = ((n + 2) * (n + 2)) as usize;
         let global: Vec<f64> = (0..size).map(|i| (i as f64 * 0.05).cos()).collect();
+        let want = serial(samples::heat_2d(n, 0.1), "heat", vec![n + 2, n + 2], &global);
 
-        let mut serial = samples::heat_2d(n, 0.1);
-        ShapeInference.run(&mut serial).unwrap();
-        let src = BufView::from_data(shape.clone(), global.clone());
-        let dst = BufView::from_data(shape.clone(), global.clone());
-        Interpreter::new(&serial)
-            .call_function("heat", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-            .unwrap();
-        let want = dst.to_vec();
-
-        let modules = per_rank_modules(&|| samples::heat_2d(n, 0.1), &[2, 2], 4);
-        let g = &global;
-        let full = (n + 2) as usize;
-        let (results, _) = run_spmd_modules(&modules, "heat", &move |rank| {
-            let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-            let (oy, sy) = sten_dmp::balanced_chunk(n, 2, ry);
-            let (ox, sx) = sten_dmp::balanced_chunk(n, 2, rx);
-            // Local buffer index (y, x) maps to the global buffer cell
-            // (oy + y, ox + x): the core starts at global buffer index
-            // offset + 1 and the buffer keeps a 1-cell halo around it.
-            let mut data = Vec::with_capacity(((sy + 2) * (sx + 2)) as usize);
-            for y in 0..sy + 2 {
-                for x in 0..sx + 2 {
-                    data.push(g[(oy + y) as usize * full + (ox + x) as usize]);
-                }
-            }
-            vec![
-                ArgSpec::Buffer { shape: vec![sy + 2, sx + 2], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![sy + 2, sx + 2], data },
-            ]
-        })
-        .unwrap();
-
-        let mut got = global.clone();
-        for (rank, res) in results.iter().enumerate() {
-            let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-            let (oy, sy) = sten_dmp::balanced_chunk(n, 2, ry);
-            let (ox, sx) = sten_dmp::balanced_chunk(n, 2, rx);
-            let out = &res.buffers[1];
-            for y in 1..=sy {
-                for x in 1..=sx {
-                    got[(oy + y) as usize * full + (ox + x) as usize] =
-                        out[(y * (sx + 2) + x) as usize];
-                }
-            }
-        }
+        let field = Bounds::new(vec![(-1, n + 1); 2]);
+        let (modules, layout) =
+            per_rank_modules(&|| samples::heat_2d(n, 0.1), "heat", &[2, 2], field);
+        let parts = layout.scatter(&global);
+        let (results, _) =
+            run_spmd_modules(&modules, "heat", &|rank| pair(&layout, &parts, rank)).unwrap();
+        let got = gather(&layout, &results, &global);
         assert_eq!(got, want, "uneven distributed heat2d must match serial bit-for-bit");
     }
 
     #[test]
     fn heat2d_distributed_matches_serial() {
         let n = 16i64;
-        let shape = vec![n + 2, n + 2];
         let size = ((n + 2) * (n + 2)) as usize;
         let global: Vec<f64> = (0..size).map(|i| (i as f64 * 0.05).cos()).collect();
-
-        // Serial reference.
-        let mut serial = samples::heat_2d(n, 0.1);
-        ShapeInference.run(&mut serial).unwrap();
-        let src = BufView::from_data(shape.clone(), global.clone());
-        let dst = BufView::from_data(shape.clone(), global.clone());
-        Interpreter::new(&serial)
-            .call_function("heat", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-            .unwrap();
-        let want = dst.to_vec();
+        let want = serial(samples::heat_2d(n, 0.1), "heat", vec![n + 2, n + 2], &global);
 
         // 2x2 distributed, fully lowered.
         let mut m = samples::heat_2d(n, 0.1);
         ShapeInference.run(&mut m).unwrap();
         sten_dmp::DistributeStencil::new(vec![2, 2]).run(&mut m).unwrap();
         ShapeInference.run(&mut m).unwrap();
+        let field = Bounds::new(vec![(-1, n + 1); 2]);
+        let layout = Layout::of_spmd(field, &m, "heat").unwrap();
         StencilToLoops.run(&mut m).unwrap();
         sten_mpi::DmpToMpi.run(&mut m).unwrap();
         sten_mpi::MpiToFunc.run(&mut m).unwrap();
 
-        let core = n / 2;
-        let local = core + 2;
-        let g = &global;
-        let full = (n + 2) as usize;
-        let (results, _) = run_spmd(&m, "heat", 4, &move |rank| {
-            let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-            let data: Vec<f64> = Bounds::from_shape(&[local, local]).shape().iter().copied().fold(
-                Vec::new(),
-                |mut acc, _| {
-                    acc.clear();
-                    for y in 0..local {
-                        for x in 0..local {
-                            let gy = (ry * core + y) as usize;
-                            let gx = (rx * core + x) as usize;
-                            acc.push(g[gy * full + gx]);
-                        }
-                    }
-                    acc
-                },
-            );
-            vec![
-                ArgSpec::Buffer { shape: vec![local, local], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![local, local], data },
-            ]
-        })
-        .unwrap();
-
-        let mut got = global.clone();
-        for (rank, res) in results.iter().enumerate() {
-            let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-            let out = &res.buffers[1];
-            for y in 1..=core {
-                for x in 1..=core {
-                    let gy = (ry * core + y) as usize;
-                    let gx = (rx * core + x) as usize;
-                    got[gy * full + gx] = out[(y * local + x) as usize];
-                }
-            }
-        }
+        let parts = layout.scatter(&global);
+        let (results, _) = run_spmd(&m, "heat", 4, &|rank| pair(&layout, &parts, rank)).unwrap();
+        let got = gather(&layout, &results, &global);
         for (i, (a, b)) in got.iter().zip(&want).enumerate() {
             assert!((a - b).abs() < 1e-12, "mismatch at {i}: {a} vs {b}");
         }

@@ -38,6 +38,12 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
+impl From<crate::spmd::RankPanic> for InterpError {
+    fn from(p: crate::spmd::RankPanic) -> InterpError {
+        InterpError { message: p.to_string() }
+    }
+}
+
 enum Flow {
     Normal,
     Yield(Vec<RtValue>),

@@ -9,7 +9,8 @@
 //! ([`sim_mpi`]), a simulated message-passing runtime where ranks are OS
 //! threads and messages travel through FIFO mailboxes, honouring MPI's
 //! non-overtaking ordering and the mpich ABI constants the lowering
-//! substitutes.
+//! substitutes. Every rank driver spawns its ranks through [`spmd`]'s
+//! launcher and moves global fields in and out with its [`Layout`].
 //!
 //! Running the same program at every level and comparing the resulting
 //! fields is the core semantic test of the stack (see `tests/` at the
@@ -20,6 +21,7 @@ pub mod exact;
 pub mod fault;
 pub mod interp;
 pub mod sim_mpi;
+pub mod spmd;
 pub mod sync_shim;
 pub mod value;
 
@@ -28,4 +30,5 @@ pub use exact::{ExactSum, ReduceAcc, ReduceKind};
 pub use fault::{FaultAction, FaultPlan, Reliability};
 pub use interp::{InterpError, Interpreter};
 pub use sim_mpi::{MpiEnv, MpiError, SimWorld};
+pub use spmd::{launch, launch_with, Layout, RankBox, RankPanic};
 pub use value::{BufView, RtValue};

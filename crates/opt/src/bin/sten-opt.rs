@@ -361,13 +361,14 @@ fn traced_smoke_run(
     let ctx = sten_opt::PassContext { registry: std::sync::Arc::clone(Driver::new().dialects()) };
 
     // One compile per rank (rank 0 also tells us the world size).
-    let probe = {
+    let compile_rank = |rank: i64| {
         let mut m = undistributed.clone();
-        let inv = invocation.clone().with_option("rank", "0");
+        let inv = invocation.clone().with_option("rank", rank.to_string());
         PassRegistry::global().instantiate(&inv, &ctx).ok()?.run(&mut m).ok()?;
         sten_stencil::ShapeInference.run(&mut m).ok()?;
-        sten_exec::compile_module(&m, func).ok()?
+        sten_exec::compile_module(&m, func).ok()
     };
+    let probe = compile_rank(0)?;
     let grid = probe.swaps.first()?.grid.clone();
     let ranks = grid.iter().product::<i64>();
     if !(2..=8).contains(&ranks) {
@@ -375,11 +376,7 @@ fn traced_smoke_run(
     }
     let mut pipelines = vec![probe];
     for r in 1..ranks {
-        let mut m = undistributed.clone();
-        let inv = invocation.clone().with_option("rank", r.to_string());
-        PassRegistry::global().instantiate(&inv, &ctx).ok()?.run(&mut m).ok()?;
-        sten_stencil::ShapeInference.run(&mut m).ok()?;
-        pipelines.push(sten_exec::compile_module(&m, func).ok()?);
+        pipelines.push(compile_rank(r)?);
     }
 
     let steps_per_rank: Vec<usize> = pipelines.iter().map(|p| p.steps.len()).collect();
@@ -388,39 +385,26 @@ fn traced_smoke_run(
         std::time::Duration::from_micros(20),
         tracer.clone(),
     );
-    let ok = std::thread::scope(|scope| {
-        let handles: Vec<_> = pipelines
-            .into_iter()
-            .enumerate()
-            .map(|(r, p)| {
-                let world = &world;
-                let tracer = &tracer;
-                scope.spawn(move || {
-                    let mut args: Vec<Vec<f64>> = p
-                        .arg_shapes
-                        .iter()
-                        .map(|s| {
-                            let len = s.iter().product::<i64>().max(0) as usize;
-                            (0..len).map(|i| (i as f64 * 0.01).sin()).collect()
-                        })
-                        .collect();
-                    let mut runner = sten_exec::Runner::new(p, 1).with_trace(tracer, r as u32);
-                    // Scalar arguments get a made-up value like the fields do.
-                    for k in 0..runner.pipeline.scalar_inputs.len() {
-                        runner.set_scalar(k, 0.5);
-                    }
-                    for _ in 0..TIMESTEPS {
-                        runner.step_distributed(&mut args, world, r as i64).ok()?;
-                    }
-                    Some(())
-                })
+    sten_interp::launch_with(&world, pipelines, |r, p| {
+        let mut args: Vec<Vec<f64>> = p
+            .arg_shapes
+            .iter()
+            .map(|s| {
+                let len = s.iter().product::<i64>().max(0) as usize;
+                (0..len).map(|i| (i as f64 * 0.01).sin()).collect()
             })
             .collect();
-        handles.into_iter().all(|h| h.join().ok().flatten().is_some())
-    });
-    if !ok {
-        return None;
-    }
+        let mut runner = sten_exec::Runner::new(p, 1).with_trace(&tracer, r as u32);
+        // Scalar arguments get a made-up value like the fields do.
+        for k in 0..runner.pipeline.scalar_inputs.len() {
+            runner.set_scalar(k, 0.5);
+        }
+        for _ in 0..TIMESTEPS {
+            runner.step_distributed(&mut args, &world, r as i64)?;
+        }
+        Ok::<_, String>(())
+    })
+    .ok()?;
 
     let events = tracer.events();
     let report = sten_trace::report::TraceReport::from_events(&events);

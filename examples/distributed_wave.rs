@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example distributed_wave`
 
-use std::sync::Arc;
 use stencil_stack::prelude::*;
 
 fn main() {
@@ -49,52 +48,19 @@ fn main() {
     };
     println!("dmp.swap ops per step: {swaps}");
 
+    // Scatter each rank's box out of the initial field, run the ranks
+    // on the SPMD launcher, and gather the owned cores back.
+    let layout = Layout::of_spmd(op.field_bounds(), &dist, "step").expect("rank layout");
     let world = SimWorld::new(4);
-    let core = n / 2;
-    let local = core + op.halo_lo[0] + op.halo_hi[0];
-    let results: Vec<(usize, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4i64)
-            .map(|rank| {
-                let world = Arc::clone(&world);
-                let op = op.clone();
-                let dist = &dist;
-                let init = &init;
-                scope.spawn(move || {
-                    let (ry, rx) = (rank / 2, rank % 2);
-                    let mut data = Vec::with_capacity((local * local) as usize);
-                    for y in 0..local {
-                        for x in 0..local {
-                            let gy = ry * core + y;
-                            let gx = rx * core + x;
-                            data.push(init[(gy * w + gx) as usize]);
-                        }
-                    }
-                    let mut bufs = vec![data.clone(), data.clone(), data];
-                    let last = op
-                        .run_distributed(dist, &mut bufs, steps, 1, &world, rank)
-                        .expect("rank run");
-                    (last, bufs[last].clone())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Gather and compare the owned interiors.
-    let r = op.halo_lo[0];
-    let mut max_err = 0.0f64;
-    for (rank, (_, out)) in results.iter().enumerate() {
-        let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-        for y in 0..core {
-            for x in 0..core {
-                let gy = ry * core + y + r;
-                let gx = rx * core + x + r;
-                let got = out[((y + r) * local + (x + r)) as usize];
-                let exp = want[(gy * w + gx) as usize];
-                max_err = max_err.max((got - exp).abs());
-            }
-        }
-    }
+    let outs = launch_with(&world, layout.scatter(&init), |rank, data| {
+        let mut bufs = vec![data.clone(), data.clone(), data];
+        let last = op.run_distributed(&dist, &mut bufs, steps, 1, &world, rank as i64)?;
+        Ok::<_, String>(bufs.swap_remove(last))
+    })
+    .expect("rank run");
+    let mut got = init.clone();
+    layout.gather_into(&outs, &mut got);
+    let max_err = got.iter().zip(&want).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     println!("4 ranks vs serial: max |error| = {max_err:.3e} over {} points", (n * n));
     println!(
         "halo traffic: {} messages, {} elements",

@@ -21,6 +21,9 @@ fn main() {
     stencil_stack::stencil::ShapeInference.run(&mut module).unwrap();
     stencil_stack::dmp::EliminateRedundantSwaps.run(&mut module).unwrap();
     println!("{}", print_module(&module));
+    // Where each rank's buffer sits in the global field, read off the
+    // rank-local field types before the lowering turns them into memrefs.
+    let layout = Layout::of_spmd(Bounds::new(vec![(0, 128)]), &module, "jacobi").unwrap();
 
     println!("=== 3. loops over memrefs (stencil-to-loops) ===");
     stencil_stack::stencil::StencilToLoops.run(&mut module).unwrap();
@@ -44,17 +47,12 @@ fn main() {
     println!("final module verifies; mpich constants 1275070475 / 1140850688 present ✓");
 
     // And it still runs — as a 2-rank SPMD program over SimMPI.
-    let n = 128i64;
-    let core = (n - 2) / 2;
-    let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin()).collect();
-    let input_ref = &input;
-    let (results, world) = run_spmd(&module, "jacobi", 2, &move |rank| {
-        let start = rank as i64 * core;
-        let data: Vec<f64> = (0..core + 2).map(|i| input_ref[(start + i) as usize]).collect();
-        vec![
-            ArgSpec::Buffer { shape: vec![core + 2], data: data.clone() },
-            ArgSpec::Buffer { shape: vec![core + 2], data },
-        ]
+    let input: Vec<f64> = (0..128).map(|i| (i as f64 * 0.17).sin()).collect();
+    let parts = layout.scatter(&input);
+    let (results, world) = run_spmd(&module, "jacobi", 2, &|rank| {
+        let shape = layout.ranks[rank].stored.shape();
+        let buffer = ArgSpec::Buffer { shape, data: parts[rank].clone() };
+        vec![buffer.clone(), buffer]
     })
     .expect("SPMD run");
     println!(

@@ -1,5 +1,5 @@
 //! Shared test support: a tiny deterministic PRNG and the executor-tier
-//! axis of the property matrices.
+//! and decomposition-strategy axes of the property matrices.
 //!
 //! The randomized suites (`roundtrip`, `properties`, `random_stencils`)
 //! were written against `proptest`, which the offline build environment
@@ -13,6 +13,52 @@
 pub fn tiers() -> Vec<stencil_stack::exec::TierKind> {
     use stencil_stack::exec::TierKind;
     TierKind::from_env().map_or_else(|| TierKind::ALL.to_vec(), |t| vec![t])
+}
+
+/// The decomposition strategies a matrix enumerates: all of them, or the
+/// one `STEN_DECOMP_STRATEGY` pins.
+#[allow(dead_code)]
+pub fn strategies() -> Vec<&'static str> {
+    use stencil_stack::dmp::STRATEGY_NAMES;
+    match std::env::var("STEN_DECOMP_STRATEGY") {
+        Ok(name) => vec![*STRATEGY_NAMES
+            .iter()
+            .find(|s| **s == name)
+            .unwrap_or_else(|| panic!("unknown STEN_DECOMP_STRATEGY '{name}'"))],
+        Err(_) => STRATEGY_NAMES.to_vec(),
+    }
+}
+
+/// The layout of `func` distributed over `grid` by the default
+/// `distribute-stencil` (one module every rank runs), laid over the
+/// undistributed `module`'s field.
+#[allow(dead_code)]
+pub fn spmd_layout(
+    mut module: stencil_stack::ir::Module,
+    func: &str,
+    grid: Vec<i64>,
+) -> stencil_stack::interp::Layout {
+    use stencil_stack::interp::{Layout, RankBox};
+    use stencil_stack::ir::Pass as _;
+    use stencil_stack::stencil::ShapeInference;
+    ShapeInference.run(&mut module).unwrap();
+    let global = RankBox::of(&module, func).unwrap().stored;
+    stencil_stack::dmp::DistributeStencil::new(grid).run(&mut module).unwrap();
+    ShapeInference.run(&mut module).unwrap();
+    Layout::of_spmd(global, &module, func).unwrap()
+}
+
+/// `rank`'s two buffer arguments (`src`, `dst`), each a copy of its
+/// scattered part.
+#[allow(dead_code)]
+pub fn buffer_pair(
+    layout: &stencil_stack::interp::Layout,
+    parts: &[Vec<f64>],
+    rank: usize,
+) -> Vec<stencil_stack::interp::ArgSpec> {
+    let shape = layout.ranks[rank].stored.shape();
+    let buffer = stencil_stack::interp::ArgSpec::Buffer { shape, data: parts[rank].clone() };
+    vec![buffer.clone(), buffer]
 }
 
 /// A deterministic xorshift64* pseudo-random generator.

@@ -2,6 +2,8 @@
 //! `stencil.combine`, `stencil.dyn_access`/`stencil.index`, and execution
 //! at the *mpi-dialect* level (before the func lowering).
 
+mod common;
+
 use stencil_stack::dialects::{arith, func};
 use stencil_stack::ir::{FieldType, TempType, Type};
 use stencil_stack::prelude::*;
@@ -159,18 +161,12 @@ fn mpi_dialect_level_execution_matches_func_level() {
         }
         m
     };
+    let layout =
+        common::spmd_layout(stencil_stack::stencil::samples::jacobi_1d(n), "jacobi", vec![2]);
+    let parts = layout.scatter(&input);
     let run = |m: &Module| {
-        let core = (n - 2) / 2;
-        let input = input.clone();
-        let (results, _) = run_spmd(m, "jacobi", 2, &move |rank| {
-            let start = rank as i64 * core;
-            let data: Vec<f64> = (0..core + 2).map(|i| input[(start + i) as usize]).collect();
-            vec![
-                ArgSpec::Buffer { shape: vec![core + 2], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![core + 2], data },
-            ]
-        })
-        .unwrap();
+        let (results, _) =
+            run_spmd(m, "jacobi", 2, &|rank| common::buffer_pair(&layout, &parts, rank)).unwrap();
         results.into_iter().map(|r| r.buffers[1].clone()).collect::<Vec<_>>()
     };
     let at_mpi_level = run(&build(false));
@@ -224,21 +220,15 @@ fn mpi_collectives_execute() {
     verify_module(&m, Some(&registry())).unwrap();
 
     let world = SimWorld::new(4);
-    let results: Vec<(f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4)
-            .map(|rank| {
-                let world = std::sync::Arc::clone(&world);
-                let m = &m;
-                scope.spawn(move || {
-                    let env = stencil_stack::interp::MpiEnv::new(world, rank);
-                    let mut interp = Interpreter::with_externals(m, Box::new(env));
-                    let out = interp.call_function("coll", vec![]).unwrap();
-                    (out[0].as_float().unwrap(), out[1].as_float().unwrap())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let results = launch(&world, |rank| {
+        let env = stencil_stack::interp::MpiEnv::new(std::sync::Arc::clone(&world), rank as i32);
+        let out = Interpreter::with_externals(&m, Box::new(env)).call_function("coll", vec![])?;
+        Ok::<_, stencil_stack::interp::InterpError>((
+            out[0].as_float().unwrap(),
+            out[1].as_float().unwrap(),
+        ))
+    })
+    .unwrap();
     for (sum_ranks, sum_ones) in results {
         assert_eq!(sum_ranks, 0.0 + 1.0 + 2.0 + 3.0);
         assert_eq!(sum_ones, 4.0);

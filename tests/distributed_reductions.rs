@@ -18,71 +18,18 @@
 
 mod common;
 
-use std::sync::Arc;
-
 use common::Rng;
 use stencil_stack::cg;
 use stencil_stack::dmp::{make_strategy, DistributeStencil};
 use stencil_stack::exec::{compile_module_tiered, Runner};
-use stencil_stack::interp::{BufView, ExactSum, Interpreter, RtValue, SimWorld};
-use stencil_stack::ir::{Bounds, Module, Pass as _, Type};
+use stencil_stack::interp::{
+    launch_with, BufView, ExactSum, Interpreter, Layout, RtValue, SimWorld,
+};
+use stencil_stack::ir::{Bounds, Module, Pass as _};
 use stencil_stack::stencil::{samples, ShapeInference};
-
-fn strategy_names() -> Vec<&'static str> {
-    const ALL: [&str; 3] = ["standard-slicing", "recursive-bisection", "custom-grid"];
-    match std::env::var("STEN_DECOMP_STRATEGY") {
-        Ok(name) => {
-            let name = ALL
-                .iter()
-                .find(|s| **s == name)
-                .unwrap_or_else(|| panic!("unknown STEN_DECOMP_STRATEGY '{name}'"));
-            vec![name]
-        }
-        Err(_) => ALL.to_vec(),
-    }
-}
 
 fn factors_for(strategy: &str) -> Option<Vec<i64>> {
     (strategy == "custom-grid").then(|| vec![2])
-}
-
-/// Extracts the row-major values of box `lb` out of the row-major global
-/// buffer over box `gb` (both in the same global coordinates).
-fn extract(global: &[f64], gb: &Bounds, lb: &Bounds) -> Vec<f64> {
-    let gext: Vec<i64> = gb.0.iter().map(|&(l, h)| h - l).collect();
-    let dims = gb.rank();
-    let mut out = Vec::new();
-    let mut idx: Vec<i64> = lb.0.iter().map(|&(l, _)| l).collect();
-    loop {
-        let mut flat = 0i64;
-        for d in 0..dims {
-            flat = flat * gext[d] + (idx[d] - gb.0[d].0);
-        }
-        out.push(global[flat as usize]);
-        let mut d = dims;
-        loop {
-            if d == 0 {
-                return out;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < lb.0[d].1 {
-                break;
-            }
-            idx[d] = lb.0[d].0;
-        }
-    }
-}
-
-/// The local field bounds the distribute pass assigned to `func`'s first
-/// argument (global coordinates).
-fn local_field_bounds(m: &Module, func: &str) -> Bounds {
-    let f = m.lookup_symbol(func).unwrap();
-    let arg = f.region_block(0).args[0];
-    match m.values.ty(arg) {
-        Type::Field(ft) => ft.bounds.clone(),
-        other => panic!("field argument expected, got {other:?}"),
-    }
 }
 
 #[test]
@@ -156,7 +103,7 @@ fn distributed_reduce_matches_serial_interpreter_bit_for_bit() {
                 other => panic!("expected one float, got {other:?}"),
             };
 
-            for strategy in strategy_names() {
+            for strategy in common::strategies() {
                 // Per-rank modules (uneven extents make them heterogeneous).
                 let per_rank: Vec<Module> = (0..2)
                     .map(|rank| {
@@ -173,29 +120,24 @@ fn distributed_reduce_matches_serial_interpreter_bit_for_bit() {
                         m
                     })
                     .collect();
+                let layout = Layout::of_modules(field.clone(), &per_rank, "reduce").unwrap();
+                // Every rank's operands, scattered out of the global ones.
+                let mut operands: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 2];
+                for global in &data {
+                    for (args, part) in operands.iter_mut().zip(layout.scatter(global)) {
+                        args.push(part);
+                    }
+                }
                 for tier in common::tiers() {
                     for threads in [1usize, 2] {
                         let world = SimWorld::new(2);
-                        let mut got = [0.0f64; 2];
-                        let field = &field;
-                        std::thread::scope(|scope| {
-                            for (rank, out) in got.iter_mut().enumerate() {
-                                let world = Arc::clone(&world);
-                                let m = &per_rank[rank];
-                                let data = &data;
-                                scope.spawn(move || {
-                                    let lb = local_field_bounds(m, "reduce");
-                                    let p = compile_module_tiered(m, "reduce", Some(tier)).unwrap();
-                                    let mut args: Vec<Vec<f64>> =
-                                        data.iter().map(|d| extract(d, field, &lb)).collect();
-                                    let mut runner = Runner::new(p, threads);
-                                    runner
-                                        .step_distributed(&mut args, &world, rank as i64)
-                                        .unwrap();
-                                    *out = runner.scalar_outputs()[0];
-                                });
-                            }
-                        });
+                        let got = launch_with(&world, operands.clone(), |rank, mut args| {
+                            let p = compile_module_tiered(&per_rank[rank], "reduce", Some(tier))?;
+                            let mut runner = Runner::new(p, threads);
+                            runner.step_distributed(&mut args, &world, rank as i64)?;
+                            Ok::<_, String>(runner.scalar_outputs()[0])
+                        })
+                        .unwrap();
                         for (rank, v) in got.iter().enumerate() {
                             assert_eq!(
                                 v.to_bits(),
@@ -218,7 +160,7 @@ fn cg_residual_trajectory_matches_serial_bit_for_bit() {
         let cfg = cg::CgConfig { tier: Some(tier), ..cg::CgConfig::new(20) };
         let serial = cg::solve(&cfg).unwrap();
         assert!(serial.converged, "{}: {:?}", tier.name(), serial.residuals);
-        for strategy in strategy_names() {
+        for strategy in common::strategies() {
             for threads in [1usize, 2] {
                 let cfg = cg::CgConfig { threads, ..cfg.clone() };
                 let dist =

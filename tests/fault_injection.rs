@@ -34,20 +34,6 @@ use stencil_stack::stencil::{ops, ShapeInference};
 const RANKS: usize = 2;
 const RADIUS: i64 = 1;
 
-fn strategy_names() -> Vec<&'static str> {
-    const ALL: [&str; 3] = ["standard-slicing", "recursive-bisection", "custom-grid"];
-    match std::env::var("STEN_DECOMP_STRATEGY") {
-        Ok(name) => {
-            let name = ALL
-                .iter()
-                .find(|s| **s == name)
-                .unwrap_or_else(|| panic!("unknown STEN_DECOMP_STRATEGY '{name}'"));
-            vec![name]
-        }
-        Err(_) => ALL.to_vec(),
-    }
-}
-
 /// Fault-schedule seeds: `STEN_FAULT_SEED` pins one, otherwise four per
 /// matrix cell (3 strategies × 3 tiers × 4 seeds = 36 runs ≥ the
 /// 30-schedule acceptance floor).
@@ -120,8 +106,10 @@ fn rand_module(rng: &mut Rng, n: i64) -> Module {
 
 /// Distributes `m` over [`RANKS`] ranks under `strategy` and compiles it
 /// at `tier`. The even 1D split makes one pipeline valid on every rank
-/// (boundary exchanges resolve to `None` at runtime).
-fn distributed_pipeline(mut m: Module, strategy: &str, tier: TierKind) -> Pipeline {
+/// (boundary exchanges resolve to `None` at runtime); the layout places
+/// each rank's box in the `n + 2`-cell global field.
+fn distributed_pipeline(mut m: Module, strategy: &str, tier: TierKind) -> (Pipeline, Layout) {
+    let global = RankBox::of(&m, "rand").unwrap().stored;
     let factors = (strategy == "custom-grid").then(|| vec![RANKS as i64]);
     DistributeStencil::with_strategy(vec![RANKS as i64], make_strategy(strategy, factors).unwrap())
         .run(&mut m)
@@ -129,60 +117,44 @@ fn distributed_pipeline(mut m: Module, strategy: &str, tier: TierKind) -> Pipeli
     ShapeInference.run(&mut m).unwrap();
     let mut pipeline = compile_pipeline(&m, "rand").unwrap();
     pipeline.respecialize(Some(tier));
-    pipeline
+    (pipeline, Layout::of_spmd(global, &m, "rand").unwrap())
 }
 
-/// The rank's initial local buffer, scattered out of `global`.
-fn scatter(global: &[f64], local: i64, core: i64, rank: usize) -> Vec<f64> {
-    let start = rank as i64 * core;
-    (0..local).map(|i| global[(start + i) as usize]).collect()
+/// Each rank's initial `[src, dst]` argument pair, scattered out of
+/// `global`.
+fn initial_args(layout: &Layout, global: &[f64]) -> Vec<Vec<Vec<f64>>> {
+    layout.scatter(global).into_iter().map(|data| vec![data.clone(), data]).collect()
 }
 
 /// Fault-free reference: `steps` ping-pong timesteps per rank on a plain
 /// [`SimWorld`]; returns each rank's final `[src, dst]` argument pair.
 fn reference_run(
     pipeline: &Pipeline,
+    layout: &Layout,
     global: &[f64],
-    core: i64,
     steps: usize,
 ) -> Vec<Vec<Vec<f64>>> {
-    let local = pipeline.arg_shapes[0][0];
     let world = SimWorld::new(RANKS);
-    let mut outs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); RANKS];
-    std::thread::scope(|scope| {
-        for (rank, out) in outs.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let pipeline = pipeline.clone();
-            scope.spawn(move || {
-                let data = scatter(global, local, core, rank);
-                let mut args = vec![data.clone(), data];
-                let mut runner = Runner::new(pipeline, 1);
-                for _ in 0..steps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args;
-            });
+    launch_with(&world, initial_args(layout, global), |rank, mut args| {
+        let mut runner = Runner::new(pipeline.clone(), 1);
+        for _ in 0..steps {
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            args.swap(0, 1);
         }
-    });
-    outs
+        Ok::<_, String>(args)
+    })
+    .unwrap()
 }
 
 fn resilient_run(
     pipeline: &Pipeline,
+    layout: &Layout,
     global: &[f64],
-    core: i64,
     steps: usize,
     plan: Arc<FaultPlan>,
     interval: u64,
 ) -> (Vec<Vec<Vec<f64>>>, Result<ResilientReport, ExecError>) {
-    let local = pipeline.arg_shapes[0][0];
-    let mut args_per_rank: Vec<Vec<Vec<f64>>> = (0..RANKS)
-        .map(|rank| {
-            let data = scatter(global, local, core, rank);
-            vec![data.clone(), data]
-        })
-        .collect();
+    let mut args_per_rank = initial_args(layout, global);
     let store = CheckpointStore::in_memory();
     let cfg = ResilientConfig {
         steps: steps as u64,
@@ -205,15 +177,15 @@ fn random_fault_schedules_heal_bitwise_or_fail_typed() {
     let steps = 6usize;
     let mut checked = 0u32;
     for (t, tier) in common::tiers().into_iter().enumerate() {
-        for (s, strategy) in strategy_names().into_iter().enumerate() {
+        for (s, strategy) in common::strategies().into_iter().enumerate() {
             for seed in fault_seeds() {
                 let cell = seed ^ ((t as u64) << 17) ^ ((s as u64) << 9);
                 let mut rng = Rng::new(0xFA17 ^ cell.wrapping_mul(0x9E3779B97F4A7C15));
                 let global: Vec<f64> =
                     (0..(n + 2 * RADIUS)).map(|_| rng.range_f64(-10.0, 10.0)).collect();
-                let pipeline = distributed_pipeline(rand_module(&mut rng, n), strategy, tier);
-                let core = n / RANKS as i64;
-                let reference = reference_run(&pipeline, &global, core, steps);
+                let (pipeline, layout) =
+                    distributed_pipeline(rand_module(&mut rng, n), strategy, tier);
+                let reference = reference_run(&pipeline, &layout, &global, steps);
 
                 let faults = 1 + (rng.next_u64() % 3) as usize;
                 let plan = Arc::new(FaultPlan::random(cell, RANKS, steps as u64, faults));
@@ -221,7 +193,7 @@ fn random_fault_schedules_heal_bitwise_or_fail_typed() {
                     matches!(a, FaultAction::DelaySpike { .. } | FaultAction::RankStall { .. })
                 });
                 let (healed, result) =
-                    resilient_run(&pipeline, &global, core, steps, Arc::clone(&plan), 2);
+                    resilient_run(&pipeline, &layout, &global, steps, Arc::clone(&plan), 2);
                 match result {
                     Ok(report) => {
                         assert_eq!(
@@ -262,12 +234,11 @@ fn fault_free_resilient_run_is_bit_identical() {
     let steps = 5usize;
     let mut rng = Rng::new(0xC1EA);
     let global: Vec<f64> = (0..(n + 2 * RADIUS)).map(|_| rng.range_f64(-10.0, 10.0)).collect();
-    let pipeline =
+    let (pipeline, layout) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
-    let core = n / RANKS as i64;
-    let reference = reference_run(&pipeline, &global, core, steps);
+    let reference = reference_run(&pipeline, &layout, &global, steps);
     let (healed, result) =
-        resilient_run(&pipeline, &global, core, steps, Arc::new(FaultPlan::new()), 2);
+        resilient_run(&pipeline, &layout, &global, steps, Arc::new(FaultPlan::new()), 2);
     let report = result.expect("a fault-free run cannot fail");
     assert_eq!(healed, reference, "resilience plane must be invisible without faults");
     assert_eq!(report.recoveries, 0);
@@ -282,28 +253,20 @@ fn fault_free_resilient_run_is_bit_identical() {
 fn crash_poisons_peers_instead_of_hanging() {
     let n = 8i64;
     let mut rng = Rng::new(0xDEAD);
-    let pipeline =
+    let (pipeline, layout) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
-    let local = pipeline.arg_shapes[0][0];
-    let core = n / RANKS as i64;
     let global: Vec<f64> = (0..(n + 2 * RADIUS)).map(|i| i as f64).collect();
     let plan = Arc::new(FaultPlan::new().with_rank_fault(1, 0, FaultAction::RankCrash));
     let rel = Reliability { swap_timeout_ms: 10, max_retries: 3, collective_timeout_ms: 500 };
     let world =
         SimWorld::new_resilient(RANKS, Duration::ZERO, Tracer::disabled(), Some(plan), Some(rel));
-    let mut errs: Vec<Option<ExecError>> = vec![None; RANKS];
-    std::thread::scope(|scope| {
-        for (rank, err) in errs.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let pipeline = pipeline.clone();
-            let data = scatter(&global, local, core, rank);
-            scope.spawn(move || {
-                let mut args = vec![data.clone(), data];
-                let mut runner = Runner::new(pipeline, 1);
-                *err = runner.step_distributed_checked(&mut args, &world, rank as i64).err();
-            });
-        }
-    });
+    // Each rank hands back the error it saw; the checked step poisons
+    // the world itself.
+    let errs = launch_with(&world, initial_args(&layout, &global), |rank, mut args| {
+        let mut runner = Runner::new(pipeline.clone(), 1);
+        Ok::<_, RankPanic>(runner.step_distributed_checked(&mut args, &world, rank as i64).err())
+    })
+    .unwrap();
     assert_eq!(
         errs[1],
         Some(ExecError::InjectedCrash { rank: 1, step: 0 }),
@@ -322,7 +285,7 @@ fn crash_poisons_peers_instead_of_hanging() {
 fn poison_is_typed_on_a_world_without_reliability() {
     let n = 8i64;
     let mut rng = Rng::new(0x9015);
-    let pipeline =
+    let (pipeline, _) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
     let local = pipeline.arg_shapes[0][0];
     let world = SimWorld::new(RANKS);
@@ -342,7 +305,7 @@ fn poison_is_typed_on_a_world_without_reliability() {
 fn absent_peer_is_a_swap_timeout_not_a_hang() {
     let n = 8i64;
     let mut rng = Rng::new(0xBEEF);
-    let pipeline =
+    let (pipeline, _) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
     let local = pipeline.arg_shapes[0][0];
     let rel = Reliability { swap_timeout_ms: 5, max_retries: 2, collective_timeout_ms: 200 };
@@ -401,7 +364,7 @@ fn wrong_size_halo_is_rejected_by_the_interpreter_swap() {
 fn wrong_size_reliable_frame_is_rejected_by_the_executor() {
     let n = 8i64;
     let mut rng = Rng::new(0xF00D);
-    let pipeline =
+    let (pipeline, _) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
     let local = pipeline.arg_shapes[0][0];
     let rel = Reliability { swap_timeout_ms: 20, max_retries: 1, collective_timeout_ms: 200 };
@@ -427,7 +390,7 @@ fn wrong_size_reliable_frame_is_rejected_by_the_executor() {
 fn malformed_frame_header_is_rejected_by_the_executor() {
     let n = 8i64;
     let mut rng = Rng::new(0xF00D);
-    let pipeline =
+    let (pipeline, _) =
         distributed_pipeline(rand_module(&mut rng, n), "standard-slicing", TierKind::Eval);
     let local = pipeline.arg_shapes[0][0];
     let halo = (local - 1) as usize;

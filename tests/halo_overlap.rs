@@ -12,7 +12,6 @@
 mod common;
 
 use common::Rng;
-use std::sync::Arc;
 use stencil_stack::dialects::{arith, func};
 use stencil_stack::dmp::{make_strategy, DistributeStencil};
 use stencil_stack::ir::{FieldType, TempType, Type};
@@ -107,150 +106,41 @@ fn build(st: &RandStencil, n: i64) -> Module {
     m
 }
 
-/// The balanced chunk of every decomposed dimension for `coords` in
-/// `layout`, as `(offset, size)` per dimension (trailing dims whole).
-fn rank_chunks(n: i64, dims: usize, layout: &[i64], coords: &[i64]) -> Vec<(i64, i64)> {
-    (0..dims)
-        .map(|d| {
-            let parts = layout.get(d).copied().unwrap_or(1);
-            let coord = coords.get(d).copied().unwrap_or(0);
-            stencil_stack::dmp::balanced_chunk(n, parts, coord)
-        })
-        .collect()
-}
-
-/// Scatters the rank's local buffer (core chunk plus a per-dimension
-/// `halos[d]`-cell halo — `radius` at depth 1, `depth·radius` along
-/// decomposed dimensions under temporal blocking) out of the global
-/// buffer of extent `n + 2*radius` per dimension. Local halo cells past
-/// the global pad are dead (never read into owned results) and filled
-/// with `0.0`.
-fn scatter(
-    global: &[f64],
-    n: i64,
-    radius: i64,
-    chunks: &[(i64, i64)],
-    halos: &[i64],
-) -> (Vec<i64>, Vec<f64>) {
-    let dims = chunks.len();
-    let gext = n + 2 * radius;
-    let shape: Vec<i64> = chunks.iter().zip(halos).map(|(&(_, s), &h)| s + 2 * h).collect();
-    let mut data = Vec::with_capacity(shape.iter().product::<i64>() as usize);
-    let mut p = vec![0i64; dims];
-    loop {
-        let mut flat = 0i64;
-        let mut in_range = true;
-        for d in 0..dims {
-            let g = chunks[d].0 + p[d] - (halos[d] - radius);
-            if g < 0 || g >= gext {
-                in_range = false;
-                break;
-            }
-            flat = flat * gext + g;
-        }
-        data.push(if in_range { global[flat as usize] } else { 0.0 });
-        let mut d = dims;
-        let mut done = false;
-        loop {
-            if d == 0 {
-                done = true;
-                break;
-            }
-            d -= 1;
-            p[d] += 1;
-            if p[d] < shape[d] {
-                break;
-            }
-            p[d] = 0;
-        }
-        if done {
-            return (shape, data);
-        }
-    }
-}
-
-/// Writes the rank's owned core cells back into the global buffer.
-fn gather(
-    global: &mut [f64],
-    local: &[f64],
-    n: i64,
-    radius: i64,
-    chunks: &[(i64, i64)],
-    halos: &[i64],
-) {
-    let dims = chunks.len();
-    let gext = n + 2 * radius;
-    let shape: Vec<i64> = chunks.iter().zip(halos).map(|(&(_, s), &h)| s + 2 * h).collect();
-    let core = Bounds::new(chunks.iter().zip(halos).map(|(&(_, s), &h)| (h, h + s)).collect());
-    for p in core.points() {
-        let mut lflat = 0i64;
-        let mut gflat = 0i64;
-        for d in 0..dims {
-            lflat = lflat * shape[d] + p[d];
-            gflat = gflat * gext + chunks[d].0 + radius + (p[d] - halos[d]);
-        }
-        global[gflat as usize] = local[lflat as usize];
-    }
-}
-
-/// Per-dimension local halo widths for a rank: `depth·radius` along
-/// decomposed dimensions, plain `radius` elsewhere.
-fn local_halos(radius: i64, depth: i64, dims: usize, layout: &[i64]) -> Vec<i64> {
-    (0..dims)
-        .map(|d| if layout.get(d).is_some_and(|&p| p > 1) { depth * radius } else { radius })
-        .collect()
-}
-
 /// Compiles one module per rank and runs `timesteps` ping-pong steps of
-/// the SPMD pipeline over SimMPI; returns every rank's final `src`
-/// buffer (post-swap, so halos are compared too).
-#[allow(clippy::too_many_arguments)] // test driver threads its full configuration
+/// the SPMD pipeline over SimMPI from `global` (laid out by `layout`);
+/// returns every rank's final `src` buffer (post-swap, so halos are
+/// compared too).
 fn run_distributed(
     modules: &[Module],
-    layouts: &[Vec<i64>],
-    n: i64,
-    radius: i64,
-    depth: i64,
+    layout: &Layout,
     global: &[f64],
     tier: Option<TierKind>,
     threads: usize,
     timesteps: usize,
 ) -> Vec<Vec<f64>> {
-    let ranks = modules.len();
-    let world = SimWorld::new(ranks);
-    let mut outs: Vec<Vec<f64>> = vec![Vec::new(); ranks];
-    std::thread::scope(|scope| {
-        for (rank, out) in outs.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let module = &modules[rank];
-            let layout = &layouts[rank];
-            scope.spawn(move || {
-                let mut pipeline = compile_pipeline(module, "rand").unwrap();
-                pipeline.respecialize(tier);
-                let dims = pipeline.arg_shapes[0].len();
-                let coords = stencil_stack::dmp::decomposition::rank_to_coords(rank as i64, layout);
-                let chunks = rank_chunks(n, dims, layout, &coords);
-                let halos = local_halos(radius, depth, dims, layout);
-                let (shape, data) = scatter(global, n, radius, &chunks, &halos);
-                assert_eq!(
-                    shape, pipeline.arg_shapes[0],
-                    "rank {rank}: scatter shape must match the distributed field"
-                );
-                let mut args = vec![data.clone(), data];
-                let mut runner = Runner::new(pipeline, threads);
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args[0].clone();
-            });
+    let world = SimWorld::new(modules.len());
+    launch_with(&world, layout.scatter(global), |rank, data| {
+        let mut pipeline = compile_pipeline(&modules[rank], "rand")?;
+        pipeline.respecialize(tier);
+        assert_eq!(
+            pipeline.arg_shapes[0],
+            layout.ranks[rank].stored.shape(),
+            "rank {rank}: scatter shape must match the distributed field"
+        );
+        let mut args = vec![data.clone(), data];
+        let mut runner = Runner::new(pipeline, threads);
+        for _ in 0..timesteps {
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            args.swap(0, 1);
         }
-    });
-    outs
+        Ok::<_, String>(args.swap_remove(0))
+    })
+    .unwrap()
 }
 
 /// Distributes `make()` once per rank under `strategy` (with optional
-/// overlap/diagonals), returning the modules and each one's layout.
+/// overlap/diagonals), returning the modules, each one's rank grid, and
+/// the layout of the ranks' boxes over the undistributed field.
 #[allow(clippy::type_complexity)]
 #[allow(clippy::too_many_arguments)] // test driver threads its full configuration
 fn per_rank_modules(
@@ -261,7 +151,8 @@ fn per_rank_modules(
     overlap: bool,
     diagonals: bool,
     depth: i64,
-) -> (Vec<Module>, Vec<Vec<i64>>) {
+) -> (Vec<Module>, Vec<Vec<i64>>, Layout) {
+    let field = RankBox::of(&make(), "rand").unwrap().stored;
     let ranks: i64 = grid.iter().product();
     let mut modules = Vec::new();
     let mut layouts = Vec::new();
@@ -287,7 +178,8 @@ fn per_rank_modules(
         layouts.push(layout);
         modules.push(m);
     }
-    (modules, layouts)
+    let placement = Layout::of_modules(field, &modules, "rand").unwrap();
+    (modules, layouts, placement)
 }
 
 #[test]
@@ -313,35 +205,17 @@ fn overlap_equals_sync_bitwise_across_strategies_and_tiers() {
                 ("custom-grid", factors.clone()),
             ] {
                 let make = || build(&st, n);
-                let (sync_m, layouts) =
+                let (sync_m, layouts, placement) =
                     per_rank_modules(&make, &grid, strategy, factors.clone(), false, false, 1);
-                let (over_m, layouts2) =
+                let (over_m, layouts2, placement2) =
                     per_rank_modules(&make, &grid, strategy, factors.clone(), true, false, 1);
-                assert_eq!(layouts, layouts2);
+                assert_eq!((&layouts, &placement), (&layouts2, &placement2));
                 for tier in common::tiers() {
                     for threads in [1usize, 2] {
-                        let a = run_distributed(
-                            &sync_m,
-                            &layouts,
-                            n,
-                            radius,
-                            1,
-                            &global,
-                            Some(tier),
-                            threads,
-                            3,
-                        );
-                        let b = run_distributed(
-                            &over_m,
-                            &layouts,
-                            n,
-                            radius,
-                            1,
-                            &global,
-                            Some(tier),
-                            threads,
-                            3,
-                        );
+                        let a =
+                            run_distributed(&sync_m, &placement, &global, Some(tier), threads, 3);
+                        let b =
+                            run_distributed(&over_m, &placement, &global, Some(tier), threads, 3);
                         assert_eq!(
                             a, b,
                             "dims {dims} seed {seed} {strategy} tier {tier:?} threads {threads}: \
@@ -424,33 +298,26 @@ fn temporal_blocking_depths_are_bit_identical_across_strategies_and_tiers() {
         let diagonals = dims > 1;
         let gsize = ((n + 2 * radius) as usize).pow(dims as u32);
         let global: Vec<f64> = (0..gsize).map(|i| ((i as f64) * 0.19).sin()).collect();
-        let gather_cores = |outs: &[Vec<f64>], layouts: &[Vec<i64>], depth: i64| -> Vec<f64> {
-            let mut got = vec![0.0; gsize];
-            for (rank, out) in outs.iter().enumerate() {
-                let layout = &layouts[rank];
-                let coords = stencil_stack::dmp::decomposition::rank_to_coords(rank as i64, layout);
-                let chunks = rank_chunks(n, dims, layout, &coords);
-                let halos = local_halos(radius, depth, dims, layout);
-                gather(&mut got, out, n, radius, &chunks, &halos);
-            }
-            got
-        };
         for (strategy, factors) in [
             ("standard-slicing", None),
             ("recursive-bisection", None),
             ("custom-grid", factors.clone()),
         ] {
             let make = || build(&st, n);
-            let (sync_m, layouts) =
+            let (sync_m, layouts, placement) =
                 per_rank_modules(&make, &grid, strategy, factors.clone(), false, diagonals, 1);
             for tier in common::tiers() {
-                let base = gather_cores(
-                    &run_distributed(&sync_m, &layouts, n, radius, 1, &global, Some(tier), 1, 4),
-                    &layouts,
-                    1,
+                let owned = |layout: &Layout, outs: Vec<Vec<f64>>| {
+                    let mut g = vec![0.0; gsize];
+                    layout.gather_into(&outs, &mut g);
+                    g
+                };
+                let base = owned(
+                    &placement,
+                    run_distributed(&sync_m, &placement, &global, Some(tier), 1, 4),
                 );
                 for (depth, overlap) in [(1, true), (2, true), (4, true), (4, false)] {
-                    let (deep_m, dl) = per_rank_modules(
+                    let (deep_m, dl, deep) = per_rank_modules(
                         &make,
                         &grid,
                         strategy,
@@ -460,11 +327,8 @@ fn temporal_blocking_depths_are_bit_identical_across_strategies_and_tiers() {
                         depth,
                     );
                     assert_eq!(layouts, dl);
-                    let got = gather_cores(
-                        &run_distributed(&deep_m, &dl, n, radius, depth, &global, Some(tier), 1, 4),
-                        &dl,
-                        depth,
-                    );
+                    let got =
+                        owned(&deep, run_distributed(&deep_m, &deep, &global, Some(tier), 1, 4));
                     assert_eq!(
                         got, base,
                         "dims {dims} {strategy} tier {tier:?} depth {depth} overlap {overlap}: \
@@ -525,16 +389,11 @@ fn diagonal_exchanges_fix_corner_reading_stencils() {
 
     let make = || build(&st, n);
     let run = |diagonals: bool, overlap: bool| {
-        let (modules, layouts) =
+        let (modules, _, placement) =
             per_rank_modules(&make, &[2, 2], "standard-slicing", None, overlap, diagonals, 1);
-        let outs = run_distributed(&modules, &layouts, n, 1, 1, &global, None, 1, 2);
+        let outs = run_distributed(&modules, &placement, &global, None, 1, 2);
         let mut got = global.clone();
-        for (rank, out) in outs.iter().enumerate() {
-            let coords =
-                stencil_stack::dmp::decomposition::rank_to_coords(rank as i64, &layouts[rank]);
-            let chunks = rank_chunks(n, 2, &layouts[rank], &coords);
-            gather(&mut got, out, n, 1, &chunks, &[1; 2]);
-        }
+        placement.gather_into(&outs, &mut got);
         got
     };
 
@@ -569,42 +428,19 @@ fn overlapped_mpi_lowering_matches_serial_interpreted() {
     ShapeInference.run(&mut m).unwrap();
     DistributeStencil::new(vec![2, 2]).with_overlap(true).run(&mut m).unwrap();
     ShapeInference.run(&mut m).unwrap();
+    let layout = Layout::of_spmd(Bounds::new(vec![(-1, n + 1); 2]), &m, "heat").unwrap();
     stencil_stack::stencil::StencilToLoops.run(&mut m).unwrap();
     stencil_stack::mpi::DmpToMpi.run(&mut m).unwrap();
     stencil_stack::mpi::MpiToFunc.run(&mut m).unwrap();
     let text = sten_ir_text(&m);
     assert!(text.contains("MPI_Wait"), "split barrier survives to func level: {text}");
 
-    let core = n / 2;
-    let local = core + 2;
-    let g = &global;
-    let full = (n + 2) as usize;
-    let (results, _) = run_spmd(&m, "heat", 4, &move |rank| {
-        let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-        let mut data = Vec::new();
-        for y in 0..local {
-            for x in 0..local {
-                data.push(g[(ry * core + y) as usize * full + (rx * core + x) as usize]);
-            }
-        }
-        vec![
-            ArgSpec::Buffer { shape: vec![local, local], data: data.clone() },
-            ArgSpec::Buffer { shape: vec![local, local], data },
-        ]
-    })
-    .unwrap();
-
+    let parts = layout.scatter(&global);
+    let (results, _) =
+        run_spmd(&m, "heat", 4, &|rank| common::buffer_pair(&layout, &parts, rank)).unwrap();
+    let outs: Vec<Vec<f64>> = results.into_iter().map(|r| r.buffers[1].clone()).collect();
     let mut got = global.clone();
-    for (rank, res) in results.iter().enumerate() {
-        let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-        let out = &res.buffers[1];
-        for y in 1..=core {
-            for x in 1..=core {
-                got[(ry * core + y) as usize * full + (rx * core + x) as usize] =
-                    out[(y * local + x) as usize];
-            }
-        }
-    }
+    layout.gather_into(&outs, &mut got);
     assert_eq!(got, want, "overlapped MPI lowering must match serial bit-for-bit");
 }
 

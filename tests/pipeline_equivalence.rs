@@ -6,7 +6,8 @@
 //! the compiled bytecode executor (serial and multithreaded), and SPMD
 //! distributed execution over SimMPI (dmp level and func/MPI level).
 
-use std::sync::Arc;
+mod common;
+
 use stencil_stack::prelude::*;
 
 fn run_interp(m: &Module, func: &str, shapes: &[Vec<i64>], init: &[Vec<f64>]) -> Vec<Vec<f64>> {
@@ -70,31 +71,19 @@ fn jacobi_distributed_func_level_matches_reference_on_many_rank_counts() {
             &CompileOptions::distributed(vec![ranks]),
         )
         .unwrap();
-        let core = (n - 2) / ranks;
-        // Discover the local buffer extent from the lowered signature.
-        let f = compiled.module.lookup_symbol("jacobi").unwrap();
-        let fty = stencil_stack::dialects::func::FuncOp(f).function_type().clone();
-        let stencil_stack::ir::Type::MemRef(mt) = &fty.inputs[0] else {
-            panic!("lowered arg should be a memref")
-        };
-        let local = mt.shape[0];
-        let input_ref = &input;
-        let (results, _) = run_spmd(&compiled.module, "jacobi", ranks as usize, &move |rank| {
-            let start = rank as i64 * core;
-            let data: Vec<f64> = (0..local).map(|i| input_ref[(start + i) as usize]).collect();
-            vec![
-                ArgSpec::Buffer { shape: vec![local], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![local], data },
-            ]
+        let layout = common::spmd_layout(
+            stencil_stack::stencil::samples::jacobi_1d(n),
+            "jacobi",
+            vec![ranks],
+        );
+        let parts = layout.scatter(&input);
+        let (results, _) = run_spmd(&compiled.module, "jacobi", ranks as usize, &|rank| {
+            common::buffer_pair(&layout, &parts, rank)
         })
         .unwrap();
+        let outs: Vec<Vec<f64>> = results.into_iter().map(|r| r.buffers[1].clone()).collect();
         let mut got = input.clone();
-        for (rank, res) in results.iter().enumerate() {
-            let start = rank as i64 * core;
-            for l in 1..=core {
-                got[(start + l) as usize] = res.buffers[1][l as usize];
-            }
-        }
+        layout.gather_into(&outs, &mut got);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             assert!((g - w).abs() < 1e-12, "{ranks} ranks, point {i}: {g} vs {w}");
         }
@@ -137,9 +126,7 @@ fn multi_step_wave_exec_vs_interp_time_loop() {
 #[test]
 fn distributed_multi_step_heat_2x2_matches_serial() {
     let op = problems::heat(&[32, 32], 2, 0.5).unwrap();
-    let shape = op.field_shape();
-    let w = shape[1];
-    let len: i64 = shape.iter().product();
+    let len: i64 = op.field_shape().iter().product();
     let init: Vec<f64> = (0..len).map(|i| (i as f64 * 0.031).sin()).collect();
     let steps = 5usize;
 
@@ -148,49 +135,22 @@ fn distributed_multi_step_heat_2x2_matches_serial() {
     let want = serial[last].clone();
 
     let dist = op.compile_distributed(&[2, 2]).unwrap();
+    let layout = Layout::of_spmd(op.field_bounds(), &dist, "step").unwrap();
     let world = SimWorld::new(4);
-    let core = 16i64;
-    let r = op.halo_lo[0];
-    let local = core + 2 * r;
-    let results: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4i64)
-            .map(|rank| {
-                let world = Arc::clone(&world);
-                let op = op.clone();
-                let dist = &dist;
-                let init = &init;
-                scope.spawn(move || {
-                    let (ry, rx) = (rank / 2, rank % 2);
-                    let mut data = Vec::new();
-                    for y in 0..local {
-                        for x in 0..local {
-                            let gy = ry * core + y;
-                            let gx = rx * core + x;
-                            data.push(init[(gy * w + gx) as usize]);
-                        }
-                    }
-                    let mut bufs = vec![data.clone(), data];
-                    let last = op.run_distributed(dist, &mut bufs, steps, 1, &world, rank).unwrap();
-                    bufs[last].clone()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
+    let outs = launch_with(&world, layout.scatter(&init), |rank, data| {
+        let mut bufs = vec![data.clone(), data];
+        let last = op.run_distributed(&dist, &mut bufs, steps, 1, &world, rank as i64)?;
+        Ok::<_, String>(bufs.swap_remove(last))
+    })
+    .unwrap();
 
-    for (rank, out) in results.iter().enumerate() {
-        let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-        for y in 0..core {
-            for x in 0..core {
-                let gy = ry * core + y + r;
-                let gx = rx * core + x + r;
-                let got = out[((y + r) * local + (x + r)) as usize];
-                let exp = want[(gy * w + gx) as usize];
-                assert!((got - exp).abs() < 1e-12, "rank {rank} ({y},{x}): {got} vs {exp}");
-            }
-        }
-    }
     assert!(world.total_sent_messages() > 0);
+
+    let mut got = init.clone();
+    layout.gather_into(&outs, &mut got);
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        assert!((a - b).abs() < 1e-12, "cell {i}: {a} vs {b}");
+    }
 }
 
 #[test]

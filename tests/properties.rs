@@ -218,18 +218,13 @@ fn swap_dedup_preserves_semantics() {
             }
             block.ops = ops;
         }
+        let layout =
+            common::spmd_layout(stencil_stack::stencil::samples::jacobi_1d(n), "jacobi", vec![2]);
         let run = |m: &Module, input: &[f64]| {
-            let core = (n - 2) / 2;
-            let input = input.to_vec();
-            let (results, world) = run_spmd(m, "jacobi", 2, &move |rank| {
-                let start = rank as i64 * core;
-                let data: Vec<f64> = (0..core + 2).map(|i| input[(start + i) as usize]).collect();
-                vec![
-                    ArgSpec::Buffer { shape: vec![core + 2], data: data.clone() },
-                    ArgSpec::Buffer { shape: vec![core + 2], data },
-                ]
-            })
-            .unwrap();
+            let parts = layout.scatter(input);
+            let (results, world) =
+                run_spmd(m, "jacobi", 2, &|rank| common::buffer_pair(&layout, &parts, rank))
+                    .unwrap();
             let outs: Vec<Vec<f64>> = results.into_iter().map(|r| r.buffers[1].clone()).collect();
             (outs, world.total_sent_messages())
         };

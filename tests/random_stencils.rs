@@ -217,32 +217,15 @@ fn random_1d_stencils_agree_at_all_levels() {
         assert!(close(&args[1], &want), "seed {seed}: bytecode executor");
 
         // Level D: 2-rank distributed over SimMPI (n divisible by 2).
+        let layout = common::spmd_layout(m.clone(), "rand", vec![2]);
         let dist = compile(m, &CompileOptions::distributed(vec![2])).unwrap();
-        let core = n / 2;
-        let f = dist.module.lookup_symbol("rand").unwrap();
-        let fty = stencil_stack::dialects::func::FuncOp(f).function_type().clone();
-        let stencil_stack::ir::Type::MemRef(mt) = &fty.inputs[0] else {
-            panic!("lowered arg is a memref")
-        };
-        let local = mt.shape[0];
-        let input_ref = input.clone();
-        let (results, _) = run_spmd(&dist.module, "rand", 2, &move |rank| {
-            let start = rank as i64 * core;
-            let data: Vec<f64> = (0..local).map(|i| input_ref[(start + i) as usize]).collect();
-            vec![
-                ArgSpec::Buffer { shape: vec![local], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![local], data },
-            ]
-        })
-        .unwrap();
+        let parts = layout.scatter(&input);
+        let (results, _) =
+            run_spmd(&dist.module, "rand", 2, &|rank| common::buffer_pair(&layout, &parts, rank))
+                .unwrap();
+        let outs: Vec<Vec<f64>> = results.into_iter().map(|r| r.buffers[1].clone()).collect();
         let mut got = input.clone();
-        let r = 2i64;
-        for (rank, res) in results.iter().enumerate() {
-            let start = rank as i64 * core;
-            for l in 0..core {
-                got[(start + l + r) as usize] = res.buffers[1][(l + r) as usize];
-            }
-        }
+        layout.gather_into(&outs, &mut got);
         assert!(close(&got, &want), "seed {seed}: 2-rank distributed");
     }
 }

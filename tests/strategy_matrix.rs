@@ -21,7 +21,7 @@
 
 mod common;
 
-use std::sync::Arc;
+use stencil_stack::ir::Type;
 use stencil_stack::prelude::*;
 
 fn overlap_modes() -> Vec<bool> {
@@ -43,133 +43,111 @@ fn halo_depths() -> Vec<i64> {
     }
 }
 
-fn strategy_names() -> Vec<&'static str> {
-    const ALL: [&str; 3] = ["standard-slicing", "recursive-bisection", "custom-grid"];
-    match std::env::var("STEN_DECOMP_STRATEGY") {
-        Ok(name) => {
-            let name = ALL
-                .iter()
-                .find(|s| **s == name)
-                .unwrap_or_else(|| panic!("unknown STEN_DECOMP_STRATEGY '{name}'"));
-            vec![name]
-        }
-        Err(_) => ALL.to_vec(),
-    }
+/// The global heat-2d field of an `n`-point core: the core plus the
+/// 1-cell boundary ring.
+fn heat_field(n: i64) -> Bounds {
+    Bounds::new(vec![(-1, n + 1); 2])
 }
 
-/// Compiles heat-2d once per rank through the textual pipeline (the same
-/// strings `sten-opt -p` takes), returning the per-rank modules and the
-/// layout the strategy chose.
-fn compile_per_rank(
-    n: i64,
-    strategy: &str,
-    ranks: i64,
-    overlap: bool,
-    depth: i64,
-) -> (Vec<Module>, Vec<i64>) {
-    let driver = Driver::new().with_verify_each(true);
-    // custom-grid takes an explicit factorization: 1x4 refactors the 2x2
-    // request into column slabs, exercising a layout neither of the other
-    // strategies produces here.
+/// The `distribute-stencil` pass options of one rank: custom-grid takes
+/// an explicit factorization (1x4 refactors the 2x2 request into column
+/// slabs, a layout neither other strategy produces here), and depth>1
+/// on a multi-dimensionally decomposed grid requires corner exchanges
+/// (diagonals=true is a no-op on single-dim layouts).
+fn distribute_options(strategy: &str, rank: i64, overlap: bool, depth: i64) -> String {
     let factors = if strategy == "custom-grid" { "factors=1x4 " } else { "" };
     let overlap_opt = if overlap { "overlap=true " } else { "" };
-    // depth>1 on a multi-dimensionally decomposed grid requires corner
-    // exchanges; diagonals=true is a no-op on single-dim layouts.
     let depth_opt =
         if depth > 1 { format!("depth={depth} diagonals=true ") } else { String::new() };
-    let modules: Vec<Module> = (0..ranks)
+    format!("{depth_opt}{factors}grid=2x2 {overlap_opt}rank={rank} strategy={strategy}")
+}
+
+/// Distributes heat-2d for every rank through the textual pipeline (the
+/// same strings `sten-opt -p` takes), stopping at the stencil level
+/// where the field types still hold each rank's box.
+fn distribute_per_rank(
+    driver: &Driver,
+    n: i64,
+    strategy: &str,
+    overlap: bool,
+    depth: i64,
+) -> Vec<Module> {
+    (0..4)
         .map(|rank| {
+            let options = distribute_options(strategy, rank, overlap, depth);
             let pipeline = format!(
-                "shape-inference,distribute-stencil{{{depth_opt}{factors}grid=2x2 \
-                 {overlap_opt}rank={rank} strategy={strategy}}},shape-inference,\
-                 dmp-eliminate-redundant-swaps,convert-stencil-to-loops,dmp-to-mpi,mpi-to-func"
+                "shape-inference,distribute-stencil{{{options}}},shape-inference,\
+                 dmp-eliminate-redundant-swaps"
             );
             driver
                 .run_str(stencil_stack::stencil::samples::heat_2d(n, 0.1), &pipeline)
                 .unwrap_or_else(|e| panic!("{strategy} rank {rank}: {e}"))
                 .module
         })
-        .collect();
-    let func = modules[0].lookup_symbol("heat").unwrap();
-    let layout = func
+        .collect()
+}
+
+/// The rank layout the strategy chose, as the distributed module records
+/// it.
+fn rank_grid(module: &Module) -> Vec<i64> {
+    module
+        .lookup_symbol("heat")
+        .unwrap()
         .attr("dmp.grid")
         .and_then(stencil_stack::ir::Attribute::as_grid)
         .expect("distributed module records its rank layout")
-        .to_vec();
-    (modules, layout)
+        .to_vec()
+}
+
+/// The single-rank stencil-level reference: one heat-2d step of `global`.
+fn serial_heat(n: i64, global: &[f64]) -> Vec<f64> {
+    let mut serial = stencil_stack::stencil::samples::heat_2d(n, 0.1);
+    stencil_stack::stencil::ShapeInference.run(&mut serial).unwrap();
+    let shape = vec![n + 2, n + 2];
+    let src = BufView::from_data(shape.clone(), global.to_vec());
+    let dst = BufView::from_data(shape, global.to_vec());
+    Interpreter::new(&serial)
+        .call_function("heat", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
+        .unwrap();
+    dst.to_vec()
 }
 
 #[test]
 fn uneven_heat127_matches_single_rank_for_every_strategy() {
     let n = 127i64; // 127 is prime: no 2x2 grid divides it
-    let shape = vec![n + 2, n + 2];
     let size = ((n + 2) * (n + 2)) as usize;
     let global: Vec<f64> = (0..size).map(|i| (i as f64 * 0.013).sin()).collect();
+    let want = serial_heat(n, &global);
 
-    // Single-rank stencil-level reference.
-    let mut serial = stencil_stack::stencil::samples::heat_2d(n, 0.1);
-    stencil_stack::stencil::ShapeInference.run(&mut serial).unwrap();
-    let src = BufView::from_data(shape.clone(), global.clone());
-    let dst = BufView::from_data(shape.clone(), global.clone());
-    Interpreter::new(&serial)
-        .call_function("heat", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-        .unwrap();
-    let want = dst.to_vec();
-
-    for strategy in strategy_names() {
+    let driver = Driver::new().with_verify_each(true);
+    for strategy in common::strategies() {
         for overlap in overlap_modes() {
             for depth in halo_depths() {
-                let (modules, layout) = compile_per_rank(n, strategy, 4, overlap, depth);
-                assert_eq!(layout.iter().product::<i64>(), 4, "{strategy}");
-                let chunk =
-                    |d: usize, coord: i64| stencil_stack::dmp::balanced_chunk(n, layout[d], coord);
-                let coords_of =
-                    |rank: i64| stencil_stack::dmp::decomposition::rank_to_coords(rank, &layout);
-                // Local halo width per dimension: depth cells along
-                // decomposed dims, 1 elsewhere (cells past the global pad
-                // are dead and zero-filled).
-                let halo = |d: usize| if layout[d] > 1 { depth } else { 1 };
-                let (hy, hx) = (halo(0), halo(1));
-
-                let g = &global;
-                let full = n + 2;
-                let (results, world) = run_spmd_modules(&modules, "heat", &move |rank| {
-                    let c = coords_of(rank as i64);
-                    let (oy, sy) = chunk(0, c[0]);
-                    let (ox, sx) = chunk(1, *c.get(1).unwrap_or(&0));
-                    let mut data = Vec::with_capacity(((sy + 2 * hy) * (sx + 2 * hx)) as usize);
-                    for y in 0..sy + 2 * hy {
-                        for x in 0..sx + 2 * hx {
-                            let gy = oy + y - (hy - 1);
-                            let gx = ox + x - (hx - 1);
-                            let ok = gy >= 0 && gy < full && gx >= 0 && gx < full;
-                            data.push(if ok { g[(gy * full + gx) as usize] } else { 0.0 });
-                        }
-                    }
-                    vec![
-                        ArgSpec::Buffer {
-                            shape: vec![sy + 2 * hy, sx + 2 * hx],
-                            data: data.clone(),
-                        },
-                        ArgSpec::Buffer { shape: vec![sy + 2 * hy, sx + 2 * hx], data },
-                    ]
+                // Lay the ranks out at the stencil level, then lower each
+                // module to the func/MPI level. On this path a deep halo
+                // is exchanged every step; its cells past the global pad
+                // are dead and scatter as zeros.
+                let distributed = distribute_per_rank(&driver, n, strategy, overlap, depth);
+                assert_eq!(rank_grid(&distributed[0]).iter().product::<i64>(), 4, "{strategy}");
+                let layout = Layout::of_modules(heat_field(n), &distributed, "heat").unwrap();
+                let modules: Vec<Module> = distributed
+                    .into_iter()
+                    .map(|m| {
+                        let lower = "convert-stencil-to-loops,dmp-to-mpi,mpi-to-func";
+                        driver.run_str(m, lower).unwrap().module
+                    })
+                    .collect();
+                let parts = layout.scatter(&global);
+                let (results, world) = run_spmd_modules(&modules, "heat", &|rank| {
+                    common::buffer_pair(&layout, &parts, rank)
                 })
                 .unwrap();
                 assert!(world.total_sent_messages() > 0, "{strategy}: halo exchange happened");
 
+                let outs: Vec<Vec<f64>> =
+                    results.into_iter().map(|r| r.buffers[1].clone()).collect();
                 let mut got = global.clone();
-                for (rank, res) in results.iter().enumerate() {
-                    let c = coords_of(rank as i64);
-                    let (oy, sy) = chunk(0, c[0]);
-                    let (ox, sx) = chunk(1, *c.get(1).unwrap_or(&0));
-                    let out = &res.buffers[1];
-                    for y in hy..hy + sy {
-                        for x in hx..hx + sx {
-                            got[((oy + 1 + y - hy) * full + ox + 1 + x - hx) as usize] =
-                                out[(y * (sx + 2 * hx) + x) as usize];
-                        }
-                    }
-                }
+                layout.gather_into(&outs, &mut got);
                 assert_eq!(
                     got, want,
                     "{strategy} overlap={overlap} depth={depth}: distributed run must match \
@@ -190,99 +168,94 @@ fn uneven_heat127_matches_single_rank_for_every_strategy() {
 #[test]
 fn uneven_heat127_exec_tiers_match_single_rank_for_every_strategy() {
     let n = 127i64;
-    let full = n + 2;
-    let size = (full * full) as usize;
+    let size = ((n + 2) * (n + 2)) as usize;
     let global: Vec<f64> = (0..size).map(|i| (i as f64 * 0.013).sin()).collect();
-
-    // Single-rank stencil-level reference.
-    let mut serial = stencil_stack::stencil::samples::heat_2d(n, 0.1);
-    stencil_stack::stencil::ShapeInference.run(&mut serial).unwrap();
-    let src = BufView::from_data(vec![full, full], global.clone());
-    let dst = BufView::from_data(vec![full, full], global.clone());
-    Interpreter::new(&serial)
-        .call_function("heat", vec![RtValue::Buffer(src), RtValue::Buffer(dst.clone())])
-        .unwrap();
-    let want = dst.to_vec();
+    let want = serial_heat(n, &global);
 
     let driver = Driver::new().with_verify_each(true);
-    for strategy in strategy_names() {
-        let factors = if strategy == "custom-grid" { "factors=1x4 " } else { "" };
-        let modules: Vec<Module> = (0..4)
-            .map(|rank| {
-                let pipeline = format!(
-                    "shape-inference,distribute-stencil{{{factors}grid=2x2 rank={rank} \
-                     strategy={strategy}}},shape-inference,dmp-eliminate-redundant-swaps"
-                );
-                driver
-                    .run_str(stencil_stack::stencil::samples::heat_2d(n, 0.1), &pipeline)
-                    .unwrap_or_else(|e| panic!("{strategy} rank {rank}: {e}"))
-                    .module
-            })
-            .collect();
-        let layout = modules[0]
-            .lookup_symbol("heat")
-            .unwrap()
-            .attr("dmp.grid")
-            .and_then(stencil_stack::ir::Attribute::as_grid)
-            .expect("distributed module records its rank layout")
-            .to_vec();
-        let chunk = |d: usize, coord: i64| stencil_stack::dmp::balanced_chunk(n, layout[d], coord);
-        let coords_of =
-            |rank: i64| stencil_stack::dmp::decomposition::rank_to_coords(rank, &layout);
-
+    for strategy in common::strategies() {
+        let modules = distribute_per_rank(&driver, n, strategy, false, 1);
+        let layout = Layout::of_modules(heat_field(n), &modules, "heat").unwrap();
         for tier in common::tiers() {
             let world = SimWorld::new(4);
-            let mut outs: Vec<Vec<f64>> = vec![Vec::new(); 4];
-            std::thread::scope(|scope| {
-                for (rank, out) in outs.iter_mut().enumerate() {
-                    let world = Arc::clone(&world);
-                    let module = &modules[rank];
-                    let (chunk, coords_of, global) = (&chunk, &coords_of, &global);
-                    scope.spawn(move || {
-                        let mut pipeline = compile_pipeline(module, "heat").unwrap();
-                        pipeline.respecialize(Some(tier));
-                        let c = coords_of(rank as i64);
-                        let (oy, sy) = chunk(0, c[0]);
-                        let (ox, sx) = chunk(1, *c.get(1).unwrap_or(&0));
-                        // Local field = core + the 1-cell pad; local
-                        // (y, x) sits at global (oy + y, ox + x).
-                        assert_eq!(
-                            pipeline.arg_shapes[0],
-                            vec![sy + 2, sx + 2],
-                            "{strategy} rank {rank}: local field shape"
-                        );
-                        let mut data = Vec::with_capacity(((sy + 2) * (sx + 2)) as usize);
-                        for y in 0..sy + 2 {
-                            for x in 0..sx + 2 {
-                                data.push(global[((oy + y) * full + ox + x) as usize]);
-                            }
-                        }
-                        let mut args = vec![data.clone(), data];
-                        let mut runner = Runner::new(pipeline, 1);
-                        runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                        *out = args[1].clone();
-                    });
-                }
-            });
+            let outs = launch_with(&world, layout.scatter(&global), |rank, data| {
+                let mut pipeline = compile_pipeline(&modules[rank], "heat")?;
+                pipeline.respecialize(Some(tier));
+                assert_eq!(
+                    pipeline.arg_shapes[0],
+                    layout.ranks[rank].stored.shape(),
+                    "{strategy} rank {rank}: local field shape"
+                );
+                let mut args = vec![data.clone(), data];
+                Runner::new(pipeline, 1).step_distributed(&mut args, &world, rank as i64)?;
+                Ok::<_, String>(args.swap_remove(1))
+            })
+            .unwrap();
             assert!(world.total_sent_messages() > 0, "{strategy}: halo exchange happened");
 
             let mut got = global.clone();
-            for (rank, res) in outs.iter().enumerate() {
-                let c = coords_of(rank as i64);
-                let (oy, sy) = chunk(0, c[0]);
-                let (ox, sx) = chunk(1, *c.get(1).unwrap_or(&0));
-                for y in 1..=sy {
-                    for x in 1..=sx {
-                        got[((oy + y) * full + ox + x) as usize] = res[(y * (sx + 2) + x) as usize];
-                    }
-                }
-            }
+            layout.gather_into(&outs, &mut got);
             assert_eq!(
                 got, want,
                 "{strategy} tier {tier:?}: compiled distributed run must match \
                  single-rank bit-for-bit"
             );
         }
+    }
+}
+
+/// The launcher's layout against what distribution and compilation
+/// produce: on the uneven 127² domain under every strategy (and a
+/// depth-2 deep halo), each rank's stored box is its module's field
+/// type and its pipeline's argument shape, the cores tile the global
+/// core, and a scatter/gather round trip restores every owned cell. On
+/// an even domain the shared-module layout, placed by the pass's own
+/// decomposition, equals the per-rank modules' boxes under every
+/// strategy.
+#[test]
+fn layout_boxes_are_the_distributed_field_types() {
+    let n = 127i64;
+    let size = ((n + 2) * (n + 2)) as usize;
+    let global: Vec<f64> = (0..size).map(|i| (i as f64 * 0.37).cos() + 2.0).collect();
+    let driver = Driver::new();
+    let mut cases: Vec<(&str, i64)> = common::strategies().into_iter().map(|s| (s, 1)).collect();
+    cases.push(("standard-slicing", 2));
+    for (strategy, depth) in cases {
+        let modules = distribute_per_rank(&driver, n, strategy, false, depth);
+        let layout = Layout::of_modules(heat_field(n), &modules, "heat").unwrap();
+        let case = format!("{strategy} depth {depth}");
+        assert_eq!(layout.ranks.len(), 4, "{case}");
+        let mut owned = 0;
+        for (rank, (module, rank_box)) in modules.iter().zip(&layout.ranks).enumerate() {
+            let f = module.lookup_symbol("heat").unwrap();
+            for &arg in &f.region_block(0).args {
+                let Type::Field(fld) = module.values.ty(arg) else { panic!("{case}: field") };
+                assert_eq!(fld.bounds, rank_box.stored, "{case} rank {rank}: field type");
+            }
+            let pipeline = compile_pipeline(module, "heat").unwrap();
+            for shape in &pipeline.arg_shapes {
+                assert_eq!(*shape, rank_box.stored.shape(), "{case} rank {rank}: arg shape");
+            }
+            assert!(rank_box.stored.contains(&rank_box.core), "{case} rank {rank}");
+            owned += rank_box.core.num_points();
+        }
+        assert_eq!(owned, n * n, "{case}: the cores tile the global core");
+
+        let parts = layout.scatter(&global);
+        let mut back = vec![f64::NAN; size];
+        layout.gather_into(&parts, &mut back);
+        let core = Bounds::new(vec![(0, n); 2]);
+        for p in core.points() {
+            let flat = ((p[0] + 1) * (n + 2) + p[1] + 1) as usize;
+            assert_eq!(back[flat], global[flat], "{case}: owned cell {p:?}");
+        }
+    }
+
+    for strategy in common::strategies() {
+        let even = distribute_per_rank(&driver, 128, strategy, false, 1);
+        let per_rank = Layout::of_modules(heat_field(128), &even, "heat").unwrap();
+        let shared = Layout::of_spmd(heat_field(128), &even[0], "heat").unwrap();
+        assert_eq!(shared, per_rank, "{strategy}: the decomposition places every rank's box");
     }
 }
 
@@ -306,25 +279,14 @@ fn strategies_share_results_but_not_cache_entries() {
 
     // On an even 32×32 domain both lower to the same 2x2 layout and the
     // executed results agree.
+    let distributed = distribute_per_rank(&Driver::new(), 32, "standard-slicing", false, 1);
+    let layout = Layout::of_spmd(heat_field(32), &distributed[0], "heat").unwrap();
     let init: Vec<f64> = (0..34 * 34).map(|i| (i as f64 * 0.07).cos()).collect();
+    let parts = layout.scatter(&init);
     let run = |module: &Module| {
-        let core = 16i64;
-        let local = core + 2;
-        let g = init.clone();
-        let (results, _) = run_spmd(module, "heat", 4, &move |rank| {
-            let (ry, rx) = ((rank as i64) / 2, (rank as i64) % 2);
-            let mut data = Vec::new();
-            for y in 0..local {
-                for x in 0..local {
-                    data.push(g[((ry * core + y) * 34 + rx * core + x) as usize]);
-                }
-            }
-            vec![
-                ArgSpec::Buffer { shape: vec![local, local], data: data.clone() },
-                ArgSpec::Buffer { shape: vec![local, local], data },
-            ]
-        })
-        .unwrap();
+        let (results, _) =
+            run_spmd(module, "heat", 4, &|rank| common::buffer_pair(&layout, &parts, rank))
+                .unwrap();
         results.into_iter().map(|r| r.buffers[1].clone()).collect::<Vec<_>>()
     };
     assert_eq!(run(&cold_std.module), run(&cold_rb.module));

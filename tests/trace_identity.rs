@@ -11,7 +11,6 @@
 mod common;
 
 use common::Rng;
-use std::sync::Arc;
 use std::time::Duration;
 use stencil_stack::dialects::{arith, func};
 use stencil_stack::dmp::{make_strategy, DistributeStencil};
@@ -105,65 +104,18 @@ fn build(st: &RandStencil, n: i64) -> Module {
     m
 }
 
-/// The balanced chunk of every decomposed dimension for `coords` in
-/// `layout`, as `(offset, size)` per dimension (trailing dims whole).
-fn rank_chunks(n: i64, dims: usize, layout: &[i64], coords: &[i64]) -> Vec<(i64, i64)> {
-    (0..dims)
-        .map(|d| {
-            let parts = layout.get(d).copied().unwrap_or(1);
-            let coord = coords.get(d).copied().unwrap_or(0);
-            stencil_stack::dmp::balanced_chunk(n, parts, coord)
-        })
-        .collect()
-}
-
-/// Scatters the rank's local buffer (core chunk plus `radius` halo) out
-/// of the global buffer of extent `n + 2*radius` per dimension.
-fn scatter(global: &[f64], n: i64, radius: i64, chunks: &[(i64, i64)]) -> Vec<f64> {
-    let dims = chunks.len();
-    let gext = n + 2 * radius;
-    let shape: Vec<i64> = chunks.iter().map(|&(_, s)| s + 2 * radius).collect();
-    let mut data = Vec::with_capacity(shape.iter().product::<i64>() as usize);
-    let mut p = vec![0i64; dims];
-    loop {
-        let mut flat = 0i64;
-        for d in 0..dims {
-            flat = flat * gext + chunks[d].0 + p[d];
-        }
-        data.push(global[flat as usize]);
-        let mut d = dims;
-        let mut done = false;
-        loop {
-            if d == 0 {
-                done = true;
-                break;
-            }
-            d -= 1;
-            p[d] += 1;
-            if p[d] < shape[d] {
-                break;
-            }
-            p[d] = 0;
-        }
-        if done {
-            return data;
-        }
-    }
-}
-
 /// Distributes `make()` once per rank under `strategy`, returning the
-/// modules and each one's layout.
-#[allow(clippy::type_complexity)]
+/// modules and the layout of their boxes over the undistributed field.
 fn per_rank_modules(
     make: &dyn Fn() -> Module,
     grid: &[i64],
     strategy: &str,
     factors: Option<Vec<i64>>,
     overlap: bool,
-) -> (Vec<Module>, Vec<Vec<i64>>) {
+) -> (Vec<Module>, Layout) {
+    let field = RankBox::of(&make(), "rand").unwrap().stored;
     let ranks: i64 = grid.iter().product();
     let mut modules = Vec::new();
-    let mut layouts = Vec::new();
     for rank in 0..ranks {
         let mut m = make();
         DistributeStencil::with_strategy(
@@ -175,28 +127,19 @@ fn per_rank_modules(
         .run(&mut m)
         .unwrap();
         ShapeInference.run(&mut m).unwrap();
-        let f = m.lookup_symbol("rand").unwrap();
-        let layout = f
-            .attr("dmp.grid")
-            .and_then(stencil_stack::ir::Attribute::as_grid)
-            .expect("distributed module records its layout")
-            .to_vec();
-        layouts.push(layout);
         modules.push(m);
     }
-    (modules, layouts)
+    let layout = Layout::of_modules(field, &modules, "rand").unwrap();
+    (modules, layout)
 }
 
 /// Compiles one module per rank and runs `timesteps` ping-pong steps of
 /// the SPMD pipeline over SimMPI. With `Some(tracer)`, the world and
 /// every runner (2 worker threads) record into it; with `None` the run
 /// is completely untraced.
-#[allow(clippy::too_many_arguments)] // test driver threads its full configuration
 fn run_distributed(
     modules: &[Module],
-    layouts: &[Vec<i64>],
-    n: i64,
-    radius: i64,
+    layout: &Layout,
     global: &[f64],
     tier: TierKind,
     timesteps: usize,
@@ -207,33 +150,21 @@ fn run_distributed(
         Some(t) => SimWorld::new_traced(ranks, Duration::from_micros(20), t.clone()),
         None => SimWorld::new(ranks),
     };
-    let mut outs: Vec<Vec<f64>> = vec![Vec::new(); ranks];
-    std::thread::scope(|scope| {
-        for (rank, out) in outs.iter_mut().enumerate() {
-            let world = Arc::clone(&world);
-            let module = &modules[rank];
-            let layout = &layouts[rank];
-            scope.spawn(move || {
-                let mut pipeline = compile_pipeline(module, "rand").unwrap();
-                pipeline.respecialize(Some(tier));
-                let dims = pipeline.arg_shapes[0].len();
-                let coords = stencil_stack::dmp::decomposition::rank_to_coords(rank as i64, layout);
-                let chunks = rank_chunks(n, dims, layout, &coords);
-                let data = scatter(global, n, radius, &chunks);
-                let mut args = vec![data.clone(), data];
-                let mut runner = Runner::new(pipeline, 2);
-                if let Some(t) = tracer {
-                    runner = runner.with_trace(t, rank as u32);
-                }
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-                *out = args[0].clone();
-            });
+    launch_with(&world, layout.scatter(global), |rank, data| {
+        let mut pipeline = compile_pipeline(&modules[rank], "rand")?;
+        pipeline.respecialize(Some(tier));
+        let mut args = vec![data.clone(), data];
+        let mut runner = Runner::new(pipeline, 2);
+        if let Some(t) = tracer {
+            runner = runner.with_trace(t, rank as u32);
         }
-    });
-    outs
+        for _ in 0..timesteps {
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            args.swap(0, 1);
+        }
+        Ok::<_, String>(args.swap_remove(0))
+    })
+    .unwrap()
 }
 
 #[test]
@@ -258,22 +189,13 @@ fn traced_runs_are_bit_identical_to_untraced() {
         ] {
             let make = || build(&st, n);
             for overlap in [false, true] {
-                let (modules, layouts) =
+                let (modules, layout) =
                     per_rank_modules(&make, &grid, strategy, factors.clone(), overlap);
                 for tier in common::tiers() {
-                    let plain =
-                        run_distributed(&modules, &layouts, n, radius, &global, tier, 3, None);
+                    let plain = run_distributed(&modules, &layout, &global, tier, 3, None);
                     let tracer = Tracer::new();
-                    let traced = run_distributed(
-                        &modules,
-                        &layouts,
-                        n,
-                        radius,
-                        &global,
-                        tier,
-                        3,
-                        Some(&tracer),
-                    );
+                    let traced =
+                        run_distributed(&modules, &layout, &global, tier, 3, Some(&tracer));
                     assert_eq!(
                         plain, traced,
                         "dims {dims} {strategy} overlap {overlap} tier {tier:?}: \

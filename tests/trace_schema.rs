@@ -4,7 +4,6 @@
 //! the aggregated report shows communication hidden behind interior
 //! compute on the overlap path — and none on the synchronous path.
 
-use std::sync::Arc;
 use std::time::Duration;
 use stencil_stack::dmp::DistributeStencil;
 use stencil_stack::interp::Reliability;
@@ -44,24 +43,19 @@ fn run_traced(
         None,
         reliability,
     );
-    std::thread::scope(|scope| {
-        for (rank, module) in modules.iter().enumerate() {
-            let world = Arc::clone(&world);
-            let tracer = &tracer;
-            scope.spawn(move || {
-                let pipeline = compile_pipeline(module, "heat").unwrap();
-                let len: i64 = pipeline.arg_shapes[0].iter().product();
-                let data: Vec<f64> =
-                    (0..len).map(|i| ((i + rank as i64) as f64 * 0.03).sin()).collect();
-                let mut args = vec![data.clone(), data];
-                let mut runner = Runner::new(pipeline, 2).with_trace(tracer, rank as u32);
-                for _ in 0..timesteps {
-                    runner.step_distributed(&mut args, &world, rank as i64).unwrap();
-                    args.swap(0, 1);
-                }
-            });
+    launch_with(&world, &modules, |rank, module| {
+        let pipeline = compile_pipeline(module, "heat")?;
+        let len: i64 = pipeline.arg_shapes[0].iter().product();
+        let data: Vec<f64> = (0..len).map(|i| ((i + rank as i64) as f64 * 0.03).sin()).collect();
+        let mut args = vec![data.clone(), data];
+        let mut runner = Runner::new(pipeline, 2).with_trace(&tracer, rank as u32);
+        for _ in 0..timesteps {
+            runner.step_distributed(&mut args, &world, rank as i64)?;
+            args.swap(0, 1);
         }
-    });
+        Ok::<_, String>(())
+    })
+    .unwrap();
     tracer.events()
 }
 

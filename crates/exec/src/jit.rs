@@ -30,11 +30,12 @@
 //! c     := const | runtime scalar              (a coefficient)
 //! ```
 //!
-//! jacobi-1d matches as a pure 3-tap chain, heat-2d as
+//! jacobi-1d matches as a pure 3-tap chain, the hand-built heat-2d as
 //! `c + s·(((u+d)+(l+r)) − k·c)` (one plain term + one scaled group),
-//! the Devito heat-3d operator as `s₁·(a+b+c) + s₂·(d+e+f) + g·center`,
-//! CG's `axpy` (`a + α·b`, α a function argument) as a 2-tap chain with
-//! one late-bound coefficient. Kernels outside the grammar (`Index`
+//! the Devito space-order-2 operators as one scaled group plus trailing
+//! taps (heat-3d: `s·(a+b+c+d+e+f) + g·centre`; wave-3d adds a second
+//! scaled tap), CG's `axpy` (`a + α·b`, α a function argument) as a
+//! 2-tap chain with one late-bound coefficient. Kernels outside the grammar (`Index`
 //! terms, negation or division, `load · load`, arithmetic between
 //! coefficients, nesting deeper than two levels) stay on the
 //! opt-bytecode tier — tier selection is a pure win-or-fall-back, and
@@ -54,15 +55,26 @@
 //! kernel with no runtime scalar is evaluated straight from the shared
 //! plan, with no copy.
 //!
+//! **Flattened outputs.** Most shipped kernels are one shape: an
+//! optionally scaled group of `T` taps followed by up to [`MAX_TRAIL`]
+//! trailing taps, `[s ·] (tap₁ ⊕ … ⊕ tap_T) [⊕ tap′ [⊕ tap″]]` — every
+//! Devito space-order-2 operator, and, with no scale and no trailing
+//! tap, every pure tap chain (jacobi-1d, axpy). The matcher records it a
+//! second time, flattened into a [`JitFlat`], and it runs on
+//! [`flat_row`]: one const-generic row kernel per group length, which
+//! resolves the row's tap base pointers once per row, before its block
+//! loop, instead of re-deriving them and walking the fold plan's enums
+//! on every block as [`fold_row`] does.
+//!
 //! **Caps.** The general evaluator ([`fold_row`]) loops over `Vec`s, so
 //! fold lengths are bounded only to keep the matcher and the per-point
 //! work finite: [`MAX_FOLD`] (terms per output, elements per group)
 //! covers a space-order-16 star in 3D (49 taps) with room to spare, and
 //! [`MAX_OPS`] bounds the
 //! recomputation a shared sub-expression costs (a fold re-evaluates it at
-//! every use). Only the const-generic `chain<T>` fast path is
-//! monomorphized per length, so it stops at [`MAX_CHAIN`] taps; longer
-//! pure chains take the general evaluator.
+//! every use). Only [`flat_row`] is monomorphized per length, so a
+//! flattened group stops at [`MAX_GROUP`] taps; longer ones take the
+//! general evaluator.
 //!
 //! **Bit-exactness.** Evaluation replays exactly the operation sequence
 //! of the matched DAG per point: every tap is scaled with the recorded
@@ -90,8 +102,10 @@ const MAX_FOLD: usize = 64;
 /// Maximum evaluated operations per output (guards the recomputation
 /// that DAG sharing introduces).
 const MAX_OPS: usize = 512;
-/// Longest pure tap chain with a monomorphized `chain<T>` micro-kernel.
-const MAX_CHAIN: usize = 16;
+/// Longest group with a monomorphized [`flat_row`] kernel.
+const MAX_GROUP: usize = 16;
+/// Most trailing taps a [`JitFlat`] folds in after its group.
+const MAX_TRAIL: usize = 2;
 
 /// Where a coefficient's value comes from: recorded at match time (a
 /// constant), or read from runtime scalar `k` once per chunk by
@@ -214,6 +228,83 @@ pub struct JitTerm {
 pub struct JitOut {
     /// Top-level terms, applied left to right.
     pub terms: Vec<JitTerm>,
+    /// The same fold flattened, when it has the [`JitFlat`] shape. The
+    /// terms stay the reference: row remainders evaluate them.
+    pub flat: Option<JitFlat>,
+}
+
+/// An output of the shape `[s ·] (tap₁ ⊕ … ⊕ tap_T) [⊕ tap′ [⊕ tap″]]`:
+/// an optionally scaled group of `T` taps, then at most [`MAX_TRAIL`]
+/// trailing taps. With no scale there is no trailing tap either — the
+/// output is a pure chain of `T` taps. Only [`JitFlat::of`] builds one,
+/// so `T ≤ MAX_GROUP` and the trailing taps fit [`flat_row`]'s array.
+#[derive(Debug)]
+pub struct JitFlat {
+    /// The group's taps, then the trailing ones, each with the op that
+    /// folds it into the accumulator (the first tap's is ignored: it
+    /// seeds the fold).
+    taps: Vec<(BinOp, JitTap)>,
+    /// `T`: how many of `taps` form the group.
+    group: usize,
+    /// Coefficient applied to the folded group (value, coefficient on
+    /// the left).
+    scale: Option<(f64, bool)>,
+    /// Where the scale comes from.
+    scale_slot: Slot,
+}
+
+impl JitFlat {
+    /// Flattens `terms` if they have the shape: a scaled group of taps
+    /// followed by at most [`MAX_TRAIL`] taps, or a pure tap chain.
+    fn of(terms: &[JitTerm]) -> Option<JitFlat> {
+        let tap = |t: &JitTerm| match t.value {
+            JitTermValue::Elem(JitValue::Tap(tap)) => Some((t.op, tap)),
+            _ => None,
+        };
+        let (first, trail) = terms.split_first()?;
+        let flat = match &first.value {
+            JitTermValue::Group { scale: scale @ Some(_), scale_slot, elems } => {
+                if trail.len() > MAX_TRAIL {
+                    return None;
+                }
+                let group = elems.iter().map(|e| match e.value {
+                    JitValue::Tap(tap) => Some((e.op, tap)),
+                    _ => None,
+                });
+                JitFlat {
+                    taps: group.chain(trail.iter().map(tap)).collect::<Option<_>>()?,
+                    group: elems.len(),
+                    scale: *scale,
+                    scale_slot: *scale_slot,
+                }
+            }
+            _ => JitFlat {
+                taps: terms.iter().map(tap).collect::<Option<_>>()?,
+                group: terms.len(),
+                scale: None,
+                scale_slot: Slot::CONST,
+            },
+        };
+        (flat.group <= MAX_GROUP).then_some(flat)
+    }
+
+    /// Label fragment: `chain<T>` for a pure chain, else `group<T>+k`
+    /// (`k` trailing taps).
+    fn label(&self) -> String {
+        match self.scale {
+            None => format!("chain<{}>", self.group),
+            Some(_) => format!("group<{}>+{}", self.group, self.taps.len() - self.group),
+        }
+    }
+
+    fn for_each_coeff(&mut self, f: &mut impl FnMut(&mut f64, Slot)) {
+        for (_, tap) in &mut self.taps {
+            f(&mut tap.coeff, tap.slot);
+        }
+        if let Some((c, _)) = &mut self.scale {
+            f(c, self.scale_slot);
+        }
+    }
 }
 
 // `clone_from` down the plan reuses every allocation of a destination
@@ -256,11 +347,23 @@ impl Clone for JitTerm {
 
 impl Clone for JitOut {
     fn clone(&self) -> JitOut {
-        JitOut { terms: self.terms.clone() }
+        JitOut { terms: self.terms.clone(), flat: self.flat.clone() }
     }
 
     fn clone_from(&mut self, source: &JitOut) {
         self.terms.clone_from(&source.terms);
+        self.flat.clone_from(&source.flat);
+    }
+}
+
+impl Clone for JitFlat {
+    fn clone(&self) -> JitFlat {
+        JitFlat { taps: self.taps.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &JitFlat) {
+        self.taps.clone_from(&source.taps);
+        (self.group, self.scale, self.scale_slot) = (source.group, source.scale, source.scale_slot);
     }
 }
 
@@ -270,15 +373,12 @@ impl Clone for JitOut {
 pub struct JitPlan {
     /// One fold plan per apply output.
     pub outs: Vec<JitOut>,
-    /// The flattened `(op, tap)` pairs when [`JitProgram::chain_len`] is
-    /// set, hoisted out of the row loop at match time.
-    chain: Option<Vec<(BinOp, JitTap)>>,
 }
 
 impl JitPlan {
     fn for_each_coeff(&mut self, mut f: impl FnMut(&mut f64, Slot)) {
-        for (_, tap) in self.chain.iter_mut().flatten() {
-            f(&mut tap.coeff, tap.slot);
+        for flat in self.outs.iter_mut().filter_map(|o| o.flat.as_mut()) {
+            flat.for_each_coeff(&mut f);
         }
         for term in self.outs.iter_mut().flat_map(|o| &mut o.terms) {
             match &mut term.value {
@@ -306,10 +406,6 @@ pub struct JitProgram {
     pub plan: JitPlan,
     /// Distinct grid loads of the kernel (label only).
     pub tap_count: usize,
-    /// `Some(T)` when the kernel is a single-output pure tap chain of at
-    /// most [`MAX_CHAIN`] taps (drives the const-generic `chain<T>`
-    /// micro-kernels).
-    pub chain_len: Option<usize>,
     /// Runtime scalars the kernel takes (index-aligned with
     /// `CompiledKernel::scalar_args`); `0` means the plan is fully
     /// constant and is evaluated in place.
@@ -322,13 +418,12 @@ pub struct JitProgram {
 }
 
 impl JitProgram {
-    /// Human label fragment, e.g. `chain<3>` or `2 terms`.
+    /// Human label fragment: a single flattened output's shape
+    /// (`chain<3>`, `group<6>+1`), else the longest fold (`3 terms`).
     pub fn shape_label(&self) -> String {
-        match self.chain_len {
-            Some(t) => format!("chain<{t}>"),
-            None => {
-                format!("{} terms", self.plan.outs.iter().map(|o| o.terms.len()).max().unwrap_or(0))
-            }
+        match &self.plan.outs[..] {
+            [JitOut { flat: Some(flat), .. }] => flat.label(),
+            outs => format!("{} terms", outs.iter().map(|o| o.terms.len()).max().unwrap_or(0)),
         }
     }
 
@@ -349,7 +444,6 @@ impl JitProgram {
         }
         crate::program::assert_scalars_provided(self.scalars, scalars.len());
         bound.outs.clone_from(&self.plan.outs);
-        bound.chain.clone_from(&self.plan.chain);
         bound.for_each_coeff(|value, slot| {
             if let Some(k) = slot.scalar() {
                 *value = scalars[k];
@@ -525,7 +619,7 @@ impl Matcher {
             self.charge(1)?;
             terms.push(JitTerm { op, value: self.term_value(r)? });
         }
-        Ok(JitOut { terms })
+        Ok(JitOut { flat: JitFlat::of(&terms), terms })
     }
 }
 
@@ -569,20 +663,8 @@ pub(crate) fn match_template(opt: &OptProgram) -> Result<JitProgram, Reject> {
         }
     }
     let outs: Vec<JitOut> = opt.outputs.iter().map(|&o| m.out(o)).collect::<Result<_, _>>()?;
-    let chain = match &outs[..] {
-        [o] if o.terms.len() <= MAX_CHAIN => o
-            .terms
-            .iter()
-            .map(|t| match &t.value {
-                JitTermValue::Elem(JitValue::Tap(tap)) => Some((t.op, *tap)),
-                _ => None,
-            })
-            .collect::<Option<Vec<_>>>(),
-        _ => None,
-    };
     Ok(JitProgram {
-        chain_len: chain.as_ref().map(Vec::len),
-        plan: JitPlan { outs, chain },
+        plan: JitPlan { outs },
         tap_count: opt.instrs.iter().filter(|i| matches!(i, Instr::LoadInput { .. })).count(),
         scalars: opt.scalar_regs.len(),
         rel_bounds: opt.rel_bounds.clone(),
@@ -716,13 +798,10 @@ fn fold_op<L: Lanes>(op: BinOp, acc: L, v: L) -> L {
     }
 }
 
-/// Loads and scales one tap for the block at `x`.
-///
-/// # Safety
-/// See [`tap_base`]; `x .. x + W` must be within the validated row.
+/// Scales a block loaded for tap `t` by its coefficient, on the
+/// recorded side.
 #[inline(always)]
-unsafe fn tap_block<L: Lanes>(t: &JitTap, inputs: &[&[f64]], flats: &[i64], x: i64) -> L {
-    let v = L::load(tap_base(t, inputs, flats).offset(x as isize));
+fn scale_block<L: Lanes>(t: &JitTap, v: L) -> L {
     if !t.scaled {
         v
     } else if t.coeff_left {
@@ -730,6 +809,15 @@ unsafe fn tap_block<L: Lanes>(t: &JitTap, inputs: &[&[f64]], flats: &[i64], x: i
     } else {
         v.mul(L::splat(t.coeff))
     }
+}
+
+/// Loads and scales one tap for the block at `x`.
+///
+/// # Safety
+/// See [`tap_base`]; `x .. x + W` must be within the validated row.
+#[inline(always)]
+unsafe fn tap_block<L: Lanes>(t: &JitTap, inputs: &[&[f64]], flats: &[i64], x: i64) -> L {
+    scale_block(t, L::load(tap_base(t, inputs, flats).offset(x as isize)))
 }
 
 /// # Safety
@@ -804,41 +892,83 @@ unsafe fn fold_row<L: Lanes>(
     }
 }
 
-/// Const-generic pure-chain row kernel: `T` taps folded left to right,
-/// fully unrolled. Generic core — see [`fold_row`] on why it must
-/// inline into the per-ISA wrappers.
+/// One tap of a [`JitFlat`] resolved for a row: its base pointer,
+/// computed once per row, before the block loop.
+#[derive(Copy, Clone)]
+struct RowTap {
+    base: *const f64,
+    tap: JitTap,
+    op: BinOp,
+}
+
+impl RowTap {
+    /// # Safety
+    /// See [`tap_base`].
+    #[inline(always)]
+    unsafe fn new(&(op, tap): &(BinOp, JitTap), inputs: &[&[f64]], flats: &[i64]) -> Self {
+        RowTap { base: tap_base(&tap, inputs, flats), tap, op }
+    }
+
+    /// Loads and scales the tap for the block at `x`, as [`tap_block`].
+    ///
+    /// # Safety
+    /// `x .. x + W` must be within the validated row.
+    #[inline(always)]
+    unsafe fn block<L: Lanes>(&self, x: i64) -> L {
+        scale_block(&self.tap, L::load(self.base.offset(x as isize)))
+    }
+}
+
+/// Row kernel of a flattened output whose group has `T` taps: the
+/// group folded left to right (fully unrolled), scaled on the recorded
+/// side, then the trailing taps folded in — the op sequence of the
+/// output's fold plan, with every tap's base pointer hoisted out of the
+/// block loop. The remainder runs [`eval_point`].
+/// Generic core — see [`fold_row`] on why it must inline into the
+/// per-ISA wrappers.
 ///
 /// # Safety
-/// Same contract as [`fold_row`]; the plan must be a pure tap chain of
-/// exactly `T` terms.
+/// Same contract as [`fold_row`]; `flat` is `plan.flat` and
+/// `flat.group == T`.
 #[inline(always)]
-unsafe fn chain_row<L: Lanes, const T: usize>(
-    taps: &[(BinOp, JitTap)],
+unsafe fn flat_row<L: Lanes, const T: usize>(
+    plan: &JitOut,
+    flat: &JitFlat,
     inputs: &[&[f64]],
     flats: &[i64],
     out: &mut [f64],
     of: i64,
     len: i64,
 ) {
-    debug_assert_eq!(taps.len(), T);
+    debug_assert_eq!(flat.group, T);
+    let tap = |i: usize| RowTap::new(&flat.taps[i], inputs, flats);
+    let group: [RowTap; T] = std::array::from_fn(&tap);
+    let trailing = flat.taps.len() - T;
+    // Slots past `trailing` hold a copy of a group tap and are never read.
+    let trail: [RowTap; MAX_TRAIL] =
+        std::array::from_fn(|i| if i < trailing { tap(T + i) } else { group[0] });
+    let trail = &trail[..trailing];
+    let scale = flat.scale.map(|(c, left)| (L::splat(c), left));
     let w = L::W as i64;
     let mut x = 0i64;
     while x + w <= len {
-        let mut acc = tap_block::<L>(&taps.get_unchecked(0).1, inputs, flats, x);
-        for i in 1..T {
-            let (op, t) = taps.get_unchecked(i);
-            acc = fold_op(*op, acc, tap_block(t, inputs, flats, x));
+        let mut acc = group[0].block::<L>(x);
+        for t in &group[1..] {
+            acc = fold_op(t.op, acc, t.block(x));
+        }
+        acc = match scale {
+            Some((c, true)) => c.mul(acc),
+            Some((c, false)) => acc.mul(c),
+            None => acc,
+        };
+        for t in trail {
+            acc = fold_op(t.op, acc, t.block(x));
         }
         acc.store(out.as_mut_ptr().offset((of + x) as isize));
         x += w;
     }
     for x in x..len {
-        let mut acc = tap_point(&taps.get_unchecked(0).1, inputs, flats, x);
-        for i in 1..T {
-            let (op, t) = taps.get_unchecked(i);
-            acc = op.eval(acc, tap_point(t, inputs, flats, x));
-        }
-        *out.get_unchecked_mut((of + x) as usize) = acc;
+        *out.get_unchecked_mut((of + x) as usize) = eval_point(plan, inputs, flats, x);
     }
 }
 
@@ -902,28 +1032,28 @@ unsafe fn eval_point(plan: &JitOut, inputs: &[&[f64]], flats: &[i64], x: i64) ->
     acc
 }
 
-/// Expands to the `taps.len()` match dispatching a chain to the
+/// Expands to the `group` match dispatching a flattened output to the
 /// const-generic monomorphizations of the named wrapper.
-macro_rules! chain_match {
-    ($row:ident, $taps:expr, $inputs:expr, $flats:expr, $out:expr, $of:expr, $len:expr) => {
-        match $taps.len() {
-            1 => $row::<1>($taps, $inputs, $flats, $out, $of, $len),
-            2 => $row::<2>($taps, $inputs, $flats, $out, $of, $len),
-            3 => $row::<3>($taps, $inputs, $flats, $out, $of, $len),
-            4 => $row::<4>($taps, $inputs, $flats, $out, $of, $len),
-            5 => $row::<5>($taps, $inputs, $flats, $out, $of, $len),
-            6 => $row::<6>($taps, $inputs, $flats, $out, $of, $len),
-            7 => $row::<7>($taps, $inputs, $flats, $out, $of, $len),
-            8 => $row::<8>($taps, $inputs, $flats, $out, $of, $len),
-            9 => $row::<9>($taps, $inputs, $flats, $out, $of, $len),
-            10 => $row::<10>($taps, $inputs, $flats, $out, $of, $len),
-            11 => $row::<11>($taps, $inputs, $flats, $out, $of, $len),
-            12 => $row::<12>($taps, $inputs, $flats, $out, $of, $len),
-            13 => $row::<13>($taps, $inputs, $flats, $out, $of, $len),
-            14 => $row::<14>($taps, $inputs, $flats, $out, $of, $len),
-            15 => $row::<15>($taps, $inputs, $flats, $out, $of, $len),
-            16 => $row::<16>($taps, $inputs, $flats, $out, $of, $len),
-            _ => unreachable!("chain length bounded by MAX_CHAIN"),
+macro_rules! group_match {
+    ($row:ident, $group:expr; $($arg:expr),*) => {
+        match $group {
+            1 => $row::<1>($($arg),*),
+            2 => $row::<2>($($arg),*),
+            3 => $row::<3>($($arg),*),
+            4 => $row::<4>($($arg),*),
+            5 => $row::<5>($($arg),*),
+            6 => $row::<6>($($arg),*),
+            7 => $row::<7>($($arg),*),
+            8 => $row::<8>($($arg),*),
+            9 => $row::<9>($($arg),*),
+            10 => $row::<10>($($arg),*),
+            11 => $row::<11>($($arg),*),
+            12 => $row::<12>($($arg),*),
+            13 => $row::<13>($($arg),*),
+            14 => $row::<14>($($arg),*),
+            15 => $row::<15>($($arg),*),
+            16 => $row::<16>($($arg),*),
+            _ => unreachable!("group length bounded by MAX_GROUP"),
         }
     };
 }
@@ -943,17 +1073,18 @@ unsafe fn fold_row_portable(
 }
 
 /// # Safety
-/// Same contract as [`fold_row`]; `taps.len() == T`.
+/// Same contract as [`flat_row`].
 #[inline(never)]
-unsafe fn chain_row_portable<const T: usize>(
-    taps: &[(BinOp, JitTap)],
+unsafe fn flat_row_portable<const T: usize>(
+    plan: &JitOut,
+    flat: &JitFlat,
     inputs: &[&[f64]],
     flats: &[i64],
     out: &mut [f64],
     of: i64,
     len: i64,
 ) {
-    chain_row::<Portable, T>(taps, inputs, flats, out, of, len)
+    flat_row::<Portable, T>(plan, flat, inputs, flats, out, of, len)
 }
 
 /// AVX2 monomorphized micro-kernels. `#[target_feature]` compiles the
@@ -981,17 +1112,18 @@ mod avx2_rows {
     }
 
     /// # Safety
-    /// As [`fold_row_avx2`]; `taps.len() == T`.
+    /// As [`fold_row_avx2`]; `flat` is `plan.flat` and `flat.group == T`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn chain_row_avx2<const T: usize>(
-        taps: &[(BinOp, JitTap)],
+    pub unsafe fn flat_row_avx2<const T: usize>(
+        plan: &JitOut,
+        flat: &JitFlat,
         inputs: &[&[f64]],
         flats: &[i64],
         out: &mut [f64],
         of: i64,
         len: i64,
     ) {
-        chain_row::<avx2::Avx2, T>(taps, inputs, flats, out, of, len)
+        flat_row::<avx2::Avx2, T>(plan, flat, inputs, flats, out, of, len)
     }
 }
 
@@ -1014,21 +1146,24 @@ impl JitProgram {
         out_flats: &[i64],
         len: i64,
     ) {
-        let chain = plan.chain.as_deref();
         for (oi, plan) in plan.outs.iter().enumerate() {
             let of = out_flats[oi];
             let out: &mut [f64] = outs[oi];
             #[cfg(all(target_arch = "x86_64", feature = "simd"))]
             if self.use_avx2 {
-                use avx2_rows::{chain_row_avx2, fold_row_avx2};
-                match chain {
-                    Some(taps) => chain_match!(chain_row_avx2, taps, inputs, flats, out, of, len),
+                use avx2_rows::{flat_row_avx2, fold_row_avx2};
+                match &plan.flat {
+                    Some(f) => {
+                        group_match!(flat_row_avx2, f.group; plan, f, inputs, flats, out, of, len)
+                    }
                     None => fold_row_avx2(plan, inputs, flats, out, of, len),
                 }
                 continue;
             }
-            match chain {
-                Some(taps) => chain_match!(chain_row_portable, taps, inputs, flats, out, of, len),
+            match &plan.flat {
+                Some(f) => {
+                    group_match!(flat_row_portable, f.group; plan, f, inputs, flats, out, of, len)
+                }
                 None => fold_row_portable(plan, inputs, flats, out, of, len),
             }
         }
@@ -1061,7 +1196,7 @@ mod tests {
         // the exact left-nested association.
         assert_eq!(jit.plan.outs.len(), 1);
         assert_eq!(jit.plan.outs[0].terms.len(), 2);
-        assert!(jit.chain_len.is_none());
+        assert!(jit.plan.outs[0].flat.is_none(), "a tap pair is not a flat group");
         let JitTermValue::Group { scale: Some(_), elems, .. } = &jit.plan.outs[0].terms[1].value
         else {
             panic!("second term is a scaled group: {jit:?}");
@@ -1096,11 +1231,15 @@ mod tests {
 
     #[test]
     fn caps_bound_the_chain_fast_path_and_the_fold() {
-        let terms =
-            |n| match_template(&tap_chain(n)).map(|j| (j.plan.outs[0].terms.len(), j.chain_len));
-        assert_eq!(terms(MAX_CHAIN as u32), Ok((MAX_CHAIN, Some(MAX_CHAIN))));
+        let terms = |n| {
+            match_template(&tap_chain(n)).map(|j| {
+                let out = &j.plan.outs[0];
+                (out.terms.len(), out.flat.as_ref().map(|f| f.group))
+            })
+        };
+        assert_eq!(terms(MAX_GROUP as u32), Ok((MAX_GROUP, Some(MAX_GROUP))));
         // Longer pure chains match, on the general evaluator.
-        assert_eq!(terms(MAX_CHAIN as u32 + 1), Ok((MAX_CHAIN + 1, None)));
+        assert_eq!(terms(MAX_GROUP as u32 + 1), Ok((MAX_GROUP + 1, None)));
         assert_eq!(terms(MAX_FOLD as u32), Ok((MAX_FOLD, None)));
         let too_long = terms(MAX_FOLD as u32 + 1).unwrap_err();
         assert_eq!(too_long, format!("fold longer than {MAX_FOLD}"));
@@ -1169,5 +1308,237 @@ mod tests {
         let spec = heat_jit();
         let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
         assert_eq!(jit.shape_label(), "2 terms");
+        let labels: Vec<String> = row_cases()
+            .iter()
+            .map(|(_, opt, _, _)| match_template(opt).unwrap().shape_label())
+            .collect();
+        for label in ["chain<3>", "group<6>+1", "group<6>+2", "2 terms"] {
+            assert!(labels.iter().any(|l| l == label), "no {label} among {labels:?}");
+        }
+    }
+
+    /// Optimized bytecode written by hand, one input: registers are
+    /// allocated in order, constants preloaded.
+    #[derive(Default)]
+    struct Prog {
+        instrs: Vec<Instr>,
+        preinit: Vec<(u32, f64)>,
+        scalar_regs: Vec<u32>,
+        regs: u32,
+        rels: Option<(i64, i64)>,
+    }
+
+    impl Prog {
+        fn reg(&mut self) -> u32 {
+            self.regs += 1;
+            self.regs - 1
+        }
+
+        fn load(&mut self, rel: i64) -> u32 {
+            let dst = self.reg();
+            self.instrs.push(Instr::LoadInput { input: 0, rel, dst });
+            self.rels = Some(self.rels.map_or((rel, rel), |(lo, hi)| (lo.min(rel), hi.max(rel))));
+            dst
+        }
+
+        fn c(&mut self, v: f64) -> u32 {
+            let dst = self.reg();
+            self.preinit.push((dst, v));
+            dst
+        }
+
+        fn scalar(&mut self) -> u32 {
+            let dst = self.reg();
+            self.scalar_regs.push(dst);
+            dst
+        }
+
+        fn bin(&mut self, op: BinOp, a: u32, b: u32) -> u32 {
+            let dst = self.reg();
+            self.instrs.push(Instr::Bin { op, a, b, dst });
+            dst
+        }
+
+        fn finish(self, out: u32) -> OptProgram {
+            OptProgram {
+                instrs: self.instrs,
+                preinit: self.preinit,
+                scalar_regs: self.scalar_regs,
+                num_regs: self.regs,
+                outputs: vec![out],
+                has_index: false,
+                rel_bounds: vec![self.rels],
+            }
+        }
+    }
+
+    /// One kernel of every shape the row functions serve: (name, program,
+    /// runtime scalars, expected flat shape as `(T, trailing taps)`).
+    #[allow(clippy::type_complexity)]
+    fn row_cases() -> Vec<(String, OptProgram, Vec<f64>, Option<(usize, usize)>)> {
+        use BinOp::{Add, Mul, Sub};
+        let mut cases = Vec::new();
+        // Pure chains with `−` folds and scaled taps: the coefficient on
+        // the left (a constant) or on the right (a runtime scalar).
+        for t in [1usize, 2, 3, 6, MAX_GROUP] {
+            let mut p = Prog::default();
+            let alpha = p.scalar();
+            let half = t as i64 / 2;
+            let mut acc = p.load(-half);
+            for i in 1..t {
+                let l = p.load(i as i64 - half);
+                let tap = match i % 3 {
+                    0 => l,
+                    1 => {
+                        let c = p.c(0.3);
+                        p.bin(Mul, c, l)
+                    }
+                    _ => p.bin(Mul, l, alpha),
+                };
+                acc = p.bin(if i % 2 == 0 { Sub } else { Add }, acc, tap);
+            }
+            cases.push((format!("chain of {t}"), p.finish(acc), vec![1.7], Some((t, 0))));
+        }
+        // Scaled groups with a `−` fold and a scaled tap inside: the scale
+        // on either side, constant or a runtime scalar, then 0–2 trailing
+        // taps (the first scaled, the second folded with `−`).
+        for (t, trail, left, runtime) in [
+            (2, 0, true, false),
+            (4, 1, true, false),
+            (6, 1, false, true),
+            (6, 2, true, true),
+            (3, 2, false, false),
+            (MAX_GROUP, 2, false, false),
+        ] {
+            let mut p = Prog::default();
+            let s = if runtime { p.scalar() } else { p.c(0.0625) };
+            let mut acc = p.load(-3);
+            for i in 1..t {
+                let mut tap = p.load(i as i64 - 3);
+                if i == 3 {
+                    let c = p.c(-2.5);
+                    tap = p.bin(Mul, tap, c);
+                }
+                acc = p.bin(if i == 2 { Sub } else { Add }, acc, tap);
+            }
+            acc = if left { p.bin(Mul, s, acc) } else { p.bin(Mul, acc, s) };
+            for j in 0..trail {
+                let mut tap = p.load(j as i64);
+                if j == 0 {
+                    let c = p.c(-0.4);
+                    tap = p.bin(Mul, c, tap);
+                }
+                acc = p.bin(if j == 1 { Sub } else { Add }, acc, tap);
+            }
+            let name =
+                format!("{}-scaled group of {t} + {trail}", if left { "left" } else { "right" });
+            let scalars = if runtime { vec![0.125] } else { vec![] };
+            cases.push((name, p.finish(acc), scalars, Some((t, trail))));
+        }
+        // Outside the flat shape (the general fold): a plain tap, then a
+        // scaled group holding tap pairs, a scaled tap and a constant.
+        let mut p = Prog::default();
+        let centre = p.load(0);
+        let (u, d, l, r) = (p.load(-2), p.load(2), p.load(-1), p.load(1));
+        let (ud, lr) = (p.bin(Add, u, d), p.bin(Sub, l, r));
+        let star = p.bin(Add, ud, lr);
+        let k = p.c(4.0);
+        let kc = p.bin(Mul, k, centre);
+        let inner = p.bin(Sub, star, kc);
+        let half = p.c(0.5);
+        let inner = p.bin(Add, inner, half);
+        let s = p.c(0.1);
+        let group = p.bin(Mul, s, inner);
+        let out = p.bin(Add, centre, group);
+        cases.push(("tap + scaled group of pairs".into(), p.finish(out), vec![], None));
+        cases
+    }
+
+    /// A row function under test: `(inputs, flats, out, of, len)`.
+    type RowFn<'a> = Box<dyn Fn(&[&[f64]], &[i64], &mut [f64], i64, i64) + 'a>;
+
+    /// Every instantiation of a row kernel this host can run for `plan`,
+    /// called directly (not through `eval_row`'s `use_avx2` switch):
+    /// the general fold always, the flat kernel when the output has the
+    /// shape. SAFETY (every closure): callers pass a row whose loads and
+    /// stores lie inside `inputs` and `out`, asserted before each call.
+    fn row_kernels(plan: &JitOut) -> Vec<(&'static str, RowFn<'_>)> {
+        let mut v: Vec<(&'static str, RowFn<'_>)> = vec![(
+            "fold_row_portable",
+            Box::new(|i, f, o, of, len| unsafe { fold_row_portable(plan, i, f, o, of, len) }),
+        )];
+        if let Some(flat) = &plan.flat {
+            v.push((
+                "flat_row_portable",
+                Box::new(move |i, f, o, of, len| unsafe {
+                    group_match!(flat_row_portable, flat.group; plan, flat, i, f, o, of, len)
+                }),
+            ));
+        }
+        #[cfg(all(target_arch = "x86_64", feature = "simd"))]
+        if avx2_available() {
+            use avx2_rows::{flat_row_avx2, fold_row_avx2};
+            // SAFETY (both): AVX2 was detected on the line above.
+            v.push((
+                "fold_row_avx2",
+                Box::new(|i, f, o, of, len| unsafe { fold_row_avx2(plan, i, f, o, of, len) }),
+            ));
+            if let Some(flat) = &plan.flat {
+                v.push((
+                    "flat_row_avx2",
+                    Box::new(move |i, f, o, of, len| unsafe {
+                        group_match!(flat_row_avx2, flat.group; plan, flat, i, f, o, of, len)
+                    }),
+                ));
+            }
+        }
+        v
+    }
+
+    /// The portable and the AVX2 lanes of every row kernel reproduce the
+    /// scalar reference bit for bit, on every row length around the
+    /// block width and at unaligned input and output offsets.
+    #[test]
+    fn every_row_kernel_instantiation_matches_eval_point_bitwise() {
+        // Mixed magnitudes, a negative zero and a subnormal.
+        let buf: Vec<f64> = (0..64)
+            .map(|i| match i % 11 {
+                3 => -0.0,
+                7 => f64::MIN_POSITIVE / 3.0,
+                _ => (i as f64 * 0.731).sin() * 10f64.powi(i % 9 - 4),
+            })
+            .collect();
+        for (name, opt, scalars, shape) in row_cases() {
+            let jit = match_template(&opt).unwrap_or_else(|r| panic!("{name}: {r}"));
+            let mut bound = JitPlan::default();
+            let plan = &jit.bind(&scalars, &mut bound).outs[0];
+            let flat_shape = plan.flat.as_ref().map(|f| (f.group, f.taps.len() - f.group));
+            assert_eq!(flat_shape, shape, "{name}");
+            let (rel_min, rel_max) = opt.rel_bounds[0].unwrap();
+            for shift in 0..4 {
+                let inputs: [&[f64]; 1] = [&buf[shift..]];
+                let flats = [shift as i64 - rel_min];
+                let of = 1 + shift as i64;
+                for len in 0..=17 {
+                    assert!(flats[0] + rel_max + len <= inputs[0].len() as i64);
+                    let want: Vec<u64> = (0..len)
+                        .map(|x| unsafe { eval_point(plan, &inputs, &flats, x) }.to_bits())
+                        .collect();
+                    for (kernel, row) in row_kernels(plan) {
+                        let mut out = vec![7.0; (of + len + 1) as usize];
+                        row(&inputs, &flats, &mut out, of, len);
+                        let got: Vec<u64> = out[of as usize..][..len as usize]
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect();
+                        assert_eq!(got, want, "{name}: {kernel}, shift {shift}, len {len}");
+                        assert!(
+                            out[..of as usize].iter().chain(out.last()).all(|&v| v == 7.0),
+                            "{name}: {kernel} wrote outside its row"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -1013,20 +1013,19 @@ fn run_apply(
     pool: Option<&mut WorkerPool>,
     scratch: &mut ExecScratch,
 ) {
-    let range = range.clone();
     let set_scalars = |sc: &mut ExecScratch| {
         sc.scalars.clear();
         sc.scalars.extend_from_slice(scalars);
     };
     let Some(pool) = pool else {
         set_scalars(scratch);
-        kernel.execute_rows(inputs, outs, &range, scratch);
+        kernel.execute_rows(inputs, outs, range, scratch);
         return;
     };
-    let subs = split_longest_dim(&range, pool.threads());
+    let subs = split_longest_dim(range, pool.threads());
     if subs.len() <= 1 {
         set_scalars(scratch);
-        kernel.execute_rows(inputs, outs, &range, scratch);
+        kernel.execute_rows(inputs, outs, range, scratch);
         return;
     }
     let out_ptrs: Vec<SendPtr> =

@@ -134,6 +134,18 @@ impl InputDesc {
     pub fn flat(&self, p: &[i64]) -> i64 {
         (0..p.len()).map(|d| (p[d] - self.lb[d]) * self.strides[d]).sum()
     }
+
+    /// Flat indices of the first and the last point of a non-empty
+    /// `range` — with positive strides, the least and greatest flat index
+    /// of any point in it.
+    pub(crate) fn corner_flats(&self, range: &Bounds) -> (i64, i64) {
+        let corner = |d: usize, p: i64| (p - self.lb[d]) * self.strides[d];
+        range
+            .0
+            .iter()
+            .enumerate()
+            .fold((0, 0), |(lo, hi), (d, &(lb, ub))| (lo + corner(d, lb), hi + corner(d, ub - 1)))
+    }
 }
 
 /// Reusable per-thread execution scratch: the register file and the

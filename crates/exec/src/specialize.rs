@@ -348,14 +348,12 @@ impl SpecializedKernel {
         range: &Bounds,
         rel_bounds: &[Option<(i64, i64)>],
     ) {
-        let lower = range.lower();
-        let upper: Vec<i64> = range.0.iter().map(|&(_, ub)| ub - 1).collect();
         for (i, desc) in self.inputs.iter().enumerate() {
             let Some((rel_min, rel_max)) = rel_bounds.get(i).copied().flatten() else {
                 continue;
             };
-            let lo = desc.flat(&lower) + rel_min;
-            let hi = desc.flat(&upper) + rel_max;
+            let (lo, hi) = desc.corner_flats(range);
+            let (lo, hi) = (lo + rel_min, hi + rel_max);
             assert!(
                 lo >= 0 && hi < inputs[i].len() as i64,
                 "input {i}: flat range [{lo}, {hi}] outside buffer of {} elements",
@@ -363,8 +361,7 @@ impl SpecializedKernel {
             );
         }
         for (o, desc) in self.outputs.iter().enumerate() {
-            let lo = desc.flat(&lower);
-            let hi = desc.flat(&upper);
+            let (lo, hi) = desc.corner_flats(range);
             assert!(
                 lo >= 0 && hi < outs[o].len() as i64,
                 "output {o}: flat range [{lo}, {hi}] outside buffer of {} elements",

@@ -62,13 +62,11 @@ pub fn run_spmd(
     // another rank's slab geometry.
     if world_size > 1 {
         if let Some((fname, coords, _)) = rank_specialization(module) {
-            return Err(InterpError {
-                message: format!(
-                    "@{fname} is specialised to rank coordinates {coords:?} (uneven \
-                     decomposition): compile one module per rank \
-                     (distribute-stencil{{rank=N}}) and use run_spmd_modules"
-                ),
-            });
+            return Err(InterpError::msg(format!(
+                "@{fname} is specialised to rank coordinates {coords:?} (uneven \
+                 decomposition): compile one module per rank \
+                 (distribute-stencil{{rank=N}}) and use run_spmd_modules"
+            )));
         }
     }
     run_spmd_impl(&|_| module, func, world_size, args_for_rank)
@@ -88,7 +86,7 @@ pub fn run_spmd_modules(
 ) -> Result<(Vec<RankResult>, Arc<SimWorld>), InterpError> {
     // Rank-specialised modules carry their coordinates: catch a module
     // list handed over in the wrong order before it computes nonsense.
-    check_rank_order(modules).map_err(|message| InterpError { message })?;
+    check_rank_order(modules).map_err(InterpError::msg)?;
     run_spmd_impl(&|rank| &modules[rank], func, modules.len(), args_for_rank)
 }
 
@@ -100,35 +98,45 @@ fn run_spmd_impl<'m>(
 ) -> Result<(Vec<RankResult>, Arc<SimWorld>), InterpError> {
     let world = SimWorld::new(world_size);
     let results = launch(&world, |rank| {
-        let mut buffers: Vec<BufView> = Vec::new();
-        let args: Vec<RtValue> = args_for_rank(rank)
-            .into_iter()
-            .map(|spec| match spec {
-                ArgSpec::F64(v) => RtValue::Float(v),
-                ArgSpec::Int(v) => RtValue::Int(v),
-                ArgSpec::Buffer { shape, data } => {
-                    let view = BufView::from_data(shape, data);
-                    buffers.push(view.clone());
-                    RtValue::Buffer(view)
-                }
-            })
-            .collect();
-        let env = MpiEnv::new(Arc::clone(&world), rank as i32);
-        let mut interp = Interpreter::with_externals(module_for_rank(rank), Box::new(env));
-        interp.call_function(func, args)?;
-        let steps = interp.steps();
-        Ok::<_, InterpError>(RankResult {
-            buffers: buffers.iter().map(BufView::to_vec).collect(),
-            steps,
-        })
+        run_rank(&world, rank, module_for_rank(rank), func, args_for_rank(rank))
     })?;
     Ok((results, world))
+}
+
+/// One rank's body: interprets `func` of `module` on `args` against
+/// `world`.
+fn run_rank(
+    world: &Arc<SimWorld>,
+    rank: usize,
+    module: &Module,
+    func: &str,
+    args: Vec<ArgSpec>,
+) -> Result<RankResult, InterpError> {
+    let mut buffers: Vec<BufView> = Vec::new();
+    let args: Vec<RtValue> = args
+        .into_iter()
+        .map(|spec| match spec {
+            ArgSpec::F64(v) => RtValue::Float(v),
+            ArgSpec::Int(v) => RtValue::Int(v),
+            ArgSpec::Buffer { shape, data } => {
+                let view = BufView::from_data(shape, data);
+                buffers.push(view.clone());
+                RtValue::Buffer(view)
+            }
+        })
+        .collect();
+    let env = MpiEnv::new(Arc::clone(world), rank as i32);
+    let mut interp = Interpreter::with_externals(module, Box::new(env));
+    interp.call_function(func, args)?;
+    let steps = interp.steps();
+    Ok(RankResult { buffers: buffers.iter().map(BufView::to_vec).collect(), steps })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spmd::{Layout, RankBox};
+    use crate::MpiError;
     use sten_ir::Bounds;
     use sten_stencil::{samples, ShapeInference, StencilToLoops};
 
@@ -188,6 +196,48 @@ mod tests {
         }
         if ranks > 1 {
             assert!(world.total_sent_messages() > 0, "halo exchange happened");
+        }
+    }
+
+    /// A rank woken by its peer's failure reports the poison as a typed
+    /// [`MpiError`] at both lowering levels (the `dmp.swap` receive and
+    /// the lowered `MPI_Wait`), while `run_spmd` reports the peer.
+    #[test]
+    fn a_rank_woken_by_poison_reports_a_typed_mpi_error() {
+        let n = 64i64;
+        let global: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        for lower_to_func in [false, true] {
+            let mut m = samples::jacobi_1d(n);
+            ShapeInference.run(&mut m).unwrap();
+            sten_dmp::DistributeStencil::new(vec![2]).run(&mut m).unwrap();
+            ShapeInference.run(&mut m).unwrap();
+            let layout = Layout::of_spmd(Bounds::new(vec![(0, n)]), &m, "jacobi").unwrap();
+            StencilToLoops.run(&mut m).unwrap();
+            if lower_to_func {
+                sten_mpi::DmpToMpi.run(&mut m).unwrap();
+                sten_mpi::MpiToFunc.run(&mut m).unwrap();
+            }
+            let parts = layout.scatter(&global);
+            // Rank 1 gets no arguments and fails at its call; rank 0
+            // blocks on rank 1's halo until the poison wakes it.
+            let args = |rank| if rank == 1 { vec![] } else { pair(&layout, &parts, rank) };
+            let Err(err) = run_spmd(&m, "jacobi", 2, &args) else { panic!("rank 1 must fail") };
+            assert!(err.message.contains("takes 2 arguments") && err.mpi.is_none(), "{err}");
+
+            let world = SimWorld::new(2);
+            let rank0 = std::sync::Mutex::new(None);
+            let _ = launch(&world, |rank| {
+                let out = run_rank(&world, rank, &m, "jacobi", args(rank));
+                if rank == 0 {
+                    *rank0.lock().unwrap() = Some(out.as_ref().map(|_| ()).map_err(Clone::clone));
+                }
+                out
+            });
+            let err = rank0.into_inner().unwrap().unwrap().unwrap_err();
+            assert!(
+                matches!(err.mpi, Some(MpiError::Poisoned { by_rank: 1, .. })),
+                "rank 0 (func level: {lower_to_func}): {err:?}"
+            );
         }
     }
 

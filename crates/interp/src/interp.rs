@@ -7,7 +7,7 @@
 //! results of the same program executed at each level.
 
 use crate::exact::{ReduceAcc, ReduceKind};
-use crate::sim_mpi::{Externals, NoExternals};
+use crate::sim_mpi::{ExternalError, Externals, MpiError, NoExternals};
 use crate::value::{BufView, RequestState, RtValue};
 use std::collections::HashMap;
 use std::fmt;
@@ -22,11 +22,35 @@ use sten_ir::{Attribute, Block, Bounds, Module, Op, TempType, Type, Value};
 pub struct InterpError {
     /// Description, including the op that failed.
     pub message: String,
+    /// The communication failure underneath, when a simulated MPI call
+    /// failed — e.g. [`MpiError::Poisoned`] on a rank that a peer's
+    /// failure woke.
+    pub mpi: Option<MpiError>,
 }
 
 impl InterpError {
+    /// A failure described by `message` alone.
+    pub(crate) fn msg(message: impl Into<String>) -> Self {
+        InterpError { message: message.into(), mpi: None }
+    }
+
     fn new(op: &Op, message: impl fmt::Display) -> Self {
-        InterpError { message: format!("while executing '{}': {message}", op.name) }
+        InterpError::msg(format!("while executing '{}': {message}", op.name))
+    }
+
+    /// `op`'s external call failed with `e`.
+    fn external(op: &Op, e: ExternalError) -> Self {
+        InterpError::from_external(format!("while executing '{}'", op.name), e)
+    }
+
+    /// An external call failed with `e`: its MPI error stays typed.
+    fn from_external(context: String, e: ExternalError) -> Self {
+        let message = format!("{context}: {e}");
+        let mpi = match e {
+            ExternalError::Mpi(m) => Some(m),
+            ExternalError::Message(_) => None,
+        };
+        InterpError { message, mpi }
     }
 }
 
@@ -40,7 +64,7 @@ impl std::error::Error for InterpError {}
 
 impl From<crate::spmd::RankPanic> for InterpError {
     fn from(p: crate::spmd::RankPanic) -> InterpError {
-        InterpError { message: p.to_string() }
+        InterpError::msg(p.to_string())
     }
 }
 
@@ -155,22 +179,20 @@ impl<'m> Interpreter<'m> {
         let func = self
             .module
             .lookup_symbol(name)
-            .ok_or_else(|| InterpError { message: format!("no function named '{name}'") })?;
+            .ok_or_else(|| InterpError::msg(format!("no function named '{name}'")))?;
         if func.regions.is_empty() || func.regions[0].blocks.is_empty() {
             return self
                 .externals
                 .call(name, &args)
-                .map_err(|m| InterpError { message: format!("external '{name}': {m}") });
+                .map_err(|e| InterpError::from_external(format!("external '{name}'"), e));
         }
         let block = func.region_block(0);
         if block.args.len() != args.len() {
-            return Err(InterpError {
-                message: format!(
-                    "function '{name}' takes {} arguments, got {}",
-                    block.args.len(),
-                    args.len()
-                ),
-            });
+            return Err(InterpError::msg(format!(
+                "function '{name}' takes {} arguments, got {}",
+                block.args.len(),
+                args.len()
+            )));
         }
         for (&formal, actual) in block.args.iter().zip(args) {
             self.set(formal, actual);
@@ -486,7 +508,7 @@ impl<'m> Interpreter<'m> {
                     self.env = saved;
                     out?
                 } else {
-                    self.externals.call(callee, &args).map_err(|m| InterpError::new(op, m))?
+                    self.externals.call(callee, &args).map_err(|e| InterpError::external(op, e))?
                 };
                 if results.len() < op.results.len() {
                     return Err(InterpError::new(
@@ -515,7 +537,7 @@ impl<'m> Interpreter<'m> {
                 let out = self
                     .externals
                     .call("MPI_Comm_size", &[RtValue::Int(sten_mpi::abi::MPI_COMM_WORLD)])
-                    .map_err(|m| InterpError::new(op, m))?;
+                    .map_err(|e| InterpError::external(op, e))?;
                 self.set(op.result(0), out[0].clone());
             }
             "mpi.unwrap_memref" => {
@@ -575,7 +597,7 @@ impl<'m> Interpreter<'m> {
                     .unwrap_or_default();
                 self.externals
                     .dmp_swap(&buf, grid, &exchanges)
-                    .map_err(|m| InterpError::new(op, m))?;
+                    .map_err(|e| InterpError::external(op, e))?;
             }
             "dmp.allreduce" => {
                 let x = self.get_float(op, op.operand(0))?;
@@ -595,7 +617,7 @@ impl<'m> Interpreter<'m> {
                     let all = self
                         .externals
                         .allreduce_exchange(acc.to_wire())
-                        .map_err(|m| InterpError::new(op, m))?;
+                        .map_err(|e| InterpError::external(op, e))?;
                     let mut merged = ReduceAcc::new(kind);
                     for w in &all {
                         let c =
@@ -615,7 +637,7 @@ impl<'m> Interpreter<'m> {
                     let all = self
                         .externals
                         .allreduce_exchange(vec![x])
-                        .map_err(|m| InterpError::new(op, m))?;
+                        .map_err(|e| InterpError::external(op, e))?;
                     let mut acc = ReduceAcc::new(kind);
                     for w in &all {
                         acc.add(w[0]);
@@ -885,7 +907,7 @@ impl<'m> Interpreter<'m> {
             }
             other => return Err(InterpError::new(op, format!("not an mpi op: {other}"))),
         };
-        let out = self.externals.call(name, &args).map_err(|m| InterpError::new(op, m))?;
+        let out = self.externals.call(name, &args).map_err(|e| InterpError::external(op, e))?;
         for (&r, v) in results.iter().zip(out) {
             self.set(r, v);
         }

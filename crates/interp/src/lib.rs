@@ -29,6 +29,6 @@ pub use distributed::{run_spmd, run_spmd_modules, ArgSpec, RankResult};
 pub use exact::{ExactSum, ReduceAcc, ReduceKind};
 pub use fault::{FaultAction, FaultPlan, Reliability};
 pub use interp::{InterpError, Interpreter};
-pub use sim_mpi::{MpiEnv, MpiError, SimWorld};
+pub use sim_mpi::{ExternalError, MpiEnv, MpiError, SimWorld};
 pub use spmd::{launch, launch_with, Layout, RankBox, RankPanic};
 pub use value::{BufView, RtValue};

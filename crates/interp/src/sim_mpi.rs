@@ -675,13 +675,53 @@ fn reduce(op: i64, contributions: &[Vec<f64>]) -> Vec<f64> {
     (0..n).map(|i| combine(op, contributions, i, 0, contributions.len())).collect()
 }
 
+/// Why an external call failed: a local fault (bad arguments, an unknown
+/// symbol), or a communication failure kept typed, so the rank's caller
+/// can tell a peer's poison from its own fault.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ExternalError {
+    /// A local fault, described.
+    Message(String),
+    /// The simulated MPI runtime failed.
+    Mpi(MpiError),
+}
+
+impl std::fmt::Display for ExternalError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExternalError::Message(m) => f.write_str(m),
+            ExternalError::Mpi(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ExternalError {}
+
+impl From<String> for ExternalError {
+    fn from(m: String) -> ExternalError {
+        ExternalError::Message(m)
+    }
+}
+
+impl From<&str> for ExternalError {
+    fn from(m: &str) -> ExternalError {
+        ExternalError::Message(m.to_string())
+    }
+}
+
+impl From<MpiError> for ExternalError {
+    fn from(e: MpiError) -> ExternalError {
+        ExternalError::Mpi(e)
+    }
+}
+
 /// Implementations of external functions callable from interpreted code.
 pub trait Externals {
     /// Invokes external function `name` with `args`.
     ///
     /// # Errors
     /// Reports unknown symbols or invalid arguments.
-    fn call(&mut self, name: &str, args: &[RtValue]) -> Result<Vec<RtValue>, String>;
+    fn call(&mut self, name: &str, args: &[RtValue]) -> Result<Vec<RtValue>, ExternalError>;
 
     /// Executes a `dmp.swap` directly (for interpretation at the dmp
     /// level). Default: unsupported.
@@ -693,7 +733,7 @@ pub trait Externals {
         _data: &crate::value::BufView,
         _grid: &[i64],
         _exchanges: &[sten_ir::ExchangeAttr],
-    ) -> Result<(), String> {
+    ) -> Result<(), ExternalError> {
         Err("dmp.swap requires an MPI environment (rank context)".into())
     }
 
@@ -704,7 +744,7 @@ pub trait Externals {
     ///
     /// # Errors
     /// Reports lack of a communication substrate.
-    fn allreduce_exchange(&mut self, _payload: Vec<f64>) -> Result<Vec<Vec<f64>>, String> {
+    fn allreduce_exchange(&mut self, _payload: Vec<f64>) -> Result<Vec<Vec<f64>>, ExternalError> {
         Err("dmp.allreduce requires an MPI environment (rank context)".into())
     }
 
@@ -719,8 +759,8 @@ pub trait Externals {
 pub struct NoExternals;
 
 impl Externals for NoExternals {
-    fn call(&mut self, name: &str, _args: &[RtValue]) -> Result<Vec<RtValue>, String> {
-        Err(format!("call to unknown external function '{name}'"))
+    fn call(&mut self, name: &str, _args: &[RtValue]) -> Result<Vec<RtValue>, ExternalError> {
+        Err(format!("call to unknown external function '{name}'").into())
     }
 }
 
@@ -794,18 +834,18 @@ impl MpiEnv {
         }
     }
 
-    fn complete(&self, state: &mut RequestState) -> Result<(), String> {
+    fn complete(&self, state: &mut RequestState) -> Result<(), ExternalError> {
         match std::mem::replace(state, RequestState::Null) {
             RequestState::Null | RequestState::SendDone => Ok(()),
             RequestState::PendingRecv { src, tag, dst, offset, count } => {
-                let msg = self.world.recv(self.rank, src, tag).map_err(|e| e.to_string())?;
+                let msg = self.world.recv(self.rank, src, tag)?;
                 if msg.len() != count {
-                    return Err(format!(
+                    return Err(ExternalError::Message(format!(
                         "message length {} does not match posted receive {count}",
                         msg.len()
-                    ));
+                    )));
                 }
-                Self::write_elems(&dst, offset, &msg)
+                Ok(Self::write_elems(&dst, offset, &msg)?)
             }
         }
     }
@@ -814,7 +854,7 @@ impl MpiEnv {
     /// whose message has already been delivered are drained into their
     /// destination (background completion); returns whether the request
     /// is now complete.
-    fn try_complete(&self, state: &mut RequestState) -> Result<bool, String> {
+    fn try_complete(&self, state: &mut RequestState) -> Result<bool, ExternalError> {
         match state {
             RequestState::Null | RequestState::SendDone => Ok(true),
             RequestState::PendingRecv { src, tag, dst, offset, count } => {
@@ -822,10 +862,10 @@ impl MpiEnv {
                     return Ok(false);
                 };
                 if msg.len() != *count {
-                    return Err(format!(
+                    return Err(ExternalError::Message(format!(
                         "message length {} does not match posted receive {count}",
                         msg.len()
-                    ));
+                    )));
                 }
                 Self::write_elems(dst, *offset, &msg)?;
                 *state = RequestState::Null;
@@ -840,7 +880,7 @@ impl Externals for MpiEnv {
         Some(self.rank)
     }
 
-    fn call(&mut self, name: &str, args: &[RtValue]) -> Result<Vec<RtValue>, String> {
+    fn call(&mut self, name: &str, args: &[RtValue]) -> Result<Vec<RtValue>, ExternalError> {
         let int = |i: usize| args[i].as_int();
         match name {
             "MPI_Init" | "MPI_Finalize" => Ok(vec![RtValue::Int(0)]),
@@ -868,9 +908,9 @@ impl Externals for MpiEnv {
                 Self::check_dtype(int(2)?)?;
                 let (src, tag) = (int(3)? as i32, int(4)? as i32);
                 Self::check_comm(int(5)?)?;
-                let msg = self.world.recv(self.rank, src, tag).map_err(|e| e.to_string())?;
+                let msg = self.world.recv(self.rank, src, tag)?;
                 if msg.len() != count {
-                    return Err(format!("received {} elements, expected {count}", msg.len()));
+                    return Err(format!("received {} elements, expected {count}", msg.len()).into());
                 }
                 Self::write_elems(&ptr, off, &msg)?;
                 Ok(vec![RtValue::Int(0)])
@@ -920,10 +960,10 @@ impl Externals for MpiEnv {
                 let count = int(0)? as usize;
                 let list = Self::request_list(&args[1])?;
                 if list.borrow().len() < count {
-                    return Err(format!(
+                    return Err(ExternalError::Message(format!(
                         "waitall count {count} exceeds request list length {}",
                         list.borrow().len()
-                    ));
+                    )));
                 }
                 for i in 0..count {
                     let mut slot = list.borrow()[i].clone();
@@ -958,8 +998,7 @@ impl Externals for MpiEnv {
                 let op = int(4)?;
                 Self::check_comm(int(5)?)?;
                 let mine = Self::read_elems(&sptr, soff, count)?;
-                let all =
-                    self.world.exchange_all(self.rank as usize, mine).map_err(|e| e.to_string())?;
+                let all = self.world.exchange_all(self.rank as usize, mine)?;
                 Self::write_elems(&rptr, roff, &reduce(op, &all))?;
                 Ok(vec![RtValue::Int(0)])
             }
@@ -972,8 +1011,7 @@ impl Externals for MpiEnv {
                 let root = int(5)? as i32;
                 Self::check_comm(int(6)?)?;
                 let mine = Self::read_elems(&sptr, soff, count)?;
-                let all =
-                    self.world.exchange_all(self.rank as usize, mine).map_err(|e| e.to_string())?;
+                let all = self.world.exchange_all(self.rank as usize, mine)?;
                 if self.rank == root {
                     Self::write_elems(&rptr, roff, &reduce(op, &all))?;
                 }
@@ -990,8 +1028,7 @@ impl Externals for MpiEnv {
                 } else {
                     Vec::new()
                 };
-                let all =
-                    self.world.exchange_all(self.rank as usize, mine).map_err(|e| e.to_string())?;
+                let all = self.world.exchange_all(self.rank as usize, mine)?;
                 Self::write_elems(&ptr, off, &all[root as usize])?;
                 Ok(vec![RtValue::Int(0)])
             }
@@ -1003,23 +1040,21 @@ impl Externals for MpiEnv {
                 let root = int(6)? as i32;
                 Self::check_comm(int(7)?)?;
                 let mine = Self::read_elems(&sptr, soff, count)?;
-                let all =
-                    self.world.exchange_all(self.rank as usize, mine).map_err(|e| e.to_string())?;
+                let all = self.world.exchange_all(self.rank as usize, mine)?;
                 if self.rank == root {
                     let flat: Vec<f64> = all.into_iter().flatten().collect();
                     Self::write_elems(&rptr, roff, &flat)?;
                 }
                 Ok(vec![RtValue::Int(0)])
             }
-            other => Err(format!("call to unknown external function '{other}'")),
+            other => Err(format!("call to unknown external function '{other}'").into()),
         }
     }
 
-    fn allreduce_exchange(&mut self, payload: Vec<f64>) -> Result<Vec<Vec<f64>>, String> {
+    fn allreduce_exchange(&mut self, payload: Vec<f64>) -> Result<Vec<Vec<f64>>, ExternalError> {
         let t0 = self.world.tracer.now();
         let bytes = 8 * payload.len() as u64;
-        let all =
-            self.world.exchange_all(self.rank as usize, payload).map_err(|e| e.to_string())?;
+        let all = self.world.exchange_all(self.rank as usize, payload)?;
         self.world.tracer.record_span(self.rank as u32, 0, t0, || SpanKind::Reduce {
             phase: "allreduce",
             bytes,
@@ -1034,12 +1069,12 @@ impl Externals for MpiEnv {
         data: &crate::value::BufView,
         grid: &[i64],
         exchanges: &[sten_ir::ExchangeAttr],
-    ) -> Result<(), String> {
+    ) -> Result<(), ExternalError> {
         use sten_dmp::decomposition::neighbor_rank;
         // Buffered sends first (deadlock-free), then blocking receives.
         for e in exchanges {
             if let Some(n) = neighbor_rank(self.rank as i64, grid, &e.to)? {
-                let send_view = data.subview(&e.send_at(), &e.size).map_err(|m| m.to_string())?;
+                let send_view = data.subview(&e.send_at(), &e.size)?;
                 let tag = sten_mpi::dmp_to_mpi::tag_for_direction(&e.to) as i32;
                 self.world.send(self.rank, n as i32, tag, send_view.to_vec());
             }
@@ -1048,17 +1083,17 @@ impl Externals for MpiEnv {
             if let Some(n) = neighbor_rank(self.rank as i64, grid, &e.to)? {
                 let neg: Vec<i64> = e.to.iter().map(|t| -t).collect();
                 let tag = sten_mpi::dmp_to_mpi::tag_for_direction(&neg) as i32;
-                let msg = self.world.recv(self.rank, n as i32, tag).map_err(|e| e.to_string())?;
-                let recv_view = data.subview(&e.at, &e.size).map_err(|m| m.to_string())?;
+                let msg = self.world.recv(self.rank, n as i32, tag)?;
+                let recv_view = data.subview(&e.at, &e.size)?;
                 let expected: i64 = e.size.iter().product();
                 if msg.len() as i64 != expected {
-                    return Err(format!(
+                    return Err(ExternalError::Message(format!(
                         "rank {}: halo from rank {n} tag {tag} has {} elements, \
                          expected {expected} (region {:?})",
                         self.rank,
                         msg.len(),
                         e.size
-                    ));
+                    )));
                 }
                 let mut idx = vec![0i64; e.size.len()];
                 for v in msg {
@@ -1208,7 +1243,7 @@ mod tests {
         let world = SimWorld::new(1);
         let mut env = MpiEnv::new(world, 0);
         let err = env.call("MPI_Comm_rank", &[RtValue::Int(0)]).unwrap_err();
-        assert!(err.contains("invalid communicator"), "{err}");
+        assert!(err.to_string().contains("invalid communicator"), "{err}");
         let ok = env.call("MPI_Comm_rank", &[RtValue::Int(abi::MPI_COMM_WORLD)]).unwrap();
         assert!(matches!(ok[0], RtValue::Int(0)));
     }

@@ -353,6 +353,7 @@ fn wrong_size_halo_is_rejected_by_the_interpreter_swap() {
     let view = BufView::from_data(vec![6], (0..6).map(|i| i as f64).collect());
     let exchanges = [ExchangeAttr::new(vec![5], vec![1], vec![-1], vec![1])];
     let err = env.dmp_swap(&view, &[2], &exchanges).unwrap_err();
+    let err = err.to_string();
     assert!(err.contains("2 elements") && err.contains("expected 1"), "got: {err}");
     sender.join().unwrap();
 }

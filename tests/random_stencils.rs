@@ -20,30 +20,65 @@ struct RandStencil {
     terms: Vec<(Vec<i64>, f64)>,
     dims: usize,
     /// When set, the mirrored half of `terms` is emitted as one scaled
-    /// group `s · (Σ c·u)` instead of inline.
+    /// group `s · (Σ c·u)` instead of inline — or, in Devito's form, the
+    /// scale of its group.
     group_scale: Option<f64>,
+    /// Devito's form, when set.
+    devito: Option<DevitoForm>,
     /// Coefficient positions that are `f64` function arguments instead
     /// of constants: indices into `terms`, `terms.len()` for the group
     /// scale. Entry `k` is scalar argument `k`.
     runtime: Vec<usize>,
 }
 
+/// The shape a Devito space-order-2 operator takes:
+/// `s·(u₁ ⊕ … ⊕ u_T) ⊕ c·u_centre [⊕ c′·u′]`. The first `group` terms
+/// are plain taps (their coefficient is ignored) folded into a group that
+/// `group_scale` scales; the rest are `c·u` taps folded in after it.
+#[derive(Clone, Debug)]
+struct DevitoForm {
+    group: usize,
+    /// Per term: folded in with `−` instead of `+` (the first ignored).
+    subs: Vec<bool>,
+    /// The scale is the right multiplication operand.
+    scale_right: bool,
+}
+
 impl RandStencil {
-    /// Moves the mirrored half into a scaled group (half the time) and
-    /// turns 0–2 coefficients — tap coefficients or the group scale —
-    /// into runtime scalars.
+    /// Moves the mirrored half into a scaled group (half the time; a
+    /// Devito-form stencil has its group already) and turns 0–2
+    /// coefficients — tap coefficients or the group scale — into runtime
+    /// scalars.
     fn with_runtime_scalars(mut self, rng: &mut Rng) -> RandStencil {
-        if rng.chance(1, 2) {
+        if self.devito.is_none() && rng.chance(1, 2) {
             self.group_scale = Some(rng.range_f64(-2.0, 2.0));
+        }
+        // A Devito group's taps carry no coefficient; its scale is a
+        // runtime scalar half the time.
+        let first = self.devito.as_ref().map_or(0, |d| d.group);
+        if first > 0 && rng.chance(1, 2) {
+            self.runtime.push(self.terms.len());
         }
         let positions = self.terms.len() + usize::from(self.group_scale.is_some());
         for _ in 0..rng.range_usize(0, 3) {
-            let at = rng.range_usize(0, positions);
+            let at = rng.range_usize(first, positions);
             if !self.runtime.contains(&at) {
                 self.runtime.push(at);
             }
         }
         self
+    }
+
+    /// `(offset, coefficient)` of every tap of the built kernel, its
+    /// scale and fold signs multiplied in (the group scale of the
+    /// mul-add form is not: the stencils compared against
+    /// [`reference`] never draw one).
+    fn effective_terms(&self) -> Vec<(Vec<i64>, f64)> {
+        let Some(dv) = &self.devito else { return self.terms.clone() };
+        let s = self.group_scale.unwrap();
+        let sign = |i: usize| if dv.subs[i] { -1.0 } else { 1.0 };
+        let coeff = |i: usize, c: f64| if i < dv.group { s * sign(i) } else { c * sign(i) };
+        self.terms.iter().enumerate().map(|(i, (off, c))| (off.clone(), coeff(i, *c))).collect()
     }
 
     /// The value of runtime scalar `k` at `step`: the generated
@@ -68,12 +103,27 @@ fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
     let mirrored: Vec<(Vec<i64>, f64)> =
         terms.iter().map(|(o, c)| (o.iter().map(|x| -x).collect(), 0.5 * c)).collect();
     terms.extend(mirrored);
-    RandStencil { terms, dims, group_scale: None, runtime: Vec::new() }
+    let mut st = RandStencil { terms, dims, group_scale: None, devito: None, runtime: Vec::new() };
+    if rng.chance(1, 3) {
+        // Devito's form over the same symmetric star: the star as the
+        // plain-tap group, then the centre and (sometimes) the first
+        // star point again as scaled trailing taps.
+        let group = st.terms.len();
+        st.terms.push((vec![0; dims], rng.range_f64(-2.0, 2.0)));
+        if rng.chance(1, 2) {
+            st.terms.push((st.terms[0].0.clone(), rng.range_f64(-2.0, 2.0)));
+        }
+        let subs = (0..st.terms.len()).map(|i| i > 0 && rng.chance(1, 3)).collect();
+        st.group_scale = Some(rng.range_f64(-2.0, 2.0));
+        st.devito = Some(DevitoForm { group, subs, scale_right: rng.chance(1, 2) });
+    }
+    st
 }
 
 /// Builds `out = Σ c_i · u[x + o_i]` over an interior store range (the
 /// mirrored half as `s · (Σ c_i · u[x + o_i])` when the stencil has a
-/// group scale), runtime coefficients as trailing `f64` arguments.
+/// group scale; in Devito's form when it has one), runtime coefficients
+/// as trailing `f64` arguments.
 fn build(st: &RandStencil, n: i64) -> Module {
     let dims = st.dims;
     let radius = 2i64;
@@ -104,6 +154,36 @@ fn build(st: &RandStencil, n: i64) -> Module {
             // The scalar argument feeding coefficient position `at`, if
             // it is a runtime one.
             let runtime = |at: usize| st.runtime.iter().position(|&r| r == at).map(|k| a[1 + k]);
+            if let Some(dv) = &st.devito {
+                let fold = |vt: &mut _, sub: bool, acc, v| {
+                    if sub {
+                        arith::subf(vt, acc, v)
+                    } else {
+                        arith::addf(vt, acc, v)
+                    }
+                };
+                let mut group = None;
+                for (i, (off, _)) in st.terms[..dv.group].iter().enumerate() {
+                    let av = emit(ops::access(vt, a[0], off.clone()));
+                    group = Some(match group {
+                        None => av,
+                        Some(prev) => emit(fold(vt, dv.subs[i], prev, av)),
+                    });
+                }
+                let group = group.expect("a non-empty star");
+                let s = st.group_scale.unwrap();
+                let sv = runtime(st.terms.len()).unwrap_or_else(|| emit(arith::const_f64(vt, s)));
+                let (l, r) = if dv.scale_right { (group, sv) } else { (sv, group) };
+                let mut out = emit(arith::mulf(vt, l, r));
+                for (i, (off, c)) in st.terms.iter().enumerate().skip(dv.group) {
+                    let av = emit(ops::access(vt, a[0], off.clone()));
+                    let cv = runtime(i).unwrap_or_else(|| emit(arith::const_f64(vt, *c)));
+                    let mv = emit(arith::mulf(vt, cv, av));
+                    out = emit(fold(vt, dv.subs[i], out, mv));
+                }
+                body.push(ops::ret(vec![out]));
+                return body;
+            }
             let inline = if st.group_scale.is_some() { st.terms.len() / 2 } else { st.terms.len() };
             // [inline fold, group fold]
             let mut accs: [Option<Value>; 2] = [None, None];
@@ -150,10 +230,11 @@ fn reference(st: &RandStencil, n: i64, input: &[f64]) -> Vec<f64> {
         }
         flat as usize
     };
+    let terms = st.effective_terms();
     let mut p = vec![0i64; dims];
     loop {
         let mut v = 0.0;
-        for (off, c) in &st.terms {
+        for (off, c) in &terms {
             let q: Vec<i64> = (0..dims).map(|d| p[d] + off[d]).collect();
             v += c * input[idx(&q)];
         }
@@ -239,11 +320,17 @@ fn random_1d_stencils_agree_at_all_levels() {
 #[test]
 fn specialized_tiers_bit_identical_to_eval() {
     let mut with_scalars = 0;
+    // Devito-form stencils, and those of them with a runtime scale.
+    let (mut devito, mut runtime_scale) = (0, 0);
     for (dims, n, seeds) in [(1usize, 24i64, 10u64), (2, 12, 10), (3, 6, 6)] {
         for seed in 0..seeds {
             let mut rng = Rng::new(9000 + seed * 37 + dims as u64);
             let st = rand_stencil(dims, &mut rng).with_runtime_scalars(&mut rng);
             with_scalars += usize::from(!st.runtime.is_empty());
+            if st.devito.is_some() {
+                devito += 1;
+                runtime_scale += usize::from(st.runtime.contains(&st.terms.len()));
+            }
             let m = build(&st, n);
             let ext: usize = ((n + 4) as usize).pow(dims as u32);
             let input: Vec<f64> =
@@ -286,16 +373,28 @@ fn specialized_tiers_bit_identical_to_eval() {
             // or a runtime scalar, so automatic
             // selection must reach the top tier (unless the run pins one
             // through the environment).
+            // A Devito-form stencil must reach the flattened group kernel.
             if std::env::var("STEN_EXEC_TIER").is_err() {
                 let lines = pipeline.tier_summary();
                 assert!(
                     lines.iter().all(|l| l.contains("template-jit")),
                     "dims {dims} seed {seed}: {lines:?}"
                 );
+                if let Some(dv) = &st.devito {
+                    let label = format!("group<{}>+{}", dv.group, st.terms.len() - dv.group);
+                    assert!(
+                        lines.iter().all(|l| l.contains(&label)),
+                        "dims {dims} seed {seed}: {lines:?} is not {label}"
+                    );
+                }
             }
         }
     }
     assert!(with_scalars >= 8, "only {with_scalars} of 26 kernels drew a runtime scalar");
+    assert!(
+        devito >= 4 && runtime_scale >= 2,
+        "{devito} Devito-form kernels, {runtime_scale} with a runtime scale"
+    );
 }
 
 #[test]

@@ -153,6 +153,32 @@ fn axpy_selects_template_jit_with_a_late_bound_coefficient() {
     assert_eq!(kernel.tier_label(), "template-jit (2 taps, chain<2>; rank 1; 1 runtime scalar)");
 }
 
+/// Devito's space-order-2 operators are one scaled group of plain taps
+/// followed by scaled trailing taps — the shape the flattened group
+/// kernel serves. (At some grid sizes the frontend's two half-stars get
+/// scales one ulp apart, e.g. heat-2d at 32², and the kernel is two
+/// groups on the general fold instead.)
+#[test]
+fn devito_so2_operators_select_the_flat_group_kernel() {
+    for (op, label) in [
+        (devito::problems::heat(&[24, 24], 2, 0.5), "template-jit (5 taps, group<4>+1; rank 2)"),
+        (
+            devito::problems::heat(&[24, 24, 24], 2, 0.5),
+            "template-jit (7 taps, group<6>+1; rank 3)",
+        ),
+        (
+            devito::problems::acoustic_wave(&[24, 24, 24], 2, 1.5),
+            "template-jit (8 taps, group<6>+2; rank 3)",
+        ),
+    ] {
+        let mut m = op.unwrap().compile().unwrap();
+        ShapeInference.run(&mut m).unwrap();
+        let p = compile_module_tiered(&m, "step", None).unwrap();
+        let [Step::Apply { kernel, .. }] = &p.steps[..] else { panic!("one apply: {:?}", p.steps) };
+        assert_eq!(kernel.tier_label(), label);
+    }
+}
+
 /// The high space orders are the kernels the lifted caps brought onto
 /// the template-JIT: they must stay bit-identical to the reference.
 #[test]

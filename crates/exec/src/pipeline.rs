@@ -2110,6 +2110,116 @@ mod tests {
         }
     }
 
+    /// What a rank runs at each timestep of `p`'s schedule.
+    fn rank_phases(p: &Pipeline, rank: i64) -> Vec<Vec<Step>> {
+        if p.temporal.is_some() {
+            build_phase_schedule(p, rank).unwrap()
+        } else {
+            vec![p.steps.clone()]
+        }
+    }
+
+    /// One line per step of a schedule, apply regions with their bounds.
+    fn render_steps(steps: &[Step]) -> String {
+        let mut out = String::new();
+        for s in steps {
+            let line = match s {
+                Step::Apply { kernel, region, .. } => {
+                    format!("apply {}{:?}", region.label(), region.bounds(&kernel.range).0)
+                }
+                Step::SwapBegin { id } => format!("swap#{id} begin"),
+                Step::SwapWait { id } => format!("swap#{id} wait"),
+                Step::Reduce { kind, range, allreduce, .. } => {
+                    format!("reduce {} {:?} allreduce={allreduce}", kind.name(), range.0)
+                }
+                Step::Scalar { op, .. } => format!("scalar {}", op.map_or("negf", BinOp::name)),
+                Step::Copy { range, .. } => format!("copy {:?}", range.0),
+            };
+            out += &format!("      {line}\n");
+        }
+        out
+    }
+
+    /// `name` compiled from `m` after `dist`, rendered: the step summary,
+    /// the temporal summary, and every phase of every rank in `ranks`.
+    fn render_schedules(
+        name: &str,
+        mut m: Module,
+        func: &str,
+        dist: sten_dmp::DistributeStencil,
+        ranks: &[i64],
+    ) -> String {
+        ShapeInference.run(&mut m).unwrap();
+        dist.run(&mut m).unwrap();
+        ShapeInference.run(&mut m).unwrap();
+        let p = compile_module(&m, func).unwrap();
+        let mut out = format!("== {name}: overlapped={}\n", p.is_overlapped());
+        for line in p.step_summary().iter().chain(&p.temporal_summary()) {
+            out += &format!("  {line}\n");
+        }
+        for &rank in ranks {
+            for (j, phase) in rank_phases(&p, rank).iter().enumerate() {
+                out += &format!("  rank {rank} phase {j}:\n{}", render_steps(phase));
+            }
+        }
+        out
+    }
+
+    /// Every schedule shape the executor builds, pinned step by step:
+    /// depth 1 sync and overlapped, depth 2 and 4 on boundary and
+    /// interior ranks, a deep 2-D block with corners, one apply fed by
+    /// three adjacent swaps, and a CG iteration with reductions.
+    #[test]
+    fn schedules_are_pinned() {
+        use sten_dmp::{DistributeStencil as D, HaloDepth};
+        let mut got = String::new();
+        for overlap in [false, true] {
+            got += &render_schedules(
+                &format!("heat-2d 2x2 overlap={overlap}"),
+                samples::heat_2d(16, 0.1),
+                "heat",
+                D::new(vec![2, 2]).with_overlap(overlap),
+                &[0, 1, 2, 3],
+            );
+        }
+        for depth in [2, 4] {
+            for overlap in [false, true] {
+                got += &render_schedules(
+                    &format!("jacobi-1d 4 ranks depth={depth} overlap={overlap}"),
+                    samples::jacobi_1d(32),
+                    "jacobi",
+                    D::new(vec![4]).with_overlap(overlap).with_depth(HaloDepth::Fixed(depth)),
+                    &[0, 1, 2, 3],
+                );
+            }
+        }
+        got += &render_schedules(
+            "heat-2d 2x2 depth=2 diagonals overlap=true",
+            samples::heat_2d(16, 0.1),
+            "heat",
+            D::new(vec![2, 2])
+                .with_overlap(true)
+                .with_diagonals(true)
+                .with_depth(HaloDepth::Fixed(2)),
+            &[0, 1, 2, 3],
+        );
+        got += &render_schedules(
+            "pw_advection 2x2 overlap=true",
+            sten_psyclone::kernels::pw_advection(8, 8, 4).unwrap().module,
+            "pw_advection",
+            D::new(vec![2, 2]).with_overlap(true),
+            &[0, 1, 2, 3],
+        );
+        got += &render_schedules(
+            "cg_iter rank 1 of 2 overlap=true",
+            samples::cg(24, 0.25),
+            "cg_iter",
+            D::new(vec![2]).for_rank(1).with_overlap(true),
+            &[1],
+        );
+        assert_eq!(got, include_str!("../tests/data/schedule_pins.txt"));
+    }
+
     #[test]
     fn swap_without_world_is_reported() {
         let (pipeline, mut args) = jacobi_2r(128);

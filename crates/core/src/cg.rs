@@ -27,8 +27,8 @@
 use std::sync::Arc;
 
 use sten_dmp::{make_strategy, DistributeStencil};
-use sten_exec::pipeline::{compile_module_tiered, Pipeline, Runner};
 use sten_exec::specialize::TierKind;
+use sten_exec::{compile_module_tiered, Pipeline, Runner};
 use sten_interp::{launch_with, Layout, RankBox, RankPanic, SimWorld};
 use sten_ir::{Bounds, Module, Pass as _};
 use sten_stencil::{samples, ShapeInference};

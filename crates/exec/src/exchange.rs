@@ -26,8 +26,9 @@
 //! plain receive and nothing is kept. The wire is the same either way, so
 //! a fault plan's per-channel send indices hit the same messages.
 
-use crate::pipeline::{for_each_row, ExecError, Swap};
+use crate::pipeline::{for_each_row, ExecError};
 use crate::program::InputDesc;
+use crate::step::Swap;
 use sten_dmp::decomposition::neighbor_rank;
 use sten_interp::SimWorld;
 use sten_ir::Bounds;

@@ -18,12 +18,16 @@
 //!   (const-generic tap chains, two-level fold templates,
 //!   optional explicit AVX2 lanes behind the `simd` cargo feature +
 //!   runtime CPU detection);
-//! * [`pipeline`] — compiles a whole stencil-level function
-//!   (`load`/`apply`/`store`/`dmp.swap` sequences) into an executable
-//!   [`pipeline::Pipeline`]; [`pipeline::Runner`] executes timesteps
-//!   serially, on a persistent [`pool::WorkerPool`] (the OpenMP
-//!   substitute: longest-dimension chunks onto long-lived workers with
-//!   reusable scratch), or SPMD-distributed over a
+//! * [`step`] — the step program: a compiled function's buffers, its
+//!   [`Step`]s and one [`step::Swap`] per `dmp.swap`, in a [`Pipeline`];
+//! * `schedule` — the one schedule builder: a rank's steps phase by
+//!   phase (the overlap split and the depth-`k` phases);
+//! * [`pipeline`] — [`pipeline::compile_module`] compiles a whole
+//!   stencil-level function (`load`/`apply`/`store`/`dmp.swap`
+//!   sequences) into a [`Pipeline`]; [`pipeline::Runner`] executes
+//!   timesteps serially, on a persistent [`pool::WorkerPool`] (the
+//!   OpenMP substitute: longest-dimension chunks onto long-lived workers
+//!   with reusable scratch), or SPMD-distributed over a
 //!   [`sten_interp::SimWorld`] (ranks-as-threads, the mpirun
 //!   substitute);
 //! * `exchange` — the one halo-exchange protocol every distributed
@@ -42,7 +46,8 @@
 //!   the retired buffers: a fault-free run holds one cut.
 //!
 //! Numerical results are bit-identical to the `sten-interp` tree-walker on
-//! the same module — the workspace tests enforce this.
+//! the same module, on every executor tier — the workspace tests enforce
+//! this, in-place stores (`load %u → apply → store → %u`) included.
 
 mod exchange;
 pub mod jit;
@@ -50,15 +55,16 @@ pub mod pipeline;
 pub mod pool;
 pub mod program;
 pub mod resilient;
+mod schedule;
 pub mod specialize;
+pub mod step;
 
 pub use exchange::FRAME_HEADER;
-pub use pipeline::{
-    compile_module, compile_module_tiered, ApplyRegion, BufId, ExecError, Pipeline, Runner, Step,
-};
+pub use pipeline::{compile_module, compile_module_tiered, ExecError, Runner};
 pub use pool::WorkerPool;
 pub use program::{split_longest_dim, BinOp, CompiledKernel, ExecScratch, Instr, KernelProgram};
 pub use resilient::{
     run_resilient, CheckpointStore, RankSnapshot, ResilientConfig, ResilientReport,
 };
 pub use specialize::{SpecializedKernel, Tier, TierKind};
+pub use step::{ApplyRegion, BufId, Pipeline, Step};

@@ -1,43 +1,14 @@
-//! Compiling whole stencil functions into executable pipelines.
+//! Compiling whole stencil functions into executable pipelines, and
+//! running them.
 //!
 //! A stencil-level function (after shape inference, optionally after
-//! distribution) has the shape `loads* (applies | swaps)* stores*`; this
-//! module compiles it into a [`Pipeline`] of [`Step`]s and executes
-//! timesteps through a [`Runner`] — serially, with thread parallelism, or
-//! SPMD-distributed over SimMPI.
-//!
-//! **Overlapped halo exchange.** Every `dmp.swap` compiles into one
-//! [`Swap`] record and a [`Step::SwapBegin`]/[`Step::SwapWait`] pair,
-//! which the runner executes through the one exchange protocol of
-//! `exchange.rs` (sequence-numbered frames, persistent pack buffers).
-//! On the synchronous path the pair is adjacent (pack + send, then
-//! receive + unpack). When the swap is marked `overlap`
-//! (`distribute-stencil{overlap=true}`) and the apply reading the
-//! exchanged buffer can be split, the pipeline instead runs
-//!
-//! ```text
-//! SwapBegin            pack + buffered sends
-//! Apply(Interior)      on the worker pool, messages in flight
-//! SwapWait             receive + unpack the halos
-//! Apply(Boundary(dir)) one step per halo shell
-//! ```
-//!
-//! with the interior/shell geometry from [`sten_dmp::HaloRegionSplit`] —
-//! the same analysis the `dmp → mpi` lowering uses — so results stay
-//! bit-for-bit identical to the synchronous path on every strategy and
-//! executor tier (enforced by `tests/halo_overlap.rs`).
-//!
-//! **Temporal blocking.** A swap carrying `depth=k`
-//! (`distribute-stencil{depth=k}`) exchanges a width-`k·r` halo once per
-//! `k`-step block. The pipeline records the block shape in
-//! [`TemporalBlock`]; the [`Runner`] expands it into a per-phase step
-//! schedule on first distributed step (the growth is clamped per side to
-//! directions with a live neighbour, which depends on the rank): phase 0
-//! performs the deep exchange and computes the core grown by `(k-1)·r`
-//! toward every exchanging side, and phases `1..k` run exchange-free on
-//! progressively shrinking regions ([`sten_dmp::deep_phase_regions`]) —
-//! redundant computation on the outer shells buys `k×` fewer messages at
-//! the same total volume.
+//! distribution) has the shape `loads* (applies | swaps)* stores*`;
+//! [`compile_module`] compiles it into a [`Pipeline`] of [`Step`]s
+//! (`step.rs`), ordered by the schedule builder (`schedule.rs`), and a
+//! [`Runner`] executes timesteps — serially, with thread parallelism, or
+//! SPMD-distributed over SimMPI. Every `dmp.swap` runs through the one
+//! exchange protocol of `exchange.rs` (sequence-numbered frames,
+//! persistent pack buffers).
 
 use crate::exchange::Exchange;
 use crate::pool::{Job, WorkerPool};
@@ -45,7 +16,9 @@ use crate::program::{
     compile_apply, rematerialize_outs, split_longest_dim, BinOp, ExecScratch, InputDesc, SendPtr,
 };
 use crate::resilient::RankSnapshot;
+use crate::schedule;
 use crate::specialize::{SpecializedKernel, TierKind};
+use crate::step::{ApplyRegion, BufId, Pipeline, Step, Swap, SCALAR_UNSET};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sten_interp::{FaultAction, MpiError, RankPanic, ReduceAcc, ReduceKind, SimWorld};
@@ -130,395 +103,6 @@ impl From<String> for ExecError {
     }
 }
 
-/// Identifies a buffer in a pipeline.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BufId {
-    /// The n-th function argument.
-    Arg(usize),
-    /// The n-th intermediate (pipeline-allocated) buffer.
-    Tmp(usize),
-}
-
-/// Which part of its iteration space an apply step executes.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ApplyRegion {
-    /// The kernel's whole range (the synchronous path).
-    Full,
-    /// The interior core — independent of halo cells, safe to run while
-    /// halo messages are in flight.
-    Interior(Bounds),
-    /// One boundary shell, labelled with the halo side it depends on
-    /// (one-hot direction, e.g. `[0, -1]`).
-    Boundary(Vec<i64>, Bounds),
-    /// One temporal-blocking phase: phase `j` of a `k`-step block runs
-    /// the kernel over the core grown `(k-1-j)·r` toward every
-    /// exchanging side (redundant compute on the outer shells).
-    Phase(usize, Bounds),
-}
-
-impl ApplyRegion {
-    /// The executed sub-range (`kernel_range` for [`ApplyRegion::Full`]).
-    pub fn bounds<'a>(&'a self, kernel_range: &'a Bounds) -> &'a Bounds {
-        match self {
-            ApplyRegion::Full => kernel_range,
-            ApplyRegion::Interior(b) | ApplyRegion::Boundary(_, b) | ApplyRegion::Phase(_, b) => b,
-        }
-    }
-
-    /// Grid points this region executes.
-    pub fn points(&self, kernel_range: &Bounds) -> i64 {
-        self.bounds(kernel_range).num_points()
-    }
-
-    /// Human-readable label for `--timing`/step summaries.
-    pub fn label(&self) -> String {
-        match self {
-            ApplyRegion::Full => String::new(),
-            ApplyRegion::Interior(_) => "interior ".to_string(),
-            ApplyRegion::Boundary(dir, _) => format!("boundary{dir:?} "),
-            ApplyRegion::Phase(j, _) => format!("phase{j} "),
-        }
-    }
-}
-
-/// One executable step.
-// Steps are built once per pipeline and held in a short Vec; the size
-// skew from the inline kernel never touches a per-point path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Run a compiled kernel through its specialized executor tier.
-    Apply {
-        /// The kernel, specialized at pipeline-build time.
-        kernel: SpecializedKernel,
-        /// Input buffers (parallel to the kernel's inputs).
-        inputs: Vec<BufId>,
-        /// Output buffers (parallel to the kernel's outputs).
-        outputs: Vec<BufId>,
-        /// Which part of the iteration space this step covers.
-        region: ApplyRegion,
-    },
-    /// Launch a halo exchange: pack the outgoing slabs into persistent
-    /// per-exchange buffers and post the (buffered, non-blocking) sends.
-    SwapBegin {
-        /// Index into [`Pipeline::swaps`].
-        id: usize,
-    },
-    /// Complete the exchange launched by the matching
-    /// [`Step::SwapBegin`]: receive every neighbour's message (blocking
-    /// only on messages still in flight) and unpack the halo slabs.
-    SwapWait {
-        /// Index into [`Pipeline::swaps`].
-        id: usize,
-    },
-    /// Global reduction: fold the ranged points of the input buffer(s)
-    /// into one scalar slot. The local fold is thread-chunked and merged
-    /// through an order-invariant accumulator ([`ReduceAcc`]: an exact
-    /// superaccumulator for `sum`/`dot`, a `total_cmp` lattice for
-    /// `min`/`max`), so any chunking — and any rank decomposition, when
-    /// `allreduce` exchanges the accumulators — produces bit-identical
-    /// results.
-    Reduce {
-        /// The reduction kind.
-        kind: ReduceKind,
-        /// Input buffer(s) with their layouts (two for `dot`).
-        inputs: Vec<(BufId, InputDesc)>,
-        /// Logical range to fold (rank-local after distribution).
-        range: Bounds,
-        /// Scalar slot receiving the rounded result.
-        dst_slot: usize,
-        /// Whether to merge accumulators across all ranks (a folded
-        /// `dmp.allreduce`; the identity when running single-process).
-        allreduce: bool,
-    },
-    /// Function-level scalar arithmetic over scalar slots:
-    /// `slots[dst] = args[0] ⊕ args[1]` (`arith.{addf,subf,mulf,divf}`),
-    /// or `-args[0]` (`arith.negf`, `op = None`). A few flops, so it
-    /// records no span. Its operands are arguments or (allreduced)
-    /// reduction results, identical on every rank, so every rank computes
-    /// the same bits and nothing is broadcast.
-    Scalar {
-        /// The binary operator; `None` negates.
-        op: Option<BinOp>,
-        /// Operand slots: two for a binary operator, one for `negf`.
-        args: Vec<usize>,
-        /// Slot receiving the result.
-        dst: usize,
-    },
-    /// Range copy between buffers (non-forwarded stores).
-    Copy {
-        /// Source buffer.
-        src: BufId,
-        /// Source layout.
-        src_desc: InputDesc,
-        /// Destination buffer.
-        dst: BufId,
-        /// Destination layout.
-        dst_desc: InputDesc,
-        /// Logical range to copy.
-        range: Bounds,
-    },
-}
-
-/// One `dmp.swap` of a [`Pipeline`]: what its
-/// [`Step::SwapBegin`]/[`Step::SwapWait`] pair exchanges, and how the
-/// schedule treats it.
-#[derive(Clone, Debug)]
-pub struct Swap {
-    /// The buffer to exchange.
-    pub buf: BufId,
-    /// Rank topology.
-    pub grid: Vec<i64>,
-    /// Exchange declarations (buffer coordinates).
-    pub exchanges: Vec<ExchangeAttr>,
-    /// The `overlap` marker: hide the exchange behind interior compute.
-    pub overlap: bool,
-    /// Temporal-blocking depth (1 = exchange every step).
-    pub depth: i64,
-}
-
-/// Temporal-blocking metadata attached to a [`Pipeline`] whose single
-/// swap carries `depth=k`: one deep exchange feeds a block of `k`
-/// timesteps. The base `steps` keep the synchronous wide-exchange
-/// schedule (correct at every step, used when no schedule can be built);
-/// the [`Runner`] expands this into the per-phase schedule.
-#[derive(Clone, Debug)]
-pub struct TemporalBlock {
-    /// Steps per exchange block (`k >= 2`).
-    pub depth: i64,
-    /// Per-dimension *per-step* halo read widths on the low/high sides
-    /// (the swap's exchange widths divided by `depth`).
-    pub lo: Vec<i64>,
-    pub hi: Vec<i64>,
-    /// Whether phase 0 overlaps the deep exchange with interior compute
-    /// (the swap's `overlap` marker).
-    pub overlap: bool,
-}
-
-/// What the slot of an `f64` function argument holds until
-/// [`Runner::set_scalar`] writes it: a signalling NaN whose payload no
-/// arithmetic produces. Kept in the slot itself — not beside it — so
-/// a [`RankSnapshot`] carries "set or not" along with the value, in the
-/// same bytes as before, and a restored runner knows as much as the one
-/// the snapshot was taken from.
-pub(crate) const SCALAR_UNSET: u64 = 0x7ff4_756e_7365_7421;
-
-/// A compiled stencil function.
-#[derive(Clone, Debug)]
-pub struct Pipeline {
-    /// The function the pipeline was compiled from.
-    pub name: String,
-    /// Number of buffer arguments the caller must provide.
-    pub num_args: usize,
-    /// Shapes of caller-provided buffers.
-    pub arg_shapes: Vec<Vec<i64>>,
-    /// Shapes of pipeline-allocated intermediates.
-    pub tmp_shapes: Vec<Vec<i64>>,
-    /// Steps in program order.
-    pub steps: Vec<Step>,
-    /// One record per swap (begin/wait pair), indexed by the steps' `id`.
-    pub swaps: Vec<Swap>,
-    /// Number of scalar slots (runtime `f64` arguments plus reduction
-    /// results) the runner must hold.
-    pub num_slots: usize,
-    /// Slot index of each scalar (`f64`) function argument, in argument
-    /// order. Set them per step via [`Runner::set_scalar`].
-    pub scalar_inputs: Vec<usize>,
-    /// Slots returned by `func.return`, in operand order. Read them
-    /// after a step via [`Runner::scalar_outputs`].
-    pub scalar_outputs: Vec<usize>,
-    /// Temporal-blocking block shape, when the function matches the
-    /// deep-halo pattern (`None` = exchange every step).
-    pub temporal: Option<TemporalBlock>,
-}
-
-impl Pipeline {
-    /// The scalar slots of a runner that has not run yet: reduction
-    /// results zero, every `f64` function argument marked "never set".
-    pub fn initial_scalar_slots(&self) -> Vec<f64> {
-        let mut slots = vec![0.0; self.num_slots];
-        for &s in &self.scalar_inputs {
-            slots[s] = f64::from_bits(SCALAR_UNSET);
-        }
-        slots
-    }
-
-    /// Total floating-point ops per executed timestep.
-    pub fn flops_per_step(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Apply { kernel, region, .. } => {
-                    kernel.program.flops as u64 * region.points(&kernel.range) as u64
-                }
-                // One rounded product per point; the exact accumulation
-                // itself is integer limb work.
-                Step::Reduce { kind: ReduceKind::Dot, range, .. } => {
-                    range.num_points().max(0) as u64
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Grid points written per timestep (over all applies; a fused apply
-    /// with several results writes several points per iteration point).
-    pub fn points_per_step(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Apply { kernel, outputs, region, .. } => {
-                    region.points(&kernel.range) as u64 * outputs.len().max(1) as u64
-                }
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Number of apply steps (the "stencil regions" count of §6.2; an
-    /// overlapped apply contributes one interior plus one step per
-    /// boundary shell).
-    pub fn num_apply_steps(&self) -> usize {
-        self.steps.iter().filter(|s| matches!(s, Step::Apply { .. })).count()
-    }
-
-    /// Number of reduction steps, and how many of them rendezvous across
-    /// ranks — the `--timing` reduction report.
-    pub fn num_reduce_steps(&self) -> (usize, usize) {
-        let total = self.steps.iter().filter(|s| matches!(s, Step::Reduce { .. })).count();
-        let global =
-            self.steps.iter().filter(|s| matches!(s, Step::Reduce { allreduce: true, .. })).count();
-        (total, global)
-    }
-
-    /// Whether any exchange is overlapped with interior computation
-    /// (some step separates a begin from its wait, or a temporal block
-    /// overlaps its phase-0 deep exchange).
-    pub fn is_overlapped(&self) -> bool {
-        if self.temporal.as_ref().is_some_and(|t| t.overlap) {
-            return true;
-        }
-        self.steps.iter().enumerate().any(|(i, s)| match s {
-            Step::SwapBegin { id } => !matches!(
-                self.steps.get(i + 1),
-                Some(Step::SwapWait { id: wid }) if wid == id
-            ),
-            _ => false,
-        })
-    }
-
-    /// Elements exchanged per timestep when every neighbour is present.
-    pub fn exchanged_elements_per_step(&self) -> u64 {
-        self.swaps.iter().flat_map(|s| &s.exchanges).map(|e| e.num_elements() as u64).sum()
-    }
-
-    /// Re-specializes every apply kernel (`None` = automatic selection).
-    /// Lets benchmarks and tests pin an executor tier per pipeline
-    /// without touching the process-wide `STEN_EXEC_TIER` override.
-    ///
-    /// Region-split steps (one interior + several boundary shells from
-    /// an overlapped or deep-halo schedule) all derive from one compiled
-    /// apply; they are specialized once and share the resulting tier's
-    /// `Arc`'d program, so the short-row boundary path never rebuilds
-    /// per-shell state. Keyed by the kernel's debug rendering, which
-    /// distinguishes every semantic detail including `-0.0` vs `0.0`
-    /// constants (plain f64 equality would conflate them).
-    pub fn respecialize(&mut self, tier: Option<TierKind>) {
-        let mut cache: HashMap<String, SpecializedKernel> = HashMap::new();
-        for step in &mut self.steps {
-            if let Step::Apply { kernel, .. } = step {
-                let key = format!("{:?}", kernel.kernel);
-                let spec = cache
-                    .entry(key)
-                    .or_insert_with(|| SpecializedKernel::specialize(kernel.kernel.clone(), tier));
-                *kernel = spec.clone();
-            }
-        }
-    }
-
-    /// One line per apply step describing the selected executor tier,
-    /// e.g. `apply#0: template-jit (5 taps, 2 terms; rank 2) [3844 pts]`;
-    /// region-split steps carry their region, e.g. `[interior 3600 pts]`.
-    pub fn tier_summary(&self) -> Vec<String> {
-        self.steps
-            .iter()
-            .filter_map(|s| match s {
-                Step::Apply { kernel, region, .. } => Some(format!(
-                    "{} [{}{} pts]",
-                    kernel.tier_label(),
-                    region.label(),
-                    region.points(&kernel.range)
-                )),
-                _ => None,
-            })
-            .enumerate()
-            .map(|(i, l)| format!("apply#{i}: {l}"))
-            .collect()
-    }
-
-    /// One line per step — the full interior/boundary structure of the
-    /// pipeline, as reported by `sten-opt --timing`.
-    pub fn step_summary(&self) -> Vec<String> {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::Apply { kernel, region, .. } => format!(
-                    "apply {} [{}{} pts]",
-                    kernel.tier_label(),
-                    region.label(),
-                    region.points(&kernel.range)
-                ),
-                Step::SwapBegin { id } => format!(
-                    "swap#{id} begin [{} elems, {} exchanges]",
-                    self.swaps[*id].exchanges.iter().map(ExchangeAttr::num_elements).sum::<i64>(),
-                    self.swaps[*id].exchanges.len()
-                ),
-                Step::SwapWait { id } => format!("swap#{id} wait"),
-                Step::Reduce { kind, range, allreduce, .. } => format!(
-                    "reduce {} [{} pts{}]",
-                    kind.name(),
-                    range.num_points(),
-                    if *allreduce { ", allreduce" } else { "" }
-                ),
-                Step::Scalar { op, .. } => format!("scalar {}", op.map_or("negf", BinOp::name)),
-                Step::Copy { range, .. } => format!("copy [{} pts]", range.num_points()),
-            })
-            .collect()
-    }
-
-    /// Temporal-blocking report for `sten-opt --timing`: the chosen
-    /// depth, message count per block (vs. the every-step schedule), and
-    /// the redundant-compute points the deep block pays for them. Counts
-    /// assume every neighbour is present (interior ranks); boundary
-    /// ranks skip the clamped sides. Empty when the pipeline exchanges
-    /// every step.
-    pub fn temporal_summary(&self) -> Vec<String> {
-        let Some(tb) = &self.temporal else { return Vec::new() };
-        let exchanges = self.swaps.first().map(|s| &s.exchanges);
-        let core = self.steps.iter().find_map(|s| match s {
-            Step::Apply { kernel, .. } => Some(&kernel.range),
-            _ => None,
-        });
-        let (Some(exchanges), Some(core)) = (exchanges, core) else { return Vec::new() };
-        let regions = sten_dmp::deep_phase_regions(core, &tb.lo, &tb.hi, tb.depth);
-        let redundant: i64 =
-            regions.iter().map(|r| (r.num_points() - core.num_points()).max(0)).sum();
-        let msgs = exchanges.len();
-        let elems: i64 = exchanges.iter().map(ExchangeAttr::num_elements).sum();
-        vec![format!(
-            "temporal blocking: depth={}, {} msgs/block ({} at depth=1, same {} elems), \
-             redundant compute {} pts/block ({:.2}% of {} core pts)",
-            tb.depth,
-            msgs,
-            msgs * tb.depth as usize,
-            elems,
-            redundant,
-            100.0 * redundant as f64 / (core.num_points().max(1) * tb.depth) as f64,
-            core.num_points()
-        )]
-    }
-}
-
 /// Executes a [`Pipeline`].
 ///
 /// A runner owns a persistent [`WorkerPool`] (when `threads > 1`):
@@ -540,11 +124,11 @@ pub struct Runner {
     scalar_slots: Vec<f64>,
     exchange: Exchange,
     copy_scratch: Vec<f64>,
-    /// Per-phase step schedules for temporal blocking, built lazily on
-    /// the first distributed step: the phase-region growth is clamped
-    /// per side to directions with a live neighbour, which depends on
-    /// the rank this runner executes as.
-    phase_schedule: Option<Vec<Vec<Step>>>,
+    /// This rank's phases of a temporal block ([`schedule::build`]),
+    /// built on the first distributed step: the deep regions grow only
+    /// toward live neighbours, which depends on the rank this runner
+    /// executes as. `None` runs the pipeline's own steps every step.
+    phases: Option<Vec<Vec<Step>>>,
     /// Main-thread recording lane (disabled unless
     /// [`Runner::with_trace`] attached a sink).
     lane: TraceLane,
@@ -574,7 +158,7 @@ impl Runner {
             scalar_slots,
             exchange,
             copy_scratch: Vec::new(),
-            phase_schedule: None,
+            phases: None,
             lane: TraceLane::disabled(),
             tracer: Tracer::disabled(),
             timestep: 0,
@@ -758,8 +342,10 @@ impl Runner {
                 }
             }
         }
-        if self.pipeline.temporal.is_some() && self.phase_schedule.is_none() && world.is_some() {
-            self.phase_schedule = Some(build_phase_schedule(&self.pipeline, rank)?);
+        let deep = self.pipeline.swaps.iter().any(|s| s.depth > 1);
+        if deep && self.phases.is_none() && world.is_some() {
+            let p = &self.pipeline;
+            self.phases = Some(schedule::build(&p.steps, &p.swaps, Some(rank))?);
         }
         let pipeline = &self.pipeline;
         let tmps = &mut self.tmps;
@@ -769,8 +355,8 @@ impl Runner {
         let exchange = &mut self.exchange;
         let copy_scratch = &mut self.copy_scratch;
         let lane = &mut self.lane;
-        let steps: &[Step] = match &self.phase_schedule {
-            Some(sched) => &sched[(index % sched.len() as u64) as usize],
+        let steps: &[Step] = match &self.phases {
+            Some(phases) => &phases[(index % phases.len() as u64) as usize],
             None => &pipeline.steps,
         };
         let t_step = lane.start();
@@ -779,38 +365,7 @@ impl Runner {
             let t0 = lane.start();
             match step {
                 Step::Apply { kernel, inputs, outputs, region } => {
-                    // Collect raw pointers to sidestep simultaneous
-                    // &/&mut borrows of the args/tmps arrays; inputs and
-                    // outputs never alias (value semantics: applies read
-                    // source buffers and write freshly produced ones).
-                    let input_slices: Vec<&[f64]> = inputs
-                        .iter()
-                        .map(|&b| match b {
-                            BufId::Arg(i) => unsafe {
-                                std::slice::from_raw_parts(args[i].as_ptr(), args[i].len())
-                            },
-                            BufId::Tmp(i) => unsafe {
-                                std::slice::from_raw_parts(tmps[i].as_ptr(), tmps[i].len())
-                            },
-                        })
-                        .collect();
-                    let mut out_slices: Vec<&mut [f64]> = outputs
-                        .iter()
-                        .map(|&b| match b {
-                            BufId::Arg(i) => unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    args[i].as_ptr() as *mut f64,
-                                    args[i].len(),
-                                )
-                            },
-                            BufId::Tmp(i) => unsafe {
-                                std::slice::from_raw_parts_mut(
-                                    tmps[i].as_ptr() as *mut f64,
-                                    tmps[i].len(),
-                                )
-                            },
-                        })
-                        .collect();
+                    let (input_slices, mut out_slices) = views(args, tmps, inputs, outputs);
                     let range = region.bounds(&kernel.range);
                     let kernel_scalars: Vec<f64> =
                         kernel.scalar_args.iter().map(|&s| scalar_slots[s]).collect();
@@ -884,10 +439,11 @@ impl Runner {
                         ));
                     };
                     let swap = &pipeline.swaps[*id];
-                    let (shape, data) = match swap.buf {
-                        BufId::Arg(i) => (&pipeline.arg_shapes[i], &mut args[i]),
-                        BufId::Tmp(i) => (&pipeline.tmp_shapes[i], &mut tmps[i]),
+                    let shape = match swap.buf {
+                        BufId::Arg(i) => &pipeline.arg_shapes[i],
+                        BufId::Tmp(i) => &pipeline.tmp_shapes[i],
                     };
+                    let data = buffer(args, tmps, swap.buf);
                     match step {
                         Step::SwapBegin { .. } => {
                             exchange.begin(world, rank, *id, swap, shape, data, lane)?
@@ -900,10 +456,7 @@ impl Runner {
                         // Self-copy with potentially overlapping layouts:
                         // stage only the ranged elements (not the whole
                         // buffer) through the persistent scratch.
-                        let data: &mut [f64] = match *src {
-                            BufId::Arg(i) => &mut args[i],
-                            BufId::Tmp(i) => &mut tmps[i],
-                        };
+                        let data = buffer(args, tmps, *src);
                         copy_scratch.clear();
                         for_each_row(range, |p, len| {
                             let s = src_desc.flat(p) as usize;
@@ -918,18 +471,8 @@ impl Runner {
                     } else {
                         // Distinct buffers never alias: copy row-by-row
                         // without cloning anything.
-                        let src_data: &[f64] = match *src {
-                            BufId::Arg(i) => unsafe {
-                                std::slice::from_raw_parts(args[i].as_ptr(), args[i].len())
-                            },
-                            BufId::Tmp(i) => unsafe {
-                                std::slice::from_raw_parts(tmps[i].as_ptr(), tmps[i].len())
-                            },
-                        };
-                        let dst_data: &mut [f64] = match *dst {
-                            BufId::Arg(i) => &mut args[i],
-                            BufId::Tmp(i) => &mut tmps[i],
-                        };
+                        let (srcs, mut dsts) = views(args, tmps, &[*src], &[*dst]);
+                        let (src_data, dst_data) = (srcs[0], &mut *dsts[0]);
                         for_each_row(range, |p, len| {
                             let s = src_desc.flat(p) as usize;
                             let d = dst_desc.flat(p) as usize;
@@ -968,6 +511,54 @@ impl Runner {
         lane.span(t_step, || SpanKind::Timestep { index });
         lane.flush();
         Ok(())
+    }
+}
+
+/// The buffer `b` names.
+fn buffer<'a>(args: &'a mut [Vec<f64>], tmps: &'a mut [Vec<f64>], b: BufId) -> &'a mut Vec<f64> {
+    match b {
+        BufId::Arg(i) => &mut args[i],
+        BufId::Tmp(i) => &mut tmps[i],
+    }
+}
+
+/// Views of one step's buffers, held at once: shared views of `reads`
+/// and exclusive views of `writes` (an apply's inputs and outputs, or
+/// the two sides of a copy between distinct buffers).
+///
+/// # Panics
+/// Panics if a buffer in `writes` also appears in `reads` or twice in
+/// `writes`. [`compile_module`] builds no such step: an apply writes
+/// either a fresh temporary per result or, forwarded, a store target
+/// that is none of its inputs and no other result's target.
+fn views<'a>(
+    args: &'a mut [Vec<f64>],
+    tmps: &'a mut [Vec<f64>],
+    reads: &[BufId],
+    writes: &[BufId],
+) -> (Vec<&'a [f64]>, Vec<&'a mut [f64]>) {
+    assert!(
+        writes.iter().enumerate().all(|(i, w)| !reads.contains(w) && !writes[..i].contains(w)),
+        "a step writes a buffer it also reads or writes twice"
+    );
+    let mut raw = |b: BufId| {
+        let v = buffer(args, tmps, b);
+        (v.as_mut_ptr(), v.len())
+    };
+    // SAFETY: every pointer is the live storage of one `Vec` of `args` or
+    // `tmps`, both borrowed exclusively for `'a`, so nothing resizes,
+    // frees or touches them while the views live. Distinct `BufId`s name
+    // distinct `Vec`s, and the assertion above keeps every written buffer
+    // out of every other view: no `&mut` view aliases anything.
+    unsafe {
+        let shared =
+            reads.iter().map(|&b| raw(b)).map(|(p, n)| std::slice::from_raw_parts(p, n)).collect();
+        let exclusive = writes
+            .iter()
+            .map(|&b| raw(b))
+            .map(|(p, n)| std::slice::from_raw_parts_mut(p, n))
+            .collect();
+        (shared, exclusive)
     }
 }
 
@@ -1017,17 +608,12 @@ fn run_apply(
         sc.scalars.clear();
         sc.scalars.extend_from_slice(scalars);
     };
-    let Some(pool) = pool else {
+    let subs = pool.as_ref().map(|p| split_longest_dim(range, p.threads()));
+    let (Some(pool), Some(subs)) = (pool, subs.filter(|s| s.len() > 1)) else {
         set_scalars(scratch);
         kernel.execute_rows(inputs, outs, range, scratch);
         return;
     };
-    let subs = split_longest_dim(range, pool.threads());
-    if subs.len() <= 1 {
-        set_scalars(scratch);
-        kernel.execute_rows(inputs, outs, range, scratch);
-        return;
-    }
     let out_ptrs: Vec<SendPtr> =
         outs.iter_mut().map(|o| SendPtr(o.as_mut_ptr(), o.len())).collect();
     let out_ptrs = &out_ptrs;
@@ -1066,17 +652,11 @@ fn run_reduce(
     range: &Bounds,
     pool: Option<&mut WorkerPool>,
 ) -> Folded {
-    let serial = || {
+    let subs = pool.as_ref().map(|p| split_longest_dim(range, p.threads()));
+    let (Some(pool), Some(subs)) = (pool, subs.filter(|s| s.len() > 1)) else {
         let (acc, escaped) = reduce_partial(kind, inputs, range);
-        Folded { acc, chunks: 1, escaped }
+        return Folded { acc, chunks: 1, escaped };
     };
-    let Some(pool) = pool else {
-        return serial();
-    };
-    let subs = split_longest_dim(range, pool.threads());
-    if subs.len() <= 1 {
-        return serial();
-    }
     // One slot per chunk, each borrowed by exactly one job.
     let mut partials = vec![(ReduceAcc::new(kind), 0); subs.len()];
     let jobs: Vec<Job> = subs
@@ -1176,18 +756,13 @@ pub fn compile_module_tiered(
     // Which apply results are store-forwarded.
     let counts = module.op.use_counts();
     let mut forwarded: HashMap<Value, Value> = HashMap::new();
-    for op in &block.ops {
-        if op.name == "stencil.store" {
-            let temp = op.operand(0);
-            if counts.get(&temp).copied().unwrap_or(0) == 1 {
-                if let Type::Temp(t) = module.values.ty(temp) {
-                    if let Some(b) = &t.bounds {
-                        if *b == sten_stencil::ops::StoreOp(op).range() {
-                            forwarded.insert(temp, op.operand(1));
-                        }
-                    }
-                }
-            }
+    for op in block.ops.iter().filter(|op| op.name == "stencil.store") {
+        let temp = op.operand(0);
+        let range = sten_stencil::ops::StoreOp(op).range();
+        let whole =
+            matches!(module.values.ty(temp), Type::Temp(t) if t.bounds.as_ref() == Some(&range));
+        if whole && counts.get(&temp) == Some(&1) {
+            forwarded.insert(temp, op.operand(1));
         }
     }
 
@@ -1253,20 +828,29 @@ pub fn compile_module_tiered(
                         return Err("apply result is not a temp".into());
                     };
                     let b = t.bounds.clone().ok_or("apply result bounds unknown")?;
-                    if let Some(&field) = forwarded.get(&r) {
-                        let (id, desc) =
-                            bufs.get(&field).cloned().ok_or("forward to unknown field")?;
-                        output_ids.push(id);
-                        output_descs.push(desc.clone());
-                        bufs.insert(r, (id, desc));
-                    } else {
-                        let desc = InputDesc::new(b.shape(), b.lower());
-                        let id = BufId::Tmp(tmp_shapes.len());
-                        tmp_shapes.push(desc.shape.clone());
-                        output_ids.push(id);
-                        output_descs.push(desc.clone());
-                        bufs.insert(r, (id, desc));
-                    }
+                    let target = forwarded
+                        .get(&r)
+                        .map(|f| bufs.get(f).cloned().ok_or("forward to unknown field"))
+                        .transpose()?;
+                    // Forward only into a field the apply neither reads
+                    // nor writes through another result: writing what it
+                    // still reads would overwrite cells it has yet to read.
+                    let (id, desc) = match target {
+                        Some((id, desc))
+                            if !input_ids.contains(&id) && !output_ids.contains(&id) =>
+                        {
+                            (id, desc)
+                        }
+                        _ => {
+                            forwarded.remove(&r);
+                            let desc = InputDesc::new(b.shape(), b.lower());
+                            tmp_shapes.push(desc.shape.clone());
+                            (BufId::Tmp(tmp_shapes.len() - 1), desc)
+                        }
+                    };
+                    output_ids.push(id);
+                    output_descs.push(desc.clone());
+                    bufs.insert(r, (id, desc));
                 }
                 let kernel = compile_apply(
                     op,
@@ -1371,12 +955,10 @@ pub fn compile_module_tiered(
             other => return Err(format!("unsupported op at function level: {other}")),
         }
     }
-    // Temporal blocking: when the step sequence matches the deep-halo
-    // pattern, keep the synchronous base steps (correct fallback: a wide
-    // exchange every step) and record the block shape for the Runner.
-    // Otherwise apply the within-step overlap rewrite as usual.
-    let temporal = detect_temporal(&steps, &swaps);
-    let steps = if temporal.is_some() { steps } else { overlap_steps(steps, &swaps) };
+    // Without a rank the schedule is one phase: the overlapped order at
+    // depth 1, the synchronous wide exchange of a deep block (each
+    // runner expands it into its rank's phases).
+    let steps = schedule::build(&steps, &swaps, None)?.swap_remove(0);
     Ok(Pipeline {
         name: func.to_string(),
         num_args,
@@ -1387,181 +969,7 @@ pub fn compile_module_tiered(
         num_slots,
         scalar_inputs,
         scalar_outputs,
-        temporal,
     })
-}
-
-/// Pattern-matches a compiled step sequence against the temporal-blocking
-/// shape: exactly one `depth>1` swap followed by one full apply that
-/// reads the exchanged buffer and writes only *argument* buffers (the
-/// store-forwarded ping-pong — deep phases write outside the core, which
-/// only the widened field buffers can hold). Returns the block metadata
-/// or `None` (the synchronous wide-exchange schedule stays correct).
-fn detect_temporal(steps: &[Step], swaps: &[Swap]) -> Option<TemporalBlock> {
-    let [Swap { buf, exchanges, overlap, depth, .. }] = swaps else { return None };
-    let depth = *depth;
-    if depth <= 1 {
-        return None;
-    }
-    let [Step::SwapBegin { .. }, Step::SwapWait { .. }, Step::Apply { kernel, inputs, outputs, region: ApplyRegion::Full }] =
-        steps
-    else {
-        return None;
-    };
-    if !inputs.contains(buf) || outputs.iter().any(|o| matches!(o, BufId::Tmp(_))) {
-        return None;
-    }
-    let rank = kernel.range.rank();
-    let (lo, hi) = sten_dmp::halo_widths(exchanges, rank).ok()?;
-    // The exchange carries the full k·r block width; the per-phase step
-    // width is the depth-th part.
-    if lo.iter().chain(&hi).any(|w| w % depth != 0) {
-        return None;
-    }
-    let lo: Vec<i64> = lo.iter().map(|w| w / depth).collect();
-    let hi: Vec<i64> = hi.iter().map(|w| w / depth).collect();
-    if lo.iter().chain(&hi).all(|&w| w == 0) {
-        return None;
-    }
-    Some(TemporalBlock { depth, lo, hi, overlap: *overlap })
-}
-
-/// Expands a temporal-blocking pipeline into its per-phase schedules for
-/// one rank. Phase 0 runs the deep exchange (optionally overlapped via
-/// the usual interior/shell split, now with `k·r` widths); phases `1..k`
-/// run a single exchange-free apply over the shrinking onion regions.
-/// Growth is clamped per dimension side to directions that both exchange
-/// and have a live neighbour — growing toward a physical boundary would
-/// read unexchanged cells and clobber fixed boundary data.
-fn build_phase_schedule(p: &Pipeline, rank: i64) -> Result<Vec<Vec<Step>>, String> {
-    use sten_dmp::decomposition::neighbor_rank;
-    let tb = p.temporal.as_ref().expect("temporal metadata");
-    let [Step::SwapBegin { id }, Step::SwapWait { .. }, apply @ Step::Apply { kernel, .. }] =
-        &p.steps[..]
-    else {
-        return Err("temporal pipeline must be swap-begin, swap-wait, apply".into());
-    };
-    let swap = &p.swaps[*id];
-    let core = &kernel.range;
-    let dims = core.rank();
-    let mut step_lo = vec![0i64; dims];
-    let mut step_hi = vec![0i64; dims];
-    for e in &swap.exchanges {
-        let nonzero: Vec<usize> = (0..e.to.len()).filter(|&d| e.to[d] != 0).collect();
-        let [d] = nonzero[..] else { continue }; // corners follow their faces
-        if d >= dims || neighbor_rank(rank, &swap.grid, &e.to)?.is_none() {
-            continue;
-        }
-        if e.to[d] < 0 {
-            step_lo[d] = tb.lo[d];
-        } else {
-            step_hi[d] = tb.hi[d];
-        }
-    }
-    let regions = sten_dmp::deep_phase_regions(core, &step_lo, &step_hi, tb.depth);
-    let mut schedule = Vec::with_capacity(regions.len());
-    for (j, region) in regions.into_iter().enumerate() {
-        if j > 0 {
-            schedule.push(vec![restrict(apply, ApplyRegion::Phase(j, region))]);
-            continue;
-        }
-        // Phase 0 owns the deep exchange. With the overlap marker the
-        // usual four-phase split applies, with the full k·r widths: the
-        // interior is exactly the points whose footprint stays in owned
-        // data while the deep messages are in flight.
-        let deep_lo: Vec<i64> = step_lo.iter().map(|w| w * tb.depth).collect();
-        let deep_hi: Vec<i64> = step_hi.iter().map(|w| w * tb.depth).collect();
-        let split = sten_dmp::HaloRegionSplit::compute(&region, &deep_lo, &deep_hi);
-        schedule.push(if tb.overlap && split.is_splittable() {
-            split_around(&[*id], apply, &split)
-        } else {
-            let phase = restrict(apply, ApplyRegion::Phase(0, region));
-            vec![Step::SwapBegin { id: *id }, Step::SwapWait { id: *id }, phase]
-        });
-    }
-    Ok(schedule)
-}
-
-/// Rewrites overlap-marked exchanges into the four-phase step order:
-/// a run of adjacent begin/wait pairs immediately followed by an apply
-/// that reads every swapped buffer becomes [`split_around`] that apply,
-/// split by [`sten_dmp::HaloRegionSplit`]. Unmarked or unsplittable
-/// swaps keep the synchronous pair.
-fn overlap_steps(steps: Vec<Step>, swaps: &[Swap]) -> Vec<Step> {
-    let mut out = Vec::with_capacity(steps.len());
-    let mut i = 0;
-    while i < steps.len() {
-        // A maximal run of adjacent overlap-marked begin/wait pairs.
-        let mut ids: Vec<usize> = Vec::new();
-        while let [Step::SwapBegin { id }, Step::SwapWait { id: w }, ..] =
-            &steps[i + 2 * ids.len()..]
-        {
-            if id != w || !swaps[*id].overlap {
-                break;
-            }
-            ids.push(*id);
-        }
-        if ids.is_empty() {
-            out.push(steps[i].clone());
-            i += 1;
-            continue;
-        }
-        let j = i + 2 * ids.len();
-        let split = match &steps.get(j) {
-            Some(Step::Apply { kernel, inputs, region: ApplyRegion::Full, .. }) => {
-                let rank = kernel.range.rank();
-                let mut lo = vec![0i64; rank];
-                let mut hi = vec![0i64; rank];
-                let mut feeds_apply = true;
-                for swap in ids.iter().map(|&id| &swaps[id]) {
-                    feeds_apply &= inputs.contains(&swap.buf);
-                    // Malformed exchanges (verifier territory) simply
-                    // keep the pair synchronous.
-                    let Ok((l, h)) = sten_dmp::halo_widths(&swap.exchanges, rank) else {
-                        feeds_apply = false;
-                        continue;
-                    };
-                    for d in 0..rank {
-                        lo[d] = lo[d].max(l[d]);
-                        hi[d] = hi[d].max(h[d]);
-                    }
-                }
-                let split = sten_dmp::HaloRegionSplit::compute(&kernel.range, &lo, &hi);
-                (feeds_apply && split.is_splittable()).then_some(split)
-            }
-            _ => None,
-        };
-        let Some(split) = split else {
-            // Unsplittable: keep the first pair synchronous and rescan.
-            out.extend_from_slice(&steps[i..i + 2]);
-            i += 2;
-            continue;
-        };
-        out.extend(split_around(&ids, &steps[j], &split));
-        i = j + 1;
-    }
-    out
-}
-
-/// The overlapped order of the swaps `ids` around the apply they feed:
-/// every begin, the interior, every wait, then one step per non-empty
-/// boundary shell of `split`.
-fn split_around(ids: &[usize], apply: &Step, split: &sten_dmp::HaloRegionSplit) -> Vec<Step> {
-    let mut out: Vec<Step> = ids.iter().map(|&id| Step::SwapBegin { id }).collect();
-    out.push(restrict(apply, ApplyRegion::Interior(split.interior.clone())));
-    out.extend(ids.iter().map(|&id| Step::SwapWait { id }));
-    for shell in split.shells.iter().filter(|s| s.bounds.num_points() > 0) {
-        out.push(restrict(apply, ApplyRegion::Boundary(shell.dir.clone(), shell.bounds.clone())));
-    }
-    out
-}
-
-/// `apply` (a [`Step::Apply`]) restricted to `region`.
-fn restrict(apply: &Step, region: ApplyRegion) -> Step {
-    let Step::Apply { kernel, inputs, outputs, .. } = apply else {
-        unreachable!("only an apply step has a region")
-    };
-    Step::Apply { kernel: kernel.clone(), inputs: inputs.clone(), outputs: outputs.clone(), region }
 }
 
 #[cfg(test)]
@@ -1600,6 +1008,44 @@ mod tests {
             )
             .unwrap();
         assert_eq!(args[1], dst.to_vec(), "compiled == interpreted, bit for bit");
+    }
+
+    /// A store into the field its own apply reads (`load %u → apply →
+    /// store → %u`) cannot be forwarded: the apply would overwrite cells
+    /// it still reads. It runs through a temporary and a copy, and every
+    /// tier agrees with the interpreter.
+    #[test]
+    fn an_in_place_store_matches_the_interpreter_on_every_tier() {
+        let n = 16i64;
+        let mut m = samples::jacobi_1d(n);
+        let f = m.lookup_symbol_mut("jacobi").unwrap();
+        let src = f.region_block(0).args[0];
+        let store = f.region_block_mut(0).ops.iter_mut().find(|o| o.name == "stencil.store");
+        store.unwrap().operands[1] = src;
+        let m = prepare(m);
+
+        let u: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * (i % 5) as f64).collect();
+        let v = vec![0.0; n as usize];
+        let want = sten_interp::BufView::from_data(vec![n], u.clone());
+        sten_interp::Interpreter::new(&m)
+            .call_function(
+                "jacobi",
+                vec![
+                    sten_interp::RtValue::Buffer(want.clone()),
+                    sten_interp::RtValue::Buffer(sten_interp::BufView::from_data(
+                        vec![n],
+                        v.clone(),
+                    )),
+                ],
+            )
+            .unwrap();
+        for tier in TierKind::ALL {
+            let p = compile_module_tiered(&m, "jacobi", Some(tier)).unwrap();
+            assert_eq!(p.tmp_shapes.len(), 1, "{tier:?}: the result goes through a temporary");
+            let mut args = vec![u.clone(), v.clone()];
+            Runner::new(p, 1).step(&mut args).unwrap();
+            assert_eq!(args[0], want.to_vec(), "{tier:?} != interpreter");
+        }
     }
 
     #[test]
@@ -2108,116 +1554,6 @@ mod tests {
             assert_eq!(runner.timestep, fresh.timestep);
             assert_eq!(runner.snapshot(&args), baseline);
         }
-    }
-
-    /// What a rank runs at each timestep of `p`'s schedule.
-    fn rank_phases(p: &Pipeline, rank: i64) -> Vec<Vec<Step>> {
-        if p.temporal.is_some() {
-            build_phase_schedule(p, rank).unwrap()
-        } else {
-            vec![p.steps.clone()]
-        }
-    }
-
-    /// One line per step of a schedule, apply regions with their bounds.
-    fn render_steps(steps: &[Step]) -> String {
-        let mut out = String::new();
-        for s in steps {
-            let line = match s {
-                Step::Apply { kernel, region, .. } => {
-                    format!("apply {}{:?}", region.label(), region.bounds(&kernel.range).0)
-                }
-                Step::SwapBegin { id } => format!("swap#{id} begin"),
-                Step::SwapWait { id } => format!("swap#{id} wait"),
-                Step::Reduce { kind, range, allreduce, .. } => {
-                    format!("reduce {} {:?} allreduce={allreduce}", kind.name(), range.0)
-                }
-                Step::Scalar { op, .. } => format!("scalar {}", op.map_or("negf", BinOp::name)),
-                Step::Copy { range, .. } => format!("copy {:?}", range.0),
-            };
-            out += &format!("      {line}\n");
-        }
-        out
-    }
-
-    /// `name` compiled from `m` after `dist`, rendered: the step summary,
-    /// the temporal summary, and every phase of every rank in `ranks`.
-    fn render_schedules(
-        name: &str,
-        mut m: Module,
-        func: &str,
-        dist: sten_dmp::DistributeStencil,
-        ranks: &[i64],
-    ) -> String {
-        ShapeInference.run(&mut m).unwrap();
-        dist.run(&mut m).unwrap();
-        ShapeInference.run(&mut m).unwrap();
-        let p = compile_module(&m, func).unwrap();
-        let mut out = format!("== {name}: overlapped={}\n", p.is_overlapped());
-        for line in p.step_summary().iter().chain(&p.temporal_summary()) {
-            out += &format!("  {line}\n");
-        }
-        for &rank in ranks {
-            for (j, phase) in rank_phases(&p, rank).iter().enumerate() {
-                out += &format!("  rank {rank} phase {j}:\n{}", render_steps(phase));
-            }
-        }
-        out
-    }
-
-    /// Every schedule shape the executor builds, pinned step by step:
-    /// depth 1 sync and overlapped, depth 2 and 4 on boundary and
-    /// interior ranks, a deep 2-D block with corners, one apply fed by
-    /// three adjacent swaps, and a CG iteration with reductions.
-    #[test]
-    fn schedules_are_pinned() {
-        use sten_dmp::{DistributeStencil as D, HaloDepth};
-        let mut got = String::new();
-        for overlap in [false, true] {
-            got += &render_schedules(
-                &format!("heat-2d 2x2 overlap={overlap}"),
-                samples::heat_2d(16, 0.1),
-                "heat",
-                D::new(vec![2, 2]).with_overlap(overlap),
-                &[0, 1, 2, 3],
-            );
-        }
-        for depth in [2, 4] {
-            for overlap in [false, true] {
-                got += &render_schedules(
-                    &format!("jacobi-1d 4 ranks depth={depth} overlap={overlap}"),
-                    samples::jacobi_1d(32),
-                    "jacobi",
-                    D::new(vec![4]).with_overlap(overlap).with_depth(HaloDepth::Fixed(depth)),
-                    &[0, 1, 2, 3],
-                );
-            }
-        }
-        got += &render_schedules(
-            "heat-2d 2x2 depth=2 diagonals overlap=true",
-            samples::heat_2d(16, 0.1),
-            "heat",
-            D::new(vec![2, 2])
-                .with_overlap(true)
-                .with_diagonals(true)
-                .with_depth(HaloDepth::Fixed(2)),
-            &[0, 1, 2, 3],
-        );
-        got += &render_schedules(
-            "pw_advection 2x2 overlap=true",
-            sten_psyclone::kernels::pw_advection(8, 8, 4).unwrap().module,
-            "pw_advection",
-            D::new(vec![2, 2]).with_overlap(true),
-            &[0, 1, 2, 3],
-        );
-        got += &render_schedules(
-            "cg_iter rank 1 of 2 overlap=true",
-            samples::cg(24, 0.25),
-            "cg_iter",
-            D::new(vec![2]).for_rank(1).with_overlap(true),
-            &[1],
-        );
-        assert_eq!(got, include_str!("../tests/data/schedule_pins.txt"));
     }
 
     #[test]

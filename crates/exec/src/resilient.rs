@@ -17,7 +17,8 @@
 //!
 //! [`FaultAction::RankCrash`]: sten_interp::FaultAction::RankCrash
 
-use crate::pipeline::{ExecError, Pipeline, Runner};
+use crate::pipeline::{ExecError, Runner};
+use crate::step::Pipeline;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -519,7 +520,8 @@ pub fn run_resilient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{compile_module, SCALAR_UNSET};
+    use crate::pipeline::compile_module;
+    use crate::step::SCALAR_UNSET;
     use sten_interp::{FaultAction, Layout};
     use sten_ir::Pass as _;
     use sten_stencil::{samples, ShapeInference};

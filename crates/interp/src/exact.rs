@@ -223,6 +223,12 @@ impl Lanes for Portable {
 }
 
 /// Explicit AVX2 lanes (two `__m256d` halves); no FMA contraction.
+///
+/// These stay hand-written: portable `[f64; 8]` lanes under
+/// `#[target_feature(enable = "avx2")]`, in place of both `Lanes` impls
+/// (this and `sten_exec::jit`'s), were bit-identical but slower in
+/// paired e2e_bench runs on a 2-core AVX2 Xeon: `cg-2r` 44–47 ms against
+/// 35–37 ms (4 pairs), `heat3d-serial` +10 % (6 pairs, seed 3, won 1).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{Lanes, ABS_MASK, LANES};

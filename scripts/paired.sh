@@ -44,7 +44,10 @@ CARGO_TARGET_DIR="$TMP/target" cargo build --release --quiet \
 CARGO_TARGET_DIR="$CHANGE_TARGET" cargo build --release --quiet \
     --manifest-path e2e_bench/Cargo.toml
 
-exec python3 - "$TMP/src" "$TMP/target" "$CHANGE_TARGET" "$WORKLOAD" "$PAIRS" "$SEED" <<'EOF'
+# Not `exec`: the shell must outlive python for the EXIT trap to remove
+# $TMP (the parent's export and its e2e_bench build).
+status=0
+python3 - "$TMP/src" "$TMP/target" "$CHANGE_TARGET" "$WORKLOAD" "$PAIRS" "$SEED" <<'EOF' || status=$?
 import json, os, statistics, subprocess, sys
 
 parent_dir, parent_target, change_target, workload, pairs, seed = sys.argv[1:]
@@ -112,3 +115,4 @@ for m in metrics:
 print(f"failed runs: {failures}")
 sys.exit(1 if failures or worse else 0)
 EOF
+exit "$status"

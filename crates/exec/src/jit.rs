@@ -5,7 +5,7 @@
 //! taps are loaded into registers, combined in registers, and stored
 //! once. This tier does the same for every *affine* kernel (each
 //! multiplication has a coefficient operand — a constant, or a runtime
-//! scalar); everything else runs on the opt-bytecode fallback (see
+//! scalar); everything else runs on the `eval` fallback (see
 //! [`crate::specialize`]).
 //!
 //! True runtime codegen needs a backend (cranelift) this repo cannot
@@ -37,8 +37,8 @@
 //! scaled tap), CG's `axpy` (`a + α·b`, α a function argument) as a
 //! 2-tap chain with one late-bound coefficient. Kernels outside the grammar (`Index`
 //! terms, negation or division, `load · load`, arithmetic between
-//! coefficients, nesting deeper than two levels) stay on the
-//! opt-bytecode tier — tier selection is a pure win-or-fall-back, and
+//! coefficients, nesting deeper than two levels) stay on the `eval`
+//! tier — tier selection is a pure win-or-fall-back, and
 //! [`match_template`] names the first construct that caused the fall.
 //!
 //! **Binding.** A runtime scalar is a constant that arrives late: the
@@ -627,7 +627,7 @@ impl Matcher {
 /// every output must be an affine function of its loads — coefficients
 /// being constants or runtime scalars — in the two-level fold shape of
 /// the module docs. On the first construct outside the grammar it
-/// returns that construct's name, and the caller stays on opt-bytecode.
+/// returns that construct's name, and the caller stays on `eval`.
 pub(crate) fn match_template(opt: &OptProgram) -> Result<JitProgram, Reject> {
     if opt.outputs.is_empty() {
         return Err("no outputs");
@@ -1179,7 +1179,7 @@ impl JitProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::specialize::{SpecializedKernel, Tier, TierKind};
+    use crate::specialize::{SpecializedKernel, TierKind};
 
     fn heat_jit() -> SpecializedKernel {
         let mut m = sten_stencil::samples::heat_2d(16, 0.1);
@@ -1195,7 +1195,7 @@ mod tests {
     fn heat_matches_term_template() {
         let spec = heat_jit();
         assert_eq!(spec.tier_kind(), TierKind::TemplateJit);
-        let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
+        let Some(jit) = &spec.jit else { panic!() };
         // heat-2d: `c + s·(((u+d)+(l+r)) − k·c)` — one plain term plus
         // one scaled group. The group's left spine linearizes through
         // the leading tap pair: [tap, tap, pair, scaled tap], preserving
@@ -1230,7 +1230,6 @@ mod tests {
             scalar_regs: vec![],
             num_regs: 2 * n - 1,
             outputs: vec![2 * n - 2],
-            has_index: false,
             rel_bounds: vec![Some((0, n as i64 - 1))],
         }
     }
@@ -1261,7 +1260,6 @@ mod tests {
             scalar_regs: vec![0],
             num_regs,
             outputs: vec![out],
-            has_index: false,
             rel_bounds: vec![Some((0, 1))],
         };
         match_template(&opt).map(|_| ()).unwrap_err()
@@ -1312,7 +1310,7 @@ mod tests {
     #[test]
     fn shape_label_reports_chain_and_terms() {
         let spec = heat_jit();
-        let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
+        let Some(jit) = &spec.jit else { panic!() };
         assert_eq!(jit.shape_label(), "2 terms");
         let labels: Vec<String> = row_cases()
             .iter()
@@ -1372,7 +1370,6 @@ mod tests {
                 scalar_regs: self.scalar_regs,
                 num_regs: self.regs,
                 outputs: vec![out],
-                has_index: false,
                 rel_bounds: vec![self.rels],
             }
         }

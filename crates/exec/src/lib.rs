@@ -9,10 +9,12 @@
 //!   per grid point (consumed by `sten-perf` to compute arithmetic
 //!   intensities from *real* IR rather than hand-waved estimates);
 //! * [`specialize`] — the kernel specialization engine: compiles each
-//!   [`program::KernelProgram`] into one of three executor tiers at
+//!   [`program::KernelProgram`] into one of two executor tiers at
 //!   pipeline-build time — `template-jit` for every affine kernel,
-//!   `opt-bytecode` as the fallback, `eval` as the reference — each
-//!   bit-for-bit identical to the reference interpreter;
+//!   `eval` (the bytecode interpreter) as the reference and the fallback
+//!   for the rest — bit-for-bit identical to each other. Both tiers, the
+//!   copies, the reductions and the halo pack/unpack walk their ranges
+//!   through one row walker, `program::for_each_row`;
 //! * [`jit`] — the template-JIT tier: its matcher over the optimized
 //!   bytecode and its catalog of monomorphized fused micro-kernels
 //!   (const-generic tap chains, two-level fold templates,
@@ -66,5 +68,5 @@ pub use program::{split_longest_dim, BinOp, CompiledKernel, ExecScratch, Instr, 
 pub use resilient::{
     run_resilient, CheckpointStore, RankSnapshot, ResilientConfig, ResilientReport,
 };
-pub use specialize::{SpecializedKernel, Tier, TierKind};
+pub use specialize::{SpecializedKernel, TierKind};
 pub use step::{ApplyRegion, BufId, Pipeline, Step};

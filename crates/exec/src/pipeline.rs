@@ -13,13 +13,14 @@
 use crate::exchange::Exchange;
 use crate::pool::{Job, WorkerPool};
 use crate::program::{
-    compile_apply, rematerialize_outs, split_longest_dim, BinOp, ExecScratch, InputDesc, SendPtr,
+    compile_apply, for_each_row, rematerialize_outs, split_longest_dim, BinOp, ExecScratch,
+    InputDesc, SendPtr,
 };
 use crate::resilient::RankSnapshot;
 use crate::schedule;
 use crate::specialize::{SpecializedKernel, TierKind};
 use crate::step::{ApplyRegion, BufId, Pipeline, Step, Swap, SCALAR_UNSET};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use sten_interp::{FaultAction, MpiError, RankPanic, ReduceAcc, ReduceKind, SimWorld};
 use sten_ir::{Attribute, Bounds, ExchangeAttr, Module, Type, Value};
@@ -562,35 +563,6 @@ fn views<'a>(
     }
 }
 
-/// Drives `row(point, len)` over every stride-1 row of `range` (the
-/// row-start coordinate and the contiguous row length). Both buffers of a
-/// [`Step::Copy`] are row-major with unit stride in the last dimension,
-/// so ranged copies move whole rows at a time.
-pub(crate) fn for_each_row(range: &Bounds, mut row: impl FnMut(&[i64], usize)) {
-    let rank = range.rank();
-    if rank == 0 || range.num_points() <= 0 {
-        return;
-    }
-    let last = rank - 1;
-    let len = (range.0[last].1 - range.0[last].0) as usize;
-    let mut p = range.lower();
-    loop {
-        row(&p, len);
-        let mut d = last;
-        loop {
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-            p[d] += 1;
-            if p[d] < range.0[d].1 {
-                break;
-            }
-            p[d] = range.0[d].0;
-        }
-    }
-}
-
 /// Executes one apply step over `range` (the step's region — the full
 /// kernel range, the interior core, or one boundary shell): serially
 /// (reusing the runner's scratch) when there is no pool, else chunked
@@ -766,7 +738,17 @@ pub fn compile_module_tiered(
         }
     }
 
+    let copied_loads = loads_to_copy(block);
     let mut tmp_shapes: Vec<Vec<i64>> = Vec::new();
+    let mut new_tmp = |b: &Bounds| {
+        let desc = InputDesc::new(b.shape(), b.lower());
+        tmp_shapes.push(desc.shape.clone());
+        (BufId::Tmp(tmp_shapes.len() - 1), desc)
+    };
+    let temp_bounds = |v: Value| match module.values.ty(v) {
+        Type::Temp(t) => t.bounds.clone().ok_or("load or apply result bounds unknown"),
+        _ => Err("load or apply result is not a temp"),
+    };
     let mut steps = Vec::new();
     let mut scalar_consts: HashMap<Value, f64> = HashMap::new();
     let mut scalar_outputs: Vec<usize> = Vec::new();
@@ -780,8 +762,24 @@ pub fn compile_module_tiered(
                 }
             }
             "stencil.load" | "stencil.buffer" => {
-                let parent = bufs.get(&op.operand(0)).cloned().ok_or("load from unknown buffer")?;
-                bufs.insert(op.result(0), parent);
+                let (src, src_desc) =
+                    bufs.get(&op.operand(0)).cloned().ok_or("load from unknown buffer")?;
+                // A load aliases its field, unless it needs its own copy.
+                let view = if copied_loads.contains(&op.result(0)) {
+                    let range = temp_bounds(op.result(0))?;
+                    let (dst, dst_desc) = new_tmp(&range);
+                    steps.push(Step::Copy {
+                        src,
+                        src_desc,
+                        dst,
+                        dst_desc: dst_desc.clone(),
+                        range,
+                    });
+                    (dst, dst_desc)
+                } else {
+                    (src, src_desc)
+                };
+                bufs.insert(op.result(0), view);
             }
             "stencil.cast" => {
                 let (id, _) = bufs.get(&op.operand(0)).cloned().ok_or("cast of unknown")?;
@@ -824,10 +822,7 @@ pub fn compile_module_tiered(
                 let mut output_ids = Vec::new();
                 let mut output_descs = Vec::new();
                 for &r in &op.results {
-                    let Type::Temp(t) = module.values.ty(r) else {
-                        return Err("apply result is not a temp".into());
-                    };
-                    let b = t.bounds.clone().ok_or("apply result bounds unknown")?;
+                    let b = temp_bounds(r)?;
                     let target = forwarded
                         .get(&r)
                         .map(|f| bufs.get(f).cloned().ok_or("forward to unknown field"))
@@ -843,9 +838,7 @@ pub fn compile_module_tiered(
                         }
                         _ => {
                             forwarded.remove(&r);
-                            let desc = InputDesc::new(b.shape(), b.lower());
-                            tmp_shapes.push(desc.shape.clone());
-                            (BufId::Tmp(tmp_shapes.len() - 1), desc)
+                            new_tmp(&b)
                         }
                     };
                     output_ids.push(id);
@@ -972,6 +965,42 @@ pub fn compile_module_tiered(
     })
 }
 
+/// The `stencil.load`s whose field is written while they are live. The
+/// interpreter loads by value, while a compiled load aliases its field's
+/// buffer, so such a load would read the new values; it gets a copy. A
+/// store writes its field from the op that produced the stored temp (an
+/// apply whose result is forwarded into the field) to the store itself.
+fn loads_to_copy(block: &sten_ir::Block) -> HashSet<Value> {
+    let mut field: HashMap<Value, Value> = block.args.iter().map(|&a| (a, a)).collect();
+    let mut def: HashMap<Value, usize> = HashMap::new();
+    let mut last_use: HashMap<Value, usize> = HashMap::new();
+    let mut writes = Vec::new();
+    for (i, op) in block.ops.iter().enumerate() {
+        last_use.extend(op.operands.iter().map(|&v| (v, i)));
+        def.extend(op.results.iter().map(|&v| (v, i)));
+        match op.name.as_str() {
+            "stencil.cast" => {
+                if let Some(&f) = field.get(&op.operand(0)) {
+                    field.insert(op.result(0), f);
+                }
+            }
+            "stencil.store" => {
+                let from = def.get(&op.operand(0)).copied().unwrap_or(i);
+                writes.push((field.get(&op.operand(1)).copied(), from, i));
+            }
+            _ => {}
+        }
+    }
+    let loads = block.ops.iter().enumerate().filter(|(_, op)| op.name == "stencil.load");
+    loads
+        .filter_map(|(i, op)| {
+            let (f, end) = (field.get(&op.operand(0)).copied()?, last_use.get(&op.result(0))?);
+            let live = |&(g, from, to): &(_, usize, usize)| g == Some(f) && from < *end && to > i;
+            writes.iter().any(live).then_some(op.result(0))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1045,6 +1074,64 @@ mod tests {
             let mut args = vec![u.clone(), v.clone()];
             Runner::new(p, 1).step(&mut args).unwrap();
             assert_eq!(args[0], want.to_vec(), "{tier:?} != interpreter");
+        }
+    }
+
+    /// `load u; load v; apply(u) → store v; apply(v) → store u`: the
+    /// interpreter loads by value, so the second apply reads the `v` from
+    /// before the first store. The load of `v` is live across that store,
+    /// so it is copied into a temporary; the load of `u` is not.
+    #[test]
+    fn a_load_live_across_a_store_into_its_field_matches_the_interpreter() {
+        let (f, t) = ("!stencil.field<[0,16]xf64>", "!stencil.temp<?xf64>");
+        let apply = |res: u32, src: u32, op: &str| {
+            let [a, l, r, v] = [res + 1, res + 2, res + 3, res + 4];
+            format!(
+                r#"    %{res} = "stencil.apply"(%{src}) ({{
+    ^bb0(%{a}: {t}):
+      %{l} = "stencil.access"(%{a}) {{offset = dense<[-1]>}} : ({t}) -> (f64)
+      %{r} = "stencil.access"(%{a}) {{offset = dense<[1]>}} : ({t}) -> (f64)
+      %{v} = "arith.{op}"(%{l}, %{r}) : (f64, f64) -> (f64)
+      "stencil.return"(%{v}) : (f64) -> ()
+    }}) : ({t}) -> ({t})
+"#
+            )
+        };
+        let store = |src: u32, dst: u32| {
+            format!(
+                r#"    "stencil.store"(%{src}, %{dst}) {{lb = dense<[1]>, ub = dense<[15]>}} : ({t}, {f}) -> ()
+"#
+            )
+        };
+        let text = format!(
+            r#""builtin.module"() ({{
+  "func.func"() {{function_type = ({f}, {f}) -> (), sym_name = "probe"}} ({{
+  ^bb0(%0: {f}, %1: {f}):
+    %2 = "stencil.load"(%0) : ({f}) -> ({t})
+    %3 = "stencil.load"(%1) : ({f}) -> ({t})
+{}{}{}{}    "func.return"() : () -> ()
+  }}) : () -> ()
+}}) : () -> ()
+"#,
+            apply(4, 2, "addf"),
+            store(4, 1),
+            apply(9, 3, "subf"),
+            store(9, 0),
+        );
+        let m = prepare(sten_ir::parse_module(&text).unwrap());
+
+        let u: Vec<f64> = (0..16).map(|i| (i as f64 * 0.37).sin()).collect();
+        let v: Vec<f64> = (0..16).map(|i| (i as f64 * 0.61).cos()).collect();
+        let want = [u.clone(), v.clone()].map(|d| sten_interp::BufView::from_data(vec![16], d));
+        let rt = want.clone().map(sten_interp::RtValue::Buffer);
+        sten_interp::Interpreter::new(&m).call_function("probe", rt.into()).unwrap();
+        for tier in TierKind::ALL {
+            let p = compile_module_tiered(&m, "probe", Some(tier)).unwrap();
+            let tmp_shapes = p.tmp_shapes.clone();
+            let mut args = vec![u.clone(), v.clone()];
+            Runner::new(p, 1).step(&mut args).unwrap();
+            assert_eq!(args, want.clone().map(|w| w.to_vec()), "{tier:?} != interpreter");
+            assert_eq!(tmp_shapes, [vec![16]], "{tier:?}: only the load of v is copied");
         }
     }
 
@@ -1191,7 +1278,6 @@ mod tests {
 
     #[test]
     fn region_split_steps_share_specialized_tables() {
-        use crate::specialize::Tier;
         let mut m = samples::heat_2d(64, 0.1);
         ShapeInference.run(&mut m).unwrap();
         sten_dmp::DistributeStencil::new(vec![2, 2]).with_overlap(true).run(&mut m).unwrap();
@@ -1201,7 +1287,7 @@ mod tests {
         // Both at compile time (the split clones one specialized kernel)
         // and after respecialize (the dedup cache), the interior and the
         // boundary shells must share one program, not per-shell copies.
-        for tier in [None, Some(TierKind::OptBytecode), Some(TierKind::TemplateJit)] {
+        for tier in [None, Some(TierKind::TemplateJit)] {
             p.respecialize(tier);
             let applies: Vec<_> = p
                 .steps
@@ -1212,9 +1298,8 @@ mod tests {
                 })
                 .collect();
             assert_eq!(applies.len(), 5);
-            let shared = applies.windows(2).all(|w| match (&w[0].tier, &w[1].tier) {
-                (Tier::TemplateJit(a), Tier::TemplateJit(b)) => Arc::ptr_eq(a, b),
-                (Tier::OptBytecode(a), Tier::OptBytecode(b)) => Arc::ptr_eq(a, b),
+            let shared = applies.windows(2).all(|w| match (&w[0].jit, &w[1].jit) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
                 _ => false,
             });
             assert!(shared, "tier {tier:?}: shells rebuilt per-shell state");

@@ -132,7 +132,7 @@ impl InputDesc {
     /// Flat index of logical point `p`.
     #[inline]
     pub fn flat(&self, p: &[i64]) -> i64 {
-        (0..p.len()).map(|d| (p[d] - self.lb[d]) * self.strides[d]).sum()
+        p.iter().zip(&self.lb).zip(&self.strides).map(|((&x, &lb), &s)| (x - lb) * s).sum()
     }
 
     /// Flat indices of the first and the last point of a non-empty
@@ -335,57 +335,68 @@ impl CompiledKernel {
         debug_assert!(rank >= 1);
         scratch.ensure(self.program.num_regs as usize, self.inputs.len(), self.outputs.len(), rank);
         preload_scalars(&self.program.scalar_regs, scratch);
-        let last = rank - 1;
-        let (last_lb, last_ub) = range.0[last];
-        if last_ub <= last_lb {
-            return;
-        }
-        let regs = &mut scratch.regs;
-        let flats = &mut scratch.flats;
-        let out_flats = &mut scratch.out_flats;
-        let p = &mut scratch.point;
-        // Odometer over the outer dims; inner loop over the last dim.
-        for (d, &(lb, _)) in range.0.iter().enumerate() {
-            p[d] = lb;
-        }
-        loop {
-            p[last] = last_lb;
-            for (i, d) in self.inputs.iter().enumerate() {
-                flats[i] = d.flat(p);
-            }
-            for (i, d) in self.outputs.iter().enumerate() {
-                out_flats[i] = d.flat(p);
-            }
-            for x in 0..(last_ub - last_lb) {
-                p[last] = last_lb + x;
-                self.program.eval(inputs, flats, p, regs);
+        let ExecScratch { regs, flats, out_flats, point, .. } = scratch;
+        for_each_row(range, |p, len| {
+            point.copy_from_slice(p);
+            self.row_flats(p, flats, out_flats);
+            for _ in 0..len {
+                self.program.eval(inputs, flats, point, regs);
                 for (o, &reg) in self.program.outputs.iter().enumerate() {
                     outs[o][out_flats[o] as usize] = regs[reg as usize];
                 }
                 // Advance one element along the (stride-1) last dimension.
-                for f in flats.iter_mut() {
-                    *f += 1;
-                }
-                for f in out_flats.iter_mut() {
-                    *f += 1;
+                flats.iter_mut().for_each(|f| *f += 1);
+                out_flats.iter_mut().for_each(|f| *f += 1);
+                point[rank - 1] += 1;
+            }
+        });
+    }
+
+    /// The flat index of point `p` in every input and every output.
+    #[inline]
+    pub(crate) fn row_flats(&self, p: &[i64], flats: &mut [i64], out_flats: &mut [i64]) {
+        for (f, d) in flats.iter_mut().zip(&self.inputs) {
+            *f = d.flat(p);
+        }
+        for (f, d) in out_flats.iter_mut().zip(&self.outputs) {
+            *f = d.flat(p);
+        }
+    }
+}
+
+/// Drives `row(point, len)` over every stride-1 row of `range` in
+/// row-major order: `point` is the row's first coordinate, `len` its
+/// length. The crate's one row walker — kernel tiers, copies, reductions
+/// and halo pack/unpack all walk their ranges through it. Ranks 1–3 are
+/// plain nested loops over a stack point; higher ranks run an odometer.
+/// An empty range (or rank 0) visits nothing.
+#[inline]
+pub(crate) fn for_each_row(range: &Bounds, mut row: impl FnMut(&[i64], usize)) {
+    let b = &range.0;
+    if b.is_empty() || b.iter().any(|&(lb, ub)| ub <= lb) {
+        return;
+    }
+    let last = b.len() - 1;
+    let (lb, ub) = b[last];
+    let len = (ub - lb) as usize;
+    match b.len() {
+        1 => row(&[lb], len),
+        2 => (b[0].0..b[0].1).for_each(|i| row(&[i, lb], len)),
+        3 => {
+            for i in b[0].0..b[0].1 {
+                for j in b[1].0..b[1].1 {
+                    row(&[i, j, lb], len);
                 }
             }
-            let mut d = last;
-            let mut done = false;
+        }
+        _ => {
+            let mut p = range.lower();
             loop {
-                if d == 0 {
-                    done = true;
-                    break;
-                }
-                d -= 1;
+                row(&p, len);
+                // Advance the outer dimensions, innermost first.
+                let Some(d) = (0..last).rev().find(|&d| p[d] + 1 < b[d].1) else { return };
                 p[d] += 1;
-                if p[d] < range.0[d].1 {
-                    break;
-                }
-                p[d] = range.0[d].0;
-            }
-            if done {
-                return;
+                p[d + 1..last].iter_mut().zip(&b[d + 1..last]).for_each(|(x, r)| *x = r.0);
             }
         }
     }
@@ -558,6 +569,12 @@ pub fn compile_apply(
                 let dst = alloc(op.result(0), &mut regs, &mut next_reg);
                 instrs.push(Instr::Index { dim, offset, dst });
             }
+            // `stencil.index` already yields its coordinate as an f64.
+            "arith.sitofp" => {
+                let r = reg_of(op.operand(0), &regs, &arg_const)?
+                    .map_err(|_| "sitofp of a constant")?;
+                regs.insert(op.result(0), r);
+            }
             name if BinOp::from_arith(name).is_some() => {
                 let bin = BinOp::from_arith(name).expect("guarded");
                 let fetch = |v: Value, instrs: &mut Vec<Instr>, next: &mut u32| match reg_of(
@@ -644,6 +661,49 @@ mod tests {
         assert_eq!(d.flat(&[1, 2, 3]), 45);
         let with_halo = desc(vec![6], vec![-1]);
         assert_eq!(with_halo.flat(&[0]), 1);
+    }
+
+    #[test]
+    fn for_each_row_visits_every_point_once_in_row_major_order() {
+        // Every rank 1–5, each extent 0, 1 or 3 wide, from a shifted
+        // lower bound (negative in some dimensions).
+        let mut ranges = Vec::new();
+        for rank in 1..=5u32 {
+            for code in 0..3usize.pow(rank) {
+                let dims = (0..rank as usize).map(|d| {
+                    let width = [0, 1, 3][code / 3usize.pow(d as u32) % 3];
+                    let lb = d as i64 - 2;
+                    (lb, lb + width)
+                });
+                ranges.push(Bounds::new(dims.collect()));
+            }
+        }
+        for range in &ranges {
+            let mut got = Vec::new();
+            for_each_row(range, |p, len| {
+                assert_eq!(p.len(), range.rank());
+                assert!(len > 0, "{range:?}: empty row");
+                got.extend((0..len as i64).map(|x| {
+                    let mut q = p.to_vec();
+                    q[range.rank() - 1] += x;
+                    q
+                }));
+            });
+            // Point `k` of the range, counted in row-major order.
+            let widths: Vec<i64> = range.0.iter().map(|&(lb, ub)| (ub - lb).max(0)).collect();
+            let want: Vec<Vec<i64>> = (0..widths.iter().product::<i64>())
+                .map(|k| {
+                    let mut rest = k;
+                    let mut q = vec![0; widths.len()];
+                    for d in (0..widths.len()).rev() {
+                        q[d] = range.0[d].0 + rest % widths[d];
+                        rest /= widths[d];
+                    }
+                    q
+                })
+                .collect();
+            assert_eq!(got, want, "{range:?}");
+        }
     }
 
     #[test]

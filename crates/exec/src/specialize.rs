@@ -1,76 +1,68 @@
-//! Kernel specialization: executor tiers over [`KernelProgram`].
+//! Kernel specialization: the two executor tiers over [`KernelProgram`].
 //!
 //! `KernelProgram::eval` pays a full `match` dispatch, bounds-checked
 //! register-file traffic, and re-executed loop-invariant `Const`
 //! instructions at every grid point — exactly the address-computation and
 //! interpretation overheads whose elimination the source paper credits
 //! for its performance. This module compiles each kernel **once, at
-//! pipeline-build time**, into one of three executor tiers:
+//! pipeline-build time**, into one of two executor tiers:
 //!
 //! 1. **[`TierKind::TemplateJit`]** — every *affine* kernel (each
 //!    multiplication has a coefficient operand — a constant or a runtime
 //!    scalar: jacobi/heat/wave at any space order, fused multi-output
 //!    applies, CG's `axpy`): the template-JIT (see [`crate::jit`])
 //!    evaluates one fused pass per row with all taps loaded and combined
-//!    in registers, const-generic tap counts for pure chains, optional
-//!    explicit AVX2 lanes behind the `simd` cargo feature + runtime CPU
-//!    detection. Runtime scalars are bound into the executing worker's
-//!    scratch once per chunk, before the row walk.
-//! 2. **[`TierKind::OptBytecode`]** — the fallback for everything else
-//!    (`Index`, negation/division, non-affine bodies;
-//!    [`SpecializedKernel::tier_label`] names the construct):
-//!    bytecode-level CSE (identical `LoadInput`/`Const`/`Index` deduped),
-//!    constant folding of `Const ⊕ Const`, hoisting of loop-invariant
-//!    `Const` writes into a pre-initialized register file, dead-code
-//!    elimination, and an unchecked (bounds-validated once per chunk)
-//!    evaluation loop.
-//! 3. **[`TierKind::Eval`]** — the seed interpreter path, kept as the
-//!    reference semantics and test oracle.
+//!    in registers, const-generic tap counts for chains and scaled
+//!    groups, optional explicit AVX2 lanes behind the `simd` cargo
+//!    feature + runtime CPU detection. Runtime scalars are bound into the
+//!    executing worker's scratch once per chunk, before the row walk.
+//! 2. **[`TierKind::Eval`]** — [`KernelProgram::eval`], the reference
+//!    semantics and test oracle, and the fallback for everything outside
+//!    the template grammar (`Index`, negation/division, `load·load`;
+//!    [`SpecializedKernel::tier_label`] names the construct).
 //!
-//! All tiers are bit-for-bit identical to [`KernelProgram::eval`]: the
-//! transformations only deduplicate or pre-compute identical operations
-//! and reorder *independent* ones — no floating-point expression is
-//! reassociated. The workspace property suite enforces this on random
-//! stencils, serial and parallel.
+//! The template-JIT is bit-for-bit identical to [`KernelProgram::eval`]:
+//! it only deduplicates or pre-computes identical operations and reorders
+//! *independent* ones — no floating-point expression is reassociated.
+//! The workspace property suite enforces this on random stencils, serial
+//! and parallel.
 //!
-//! Inner loops are rank-specialized: 1D/2D/3D row walkers are
-//! monomorphized per tier (the generic odometer only drives rank ≥ 4).
+//! Both tiers walk their rows with the crate's one row walker
+//! (`program::for_each_row`: loops for ranks 1–3, an odometer
+//! above).
 //!
 //! Tier selection is automatic (`optimize` → template match →
-//! `TemplateJit`, else `OptBytecode`) and can be overridden with the
-//! `STEN_EXEC_TIER` environment variable (`eval` | `opt-bytecode` |
-//! `template-jit` | `auto`) or per pipeline via
-//! [`crate::Pipeline::respecialize`]. Forcing `template-jit` on a kernel
-//! outside the template grammar falls back to `opt-bytecode`.
+//! `TemplateJit`, else `Eval`) and can be overridden with the
+//! `STEN_EXEC_TIER` environment variable (`eval` | `template-jit` |
+//! `auto`) or per pipeline via [`crate::Pipeline::respecialize`].
+//! Forcing `template-jit` on a kernel outside the template grammar falls
+//! back to `eval`.
 
 use crate::jit::JitProgram;
-use crate::program::{CompiledKernel, ExecScratch, Instr};
+use crate::program::{for_each_row, CompiledKernel, ExecScratch, Instr};
 use std::collections::HashMap;
 use std::sync::Arc;
 use sten_ir::Bounds;
 
-/// Names an executor tier (the ladder: `eval` → `opt-bytecode` →
-/// `template-jit`).
+/// Names an executor tier (the ladder: `eval` → `template-jit`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum TierKind {
-    /// The seed `KernelProgram::eval` interpreter (reference semantics).
+    /// The `KernelProgram::eval` interpreter: the reference semantics and
+    /// the fallback.
     Eval,
-    /// Pre-optimized bytecode: CSE + constant folding + const hoisting.
-    OptBytecode,
     /// Monomorphized fused micro-kernels from the template catalog.
     TemplateJit,
 }
 
 impl TierKind {
     /// Every tier, bottom of the ladder first.
-    pub const ALL: [TierKind; 3] = [TierKind::Eval, TierKind::OptBytecode, TierKind::TemplateJit];
+    pub const ALL: [TierKind; 2] = [TierKind::Eval, TierKind::TemplateJit];
 
     /// The stable name used by `STEN_EXEC_TIER`, `--timing` reports and
     /// `BENCH_exec.json`.
     pub fn name(self) -> &'static str {
         match self {
             TierKind::Eval => "eval",
-            TierKind::OptBytecode => "opt-bytecode",
             TierKind::TemplateJit => "template-jit",
         }
     }
@@ -80,12 +72,10 @@ impl TierKind {
         match s.trim() {
             "" | "auto" => Ok(None),
             "eval" => Ok(Some(TierKind::Eval)),
-            "opt" | "opt-bytecode" => Ok(Some(TierKind::OptBytecode)),
             "jit" | "template-jit" => Ok(Some(TierKind::TemplateJit)),
-            other => Err(format!(
-                "unknown STEN_EXEC_TIER '{other}' \
-                 (expected auto|eval|opt-bytecode|template-jit)"
-            )),
+            other => {
+                Err(format!("unknown STEN_EXEC_TIER '{other}' (expected auto|eval|template-jit)"))
+            }
         }
     }
 
@@ -100,103 +90,44 @@ impl TierKind {
     }
 }
 
-/// Pre-optimized bytecode (the fallback tier): per-point instructions with all
-/// loop-invariant `Const`s hoisted into a pre-initialized register file.
+/// A kernel's bytecode after CSE, constant folding and dead-code
+/// elimination, with its loop-invariant `Const`s split out: the input
+/// the template matcher reads ([`crate::jit::match_template`]).
 #[derive(Clone, Debug)]
-pub struct OptProgram {
+pub(crate) struct OptProgram {
     /// Per-point instructions (never `Const`).
     pub instrs: Vec<Instr>,
-    /// `(register, value)` pairs written once before the point loop.
+    /// `(register, value)` pairs of the hoisted constants.
     pub preinit: Vec<(u32, f64)>,
-    /// Registers holding runtime scalar arguments, preloaded from
-    /// [`ExecScratch::scalars`] once per chunk (like `preinit`, but the
-    /// values are only known at execution time).
+    /// Registers holding runtime scalar arguments (index-aligned with
+    /// the kernel's `scalar_args`).
     pub scalar_regs: Vec<u32>,
     /// Registers needed.
     pub num_regs: u32,
     /// Registers holding the per-point results.
     pub outputs: Vec<u32>,
-    /// Whether any `Index` instruction survives (needs the coordinate).
-    pub has_index: bool,
     /// Per-input `(min, max)` relative displacement actually loaded
     /// (`None` when the input is never loaded).
     pub rel_bounds: Vec<Option<(i64, i64)>>,
 }
 
-impl OptProgram {
-    /// Evaluates one point. `x` is the offset along the last (stride-1)
-    /// dimension from the row-start `flats`/`point`.
-    ///
-    /// # Safety
-    /// Register indices were validated at build time; the caller must
-    /// have validated (per [`OptProgram::rel_bounds`]) that every
-    /// `flats[i] + rel + x` this row produces is in bounds for
-    /// `inputs[i]`.
-    #[inline(always)]
-    unsafe fn eval(
-        &self,
-        inputs: &[&[f64]],
-        flats: &[i64],
-        point: &[i64],
-        x: i64,
-        regs: &mut [f64],
-    ) {
-        for instr in &self.instrs {
-            match *instr {
-                Instr::LoadInput { input, rel, dst } => {
-                    *regs.get_unchecked_mut(dst as usize) = *inputs
-                        .get_unchecked(input as usize)
-                        .get_unchecked((*flats.get_unchecked(input as usize) + rel + x) as usize);
-                }
-                Instr::Bin { op, a, b, dst } => {
-                    *regs.get_unchecked_mut(dst as usize) =
-                        op.eval(*regs.get_unchecked(a as usize), *regs.get_unchecked(b as usize));
-                }
-                Instr::Neg { a, dst } => {
-                    *regs.get_unchecked_mut(dst as usize) = -*regs.get_unchecked(a as usize);
-                }
-                Instr::Index { dim, offset, dst } => {
-                    let coord = *point.get_unchecked(dim as usize)
-                        + offset
-                        + if dim as usize == point.len() - 1 { x } else { 0 };
-                    *regs.get_unchecked_mut(dst as usize) = coord as f64;
-                }
-                // Hoisted into `preinit` by construction.
-                Instr::Const { v, dst } => *regs.get_unchecked_mut(dst as usize) = v,
-            }
-        }
-    }
-}
-
-/// The executable form a kernel was specialized into.
-///
-/// Tier payloads are `Arc`-shared: cloning a [`SpecializedKernel`] —
-/// which the pipeline does when it splits an apply into
-/// interior/boundary-shell region steps — shares the same bytecode or
-/// fold plan instead of rebuilding per-shell state.
-#[derive(Clone, Debug)]
-pub enum Tier {
-    /// Reference interpreter over the original bytecode.
-    Eval,
-    /// Pre-optimized bytecode.
-    OptBytecode(Arc<OptProgram>),
-    /// Template-JIT fused micro-kernels (see [`crate::jit`]).
-    TemplateJit(Arc<JitProgram>),
-}
-
 /// A [`CompiledKernel`] plus its chosen executor tier.
 ///
 /// Dereferences to the underlying kernel, so geometry and cost-model
-/// consumers (`.program`, `.range`, `.points()`) are unchanged.
+/// consumers (`.program`, `.range`, `.points()`) are unchanged. The
+/// template-JIT program is `Arc`-shared: cloning a [`SpecializedKernel`]
+/// — which the pipeline does when it splits an apply into
+/// interior/boundary-shell region steps — shares one fold plan instead
+/// of rebuilding per-shell state.
 #[derive(Clone, Debug)]
 pub struct SpecializedKernel {
     /// The original kernel (geometry + reference bytecode).
     pub kernel: CompiledKernel,
-    /// The selected tier.
-    pub tier: Tier,
+    /// The template-JIT program; `None` runs the kernel on `eval`.
+    pub jit: Option<Arc<JitProgram>>,
     /// Why the template-JIT was tried and did not take the kernel: the
     /// first construct outside its grammar (`None` on the JIT, and when
-    /// a forced tier meant it was never tried).
+    /// a forced `eval` meant it was never tried).
     pub jit_rejected: Option<crate::jit::Reject>,
 }
 
@@ -210,68 +141,53 @@ impl std::ops::Deref for SpecializedKernel {
 impl SpecializedKernel {
     /// Specializes `kernel` into the fastest applicable tier (`force`
     /// pins one; forcing `TemplateJit` on a kernel outside the template
-    /// grammar falls back to `OptBytecode`).
+    /// grammar falls back to `Eval`).
     pub fn specialize(kernel: CompiledKernel, force: Option<TierKind>) -> SpecializedKernel {
         let mut jit_rejected = None;
-        let tier = match force {
-            Some(TierKind::Eval) => Tier::Eval,
-            Some(TierKind::OptBytecode) => Tier::OptBytecode(Arc::new(optimize(&kernel))),
+        let jit = match force {
+            Some(TierKind::Eval) => None,
             Some(TierKind::TemplateJit) | None => {
-                let opt = optimize(&kernel);
-                match crate::jit::match_template(&opt) {
-                    Ok(jit) => Tier::TemplateJit(Arc::new(jit)),
+                match crate::jit::match_template(&optimize(&kernel)) {
+                    Ok(jit) => Some(Arc::new(jit)),
                     Err(reason) => {
                         jit_rejected = Some(reason);
-                        Tier::OptBytecode(Arc::new(opt))
+                        None
                     }
                 }
             }
         };
-        SpecializedKernel { kernel, tier, jit_rejected }
+        SpecializedKernel { kernel, jit, jit_rejected }
     }
 
     /// The selected tier.
     pub fn tier_kind(&self) -> TierKind {
-        match &self.tier {
-            Tier::Eval => TierKind::Eval,
-            Tier::OptBytecode(_) => TierKind::OptBytecode,
-            Tier::TemplateJit(_) => TierKind::TemplateJit,
+        if self.jit.is_some() {
+            TierKind::TemplateJit
+        } else {
+            TierKind::Eval
         }
     }
 
     /// A one-line human description, e.g.
     /// `template-jit (5 taps, 2 terms; rank 2)`,
     /// `template-jit (2 taps, chain<2>; rank 1; 1 runtime scalar)` or
-    /// `opt-bytecode (9 instrs, 3 hoisted consts; rank 3; template-jit
-    /// rejected: load·load product)`.
+    /// `eval (29 instrs; rank 3; template-jit rejected: load·load
+    /// product)`.
     pub fn tier_label(&self) -> String {
         let rank = self.program.rank;
-        match &self.tier {
-            Tier::Eval => format!("eval ({} instrs; rank {rank})", self.program.instrs.len()),
-            Tier::OptBytecode(o) => {
-                let rejected = self
-                    .jit_rejected
-                    .map(|reason| format!("; template-jit rejected: {reason}"))
-                    .unwrap_or_default();
-                format!(
-                    "opt-bytecode ({} instrs, {} hoisted consts; rank {rank}{rejected})",
-                    o.instrs.len(),
-                    o.preinit.len(),
-                )
-            }
-            Tier::TemplateJit(j) => {
-                let scalars = match j.scalars {
-                    0 => String::new(),
-                    1 => "; 1 runtime scalar".to_string(),
-                    n => format!("; {n} runtime scalars"),
-                };
-                format!(
-                    "template-jit ({} taps, {}; rank {rank}{scalars})",
-                    j.tap_count,
-                    j.shape_label(),
-                )
-            }
-        }
+        let Some(j) = &self.jit else {
+            let rejected = self
+                .jit_rejected
+                .map(|reason| format!("; template-jit rejected: {reason}"))
+                .unwrap_or_default();
+            return format!("eval ({} instrs; rank {rank}{rejected})", self.program.instrs.len());
+        };
+        let scalars = match j.scalars {
+            0 => String::new(),
+            1 => "; 1 runtime scalar".to_string(),
+            n => format!("; {n} runtime scalars"),
+        };
+        format!("template-jit ({} taps, {}; rank {rank}{scalars})", j.tap_count, j.shape_label())
     }
 
     /// Executes over `inputs` into `outs`, serially, with fresh scratch.
@@ -296,51 +212,32 @@ impl SpecializedKernel {
         if range.0.iter().any(|&(lb, ub)| ub <= lb) {
             return;
         }
-        match &self.tier {
-            Tier::Eval => self.kernel.execute_rows(inputs, outs, range, scratch),
-            Tier::OptBytecode(opt) => {
-                self.validate(inputs, outs, range, &opt.rel_bounds);
-                scratch.ensure(
-                    opt.num_regs as usize,
-                    self.inputs.len(),
-                    self.outputs.len(),
-                    range.rank(),
-                );
-                for &(r, v) in &opt.preinit {
-                    scratch.regs[r as usize] = v;
-                }
-                crate::program::preload_scalars(&opt.scalar_regs, scratch);
-                walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
-                    for x in 0..len {
-                        opt.eval(inputs, &sc.flats, &sc.point, x, &mut sc.regs);
-                        for (o, &reg) in opt.outputs.iter().enumerate() {
-                            *outs[o].get_unchecked_mut((sc.out_flats[o] + x) as usize) =
-                                *sc.regs.get_unchecked(reg as usize);
-                        }
-                    }
-                });
-            }
-            Tier::TemplateJit(jit) => {
-                self.validate(inputs, outs, range, &jit.rel_bounds);
-                // No register file: the fused micro-kernels keep all
-                // intermediates in registers.
-                scratch.ensure(0, self.inputs.len(), self.outputs.len(), range.rank());
-                // Runtime scalars become plain coefficients here, once per
-                // chunk, in this worker's own copy of the plan; the copy
-                // is moved out of the scratch while the rows borrow it.
-                let mut bound = std::mem::take(&mut scratch.bound);
-                let plan = jit.bind(&scratch.scalars, &mut bound);
-                walk_rows(&self.kernel, range, scratch, |sc, len| unsafe {
-                    jit.eval_row(plan, inputs, &sc.flats, outs, &sc.out_flats, len);
-                });
-                scratch.bound = bound;
-            }
-        }
+        let Some(jit) = &self.jit else {
+            return self.kernel.execute_rows(inputs, outs, range, scratch);
+        };
+        self.validate(inputs, outs, range, &jit.rel_bounds);
+        // No register file: the fused micro-kernels keep all
+        // intermediates in registers.
+        scratch.ensure(0, self.inputs.len(), self.outputs.len(), range.rank());
+        // Runtime scalars become plain coefficients here, once per chunk,
+        // in this worker's own copy of the plan; the copy is moved out of
+        // the scratch while the rows borrow it.
+        let mut bound = std::mem::take(&mut scratch.bound);
+        let plan = jit.bind(&scratch.scalars, &mut bound);
+        let (flats, out_flats) = (&mut scratch.flats, &mut scratch.out_flats);
+        for_each_row(range, |p, len| {
+            self.kernel.row_flats(p, flats, out_flats);
+            // SAFETY: `validate` checked that every flat index a row of
+            // `range` forms, at every displacement the plan loads, is
+            // inside its buffer.
+            unsafe { jit.eval_row(plan, inputs, flats, outs, out_flats, len as i64) };
+        });
+        scratch.bound = bound;
     }
 
-    /// Validates, once per chunk, that every flat index the unchecked
-    /// tiers will form over `range` is in bounds — the strides are
-    /// positive, so corners bound the whole range.
+    /// Validates, once per chunk, that every flat index the template-JIT
+    /// will form over `range` is in bounds — the strides are positive, so
+    /// corners bound the whole range.
     fn validate(
         &self,
         inputs: &[&[f64]],
@@ -371,94 +268,11 @@ impl SpecializedKernel {
     }
 }
 
-/// Drives `row(scratch, row_len)` over every stride-1 row of `range`,
-/// with the row-start coordinate in `scratch.point` and the row-start
-/// flat cursors in `scratch.flats`/`scratch.out_flats`. Monomorphized
-/// loops for ranks 1–3; generic odometer above.
-#[inline]
-fn walk_rows<F>(kernel: &CompiledKernel, range: &Bounds, scratch: &mut ExecScratch, mut row: F)
-where
-    F: FnMut(&mut ExecScratch, i64),
-{
-    let rank = range.rank();
-    debug_assert!(rank >= 1);
-    let last = rank - 1;
-    let (last_lb, last_ub) = range.0[last];
-    let len = last_ub - last_lb;
-    if len <= 0 {
-        return;
-    }
-    let fill = |sc: &mut ExecScratch, kernel: &CompiledKernel| {
-        for (i, d) in kernel.inputs.iter().enumerate() {
-            sc.flats[i] = d.flat(&sc.point);
-        }
-        for (i, d) in kernel.outputs.iter().enumerate() {
-            sc.out_flats[i] = d.flat(&sc.point);
-        }
-    };
-    match rank {
-        1 => {
-            scratch.point[0] = last_lb;
-            fill(scratch, kernel);
-            row(scratch, len);
-        }
-        2 => {
-            let (lb0, ub0) = range.0[0];
-            for i in lb0..ub0 {
-                scratch.point[0] = i;
-                scratch.point[1] = last_lb;
-                fill(scratch, kernel);
-                row(scratch, len);
-            }
-        }
-        3 => {
-            let (lb0, ub0) = range.0[0];
-            let (lb1, ub1) = range.0[1];
-            for i in lb0..ub0 {
-                for j in lb1..ub1 {
-                    scratch.point[0] = i;
-                    scratch.point[1] = j;
-                    scratch.point[2] = last_lb;
-                    fill(scratch, kernel);
-                    row(scratch, len);
-                }
-            }
-        }
-        _ => {
-            for d in 0..rank {
-                scratch.point[d] = range.0[d].0;
-            }
-            loop {
-                scratch.point[last] = last_lb;
-                fill(scratch, kernel);
-                row(scratch, len);
-                let mut d = last;
-                let mut done = false;
-                loop {
-                    if d == 0 {
-                        done = true;
-                        break;
-                    }
-                    d -= 1;
-                    scratch.point[d] += 1;
-                    if scratch.point[d] < range.0[d].1 {
-                        break;
-                    }
-                    scratch.point[d] = range.0[d].0;
-                }
-                if done {
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Builds the [`OptProgram`] for a kernel: value-numbering CSE over
 /// `LoadInput`/`Const`/`Index`, constant folding of `Const ⊕ Const` and
 /// `-Const` (computed with the identical f64 operation at build time),
-/// dead-code elimination, and hoisting of the surviving constants into
-/// the pre-initialized register file. No expression is reassociated.
+/// dead-code elimination, and the surviving constants split out into
+/// `preinit`. No expression is reassociated.
 fn optimize(kernel: &CompiledKernel) -> OptProgram {
     let p = &kernel.program;
     // Pass 1: value-number into a new instruction list.
@@ -569,7 +383,6 @@ fn optimize(kernel: &CompiledKernel) -> OptProgram {
     let mut num_regs: u32 = 0;
     let mut out_instrs = Vec::new();
     let mut preinit = Vec::new();
-    let mut has_index = false;
     let mut rel_bounds: Vec<Option<(i64, i64)>> = vec![None; kernel.inputs.len()];
     // Scalar registers survive unconditionally (index-aligned with the
     // kernel's `scalar_args`) and are preloaded like hoisted consts.
@@ -597,8 +410,7 @@ fn optimize(kernel: &CompiledKernel) -> OptProgram {
                 out_instrs.push(Instr::LoadInput { input, rel, dst: d });
             }
             Instr::Index { dim, offset, .. } => {
-                has_index = true;
-                out_instrs.push(Instr::Index { dim, offset, dst: d });
+                out_instrs.push(Instr::Index { dim, offset, dst: d })
             }
             Instr::Bin { op, a, b, .. } => out_instrs.push(Instr::Bin {
                 op,
@@ -610,15 +422,7 @@ fn optimize(kernel: &CompiledKernel) -> OptProgram {
         }
     }
     let outputs = outputs.iter().map(|&o| renum[o as usize]).collect();
-    OptProgram {
-        instrs: out_instrs,
-        preinit,
-        scalar_regs,
-        num_regs,
-        outputs,
-        has_index,
-        rel_bounds,
-    }
+    OptProgram { instrs: out_instrs, preinit, scalar_regs, num_regs, outputs, rel_bounds }
 }
 
 fn instr_uses(instr: &Instr) -> (u32, Vec<u32>) {
@@ -752,7 +556,7 @@ pub(crate) mod tests {
         // One fold plan per output.
         let spec = SpecializedKernel::specialize(kernel.clone(), None);
         assert_eq!(spec.tier_kind(), TierKind::TemplateJit);
-        let Tier::TemplateJit(jit) = &spec.tier else { panic!() };
+        let Some(jit) = &spec.jit else { panic!() };
         assert_eq!(jit.plan.outs.len(), 2);
         assert_eq!(jit.tap_count, 2, "both outputs share the two taps");
 
@@ -769,7 +573,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn index_kernel_selects_opt_bytecode() {
+    fn index_kernel_falls_back_to_eval() {
         use sten_ir::{Attribute, TempType, Type};
         // out = u[i,j] + (i+1) + j: one broadcast index slot (dim 0) and
         // one row-varying iota slot (dim 1).
@@ -803,27 +607,32 @@ pub(crate) mod tests {
         .unwrap();
 
         // The template grammar has no index terms: auto-selection and a
-        // forced template-JIT both land on opt-bytecode.
+        // forced template-JIT both land on eval, which names the reason.
         for force in [None, Some(TierKind::TemplateJit)] {
             let spec = SpecializedKernel::specialize(kernel.clone(), force);
-            assert_eq!(spec.tier_kind(), TierKind::OptBytecode);
+            assert_eq!(spec.tier_kind(), TierKind::Eval);
+            assert!(spec.tier_label().contains("template-jit rejected"), "{}", spec.tier_label());
         }
 
         let size = 5 * 40;
         let input: Vec<f64> = (0..size).map(|i| (i as f64 * 0.013).sin()).collect();
-        // Full rows, and the short rows of a boundary shell.
+        // Full rows, and the short rows of a boundary shell, against the
+        // formula itself: the coordinate advances along each row.
         for sub in [kernel.range.clone(), Bounds::new(vec![(0, 5), (12, 17)])] {
-            let mut want = vec![0.0; size];
-            kernel.execute_rows(&[&input], &mut [&mut want], &sub, &mut ExecScratch::new());
             let spec = SpecializedKernel::specialize(kernel.clone(), None);
             let mut got = vec![0.0; size];
             spec.execute_rows(&[&input], &mut [&mut got], &sub, &mut ExecScratch::new());
-            assert_eq!(got, want);
+            for (at, &v) in got.iter().enumerate() {
+                let (i, j) = ((at / 40) as i64, (at % 40) as i64);
+                let inside = sub.0[0].0 <= i && i < sub.0[0].1 && sub.0[1].0 <= j && j < sub.0[1].1;
+                let want = if inside { input[at] + (i + 1) as f64 + j as f64 } else { 0.0 };
+                assert_eq!(v, want, "({i}, {j})");
+            }
         }
     }
 
     #[test]
-    fn opt_bytecode_hoists_and_dedupes() {
+    fn optimize_hoists_and_dedupes() {
         let mut m = sten_stencil::samples::heat_2d(16, 0.1);
         let k = kernel_of(&mut m, "heat", InputDesc::new(vec![18, 18], vec![-1, -1]));
         let opt = optimize(&k);
@@ -890,7 +699,7 @@ pub(crate) mod tests {
         let nan = f64::from_bits(0x7ff8_0000_dead_0001);
         let range = kernel.range.clone();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut scratches = [ExecScratch::new(), ExecScratch::new(), ExecScratch::new()];
+        let mut scratches = [ExecScratch::new(), ExecScratch::new()];
         for alpha in [0.37, -0.0, 1e-310, f64::INFINITY, nan, 0.37] {
             let mut want = vec![0.0; n as usize];
             let mut reference = ExecScratch::new();
@@ -917,13 +726,14 @@ pub(crate) mod tests {
     fn tier_env_parse() {
         assert_eq!(TierKind::parse("auto").unwrap(), None);
         assert_eq!(TierKind::parse("eval").unwrap(), Some(TierKind::Eval));
-        assert_eq!(TierKind::parse("opt").unwrap(), Some(TierKind::OptBytecode));
         assert_eq!(TierKind::parse("template-jit").unwrap(), Some(TierKind::TemplateJit));
         assert_eq!(TierKind::parse("jit").unwrap(), Some(TierKind::TemplateJit));
         assert!(TierKind::parse("nope").is_err());
-        // The deleted fourth tier is an unknown name like any other (spelled
-        // in halves so a grep for the dead name stays empty).
+        // The deleted tiers are unknown names like any other (spelled in
+        // halves so a grep for the dead names stays empty).
         assert!(TierKind::parse("ws").is_err());
         assert!(TierKind::parse(concat!("weighted", "-sum")).is_err());
+        assert!(TierKind::parse(concat!("o", "pt")).is_err());
+        assert!(TierKind::parse(concat!("opt", "-bytecode")).is_err());
     }
 }

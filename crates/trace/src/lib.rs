@@ -120,7 +120,7 @@ pub enum SpanKind {
     },
     /// One `Step::Apply` (full, interior, or one boundary shell).
     Apply {
-        /// Executor tier name (`eval` | `opt-bytecode` | `template-jit`).
+        /// Executor tier name (`eval` | `template-jit`).
         tier: &'static str,
         /// Region label (empty = full, `interior`, `boundary[..]`).
         region: String,

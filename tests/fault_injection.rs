@@ -34,15 +34,15 @@ use stencil_stack::stencil::{ops, ShapeInference};
 const RANKS: usize = 2;
 const RADIUS: i64 = 1;
 
-/// Fault-schedule seeds: `STEN_FAULT_SEED` pins one, otherwise four per
-/// matrix cell (3 strategies × 3 tiers × 4 seeds = 36 runs ≥ the
+/// Fault-schedule seeds: `STEN_FAULT_SEED` pins one, otherwise six per
+/// matrix cell (3 strategies × 2 tiers × 6 seeds = 36 runs ≥ the
 /// 30-schedule acceptance floor).
 fn fault_seeds() -> Vec<u64> {
     match std::env::var("STEN_FAULT_SEED") {
         Ok(s) => {
             vec![s.parse().unwrap_or_else(|_| panic!("STEN_FAULT_SEED '{s}' is not an integer"))]
         }
-        Err(_) => vec![1, 2, 3, 4],
+        Err(_) => vec![1, 2, 3, 4, 5, 6],
     }
 }
 
@@ -221,7 +221,7 @@ fn random_fault_schedules_heal_bitwise_or_fail_typed() {
     // One STEN_* pin narrows the matrix; the full run clears the floor.
     let pinned = std::env::var("STEN_FAULT_SEED").is_ok()
         || std::env::var("STEN_DECOMP_STRATEGY").is_ok()
-        || std::env::var("STEN_EXEC_TIER").is_ok();
+        || TierKind::from_env().is_some();
     assert!(pinned || checked >= 30, "only {checked} schedules exercised");
 }
 

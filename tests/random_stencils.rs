@@ -29,6 +29,47 @@ struct RandStencil {
     /// of constants: indices into `terms`, `terms.len()` for the group
     /// scale. Entry `k` is scalar argument `k`.
     runtime: Vec<usize>,
+    /// A construct outside the template-JIT grammar applied to the
+    /// result, when set.
+    outside: Option<Outside>,
+}
+
+/// The constructs the template-JIT rejects, each applied to an in-grammar
+/// result `r`: the kernel then runs on the `eval` fallback.
+#[derive(Clone, Debug)]
+enum Outside {
+    /// `r + f64(index[dim] + offset)`.
+    Index { dim: usize, offset: i64 },
+    /// `−r`.
+    Neg,
+    /// `r / c`.
+    Div(f64),
+    /// `r + u[a] · u[b]`.
+    Product(Vec<i64>, Vec<i64>),
+}
+
+impl Outside {
+    /// Construct `kind` (0–3, in the order above) for a `dims`-dimensional
+    /// stencil of radius 2.
+    fn draw(kind: usize, dims: usize, rng: &mut Rng) -> Outside {
+        let offset = |rng: &mut Rng| (0..dims).map(|_| rng.range_i64(-2, 3)).collect();
+        match kind {
+            0 => Outside::Index { dim: rng.range_usize(0, dims), offset: rng.range_i64(-3, 4) },
+            1 => Outside::Neg,
+            2 => Outside::Div(rng.range_f64(0.5, 2.0)),
+            _ => Outside::Product(offset(rng), offset(rng)),
+        }
+    }
+
+    /// Why the template-JIT rejects it, as `tier_label` names it.
+    fn reason(&self) -> &'static str {
+        match self {
+            Outside::Index { .. } => "stencil.index term",
+            Outside::Neg => "negation",
+            Outside::Div(_) => "division",
+            Outside::Product(..) => "load·load product",
+        }
+    }
 }
 
 /// The shape a Devito space-order-2 operator takes:
@@ -103,7 +144,14 @@ fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
     let mirrored: Vec<(Vec<i64>, f64)> =
         terms.iter().map(|(o, c)| (o.iter().map(|x| -x).collect(), 0.5 * c)).collect();
     terms.extend(mirrored);
-    let mut st = RandStencil { terms, dims, group_scale: None, devito: None, runtime: Vec::new() };
+    let mut st = RandStencil {
+        terms,
+        dims,
+        group_scale: None,
+        devito: None,
+        runtime: Vec::new(),
+        outside: None,
+    };
     if rng.chance(1, 3) {
         // Devito's form over the same symmetric star: the star as the
         // plain-tap group, then the centre and (sometimes) the first
@@ -123,7 +171,8 @@ fn rand_stencil(dims: usize, rng: &mut Rng) -> RandStencil {
 /// Builds `out = Σ c_i · u[x + o_i]` over an interior store range (the
 /// mirrored half as `s · (Σ c_i · u[x + o_i])` when the stencil has a
 /// group scale; in Devito's form when it has one), runtime coefficients
-/// as trailing `f64` arguments.
+/// as trailing `f64` arguments, and the result passed through the
+/// stencil's construct outside the grammar, if it has one.
 fn build(st: &RandStencil, n: i64) -> Module {
     let dims = st.dims;
     let radius = 2i64;
@@ -154,7 +203,7 @@ fn build(st: &RandStencil, n: i64) -> Module {
             // The scalar argument feeding coefficient position `at`, if
             // it is a runtime one.
             let runtime = |at: usize| st.runtime.iter().position(|&r| r == at).map(|k| a[1 + k]);
-            if let Some(dv) = &st.devito {
+            let out = if let Some(dv) = &st.devito {
                 let fold = |vt: &mut _, sub: bool, acc, v| {
                     if sub {
                         arith::subf(vt, acc, v)
@@ -181,28 +230,50 @@ fn build(st: &RandStencil, n: i64) -> Module {
                     let mv = emit(arith::mulf(vt, cv, av));
                     out = emit(fold(vt, dv.subs[i], out, mv));
                 }
-                body.push(ops::ret(vec![out]));
-                return body;
-            }
-            let inline = if st.group_scale.is_some() { st.terms.len() / 2 } else { st.terms.len() };
-            // [inline fold, group fold]
-            let mut accs: [Option<Value>; 2] = [None, None];
-            for (i, (off, c)) in st.terms.iter().enumerate() {
-                let av = emit(ops::access(vt, a[0], off.clone()));
-                let cv = runtime(i).unwrap_or_else(|| emit(arith::const_f64(vt, *c)));
-                let mv = emit(arith::mulf(vt, cv, av));
-                let acc = &mut accs[usize::from(i >= inline)];
-                *acc = Some(match *acc {
-                    None => mv,
-                    Some(prev) => emit(arith::addf(vt, prev, mv)),
-                });
-            }
-            let mut out = accs[0].expect("at least one term");
-            if let (Some(s), Some(group)) = (st.group_scale, accs[1]) {
-                let sv = runtime(st.terms.len()).unwrap_or_else(|| emit(arith::const_f64(vt, s)));
-                let scaled = emit(arith::mulf(vt, sv, group));
-                out = emit(arith::addf(vt, out, scaled));
-            }
+                out
+            } else {
+                let inline =
+                    if st.group_scale.is_some() { st.terms.len() / 2 } else { st.terms.len() };
+                // [inline fold, group fold]
+                let mut accs: [Option<Value>; 2] = [None, None];
+                for (i, (off, c)) in st.terms.iter().enumerate() {
+                    let av = emit(ops::access(vt, a[0], off.clone()));
+                    let cv = runtime(i).unwrap_or_else(|| emit(arith::const_f64(vt, *c)));
+                    let mv = emit(arith::mulf(vt, cv, av));
+                    let acc = &mut accs[usize::from(i >= inline)];
+                    *acc = Some(match *acc {
+                        None => mv,
+                        Some(prev) => emit(arith::addf(vt, prev, mv)),
+                    });
+                }
+                let mut out = accs[0].expect("at least one term");
+                if let (Some(s), Some(group)) = (st.group_scale, accs[1]) {
+                    let sv =
+                        runtime(st.terms.len()).unwrap_or_else(|| emit(arith::const_f64(vt, s)));
+                    let scaled = emit(arith::mulf(vt, sv, group));
+                    out = emit(arith::addf(vt, out, scaled));
+                }
+                out
+            };
+            let out = match &st.outside {
+                None => out,
+                Some(Outside::Index { dim, offset }) => {
+                    let i = emit(ops::index(vt, *dim, *offset));
+                    let f = emit(arith::sitofp(vt, i, Type::F64));
+                    emit(arith::addf(vt, out, f))
+                }
+                Some(Outside::Neg) => emit(arith::negf(vt, out)),
+                Some(Outside::Div(c)) => {
+                    let cv = emit(arith::const_f64(vt, *c));
+                    emit(arith::divf(vt, out, cv))
+                }
+                Some(Outside::Product(l, r)) => {
+                    let lv = emit(ops::access(vt, a[0], l.clone()));
+                    let rv = emit(ops::access(vt, a[0], r.clone()));
+                    let p = emit(arith::mulf(vt, lv, rv));
+                    emit(arith::addf(vt, out, p))
+                }
+            };
             body.push(ops::ret(vec![out]));
             body
         },
@@ -374,7 +445,7 @@ fn specialized_tiers_bit_identical_to_eval() {
             // selection must reach the top tier (unless the run pins one
             // through the environment).
             // A Devito-form stencil must reach the flattened group kernel.
-            if std::env::var("STEN_EXEC_TIER").is_err() {
+            if TierKind::from_env().is_none() {
                 let lines = pipeline.tier_summary();
                 assert!(
                     lines.iter().all(|l| l.contains("template-jit")),
@@ -395,6 +466,64 @@ fn specialized_tiers_bit_identical_to_eval() {
         devito >= 4 && runtime_scale >= 2,
         "{devito} Devito-form kernels, {runtime_scale} with a runtime scale"
     );
+}
+
+/// Kernels outside the template-JIT grammar — an `Index` term, a `negf`,
+/// a `divf` or a `load·load` product after a random mul-add chain —
+/// select the `eval` fallback, which names the construct, and match the
+/// tree-walking interpreter bit-for-bit, serially and through the worker
+/// pool at 2 and 4 threads, on 1D/2D/3D grids.
+#[test]
+fn kernels_outside_the_grammar_run_on_eval_and_match_the_interpreter() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (dims, n) in [(1usize, 24i64), (2, 12), (3, 6)] {
+        for kind in 0..4 {
+            for seed in 0..2u64 {
+                let mut rng = Rng::new(7000 + seed * 53 + 4 * dims as u64 + kind as u64);
+                let mut st = rand_stencil(dims, &mut rng);
+                let outside = Outside::draw(kind, dims, &mut rng);
+                let reason = outside.reason();
+                st.outside = Some(outside);
+                let m = build(&st, n);
+                let case = format!("dims {dims} seed {seed} {:?}", st.outside);
+
+                let shape = vec![n + 4; dims];
+                let len = shape.iter().product::<i64>() as usize;
+                let input: Vec<f64> =
+                    (0..len).map(|i| ((i as f64) * 0.29 + seed as f64 * 0.13).sin()).collect();
+                let dst = BufView::from_data(shape.clone(), input.clone());
+                let src = RtValue::Buffer(BufView::from_data(shape, input.clone()));
+                Interpreter::new(&m)
+                    .call_function("rand", vec![src, RtValue::Buffer(dst.clone())])
+                    .unwrap();
+                let want = bits(&dst.to_vec());
+
+                let pipeline = compile_pipeline_tiered(&m, "rand", None).unwrap();
+                let label = "apply#0: eval (";
+                let rejected = format!("; template-jit rejected: {reason})");
+                assert!(
+                    pipeline
+                        .tier_summary()
+                        .iter()
+                        .all(|l| l.starts_with(label) && l.contains(&rejected)),
+                    "{case}: {:?}",
+                    pipeline.tier_summary()
+                );
+                for tier in common::tiers() {
+                    let mut p = pipeline.clone();
+                    p.respecialize(Some(tier));
+                    for threads in [1usize, 2, 4] {
+                        let mut args = vec![input.clone(), input.clone()];
+                        Runner::new(p.clone(), threads).step(&mut args).unwrap();
+                        assert!(
+                            bits(&args[1]) == want,
+                            "{case}: tier {tier:?} threads {threads} != interpreter"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,13 +1,13 @@
 //! Tier census: which executor tier every shipped kernel selects.
 //!
-//! The three-rung ladder rests on one claim — the template-JIT serves
+//! The two-rung ladder rests on one claim — the template-JIT serves
 //! every affine kernel the frontends produce, at any space order — so
 //! the claim is a test: every `stencil.apply` of every sample, Devito
 //! operator (heat and acoustic wave, space orders 2–16, 2D and 3D) and
 //! PSyclone kernel, before and after the two fusion passes, and of the
 //! CG solver's four pipelines, must select `template-jit`, except an
-//! explicit allow-list that lands on the `opt-bytecode` fallback — and
-//! every entry of that list must still land there.
+//! explicit allow-list that lands on the `eval` fallback — and every
+//! entry of that list must still land there.
 
 use std::collections::{BTreeSet, HashMap};
 use stencil_stack::cg::{CgConfig, SolverPipelines};
@@ -16,9 +16,9 @@ use stencil_stack::ir::{Attribute, Bounds, Module, Pass as _};
 use stencil_stack::stencil::{samples, HorizontalFusion, ShapeInference, StencilFusion};
 use stencil_stack::{devito, psyclone};
 
-/// Functions whose applies may select the fallback tier, and the reason
-/// the template-JIT gives for rejecting them.
-const OPT_BYTECODE: [(&str, &str); 1] = [("pw_advection", "load·load product")];
+/// Functions whose applies may fall back to `eval`, and the reason the
+/// template-JIT gives for rejecting them.
+const EVAL_FALLBACK: [(&str, &str); 1] = [("pw_advection", "load·load product")];
 
 const SPACE_ORDERS: [usize; 5] = [2, 4, 8, 12, 16];
 
@@ -122,12 +122,13 @@ fn every_shipped_kernel_selects_template_jit_or_is_allow_listed() {
                 jit += 1;
                 continue;
             }
-            let Some(&(listed, reason)) = OPT_BYTECODE.iter().find(|(f, _)| f == func) else {
+            let Some(&(listed, reason)) = EVAL_FALLBACK.iter().find(|(f, _)| f == func) else {
                 panic!("{origin} @{func}: {label} is off the fast path and not allow-listed");
             };
-            assert_eq!(kernel.tier_kind(), TierKind::OptBytecode, "{origin} @{func}: {label}");
+            assert_eq!(kernel.tier_kind(), TierKind::Eval, "{origin} @{func}: {label}");
             assert!(
-                label.ends_with(&format!("; template-jit rejected: {reason})")),
+                label.starts_with("eval (")
+                    && label.ends_with(&format!("; template-jit rejected: {reason})")),
                 "{origin} @{func}: {label} does not give the allow-listed reason"
             );
             fell_back.insert(listed);
@@ -136,7 +137,7 @@ fn every_shipped_kernel_selects_template_jit_or_is_allow_listed() {
     // The census covers real traffic, and no allow-list entry is stale:
     // each one was seen on the fallback.
     assert!(jit >= 80, "only {jit} template-jit applies counted");
-    for (func, _) in OPT_BYTECODE {
+    for (func, _) in EVAL_FALLBACK {
         assert!(fell_back.contains(func), "@{func} is allow-listed but no longer falls back");
     }
 }

@@ -1,4 +1,4 @@
-//! Design-choice ablations (DESIGN.md §5).
+//! Design-choice ablations.
 //!
 //! Each ablation isolates one of the design decisions the paper calls out
 //! and measures its effect with the real stack (counters come from real
@@ -8,7 +8,8 @@
 //! editing a string, exactly as with `mlir-opt`/`xdsl-opt`.
 
 use std::collections::HashMap;
-use sten_bench::print_table;
+use sten_bench::instrument::{paired, time, Gate};
+use sten_bench::{field_args, print_table, pw_unfused};
 use stencil_core::perf::{archer2_node, node_throughput, CpuPipeline, KernelProfile};
 use stencil_core::prelude::*;
 
@@ -27,28 +28,13 @@ fn ablate_swap_dedup() {
     // Unfused PW advection loads u, v, w once per stencil (3x each); the
     // distribute pass inserts a swap before every load, so each field is
     // exchanged three times per step — dedup keeps one exchange each.
-    let sub =
-        stencil_core::psyclone::parse_fortran(stencil_core::psyclone::kernels::PW_ADVECTION_SRC)
-            .unwrap();
-    let cfg = HashMap::from([
-        ("nx".to_string(), 18i64),
-        ("ny".to_string(), 18i64),
-        ("nz".to_string(), 10i64),
-    ]);
-    let scalars = HashMap::from([
-        ("tcx".to_string(), 0.1f64),
-        ("tcy".to_string(), 0.1f64),
-        ("tcz".to_string(), 0.05f64),
-    ]);
-    let kernel = stencil_core::psyclone::recognize_stencils(&sub, &cfg).unwrap();
     // The two variants differ by exactly one pass in the pipeline string.
     let build = |dedup: bool| {
-        let m = stencil_core::psyclone::lower_subroutine(&kernel, &scalars).unwrap();
         let mut pipeline = "distribute-stencil{topology=2},shape-inference".to_string();
         if dedup {
             pipeline.push_str(",dmp-eliminate-redundant-swaps");
         }
-        run_pipeline(m, &pipeline)
+        run_pipeline(pw_unfused(18, 18, 10), &pipeline)
     };
     let run = |m: &Module| {
         let mut swaps = 0;
@@ -57,29 +43,10 @@ fn ablate_swap_dedup() {
                 swaps += 1;
             }
         });
-        let f = m.lookup_symbol("pw_advection").unwrap();
-        let fty = stencil_core::dialects::func::FuncOp(f).function_type().clone();
-        let shapes: Vec<Vec<i64>> = fty
-            .inputs
-            .iter()
-            .map(|t| {
-                let stencil_core::ir::Type::Field(fld) = t else { panic!() };
-                fld.bounds.shape()
-            })
-            .collect();
-        let shapes_moved = shapes.clone();
-        let (_, world) = run_spmd(m, "pw_advection", 2, &move |rank| {
-            shapes_moved
-                .iter()
-                .map(|s| {
-                    let len: i64 = s.iter().product();
-                    ArgSpec::Buffer {
-                        shape: s.clone(),
-                        data: (0..len)
-                            .map(|i| ((i + rank as i64 * 13) as f64 * 0.01).sin())
-                            .collect(),
-                    }
-                })
+        let (_, world) = run_spmd(m, "pw_advection", 2, &|rank| {
+            field_args(m, "pw_advection", |i| ((i + rank as i64 * 13) as f64 * 0.01).sin())
+                .into_iter()
+                .map(|(shape, data)| ArgSpec::Buffer { shape, data })
                 .collect()
         })
         .unwrap();
@@ -101,56 +68,35 @@ fn ablate_swap_dedup() {
 /// 2. Stencil fusion: regions, barrier model, and measured execution.
 fn ablate_fusion() {
     let fused = stencil_core::psyclone::kernels::pw_advection(64, 64, 32).unwrap();
-    let sub =
-        stencil_core::psyclone::parse_fortran(stencil_core::psyclone::kernels::PW_ADVECTION_SRC)
-            .unwrap();
-    let cfg = HashMap::from([
-        ("nx".to_string(), 64i64),
-        ("ny".to_string(), 64i64),
-        ("nz".to_string(), 32i64),
-    ]);
-    let scalars = HashMap::from([
-        ("tcx".to_string(), 0.1f64),
-        ("tcy".to_string(), 0.1f64),
-        ("tcz".to_string(), 0.05f64),
-    ]);
-    let kernel = stencil_core::psyclone::recognize_stencils(&sub, &cfg).unwrap();
-    let unfused = stencil_core::psyclone::lower_subroutine(&kernel, &scalars).unwrap();
+    let unfused = pw_unfused(64, 64, 32);
 
     let node = archer2_node();
     let mut rows = Vec::new();
-    for (label, module) in [("unfused", &unfused), ("fused", &fused.module)] {
-        let pipeline = compile_pipeline(module, "pw_advection").unwrap();
-        let profile = KernelProfile::from_pipeline("pw", 3, &pipeline).scaled_points(134e6);
-        let modeled = node_throughput(&profile, &node, CpuPipeline::Xdsl);
+    let [mut unfused_run, mut fused_run] =
+        [("unfused", &unfused), ("fused", &fused.module)].map(|(label, module)| {
+            let pipeline = compile_pipeline(module, "pw_advection").unwrap();
+            let profile = KernelProfile::from_pipeline("pw", 3, &pipeline).scaled_points(134e6);
+            let modeled = node_throughput(&profile, &node, CpuPipeline::Xdsl);
+            rows.push(vec![
+                label.to_string(),
+                pipeline.num_apply_steps().to_string(),
+                format!("{:.2}", modeled),
+            ]);
 
-        // Measured: one step with the compiled executor.
-        let f = module.lookup_symbol("pw_advection").unwrap();
-        let fty = stencil_core::dialects::func::FuncOp(f).function_type().clone();
-        let mut args: Vec<Vec<f64>> = fty
-            .inputs
-            .iter()
-            .map(|t| {
-                let stencil_core::ir::Type::Field(fld) = t else { panic!() };
-                let len: i64 = fld.bounds.shape().iter().product();
-                (0..len).map(|x| (x as f64 * 0.003).sin()).collect()
-            })
-            .collect();
-        let mut runner = Runner::new(compile_pipeline(module, "pw_advection").unwrap(), 8);
-        let start = std::time::Instant::now();
-        for _ in 0..5 {
-            runner.step(&mut args).unwrap();
-        }
-        let secs = start.elapsed().as_secs_f64() / 5.0;
-        rows.push(vec![
-            label.to_string(),
-            pipeline.num_apply_steps().to_string(),
-            format!("{:.2}", modeled),
-            format!("{:.1} ms/step", secs * 1e3),
-        ]);
-    }
+            // Measured: steps of the compiled executor.
+            let args = field_args(module, "pw_advection", |x| (x as f64 * 0.003).sin());
+            let args: Vec<Vec<f64>> = args.into_iter().map(|(_, data)| data).collect();
+            (Runner::new(pipeline, 8), args)
+        });
+    let step = |(runner, args): &mut (Runner, Vec<Vec<f64>>)| time(|| runner.step(args).unwrap());
+    let r = paired(|| step(&mut fused_run), || step(&mut unfused_run), 5);
+    rows[0].push(format!("{:.1} ms/step", r.b.as_secs_f64() * 1e3));
+    rows[1].push(format!("{:.1} ms/step", r.a.as_secs_f64() * 1e3));
     print_table(
-        "ablation 2: PW advection fusion (regions real; ARCHER2 model at 134m pts; local measurement at 64x64x32)",
+        &format!(
+            "ablation 2: PW advection fusion (regions real; ARCHER2 model at 134m pts; \
+             local measurement at 64x64x32: unfused over fused {r})"
+        ),
         &["variant", "regions/step", "ARCHER2 model GPts/s", "measured (this machine)"],
         &rows,
     );
@@ -371,43 +317,31 @@ fn ablate_parallel_scheduling() {
         "shape-inference,convert-stencil-to-loops,tile-parallel-loops{tile=32:4}",
     );
     let group = "func.func(canonicalize,licm,cse,dce)";
-    let time = |threads: usize| {
+    let run = |threads: usize, text: &mut String| {
         let driver = Driver::new().with_cache(None).with_parallelism(threads);
-        let mut best = f64::INFINITY;
-        let mut text = String::new();
-        for _ in 0..5 {
-            let start = std::time::Instant::now();
-            let out = driver.run_str(lowered.clone(), group).unwrap();
-            best = best.min(start.elapsed().as_secs_f64());
-            text = out.text;
-        }
-        (best, text)
+        time(|| *text = driver.run_str(lowered.clone(), group).unwrap().text)
     };
-    let (serial, serial_text) = time(1);
-    let (parallel, parallel_text) = time(0);
+    let (mut serial_text, mut parallel_text) = (String::new(), String::new());
+    let r = paired(|| run(0, &mut parallel_text), || run(1, &mut serial_text), 5);
     assert_eq!(serial_text, parallel_text, "parallel scheduling must not change the IR");
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let ms = |d: std::time::Duration| format!("{:.3} ms", d.as_secs_f64() * 1e3);
     print_table(
         &format!(
             "ablation 7: parallel per-function pass scheduling ({kernels} kernels, {cores} cores, measured)"
         ),
         &["schedule", "group wall time", "speedup"],
         &[
-            vec!["threads=1".into(), format!("{:.3} ms", serial * 1e3), "1.00x".into()],
-            vec![
-                "threads=auto".into(),
-                format!("{:.3} ms", parallel * 1e3),
-                format!("{:.2}x", serial / parallel),
-            ],
+            vec!["threads=1".into(), ms(r.b), "1.00x".into()],
+            vec!["threads=auto".into(), ms(r.a), format!("{r}")],
         ],
     );
     // Timing asserts are noise-prone on small or loaded machines; only
     // insist on a win where the headroom is unambiguous.
     if cores >= 4 {
-        assert!(
-            parallel < serial,
-            "parallel scheduling should beat serial on {cores} cores: {parallel}s vs {serial}s"
-        );
+        Gate::floor("parallel scheduling over serial", 1.0)
+            .check(&r)
+            .unwrap_or_else(|e| panic!("{e} ({cores} cores)"));
     }
 }
 

@@ -68,6 +68,6 @@ fn main() {
     }
     println!(
         "\nShape check: xDSL ahead on all 2D (memory-bound) kernels, behind on all 3D\n\
-         (vectorization-bound) kernels, as in the paper. See EXPERIMENTS.md."
+         (vectorization-bound) kernels, as in the paper."
     );
 }

@@ -1,64 +1,47 @@
 //! `resilience_bench` — what fault tolerance costs when nothing fails,
 //! and what recovery costs when something does.
 //!
-//! Three measurements over a 2-rank distributed jacobi on SimMPI:
+//! Three measurements over a 2-rank distributed jacobi on SimMPI, each a
+//! comparison in alternating pairs ([`sten_bench::instrument`]):
 //!
 //! 1. **Fault-free cost of a `Reliability`** — the same framed exchange
 //!    on a world with a `Reliability` (timeout-armed receives, kept
-//!    re-send copies) vs one without (plain blocking receives), in
-//!    paired bursts on identical work. Gated at ≤2%: resilience must be
-//!    free when the network is healthy.
-//! 2. **Checkpoint cost vs interval** — [`run_resilient`] with no
-//!    faults at intervals {1, 2, 4, 8, ∞}: wall-clock, deposits, what
-//!    the store retains (asserted: one cut, at most one snapshot per
-//!    rank), and the deposit itself from the trace's checkpoint spans
-//!    (snapshot, store `put`, digest barrier): µs per deposit and GB/s
-//!    deposited. Full runs gate the deposit rate at ≥0.75 GB/s.
-//! 3. **Recovery overhead vs interval** — a rank crash at mid-run:
-//!    rollback count, replayed steps (shrinking as checkpoints tighten),
-//!    wall-clock vs the fault-free run, and a bit-identity check of the
-//!    healed result.
+//!    re-send copies) vs one without (plain blocking receives), in short
+//!    bursts on identical work. Gated at ≤2% in up to 3 attempts:
+//!    resilience must be free when the network is healthy.
+//! 2. **Checkpoint cost vs interval** — [`run_resilient`] with no faults
+//!    at intervals {1, 2, 4, 8}, each paired with the run that deposits
+//!    only its step-0 baseline (interval ∞): the cost, what the store
+//!    retains (asserted: one cut, at most one snapshot per rank), and the
+//!    deposit itself from the trace's checkpoint spans (snapshot, store
+//!    `put`, digest barrier): µs per deposit and GB/s deposited. Full
+//!    runs gate the median run's deposit rate at ≥0.75 GB/s.
+//! 3. **Recovery overhead vs interval** — the same with a rank crash at
+//!    mid-run: rollback count, replayed steps (shrinking as checkpoints
+//!    tighten), and a bit-identity check of every healed result.
 //!
 //! ```text
 //! cargo run --release -p sten-bench --bin resilience_bench            # full
 //! cargo run --release -p sten-bench --bin resilience_bench -- --smoke # CI
 //! ```
 //!
-//! `--smoke` shrinks the grid and step counts so CI exercises the
-//! emitter, the overhead gate, and the bit-identity checks quickly;
-//! smoke timings are *not* meaningful.
+//! `--smoke` shrinks the grid, steps and pairs so CI exercises the
+//! overhead gate and the bit-identity checks quickly; smoke timings are
+//! *not* meaningful.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sten_bench::instrument::{paired, ping_pong, Args, Gate, Ratio, Report};
+use sten_bench::obj;
 use stencil_core::exec::{
-    run_resilient, CheckpointStore, ExecError, Pipeline, ResilientConfig, ResilientReport,
+    run_resilient, CheckpointStore, Pipeline, ResilientConfig, ResilientReport,
 };
 use stencil_core::interp::{FaultAction, FaultPlan, Reliability};
 use stencil_core::ir::Pass as _;
 use stencil_core::prelude::*;
 use stencil_core::stencil::ShapeInference;
-use stencil_core::trace::TraceReport;
 
 const RANKS: usize = 2;
-
-struct Args {
-    smoke: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { smoke: false, out: "BENCH_resilience.json".into() };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            other => panic!("unknown argument '{other}' (expected --smoke | --out)"),
-        }
-    }
-    args
-}
 
 /// The 2-rank distributed jacobi pipeline (rank-generic: the even split
 /// gives every rank the same local shape) and each rank's share of the
@@ -73,112 +56,37 @@ fn jacobi_pipeline(global: &[f64]) -> (Pipeline, Vec<Vec<f64>>) {
     (compile_pipeline(&m, "jacobi").unwrap(), layout.scatter(global))
 }
 
-/// `timesteps` ping-pong steps on every rank over `world` from the
-/// scattered `parts`; returns the per-step wall-clocks (measured on rank
-/// 0 — the halo handshake synchronises the cohort every step, so one
-/// rank sees them all) and each rank's final argument pair.
-fn run_spmd(
-    pipeline: &Pipeline,
-    world: &Arc<SimWorld>,
-    parts: &[Vec<f64>],
-    timesteps: usize,
-) -> (Vec<f64>, Vec<Vec<Vec<f64>>>) {
-    let ranks = launch_with(world, parts, |rank, data| {
-        let mut args = vec![data.clone(), data.clone()];
-        let mut runner = Runner::new(pipeline.clone(), 1);
-        let mut step_secs = Vec::with_capacity(timesteps);
-        for _ in 0..timesteps {
-            let t0 = Instant::now();
-            runner.step_distributed(&mut args, world, rank as i64)?;
-            args.swap(0, 1);
-            step_secs.push(t0.elapsed().as_secs_f64());
-        }
-        Ok::<_, String>((step_secs, args))
-    })
-    .unwrap();
-    let (mut step_secs, outs): (Vec<_>, Vec<_>) = ranks.into_iter().unzip();
-    (step_secs.swap_remove(0), outs)
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn resilient_cfg(steps: u64, interval: u64) -> ResilientConfig {
-    ResilientConfig {
-        steps,
-        checkpoint_interval: interval,
-        max_recoveries: 3,
-        reliability: Reliability::default(),
-        threads: 1,
-        rotate_args: true,
-    }
-}
-
-struct ResilientOutcome {
-    seconds: f64,
+/// One [`run_resilient`]: its wall-clock, the store it filled and its
+/// trace.
+struct Resilient {
+    wall: Duration,
     report: ResilientReport,
-    outs: Vec<Vec<Vec<f64>>>,
-    store_blobs: usize,
-    store_bytes: u64,
-    /// Traced deposits (the step-0 baseline is not one) and the time
-    /// inside them, summed over ranks.
-    deposits: u64,
-    deposit_ns: u64,
-}
-
-fn run_resilient_once(
-    pipeline: &Pipeline,
-    parts: &[Vec<f64>],
-    steps: u64,
-    interval: u64,
-    plan: Arc<FaultPlan>,
-) -> Result<ResilientOutcome, ExecError> {
-    let mut args: Vec<Vec<Vec<f64>>> = parts.iter().map(|p| vec![p.clone(), p.clone()]).collect();
-    let store = CheckpointStore::in_memory();
-    let cfg = resilient_cfg(steps, interval);
-    let tracer = Tracer::new();
-    let t0 = Instant::now();
-    let report = run_resilient(pipeline, &mut args, plan, &store, &cfg, &tracer)?;
-    let seconds = t0.elapsed().as_secs_f64();
-    let trace = TraceReport::from_events(&tracer.events());
-    Ok(ResilientOutcome {
-        seconds,
-        report,
-        outs: args,
-        store_blobs: store.num_blobs(),
-        store_bytes: store.bytes_stored(),
-        deposits: trace.checkpoints,
-        deposit_ns: trace.checkpoint_ns,
-    })
+    store: CheckpointStore,
+    trace: TraceReport,
 }
 
 fn main() {
-    let args = parse_args();
+    let args = Args::parse("BENCH_resilience.json", None);
     // Full mode runs a domain big enough that per-step compute dwarfs
     // the condvar wake jitter of the rank handshake — the overhead gate
     // measures the protocol, not the scheduler.
     let n: i64 = if args.smoke { 1 << 12 } else { 1 << 18 };
     let steps: usize = if args.smoke { 16 } else { 60 };
-    // Overhead-gate pairs: short back-to-back bursts without and with a
-    // `Reliability` ("plain" and "reliable" below).
+    // Overhead-gate bursts: a few steps each, so a pair spans only a few
+    // milliseconds of the host; many of them, since the protocol's cost
+    // is small next to the step.
     let gate_steps = if args.smoke { 8 } else { 6 };
     let gate_pairs = if args.smoke { 9 } else { 151 };
-    const GATE_PCT: f64 = 2.0;
+    let pairs = if args.smoke { 3 } else { 9 };
+    let mut report = Report::new(&args);
 
     let global: Vec<f64> = (0..n).map(|i| (i as f64 * 0.003).sin()).collect();
     let (pipeline, parts) = jacobi_pipeline(&global);
+    let pipelines = std::slice::from_ref(&pipeline);
 
     // --- 1. fault-free overhead: without vs with a Reliability ------
-    // On a shared machine, background load drifts on a ~100ms timescale
-    // and poisons any whole-run wall-clock comparison. So: many short
-    // back-to-back (plain, reliable) bursts — each pair spans only a few
-    // milliseconds of machine time, so load hits both sides equally —
-    // and the gate reads the *median over pairs* of the per-pair ratio
-    // of in-burst median step times. Each burst's first step (cold
-    // buffers, fresh world) is discarded.
-    let plain_world = || SimWorld::new(RANKS);
+    // A burst's time is the median of its steps after the first (cold
+    // buffers, fresh world).
     let reliable_world = || {
         SimWorld::new_resilient(
             RANKS,
@@ -188,230 +96,129 @@ fn main() {
             Some(Reliability::default()),
         )
     };
-    let _ = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
-    let _ = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
-    let measure_gate = || {
-        let mut ratios = Vec::with_capacity(gate_pairs);
-        let mut plain_meds = Vec::with_capacity(gate_pairs);
-        let mut reliable_meds = Vec::with_capacity(gate_pairs);
-        let mut plain_outs = Vec::new();
-        let mut reliable_outs = Vec::new();
-        for pair in 0..gate_pairs {
-            // Alternate which world runs first, cancelling any
-            // first-vs-second systematic (cache residency, governor ramp).
-            let (mut p, mut r);
-            if pair % 2 == 0 {
-                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
-                (r, reliable_outs) = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
-            } else {
-                (r, reliable_outs) = run_spmd(&pipeline, &reliable_world(), &parts, gate_steps);
-                (p, plain_outs) = run_spmd(&pipeline, &plain_world(), &parts, gate_steps);
-            }
-            let pm = median(&mut p[1..]);
-            let rm = median(&mut r[1..]);
-            plain_meds.push(pm);
-            reliable_meds.push(rm);
-            ratios.push(rm / pm);
-        }
-        assert_eq!(
-            plain_outs, reliable_outs,
-            "a world with a Reliability must compute the bytes of one without"
-        );
-        let plain_step = median(&mut plain_meds);
-        let reliable_step = median(&mut reliable_meds);
-        let overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
-        (plain_step, reliable_step, overhead_pct)
+    let burst = |world: Arc<SimWorld>, outs: &mut Vec<Vec<Vec<f64>>>| {
+        let run = ping_pong(world, pipelines, &parts, gate_steps, None);
+        *outs = run.args;
+        let secs = run.steps[1..].iter().map(Duration::as_secs_f64).collect();
+        Duration::from_secs_f64(Ratio::of(secs).median)
     };
-    // Even the paired-burst design has a ~±2% noise floor on a shared
-    // machine, so the gate allows up to three independent measurement
-    // attempts and passes on the first that lands under it. A real
+    let (mut plain_outs, mut reliable_outs) = (Vec::new(), Vec::new());
+    // Even paired bursts have a ~±2% noise floor on a shared machine, so
+    // the gate allows three independent measurements; a real
     // multi-percent protocol regression fails all three.
-    const GATE_ATTEMPTS: usize = 3;
-    let (mut plain_step, mut reliable_step, mut overhead_pct) = (0.0, 0.0, f64::INFINITY);
-    for attempt in 1..=GATE_ATTEMPTS {
-        (plain_step, reliable_step, overhead_pct) = measure_gate();
-        println!(
-            "fault-free overhead (attempt {attempt}/{GATE_ATTEMPTS}): no Reliability \
-             {:.1}us/step, with Reliability {:.1}us/step (median paired ratio over \
-             {gate_pairs} bursts: {overhead_pct:+.2}%, gate {GATE_PCT}%)",
-            plain_step * 1e6,
-            reliable_step * 1e6,
-        );
-        if overhead_pct <= GATE_PCT {
-            break;
-        }
-    }
-    assert!(
-        overhead_pct <= GATE_PCT,
-        "a Reliability costs {overhead_pct:.2}% fault-free in {GATE_ATTEMPTS} independent \
-         measurements — over the {GATE_PCT}% gate"
+    let gate = Gate::ceiling("Reliability fault-free cost", 1.02).attempts(3);
+    let overhead = report.gate(&gate, || {
+        paired(
+            || burst(SimWorld::new(RANKS), &mut plain_outs),
+            || burst(reliable_world(), &mut reliable_outs),
+            gate_pairs,
+        )
+    });
+    assert_eq!(
+        plain_outs, reliable_outs,
+        "a world with a Reliability must compute the bytes of one without"
     );
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    report.case(obj! {
+        "name": "fault-free overhead", "n": n, "ranks": RANKS, "burst_steps": gate_steps,
+        "plain_step_us": us(overhead.a), "reliable_step_us": us(overhead.b),
+        "reliable_vs_plain": overhead, "overhead_pct": overhead.pct(), "bit_identical": true,
+    });
 
-    // --- 2. checkpoint cost vs interval (no faults) -----------------
-    // The bit-identity reference for phases 2 and 3: a plain run over
-    // the full `steps` horizon.
-    let (_, plain_ref) = run_spmd(&pipeline, &plain_world(), &parts, steps);
-    // interval > steps ⇒ only the step-0 baseline is deposited.
-    let no_ckpt = run_resilient_once(
-        &pipeline,
-        &parts,
-        steps as u64,
-        steps as u64 + 1,
-        Arc::new(FaultPlan::new()),
-    )
-    .expect("fault-free resilient run");
-    assert_eq!(no_ckpt.outs, plain_ref, "resilient driver must heal to plain bytes");
-    // Retention: a fault-free run leaves one cut, one snapshot per rank
-    // at most (fewer where ranks share content).
-    let holds_one_cut = |out: &ResilientOutcome, what: &str| {
+    // --- 2 and 3. checkpoint cost and recovery vs interval ----------
+    // The bit-identity reference: a plain run over the full horizon.
+    let plain_ref = ping_pong(SimWorld::new(RANKS), pipelines, &parts, steps, None).args;
+    // A resilient run, fault-free or with rank 1 crashing at mid-run (off
+    // every interval boundary, so sparse intervals roll back further
+    // than tight ones). Healed or not, it ends with the plain run's
+    // bytes; a fault-free run leaves one cut in the store: one snapshot
+    // per rank at most (fewer where ranks share content).
+    let crash_step = steps as u64 / 2 + 3;
+    let resilient = |interval: u64, crash: bool| {
+        let mut plan = FaultPlan::new();
+        if crash {
+            plan = plan.with_rank_fault(1, crash_step, FaultAction::RankCrash);
+        }
+        let cfg = ResilientConfig {
+            steps: steps as u64,
+            checkpoint_interval: interval,
+            max_recoveries: 3,
+            reliability: Reliability::default(),
+            threads: 1,
+            rotate_args: true,
+        };
+        let mut outs: Vec<_> = parts.iter().map(|p| vec![p.clone(), p.clone()]).collect();
+        let (store, tracer) = (CheckpointStore::in_memory(), Tracer::new());
+        let t0 = Instant::now();
+        let report = run_resilient(&pipeline, &mut outs, Arc::new(plan), &store, &cfg, &tracer)
+            .expect("a fault-free run, or a crash healed by rollback");
+        let wall = t0.elapsed();
+        assert_eq!(outs, plain_ref, "interval {interval}: healed result must be plain bytes");
+        assert_eq!(report.recoveries, u32::from(crash), "one rollback per crash");
+        let blobs = store.num_blobs();
         assert!(
-            out.store_blobs <= RANKS,
-            "{what}: the store holds {} snapshots after a fault-free run, more than one cut",
-            out.store_blobs
+            crash || blobs <= RANKS,
+            "interval {interval}: the store holds {blobs} snapshots after a fault-free run, \
+             more than one cut"
         );
+        Resilient { wall, report, store, trace: TraceReport::from_events(&tracer.events()) }
     };
-    holds_one_cut(&no_ckpt, "no checkpoints");
-    let intervals = [1u64, 2, 4, 8];
-    // One rank's deposit: its field arguments.
+    // interval > steps: only the step-0 baseline is deposited.
+    let no_ckpt = || resilient(steps as u64 + 1, false).wall;
+    // One rank's deposit: its field arguments. Deposits are the traced
+    // ones (the step-0 baseline is not one), summed over ranks.
     let deposit_bytes: u64 =
         pipeline.arg_shapes.iter().map(|s| 8 * s.iter().product::<i64>() as u64).sum();
     let gb_per_s = |deposits: u64, ns: u64| (deposit_bytes * deposits) as f64 / ns.max(1) as f64;
     let us_per_deposit = |deposits: u64, ns: u64| ns as f64 / 1e3 / deposits.max(1) as f64;
-    let (mut all_deposits, mut all_deposit_ns) = (0, 0);
-    let mut ckpt_rows = Vec::new();
-    let mut ckpt_json = Vec::new();
-    for &interval in &intervals {
-        let out = run_resilient_once(
-            &pipeline,
-            &parts,
-            steps as u64,
-            interval,
-            Arc::new(FaultPlan::new()),
-        )
-        .expect("fault-free resilient run");
-        assert_eq!(out.outs, plain_ref);
-        assert_eq!(out.report.recoveries, 0);
-        holds_one_cut(&out, &format!("interval {interval}"));
-        let cost_pct = (out.seconds / no_ckpt.seconds - 1.0) * 100.0;
-        let rate = gb_per_s(out.deposits, out.deposit_ns);
-        let deposit_us = us_per_deposit(out.deposits, out.deposit_ns);
-        all_deposits += out.deposits;
-        all_deposit_ns += out.deposit_ns;
-        ckpt_rows.push(vec![
-            interval.to_string(),
-            format!("{:.4}", out.seconds),
-            format!("{cost_pct:+.1}%"),
-            out.report.checkpoints.to_string(),
-            out.store_blobs.to_string(),
-            out.store_bytes.to_string(),
-            format!("{deposit_us:.0}"),
-            format!("{rate:.2}"),
-        ]);
-        ckpt_json.push(format!(
-            "    {{\"interval\": {interval}, \"seconds\": {:.6}, \"cost_pct\": {cost_pct:.2}, \
-             \"checkpoints\": {}, \"store_blobs\": {}, \"store_bytes\": {}, \
-             \"deposit_us\": {deposit_us:.1}, \"deposit_gb_per_s\": {rate:.3}}}",
-            out.seconds, out.report.checkpoints, out.store_blobs, out.store_bytes
-        ));
-    }
-    // The deposit rate over every traced deposit of the sweep. The
-    // store keeps one cut and deposits copy into the retired one's
-    // buffers, so after the first two cuts no deposit touches a fresh
-    // page.
-    const DEPOSIT_GATE_GB_PER_S: f64 = 0.75;
-    let deposit_rate = gb_per_s(all_deposits, all_deposit_ns);
-    let deposit_us = us_per_deposit(all_deposits, all_deposit_ns);
-    println!(
-        "deposit: {deposit_us:.0}us per {deposit_bytes}-byte snapshot, {deposit_rate:.2} GB/s \
-         over {all_deposits} deposits (gate >= {DEPOSIT_GATE_GB_PER_S} GB/s, full runs)"
-    );
-    assert!(
-        args.smoke || deposit_rate >= DEPOSIT_GATE_GB_PER_S,
-        "checkpoint deposits run at {deposit_rate:.2} GB/s — under the \
-         {DEPOSIT_GATE_GB_PER_S} GB/s gate"
-    );
-
-    // --- 3. recovery overhead vs interval (crash at mid-run) --------
-    // Offset the crash off every interval boundary, so sparse intervals
-    // genuinely roll back further than tight ones.
-    let crash_step = steps as u64 / 2 + 3;
-    let mut rec_rows = Vec::new();
-    let mut rec_json = Vec::new();
-    for &interval in &intervals {
-        let plan =
-            Arc::new(FaultPlan::new().with_rank_fault(1, crash_step, FaultAction::RankCrash));
-        let out = run_resilient_once(&pipeline, &parts, steps as u64, interval, plan)
-            .expect("crash must be healed by rollback");
-        assert_eq!(
-            out.outs, plain_ref,
-            "interval {interval}: healed result must be bit-identical to fault-free"
+    let (mut all_deposits, mut all_deposit_ns, mut rates) = (0, 0, Vec::new());
+    let mut replayed = Vec::new();
+    for (crash, interval) in [false, true].into_iter().flat_map(|c| [1, 2, 4, 8].map(|i| (c, i))) {
+        let mut last = None;
+        let cost = paired(
+            no_ckpt,
+            || {
+                let out = last.insert(resilient(interval, crash));
+                if !crash {
+                    all_deposits += out.trace.checkpoints;
+                    all_deposit_ns += out.trace.checkpoint_ns;
+                    rates.push(gb_per_s(out.trace.checkpoints, out.trace.checkpoint_ns));
+                }
+                out.wall
+            },
+            pairs,
         );
-        assert_eq!(out.report.recoveries, 1, "one crash, one rollback");
-        let overhead_pct = (out.seconds / no_ckpt.seconds - 1.0) * 100.0;
-        rec_rows.push(vec![
-            interval.to_string(),
-            format!("{:.4}", out.seconds),
-            format!("{overhead_pct:+.1}%"),
-            out.report.replayed_steps.to_string(),
-            out.report.checkpoints.to_string(),
-        ]);
-        rec_json.push(format!(
-            "    {{\"interval\": {interval}, \"seconds\": {:.6}, \"overhead_pct\": \
-             {overhead_pct:.2}, \"replayed_steps\": {}, \"checkpoints\": {}, \
-             \"bit_identical\": true}}",
-            out.seconds, out.report.replayed_steps, out.report.checkpoints
-        ));
+        let out = last.expect("a resilient run");
+        let (deposits, ns) = (out.trace.checkpoints, out.trace.checkpoint_ns);
+        let kind = if crash { "recovery" } else { "checkpoint" };
+        if crash {
+            replayed.push(out.report.replayed_steps);
+        }
+        report.case(obj! {
+            "name": format!("{kind} interval {interval}"),
+            "timesteps": steps, "crash_step": if crash { crash_step } else { 0 },
+            "seconds": cost.b, "vs_no_checkpoints": cost, "cost_pct": cost.pct(),
+            "checkpoints": out.report.checkpoints, "replayed_steps": out.report.replayed_steps,
+            "store_blobs": out.store.num_blobs(), "store_bytes": out.store.bytes_stored(),
+            "deposit_us": us_per_deposit(deposits, ns), "deposit_gb_per_s": gb_per_s(deposits, ns),
+            "bit_identical": true,
+        });
     }
     // Tighter checkpoints replay no more than sparser ones (both roll
     // back from the same crash step).
-    let replayed: Vec<u64> = rec_rows.iter().map(|r| r[3].parse().unwrap()).collect();
     assert!(
         replayed.windows(2).all(|w| w[0] <= w[1]),
         "replayed steps must grow (or hold) as checkpoints get sparser: {replayed:?}"
     );
-
-    let mode = if args.smoke { "SMOKE — numbers not meaningful" } else { "full" };
-    sten_bench::print_table(
-        &format!("checkpoint cost vs interval, {steps} steps of jacobi-1d n={n} ({mode})"),
-        &["interval", "seconds", "vs no-ckpt", "deposits", "blobs", "bytes", "us/deposit", "GB/s"],
-        &ckpt_rows,
-    );
-    sten_bench::print_table(
-        &format!("recovery from a rank crash at step {crash_step} ({mode})"),
-        &["interval", "seconds", "vs no-fault", "replayed", "deposits"],
-        &rec_rows,
-    );
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sten-resilience/v2\",");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"n\": {n},");
-    let _ = writeln!(json, "  \"ranks\": {RANKS},");
-    let _ = writeln!(json, "  \"timesteps\": {steps},");
-    let _ = writeln!(json, "  \"fault_free_overhead\": {{");
-    let _ = writeln!(json, "    \"plain_step_us\": {:.3},", plain_step * 1e6);
-    let _ = writeln!(json, "    \"reliable_step_us\": {:.3},", reliable_step * 1e6);
-    let _ = writeln!(json, "    \"overhead_pct\": {overhead_pct:.3},");
-    let _ = writeln!(json, "    \"gate_pct\": {GATE_PCT},");
-    let _ = writeln!(json, "    \"paired_bursts\": {gate_pairs},");
-    let _ = writeln!(json, "    \"burst_steps\": {gate_steps},");
-    let _ = writeln!(json, "    \"bit_identical\": true");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"deposit\": {{");
-    let _ = writeln!(json, "    \"bytes\": {deposit_bytes},");
-    let _ = writeln!(json, "    \"deposits\": {all_deposits},");
-    let _ = writeln!(json, "    \"us_per_deposit\": {deposit_us:.1},");
-    let _ = writeln!(json, "    \"gb_per_s\": {deposit_rate:.3},");
-    let _ = writeln!(json, "    \"gate_gb_per_s\": {DEPOSIT_GATE_GB_PER_S}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"checkpoint_cost\": [");
-    let _ = writeln!(json, "{}", ckpt_json.join(",\n"));
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"recovery\": [");
-    let _ = writeln!(json, "{}", rec_json.join(",\n"));
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&args.out, json).expect("write BENCH_resilience.json");
-    println!("wrote {}", args.out);
+    // The deposit rate of every fault-free checkpointed run. The store
+    // keeps one cut and deposits copy into the retired one's buffers, so
+    // after the first two cuts no deposit touches a fresh page.
+    let gate = Gate::floor("checkpoint deposit GB/s", 0.75);
+    let per_run = report.full_gate(&gate, || Ratio::of(rates.clone()));
+    report.case(obj! {
+        "name": "deposit", "bytes": deposit_bytes, "deposits": all_deposits,
+        "us_per_deposit": us_per_deposit(all_deposits, all_deposit_ns),
+        "gb_per_s": gb_per_s(all_deposits, all_deposit_ns), "per_run_gb_per_s": per_run,
+    });
+    report.write(&args.out);
 }

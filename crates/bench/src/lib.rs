@@ -10,14 +10,22 @@
 //! | `fig10_psyclone` | Fig. 10a/10b — PSyclone CPU + GPU |
 //! | `fig11_psyclone_scaling` | Fig. 11a/11b — PW/tracer advection scaling |
 //! | `table1_fpga` | Table 1 — U280 initial vs optimized |
-//! | `ablations` | DESIGN.md §5 design-choice ablations |
+//! | `ablations` | design-choice ablations (README, "Evaluation harness") |
 //!
 //! Kernel characteristics (flops/point, stencil points, regions) are
 //! extracted from **really compiled pipelines** at reduced grid sizes and
 //! scaled to the paper's problem sizes; throughput comes from the
-//! `sten-perf` machine models (see EXPERIMENTS.md for the
-//! paper-vs-modeled record and the honesty notes).
+//! `sten-perf` machine models.
+//!
+//! The per-layer benches (`exec_throughput`, `cg_bench`, `halo_overlap`,
+//! `resilience_bench`) measure this machine instead, through the one
+//! instrument in [`instrument`].
 
+pub mod instrument;
+
+use std::collections::HashMap;
+use stencil_core::dialects::func::FuncOp;
+use stencil_core::ir::Type;
 use stencil_core::perf::KernelProfile;
 use stencil_core::prelude::*;
 
@@ -50,7 +58,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// The paper's kernel labels: space orders matching the figure point
-/// counts (radii 1/2/3 — see EXPERIMENTS.md on the SDO-8 label).
+/// counts (radii 1/2/3).
 pub const SPACE_ORDERS: [(usize, &str, &str); 3] =
     [(2, "5pt", "7pt"), (4, "9pt", "13pt"), (6, "13pt", "19pt")];
 
@@ -91,6 +99,36 @@ pub fn traadv_profile(points: f64) -> KernelProfile {
     let k = stencil_core::psyclone::kernels::tracer_advection(32, 16, 8).expect("traadv");
     let pipeline = compile_pipeline(&k.module, "tra_adv").expect("pipeline");
     KernelProfile::from_pipeline("traadv", 3, &pipeline).scaled_points(points)
+}
+
+/// Unfused PW advection at `nx × ny × nz`: one stencil per loop nest, as
+/// the PSyclone frontend recognises them before fusion.
+pub fn pw_unfused(nx: i64, ny: i64, nz: i64) -> Module {
+    use stencil_core::psyclone::{kernels, lower_subroutine, parse_fortran, recognize_stencils};
+    let sub = parse_fortran(kernels::PW_ADVECTION_SRC).expect("PW advection parses");
+    let sizes = [("nx", nx), ("ny", ny), ("nz", nz)].map(|(k, v)| (k.to_string(), v));
+    let scalars = [("tcx", 0.1), ("tcy", 0.1), ("tcz", 0.05)].map(|(k, v)| (k.to_string(), v));
+    let kernel = recognize_stencils(&sub, &HashMap::from(sizes)).expect("stencils recognised");
+    lower_subroutine(&kernel, &HashMap::from(scalars)).expect("PW advection lowers")
+}
+
+/// The shape of every field argument of `func`, with a buffer whose
+/// element `i` holds `f(i)`.
+pub fn field_args(
+    module: &Module,
+    func: &str,
+    f: impl Fn(i64) -> f64,
+) -> Vec<(Vec<i64>, Vec<f64>)> {
+    let op = module.lookup_symbol(func).expect("function");
+    let ty = FuncOp(op).function_type().clone();
+    (ty.inputs.iter())
+        .map(|t| {
+            let Type::Field(field) = t else { panic!("{func}: an argument that is not a field") };
+            let shape = field.bounds.shape();
+            let data = (0..shape.iter().product()).map(&f).collect();
+            (shape, data)
+        })
+        .collect()
 }
 
 /// Formats a throughput in GPts/s to 3 significant digits.

@@ -18,8 +18,7 @@
 //! pool. Gates: template-JIT over `eval` (the fast path against the
 //! fallback it would otherwise land on) ≥ 7.5× on every kernel — in smoke
 //! runs ≥ 3× in up to 3 attempts, since tiny grids are dominated by
-//! per-row dispatch — and, in full runs, a disabled trace sink attached
-//! to the runner costs ≤ 2 % on heat-2d.
+//! per-row dispatch.
 
 use std::time::Duration;
 use sten_bench::instrument::{paired, time, write_trace, Args, Gate, Report};
@@ -169,31 +168,6 @@ fn main() {
         let mut traced = Bench::new(&pipeline, None, threads.min(4)).traced(&tracer, 0);
         (0..2).for_each(|_| traced.step());
         traces.push((name.to_string(), tracer.events()));
-
-        if name == "heat-2d" {
-            // Attaching a disabled tracer to the runner must not cost
-            // throughput. Both runners step the same buffers, so where
-            // the allocator put them cannot favour either side.
-            let disabled = Tracer::disabled();
-            let plain = std::cell::RefCell::new(Bench::new(&pipeline, None, 1));
-            let same = plain.borrow().runner.pipeline.clone();
-            let mut attached = Runner::new(same, 1).with_trace(&disabled, 0);
-            let mut swapped = |budget| {
-                let mut b = plain.borrow_mut();
-                std::mem::swap(&mut b.runner, &mut attached);
-                let t = b.burst(budget);
-                std::mem::swap(&mut b.runner, &mut attached);
-                t
-            };
-            let gate = Gate::ceiling("disabled trace sink, heat-2d", 1.02);
-            let sink = report.full_gate(&gate, || {
-                paired(|| plain.borrow_mut().burst(budget / 5), || swapped(budget / 5), 10 * pairs)
-            });
-            report.case(obj! {
-                "name": "disabled trace sink, heat-2d", "attached_vs_plain": sink,
-                "delta_pct": sink.pct(),
-            });
-        }
     }
     write_trace(&args.out, &traces);
     report.write(&args.out);

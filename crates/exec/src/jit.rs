@@ -12,8 +12,8 @@
 //! depend on, so this module does the next-best thing — a **template
 //! JIT**: a catalog of pre-compiled, monomorphized `#[inline(never)]`
 //! micro-kernels covering the stencil shapes the specializer actually
-//! sees, selected at pipeline-build time by matching the optimized
-//! bytecode's combine DAG. The catalog is parameterized by runtime data
+//! sees, selected at pipeline-build time by matching the combine DAG of
+//! the kernel's bytecode. The catalog is parameterized by runtime data
 //! (taps, coefficients, strides) but its *shape* — tap counts (const
 //! generics), fold structure, lane width — is fixed at compile time, so
 //! the inner loops carry no interpretation dispatch at all.
@@ -35,11 +35,13 @@
 //! the Devito space-order-2 operators as one scaled group plus trailing
 //! taps (heat-3d: `s·(a+b+c+d+e+f) + g·centre`; wave-3d adds a second
 //! scaled tap), CG's `axpy` (`a + α·b`, α a function argument) as a
-//! 2-tap chain with one late-bound coefficient. Kernels outside the grammar (`Index`
-//! terms, negation or division, `load · load`, arithmetic between
-//! coefficients, nesting deeper than two levels) stay on the `eval`
-//! tier — tier selection is a pure win-or-fall-back, and
+//! 2-tap chain with one late-bound coefficient. Kernels outside the
+//! grammar (`Index` terms, negation or division, `load · load`,
+//! arithmetic on a runtime scalar, nesting deeper than two levels) stay
+//! on the `eval` tier — tier selection is a pure win-or-fall-back, and
 //! [`match_template`] names the first construct that caused the fall.
+//! Only what an output reads counts, and arithmetic on constants alone
+//! is folded first, with the same f64 operation.
 //!
 //! **Binding.** A runtime scalar is a constant that arrives late: the
 //! matcher records its [`Slot`] where a constant would record its value,
@@ -94,8 +96,7 @@
 //! (two `__m256d` halves per block). Row remainders run the scalar path,
 //! which is bit-identical by construction.
 
-use crate::program::{BinOp, Instr};
-use crate::specialize::OptProgram;
+use crate::program::{BinOp, Instr, KernelProgram};
 
 /// Maximum length of one fold: top-level terms, or elements of a group.
 const MAX_FOLD: usize = 64;
@@ -476,7 +477,7 @@ pub type Reject = &'static str;
 const REJECT_PRODUCT: Reject = "load·load product";
 const REJECT_NESTING: Reject = "nesting deeper than two fold levels";
 
-/// What an optimized-bytecode register holds during matching.
+/// What a live bytecode register holds during matching.
 #[derive(Copy, Clone)]
 enum Def {
     Load { input: u32, rel: i64 },
@@ -485,7 +486,8 @@ enum Def {
 }
 
 struct Matcher {
-    /// Definition of every register of the optimized program.
+    /// Definition of every register of the kernel's bytecode (`None`
+    /// while not yet reached, and for registers no output reads).
     defs: Vec<Option<Def>>,
     /// Operations charged to the current output.
     ops: usize,
@@ -502,6 +504,11 @@ impl Matcher {
             Some(Def::Coeff(c)) => Some(c),
             _ => None,
         }
+    }
+
+    /// The constant register `r` holds, if it holds one.
+    fn constant(&self, r: u32) -> Option<f64> {
+        self.coeff(r).filter(|c| c.slot == Slot::CONST).map(|c| c.value)
     }
 
     fn charge(&mut self, n: usize) -> Result<(), Reject> {
@@ -623,51 +630,83 @@ impl Matcher {
     }
 }
 
-/// Tries to match an optimized program against the template catalog:
+/// Tries to match a kernel's bytecode against the template catalog:
 /// every output must be an affine function of its loads — coefficients
 /// being constants or runtime scalars — in the two-level fold shape of
-/// the module docs. On the first construct outside the grammar it
-/// returns that construct's name, and the caller stays on `eval`.
-pub(crate) fn match_template(opt: &OptProgram) -> Result<JitProgram, Reject> {
-    if opt.outputs.is_empty() {
+/// the module docs. Instructions no output reads are skipped, and
+/// `const ⊕ const` and `−const` fold with the same f64 operation, so
+/// only the live, unfolded arithmetic must fit. On the first construct
+/// outside the grammar it returns that construct's name, and the caller
+/// stays on `eval`. `inputs` is the kernel's input count.
+pub(crate) fn match_template(p: &KernelProgram, inputs: usize) -> Result<JitProgram, Reject> {
+    if p.outputs.is_empty() {
         return Err("no outputs");
     }
-    if opt.scalar_regs.len() >= Slot::CONST.0 as usize {
+    if p.scalar_regs.len() >= Slot::CONST.0 as usize {
         return Err("more than 65534 runtime scalars");
     }
-    let constant = |value| Some(Def::Coeff(Coeff { value, slot: Slot::CONST }));
-    let mut m = Matcher { defs: vec![None; opt.num_regs as usize], ops: 0 };
-    for &(r, v) in &opt.preinit {
-        m.defs[r as usize] = constant(v);
-    }
-    for (k, &r) in opt.scalar_regs.iter().enumerate() {
-        m.defs[r as usize] = Some(Def::Coeff(Coeff { value: f64::NAN, slot: Slot(k as u16) }));
-    }
-    for instr in &opt.instrs {
+    // One backward sweep: a register is live if an output reads it.
+    let mut live = vec![false; p.num_regs as usize];
+    p.outputs.iter().for_each(|&o| live[o as usize] = true);
+    for instr in p.instrs.iter().rev() {
         match *instr {
-            Instr::LoadInput { input, rel, dst } => {
-                m.defs[dst as usize] = Some(Def::Load { input, rel });
+            Instr::Bin { a, b, dst, .. } if live[dst as usize] => {
+                (live[a as usize], live[b as usize]) = (true, true);
             }
-            Instr::Const { v, dst } => m.defs[dst as usize] = constant(v),
-            Instr::Bin { op: BinOp::Div, .. } => return Err("division"),
-            Instr::Bin { op, a, b, dst } => {
-                // `optimize` folded const ⊕ const, so this is a new
-                // coefficient computed from a runtime scalar per point.
-                if m.coeff(a).is_some() && m.coeff(b).is_some() {
-                    return Err("arithmetic on a runtime scalar");
-                }
-                m.defs[dst as usize] = Some(Def::Bin { op, a, b });
-            }
-            Instr::Neg { .. } => return Err("negation"),
-            Instr::Index { .. } => return Err("stencil.index term"),
+            Instr::Neg { a, dst } if live[dst as usize] => live[a as usize] = true,
+            _ => {}
         }
     }
-    let outs: Vec<JitOut> = opt.outputs.iter().map(|&o| m.out(o)).collect::<Result<_, _>>()?;
+    let constant = |value| Def::Coeff(Coeff { value, slot: Slot::CONST });
+    let mut m = Matcher { defs: vec![None; p.num_regs as usize], ops: 0 };
+    for (k, &r) in p.scalar_regs.iter().enumerate() {
+        m.defs[r as usize] = Some(Def::Coeff(Coeff { value: f64::NAN, slot: Slot(k as u16) }));
+    }
+    let mut loads = Vec::new();
+    for instr in &p.instrs {
+        let (Instr::LoadInput { dst, .. }
+        | Instr::Const { dst, .. }
+        | Instr::Bin { dst, .. }
+        | Instr::Neg { dst, .. }
+        | Instr::Index { dst, .. }) = *instr;
+        if !live[dst as usize] {
+            continue;
+        }
+        let def = match *instr {
+            Instr::LoadInput { input, rel, .. } => {
+                loads.push((input, rel));
+                Def::Load { input, rel }
+            }
+            Instr::Const { v, .. } => constant(v),
+            Instr::Bin { op, a, b, .. } => match (m.constant(a), m.constant(b)) {
+                (Some(ca), Some(cb)) => constant(op.eval(ca, cb)),
+                _ if op == BinOp::Div => return Err("division"),
+                // Constants folded above: this is a new coefficient
+                // computed from a runtime scalar per point.
+                _ if m.coeff(a).is_some() && m.coeff(b).is_some() => {
+                    return Err("arithmetic on a runtime scalar")
+                }
+                _ => Def::Bin { op, a, b },
+            },
+            Instr::Neg { a, .. } => constant(-m.constant(a).ok_or("negation")?),
+            Instr::Index { .. } => return Err("stencil.index term"),
+        };
+        m.defs[dst as usize] = Some(def);
+    }
+    let outs: Vec<JitOut> = p.outputs.iter().map(|&o| m.out(o)).collect::<Result<_, _>>()?;
+    // The distinct live loads, sorted: each input's first and last give
+    // its displacement bounds.
+    loads.sort_unstable();
+    loads.dedup();
+    let mut rel_bounds = vec![None; inputs];
+    for &(input, rel) in &loads {
+        rel_bounds[input as usize].get_or_insert((rel, rel)).1 = rel;
+    }
     Ok(JitProgram {
         plan: JitPlan { outs },
-        tap_count: opt.instrs.iter().filter(|i| matches!(i, Instr::LoadInput { .. })).count(),
-        scalars: opt.scalar_regs.len(),
-        rel_bounds: opt.rel_bounds.clone(),
+        tap_count: loads.len(),
+        scalars: p.scalar_regs.len(),
+        rel_bounds,
         use_avx2: avx2_available(),
     })
 }
@@ -1215,8 +1254,28 @@ mod tests {
         assert!(std::ptr::eq(jit.bind(&[], &mut bound), &jit.plan));
     }
 
-    /// `load₀ + load₁ + … + loadₙ₋₁` as optimized bytecode.
-    fn tap_chain(n: u32) -> OptProgram {
+    /// A one-input kernel of `num_regs` registers computing `out`.
+    fn program(
+        instrs: Vec<Instr>,
+        num_regs: u32,
+        out: u32,
+        scalar_regs: Vec<u32>,
+    ) -> KernelProgram {
+        KernelProgram {
+            instrs,
+            num_regs,
+            outputs: vec![out],
+            scalar_regs,
+            rank: 1,
+            flops: 0,
+            loads: 0,
+            stencil_points: 0,
+            offsets: vec![],
+        }
+    }
+
+    /// `load₀ + load₁ + … + loadₙ₋₁` as bytecode.
+    fn tap_chain(n: u32) -> KernelProgram {
         let loads = (0..n).map(|i| Instr::LoadInput { input: 0, rel: i as i64, dst: i });
         let adds = (1..n).map(|i| Instr::Bin {
             op: BinOp::Add,
@@ -1224,20 +1283,13 @@ mod tests {
             b: i,
             dst: n + i - 1,
         });
-        OptProgram {
-            instrs: loads.chain(adds).collect(),
-            preinit: vec![],
-            scalar_regs: vec![],
-            num_regs: 2 * n - 1,
-            outputs: vec![2 * n - 2],
-            rel_bounds: vec![Some((0, n as i64 - 1))],
-        }
+        program(loads.chain(adds).collect(), 2 * n - 1, 2 * n - 2, vec![])
     }
 
     #[test]
     fn caps_bound_the_chain_fast_path_and_the_fold() {
         let terms = |n| {
-            match_template(&tap_chain(n)).map(|j| {
+            match_template(&tap_chain(n), 1).map(|j| {
                 let out = &j.plan.outs[0];
                 (out.terms.len(), out.flat.as_ref().map(|f| f.group))
             })
@@ -1253,16 +1305,9 @@ mod tests {
     /// The reason `instrs` (register 0 a runtime scalar, the last
     /// register the output) is rejected.
     fn rejection(instrs: Vec<Instr>, num_regs: u32) -> Reject {
-        let out = num_regs - 1;
-        let opt = OptProgram {
-            instrs,
-            preinit: vec![],
-            scalar_regs: vec![0],
-            num_regs,
-            outputs: vec![out],
-            rel_bounds: vec![Some((0, 1))],
-        };
-        match_template(&opt).map(|_| ()).unwrap_err()
+        match_template(&program(instrs, num_regs, num_regs - 1, vec![0]), 1)
+            .map(|_| ())
+            .unwrap_err()
     }
 
     #[test]
@@ -1280,6 +1325,27 @@ mod tests {
             "stencil.index term"
         );
         assert_eq!(rejection(with(bin(BinOp::Mul, 0, 0, 3)), 4), "arithmetic on a runtime scalar");
+        // A runtime scalar is never folded: −α and α / 2 stay per point,
+        // and a division is named before the scalar arithmetic.
+        let scaled_by = |coeff: Vec<Instr>, c| {
+            let mut instrs = coeff;
+            instrs.extend([load(0, c + 1), bin(BinOp::Mul, c, c + 1, c + 2)]);
+            rejection(instrs, c + 3)
+        };
+        assert_eq!(scaled_by(vec![Instr::Neg { a: 0, dst: 1 }], 1), "negation");
+        let two = Instr::Const { v: 2.0, dst: 1 };
+        assert_eq!(scaled_by(vec![two, bin(BinOp::Div, 0, 1, 2)], 2), "division");
+        // Constructs no output reads reject nothing: a dead `divf`,
+        // `negf` and `stencil.index` ahead of the live product.
+        let dead_first = vec![
+            load(0, 1),
+            load(1, 2),
+            bin(BinOp::Div, 1, 2, 3),
+            Instr::Neg { a: 3, dst: 4 },
+            Instr::Index { dim: 0, offset: 0, dst: 5 },
+            bin(BinOp::Mul, 1, 2, 6),
+        ];
+        assert_eq!(rejection(dead_first, 7), "load·load product");
         // α · (α · (l + r)): a scaled group inside a scaled group.
         let nested = vec![
             load(0, 1),
@@ -1314,22 +1380,30 @@ mod tests {
         assert_eq!(jit.shape_label(), "2 terms");
         let labels: Vec<String> = row_cases()
             .iter()
-            .map(|(_, opt, _, _)| match_template(opt).unwrap().shape_label())
+            .map(|c| match_template(&c.clean, 1).unwrap().shape_label())
             .collect();
         for label in ["chain<3>", "group<6>+1", "group<6>+2", "2 terms"] {
             assert!(labels.iter().any(|l| l == label), "no {label} among {labels:?}");
         }
     }
 
-    /// Optimized bytecode written by hand, one input: registers are
-    /// allocated in order, constants preloaded.
+    /// Bytecode written by hand, one input, registers allocated in
+    /// order. A `messy` program spells the same kernel the way
+    /// `compile_apply` may emit it: every load issued afresh, every
+    /// coefficient computed from constants — `(c₁·c₂)`, `(c₁/c₂)` or
+    /// `−c` in turn — and a dead `divf`, `negf` and `stencil.index` that
+    /// no output reads. A clean one loads each tap once and writes each
+    /// coefficient as a literal.
     #[derive(Default)]
     struct Prog {
         instrs: Vec<Instr>,
-        preinit: Vec<(u32, f64)>,
         scalar_regs: Vec<u32>,
         regs: u32,
-        rels: Option<(i64, i64)>,
+        messy: bool,
+        /// `(rel, register)` of every load issued.
+        loaded: Vec<(i64, u32)>,
+        /// Coefficients written so far.
+        coeffs: usize,
     }
 
     impl Prog {
@@ -1338,17 +1412,48 @@ mod tests {
             self.regs - 1
         }
 
-        fn load(&mut self, rel: i64) -> u32 {
+        fn push(&mut self, instr: impl FnOnce(u32) -> Instr) -> u32 {
             let dst = self.reg();
-            self.instrs.push(Instr::LoadInput { input: 0, rel, dst });
-            self.rels = Some(self.rels.map_or((rel, rel), |(lo, hi)| (lo.min(rel), hi.max(rel))));
+            self.instrs.push(instr(dst));
             dst
         }
 
+        fn load(&mut self, rel: i64) -> u32 {
+            match self.loaded.iter().find(|&&(r, _)| r == rel) {
+                Some(&(_, dst)) if !self.messy => dst,
+                _ => {
+                    let dst = self.push(|dst| Instr::LoadInput { input: 0, rel, dst });
+                    self.loaded.push((rel, dst));
+                    dst
+                }
+            }
+        }
+
+        fn literal(&mut self, v: f64) -> u32 {
+            self.push(|dst| Instr::Const { v, dst })
+        }
+
+        /// A coefficient of value `v` (powers of two keep the messy
+        /// spellings exact).
         fn c(&mut self, v: f64) -> u32 {
-            let dst = self.reg();
-            self.preinit.push((dst, v));
-            dst
+            self.coeffs += 1;
+            if !self.messy {
+                return self.literal(v);
+            }
+            match self.coeffs % 3 {
+                0 => {
+                    let (a, b) = (self.literal(v * 4.0), self.literal(0.25));
+                    self.bin(BinOp::Mul, a, b)
+                }
+                1 => {
+                    let (a, b) = (self.literal(v * 4.0), self.literal(4.0));
+                    self.bin(BinOp::Div, a, b)
+                }
+                _ => {
+                    let a = self.literal(-v);
+                    self.push(|dst| Instr::Neg { a, dst })
+                }
+            }
         }
 
         fn scalar(&mut self) -> u32 {
@@ -1358,53 +1463,69 @@ mod tests {
         }
 
         fn bin(&mut self, op: BinOp, a: u32, b: u32) -> u32 {
-            let dst = self.reg();
-            self.instrs.push(Instr::Bin { op, a, b, dst });
-            dst
+            self.push(|dst| Instr::Bin { op, a, b, dst })
         }
 
-        fn finish(self, out: u32) -> OptProgram {
-            OptProgram {
-                instrs: self.instrs,
-                preinit: self.preinit,
-                scalar_regs: self.scalar_regs,
-                num_regs: self.regs,
-                outputs: vec![out],
-                rel_bounds: vec![self.rels],
+        fn finish(mut self, out: u32) -> KernelProgram {
+            if self.messy {
+                self.bin(BinOp::Div, out, out);
+                self.push(|dst| Instr::Neg { a: out, dst });
+                self.push(|dst| Instr::Index { dim: 0, offset: 0, dst });
             }
+            program(self.instrs, self.regs, out, self.scalar_regs)
         }
     }
 
-    /// One kernel of every shape the row functions serve: (name, program,
-    /// runtime scalars, expected flat shape as `(T, trailing taps)`).
-    #[allow(clippy::type_complexity)]
-    fn row_cases() -> Vec<(String, OptProgram, Vec<f64>, Option<(usize, usize)>)> {
+    /// One kernel of every shape the row functions serve, clean and
+    /// messy (see [`Prog`]).
+    struct RowCase {
+        name: String,
+        clean: KernelProgram,
+        messy: KernelProgram,
+        /// The runtime scalars' values.
+        scalars: Vec<f64>,
+        /// The expected flat shape, as `(T, trailing taps)`.
+        shape: Option<(usize, usize)>,
+    }
+
+    fn row_cases() -> Vec<RowCase> {
         use BinOp::{Add, Mul, Sub};
         let mut cases = Vec::new();
+        let mut case = |name: String, build: &dyn Fn(&mut Prog) -> u32, scalars, shape| {
+            let [clean, messy] = [false, true].map(|messy| {
+                let mut p = Prog { messy, ..Prog::default() };
+                let out = build(&mut p);
+                p.finish(out)
+            });
+            cases.push(RowCase { name, clean, messy, scalars, shape });
+        };
         // Pure chains with `−` folds and scaled taps: the coefficient on
         // the left (a constant) or on the right (a runtime scalar).
         for t in [1usize, 2, 3, 6, MAX_GROUP] {
-            let mut p = Prog::default();
-            let alpha = p.scalar();
-            let half = t as i64 / 2;
-            let mut acc = p.load(-half);
-            for i in 1..t {
-                let l = p.load(i as i64 - half);
-                let tap = match i % 3 {
-                    0 => l,
-                    1 => {
-                        let c = p.c(0.3);
-                        p.bin(Mul, c, l)
-                    }
-                    _ => p.bin(Mul, l, alpha),
-                };
-                acc = p.bin(if i % 2 == 0 { Sub } else { Add }, acc, tap);
-            }
-            cases.push((format!("chain of {t}"), p.finish(acc), vec![1.7], Some((t, 0))));
+            let chain = |p: &mut Prog| {
+                let alpha = p.scalar();
+                let half = t as i64 / 2;
+                let mut acc = p.load(-half);
+                for i in 1..t {
+                    let l = p.load(i as i64 - half);
+                    let tap = match i % 3 {
+                        0 => l,
+                        1 => {
+                            let c = p.c(0.3);
+                            p.bin(Mul, c, l)
+                        }
+                        _ => p.bin(Mul, l, alpha),
+                    };
+                    acc = p.bin(if i % 2 == 0 { Sub } else { Add }, acc, tap);
+                }
+                acc
+            };
+            case(format!("chain of {t}"), &chain, vec![1.7], Some((t, 0)));
         }
         // Scaled groups with a `−` fold and a scaled tap inside: the scale
         // on either side, constant or a runtime scalar, then 0–2 trailing
-        // taps (the first scaled, the second folded with `−`).
+        // taps (the first scaled, the second folded with `−`). A trailing
+        // tap may load a tap of the group again.
         for (t, trail, left, runtime) in [
             (2, 0, true, false),
             (4, 1, true, false),
@@ -1413,47 +1534,50 @@ mod tests {
             (3, 2, false, false),
             (MAX_GROUP, 2, false, false),
         ] {
-            let mut p = Prog::default();
-            let s = if runtime { p.scalar() } else { p.c(0.0625) };
-            let mut acc = p.load(-3);
-            for i in 1..t {
-                let mut tap = p.load(i as i64 - 3);
-                if i == 3 {
-                    let c = p.c(-2.5);
-                    tap = p.bin(Mul, tap, c);
+            let group = |p: &mut Prog| {
+                let s = if runtime { p.scalar() } else { p.c(0.0625) };
+                let mut acc = p.load(-3);
+                for i in 1..t {
+                    let mut tap = p.load(i as i64 - 3);
+                    if i == 3 {
+                        let c = p.c(-2.5);
+                        tap = p.bin(Mul, tap, c);
+                    }
+                    acc = p.bin(if i == 2 { Sub } else { Add }, acc, tap);
                 }
-                acc = p.bin(if i == 2 { Sub } else { Add }, acc, tap);
-            }
-            acc = if left { p.bin(Mul, s, acc) } else { p.bin(Mul, acc, s) };
-            for j in 0..trail {
-                let mut tap = p.load(j as i64);
-                if j == 0 {
-                    let c = p.c(-0.4);
-                    tap = p.bin(Mul, c, tap);
+                acc = if left { p.bin(Mul, s, acc) } else { p.bin(Mul, acc, s) };
+                for j in 0..trail {
+                    let mut tap = p.load(j as i64);
+                    if j == 0 {
+                        let c = p.c(-0.4);
+                        tap = p.bin(Mul, c, tap);
+                    }
+                    acc = p.bin(if j == 1 { Sub } else { Add }, acc, tap);
                 }
-                acc = p.bin(if j == 1 { Sub } else { Add }, acc, tap);
-            }
+                acc
+            };
             let name =
                 format!("{}-scaled group of {t} + {trail}", if left { "left" } else { "right" });
             let scalars = if runtime { vec![0.125] } else { vec![] };
-            cases.push((name, p.finish(acc), scalars, Some((t, trail))));
+            case(name, &group, scalars, Some((t, trail)));
         }
         // Outside the flat shape (the general fold): a plain tap, then a
         // scaled group holding tap pairs, a scaled tap and a constant.
-        let mut p = Prog::default();
-        let centre = p.load(0);
-        let (u, d, l, r) = (p.load(-2), p.load(2), p.load(-1), p.load(1));
-        let (ud, lr) = (p.bin(Add, u, d), p.bin(Sub, l, r));
-        let star = p.bin(Add, ud, lr);
-        let k = p.c(4.0);
-        let kc = p.bin(Mul, k, centre);
-        let inner = p.bin(Sub, star, kc);
-        let half = p.c(0.5);
-        let inner = p.bin(Add, inner, half);
-        let s = p.c(0.1);
-        let group = p.bin(Mul, s, inner);
-        let out = p.bin(Add, centre, group);
-        cases.push(("tap + scaled group of pairs".into(), p.finish(out), vec![], None));
+        let general = |p: &mut Prog| {
+            let centre = p.load(0);
+            let (u, d, l, r) = (p.load(-2), p.load(2), p.load(-1), p.load(1));
+            let (ud, lr) = (p.bin(Add, u, d), p.bin(Sub, l, r));
+            let star = p.bin(Add, ud, lr);
+            let k = p.c(4.0);
+            let kc = p.bin(Mul, k, centre);
+            let inner = p.bin(Sub, star, kc);
+            let half = p.c(0.5);
+            let inner = p.bin(Add, inner, half);
+            let s = p.c(0.1);
+            let group = p.bin(Mul, s, inner);
+            p.bin(Add, centre, group)
+        };
+        case("tap + scaled group of pairs".into(), &general, vec![], None);
         cases
     }
 
@@ -1498,9 +1622,11 @@ mod tests {
         v
     }
 
-    /// The portable and the AVX2 lanes of every row kernel reproduce the
-    /// scalar reference bit for bit, on every row length around the
-    /// block width and at unaligned input and output offsets.
+    /// A messy kernel matches to the same plan as its clean twin. The
+    /// portable and the AVX2 lanes of every row kernel reproduce the
+    /// scalar reference, and it the bytecode's `eval` of both twins, bit
+    /// for bit, on every row length around the block width and at
+    /// unaligned input and output offsets.
     #[test]
     fn every_row_kernel_instantiation_matches_eval_point_bitwise() {
         // Mixed magnitudes, a negative zero and a subnormal.
@@ -1511,13 +1637,16 @@ mod tests {
                 _ => (i as f64 * 0.731).sin() * 10f64.powi(i % 9 - 4),
             })
             .collect();
-        for (name, opt, scalars, shape) in row_cases() {
-            let jit = match_template(&opt).unwrap_or_else(|r| panic!("{name}: {r}"));
+        for RowCase { name, clean, messy, scalars, shape } in row_cases() {
+            let [jit, twin] = [&clean, &messy]
+                .map(|p| match_template(p, 1).unwrap_or_else(|r| panic!("{name}: {r}")));
+            // Same plan, taps, scalars and bounds: the same tier label.
+            assert_eq!(format!("{twin:?}"), format!("{jit:?}"), "{name}: messy twin");
             let mut bound = JitPlan::default();
             let plan = &jit.bind(&scalars, &mut bound).outs[0];
             let flat_shape = plan.flat.as_ref().map(|f| (f.group, f.taps.len() - f.group));
             assert_eq!(flat_shape, shape, "{name}");
-            let (rel_min, rel_max) = opt.rel_bounds[0].unwrap();
+            let (rel_min, rel_max) = jit.rel_bounds[0].unwrap();
             for shift in 0..4 {
                 let inputs: [&[f64]; 1] = [&buf[shift..]];
                 let flats = [shift as i64 - rel_min];
@@ -1527,6 +1656,19 @@ mod tests {
                     let want: Vec<u64> = (0..len)
                         .map(|x| unsafe { eval_point(plan, &inputs, &flats, x) }.to_bits())
                         .collect();
+                    for p in [&clean, &messy] {
+                        let mut regs = vec![0.0; p.num_regs as usize];
+                        for (&r, &v) in p.scalar_regs.iter().zip(&scalars) {
+                            regs[r as usize] = v;
+                        }
+                        let eval: Vec<u64> = (0..len)
+                            .map(|x| {
+                                p.eval(&inputs, &[flats[0] + x], &[x], &mut regs);
+                                regs[p.outputs[0] as usize].to_bits()
+                            })
+                            .collect();
+                        assert_eq!(eval, want, "{name}: eval, shift {shift}, len {len}");
+                    }
                     for (kernel, row) in row_kernels(plan) {
                         let mut out = vec![7.0; (of + len + 1) as usize];
                         row(&inputs, &flats, &mut out, of, len);

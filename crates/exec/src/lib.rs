@@ -15,7 +15,7 @@
 //!   for the rest — bit-for-bit identical to each other. Both tiers, the
 //!   copies, the reductions and the halo pack/unpack walk their ranges
 //!   through one row walker, `program::for_each_row`;
-//! * [`jit`] — the template-JIT tier: its matcher over the optimized
+//! * [`jit`] — the template-JIT tier: its matcher over the kernel
 //!   bytecode and its catalog of monomorphized fused micro-kernels
 //!   (const-generic tap chains, two-level fold templates,
 //!   optional explicit AVX2 lanes behind the `simd` cargo feature +

@@ -1013,6 +1013,23 @@ mod tests {
         m
     }
 
+    /// A disabled sink leaves the runner as it is: its lane and tracer
+    /// stay disabled and its worker pool keeps its threads. An enabled
+    /// sink respawns the workers, to record their task spans.
+    #[test]
+    fn disabled_trace_sink_leaves_the_runner_alone() {
+        let pipeline = compile_module(&prepare(samples::heat_2d(8, 0.1)), "heat").unwrap();
+        let workers = |r: &Runner| r.pool.as_ref().expect("a pool for 2 threads").thread_ids();
+        let runner = Runner::new(pipeline, 2);
+        let spawned = workers(&runner);
+        let runner = runner.with_trace(&Tracer::disabled(), 3);
+        assert!(!runner.lane.enabled() && !runner.tracer.is_enabled());
+        assert_eq!(workers(&runner), spawned, "the pool was rebuilt");
+        let runner = runner.with_trace(&Tracer::new(), 3);
+        assert!(runner.lane.enabled() && runner.tracer.is_enabled());
+        assert_ne!(workers(&runner), spawned);
+    }
+
     #[test]
     fn pipeline_matches_interpreter_on_heat2d() {
         let n = 24i64;

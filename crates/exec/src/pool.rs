@@ -110,6 +110,12 @@ impl WorkerPool {
         self.threads
     }
 
+    /// The workers' thread ids (never reused within a process).
+    #[cfg(test)]
+    pub(crate) fn thread_ids(&self) -> Vec<std::thread::ThreadId> {
+        self.handles.iter().map(|h| h.thread().id()).collect()
+    }
+
     /// Runs `jobs` on the workers and blocks until every job finished.
     ///
     /// Taking `&mut self` makes runs exclusive, which is what lets the

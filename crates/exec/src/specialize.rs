@@ -31,16 +31,15 @@
 //! (`program::for_each_row`: loops for ranks 1–3, an odometer
 //! above).
 //!
-//! Tier selection is automatic (`optimize` → template match →
-//! `TemplateJit`, else `Eval`) and can be overridden with the
+//! Tier selection is automatic (template match over the kernel's
+//! bytecode → `TemplateJit`, else `Eval`) and can be overridden with the
 //! `STEN_EXEC_TIER` environment variable (`eval` | `template-jit` |
 //! `auto`) or per pipeline via [`crate::Pipeline::respecialize`].
 //! Forcing `template-jit` on a kernel outside the template grammar falls
 //! back to `eval`.
 
 use crate::jit::JitProgram;
-use crate::program::{for_each_row, CompiledKernel, ExecScratch, Instr};
-use std::collections::HashMap;
+use crate::program::{for_each_row, CompiledKernel, ExecScratch};
 use std::sync::Arc;
 use sten_ir::Bounds;
 
@@ -90,27 +89,6 @@ impl TierKind {
     }
 }
 
-/// A kernel's bytecode after CSE, constant folding and dead-code
-/// elimination, with its loop-invariant `Const`s split out: the input
-/// the template matcher reads ([`crate::jit::match_template`]).
-#[derive(Clone, Debug)]
-pub(crate) struct OptProgram {
-    /// Per-point instructions (never `Const`).
-    pub instrs: Vec<Instr>,
-    /// `(register, value)` pairs of the hoisted constants.
-    pub preinit: Vec<(u32, f64)>,
-    /// Registers holding runtime scalar arguments (index-aligned with
-    /// the kernel's `scalar_args`).
-    pub scalar_regs: Vec<u32>,
-    /// Registers needed.
-    pub num_regs: u32,
-    /// Registers holding the per-point results.
-    pub outputs: Vec<u32>,
-    /// Per-input `(min, max)` relative displacement actually loaded
-    /// (`None` when the input is never loaded).
-    pub rel_bounds: Vec<Option<(i64, i64)>>,
-}
-
 /// A [`CompiledKernel`] plus its chosen executor tier.
 ///
 /// Dereferences to the underlying kernel, so geometry and cost-model
@@ -147,7 +125,7 @@ impl SpecializedKernel {
         let jit = match force {
             Some(TierKind::Eval) => None,
             Some(TierKind::TemplateJit) | None => {
-                match crate::jit::match_template(&optimize(&kernel)) {
+                match crate::jit::match_template(&kernel.program, kernel.inputs.len()) {
                     Ok(jit) => Some(Arc::new(jit)),
                     Err(reason) => {
                         jit_rejected = Some(reason);
@@ -265,173 +243,6 @@ impl SpecializedKernel {
                 outs[o].len()
             );
         }
-    }
-}
-
-/// Builds the [`OptProgram`] for a kernel: value-numbering CSE over
-/// `LoadInput`/`Const`/`Index`, constant folding of `Const ⊕ Const` and
-/// `-Const` (computed with the identical f64 operation at build time),
-/// dead-code elimination, and the surviving constants split out into
-/// `preinit`. No expression is reassociated.
-fn optimize(kernel: &CompiledKernel) -> OptProgram {
-    let p = &kernel.program;
-    // Pass 1: value-number into a new instruction list.
-    let mut map: HashMap<u32, u32> = HashMap::new(); // old reg -> new reg
-    let mut const_vn: HashMap<u64, u32> = HashMap::new(); // f64 bits -> new reg
-    let mut load_vn: HashMap<(u32, i64), u32> = HashMap::new();
-    let mut index_vn: HashMap<(u8, i64), u32> = HashMap::new();
-    let mut const_val: HashMap<u32, f64> = HashMap::new(); // new reg -> value
-    let mut instrs: Vec<Instr> = Vec::new();
-    let mut next: u32 = 0;
-    // Runtime scalar registers have no defining instruction: give them
-    // stable value numbers up front so operand lookups resolve.
-    let mut scalar_vn: Vec<u32> = Vec::new();
-    for &sr in &p.scalar_regs {
-        let d = next;
-        next += 1;
-        map.insert(sr, d);
-        scalar_vn.push(d);
-    }
-    let intern_const = |v: f64,
-                        const_vn: &mut HashMap<u64, u32>,
-                        const_val: &mut HashMap<u32, f64>,
-                        instrs: &mut Vec<Instr>,
-                        next: &mut u32|
-     -> u32 {
-        *const_vn.entry(v.to_bits()).or_insert_with(|| {
-            let dst = *next;
-            *next += 1;
-            instrs.push(Instr::Const { v, dst });
-            const_val.insert(dst, v);
-            dst
-        })
-    };
-    for instr in &p.instrs {
-        match *instr {
-            Instr::Const { v, dst } => {
-                let r = intern_const(v, &mut const_vn, &mut const_val, &mut instrs, &mut next);
-                map.insert(dst, r);
-            }
-            Instr::LoadInput { input, rel, dst } => {
-                let r = *load_vn.entry((input, rel)).or_insert_with(|| {
-                    let d = next;
-                    next += 1;
-                    instrs.push(Instr::LoadInput { input, rel, dst: d });
-                    d
-                });
-                map.insert(dst, r);
-            }
-            Instr::Index { dim, offset, dst } => {
-                let r = *index_vn.entry((dim, offset)).or_insert_with(|| {
-                    let d = next;
-                    next += 1;
-                    instrs.push(Instr::Index { dim, offset, dst: d });
-                    d
-                });
-                map.insert(dst, r);
-            }
-            Instr::Bin { op, a, b, dst } => {
-                let (a, b) = (map[&a], map[&b]);
-                if let (Some(&ca), Some(&cb)) = (const_val.get(&a), const_val.get(&b)) {
-                    let r = intern_const(
-                        op.eval(ca, cb),
-                        &mut const_vn,
-                        &mut const_val,
-                        &mut instrs,
-                        &mut next,
-                    );
-                    map.insert(dst, r);
-                } else {
-                    let d = next;
-                    next += 1;
-                    instrs.push(Instr::Bin { op, a, b, dst: d });
-                    map.insert(dst, d);
-                }
-            }
-            Instr::Neg { a, dst } => {
-                let a = map[&a];
-                if let Some(&ca) = const_val.get(&a) {
-                    let r =
-                        intern_const(-ca, &mut const_vn, &mut const_val, &mut instrs, &mut next);
-                    map.insert(dst, r);
-                } else {
-                    let d = next;
-                    next += 1;
-                    instrs.push(Instr::Neg { a, dst: d });
-                    map.insert(dst, d);
-                }
-            }
-        }
-    }
-    let outputs: Vec<u32> = p.outputs.iter().map(|r| map[r]).collect();
-
-    // Pass 2: dead-code elimination (backwards liveness).
-    let mut live = vec![false; next as usize];
-    for &o in &outputs {
-        live[o as usize] = true;
-    }
-    for instr in instrs.iter().rev() {
-        let (dst, ops) = instr_uses(instr);
-        if live[dst as usize] {
-            for o in ops {
-                live[o as usize] = true;
-            }
-        }
-    }
-    // Pass 3: compact renumbering, splitting consts into preinit.
-    let mut renum = vec![u32::MAX; next as usize];
-    let mut num_regs: u32 = 0;
-    let mut out_instrs = Vec::new();
-    let mut preinit = Vec::new();
-    let mut rel_bounds: Vec<Option<(i64, i64)>> = vec![None; kernel.inputs.len()];
-    // Scalar registers survive unconditionally (index-aligned with the
-    // kernel's `scalar_args`) and are preloaded like hoisted consts.
-    let mut scalar_regs = Vec::with_capacity(scalar_vn.len());
-    for &sr in &scalar_vn {
-        let d = num_regs;
-        num_regs += 1;
-        renum[sr as usize] = d;
-        scalar_regs.push(d);
-    }
-    for instr in &instrs {
-        let (dst, _) = instr_uses(instr);
-        if !live[dst as usize] {
-            continue;
-        }
-        let d = num_regs;
-        num_regs += 1;
-        renum[dst as usize] = d;
-        match *instr {
-            Instr::Const { v, .. } => preinit.push((d, v)),
-            Instr::LoadInput { input, rel, .. } => {
-                let e = rel_bounds[input as usize].get_or_insert((rel, rel));
-                e.0 = e.0.min(rel);
-                e.1 = e.1.max(rel);
-                out_instrs.push(Instr::LoadInput { input, rel, dst: d });
-            }
-            Instr::Index { dim, offset, .. } => {
-                out_instrs.push(Instr::Index { dim, offset, dst: d })
-            }
-            Instr::Bin { op, a, b, .. } => out_instrs.push(Instr::Bin {
-                op,
-                a: renum[a as usize],
-                b: renum[b as usize],
-                dst: d,
-            }),
-            Instr::Neg { a, .. } => out_instrs.push(Instr::Neg { a: renum[a as usize], dst: d }),
-        }
-    }
-    let outputs = outputs.iter().map(|&o| renum[o as usize]).collect();
-    OptProgram { instrs: out_instrs, preinit, scalar_regs, num_regs, outputs, rel_bounds }
-}
-
-fn instr_uses(instr: &Instr) -> (u32, Vec<u32>) {
-    match *instr {
-        Instr::Const { dst, .. } | Instr::LoadInput { dst, .. } | Instr::Index { dst, .. } => {
-            (dst, vec![])
-        }
-        Instr::Bin { a, b, dst, .. } => (dst, vec![a, b]),
-        Instr::Neg { a, dst } => (dst, vec![a]),
     }
 }
 
@@ -629,16 +440,6 @@ pub(crate) mod tests {
                 assert_eq!(v, want, "({i}, {j})");
             }
         }
-    }
-
-    #[test]
-    fn optimize_hoists_and_dedupes() {
-        let mut m = sten_stencil::samples::heat_2d(16, 0.1);
-        let k = kernel_of(&mut m, "heat", InputDesc::new(vec![18, 18], vec![-1, -1]));
-        let opt = optimize(&k);
-        assert!(opt.preinit.len() >= 2, "4.0 and alpha hoisted");
-        assert!(opt.instrs.iter().all(|i| !matches!(i, Instr::Const { .. })));
-        assert!(opt.instrs.len() < k.program.instrs.len());
     }
 
     /// `@axpy` (`out = a + α·b`, α a runtime scalar) over `n` points.

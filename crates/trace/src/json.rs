@@ -59,7 +59,7 @@ impl Value {
 /// # Errors
 /// Reports the byte offset and nature of the first syntax error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), at: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), at: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -70,6 +70,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -217,13 +218,16 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
+                    // A run of plain characters, up to the next `"` or
+                    // `\`: both are ASCII, so the run ends on a
+                    // character boundary.
                     let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
-                    out.push(ch);
-                    self.at += ch.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .ok_or("unterminated string")?;
+                    out.push_str(&self.text[self.at..self.at + len]);
+                    self.at += len;
                 }
             }
         }
@@ -252,7 +256,7 @@ impl Parser<'_> {
                 self.at += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.at]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.at];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -297,6 +301,32 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_round_trip_through_escape() {
+        // 1-, 2-, 3- and 4-byte characters next to escapes, and at both
+        // ends of the string.
+        let original = "é\"ß\\€\n𝄞 ab\u{0001}ü€𝄞";
+        let doc = format!("[\"{}\", \"\\u00e9\"]", escape(original));
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(original));
+        assert_eq!(v.as_arr().unwrap()[1].as_str(), Some("é"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of mixed-width characters with an escape every 49 bytes:
+        // re-validating the rest of the document per character, as this
+        // parser once did, makes this quadratic.
+        let chunk = "abc€𝄞é".repeat(4) + "\n";
+        let original = chunk.repeat((1 << 20) / chunk.len() + 1);
+        let doc = format!("{{\"k\": \"{}\"}}", escape(&original));
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let took = start.elapsed();
+        assert_eq!(v.get("k").unwrap().as_str(), Some(original.as_str()));
+        assert!(took < std::time::Duration::from_millis(500), "took {took:?}");
     }
 
     #[test]
